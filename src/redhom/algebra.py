@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .reporting import CheckReport, DEFAULT_TOLERANCES, resolve_tolerances
+
 __all__ = [
     "StructuredLieAlgebra",
     "GroupElement",
@@ -21,14 +23,7 @@ __all__ = [
     "expand_in_matrix_basis",
 ]
 
-# Antisymmetry violations below this are treated as representation noise
-# and canonicalized away; anything larger is a modeling error and rejected.
-ANTISYMMETRY_TOL = 1e-12
-JACOBI_TOL = 1e-12
-COMMUTATOR_TOL = 1e-10
-BASIS_RESIDUAL_TOL = 1e-8
 DET_FLOOR = 1e-12
-GROUP_DRIFT_TOL = 1e-8
 
 # Scaling-and-squaring parameters: scale until the 1-norm is at most 0.5,
 # then evaluate a Taylor block of this order.  Remainder < 0.5^13/13! ~ 2e-14.
@@ -59,7 +54,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 def expand_in_matrix_basis(
     basis: np.ndarray,
     targets: np.ndarray,
-    residual_tol: float = BASIS_RESIDUAL_TOL,
+    residual_tol: float = DEFAULT_TOLERANCES["basis_residual"],
     what: str = "matrix",
     strict: bool = True,
 ):
@@ -107,25 +102,27 @@ def _check_vector(coords, dim: int) -> np.ndarray:
 class StructuredLieAlgebra:
     """A Lie algebra given by structure constants, optionally matrix-realized.
 
-    Construction validates antisymmetry (violations beyond 1e-12 are
-    rejected, smaller ones canonicalized exactly), the Jacobi identity,
-    and, when a matrix basis is supplied, that matrix commutators match
-    the structure constants and that the basis matrices are linearly
-    independent.
+    Construction validates antisymmetry (violations within the
+    ``antisymmetry`` tolerance are canonicalized exactly, larger ones
+    rejected), the Jacobi identity, and, when a matrix basis is supplied,
+    that matrix commutators match the structure constants and that the
+    basis matrices are linearly independent, at ``resolve_tolerances(tolerances)``.
+    ``reports`` keeps the residuals (antisymmetry measured before the repair).
     """
 
     def __init__(self, structure_constants, matrix_basis=None, name: str = "",
-                 orthogonal: bool = False):
+                 orthogonal: bool = False, tolerances=None):
+        tols = resolve_tolerances(tolerances)
         c = np.array(structure_constants, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise ValueError(f"structure constants must be a cubic array, got shape {c.shape}")
         n = c.shape[0]
 
-        asym = np.max(np.abs(c + np.swapaxes(c, 1, 2)))
-        if asym > ANTISYMMETRY_TOL:
+        asym = float(np.max(np.abs(c + np.swapaxes(c, 1, 2)))) if n else 0.0
+        if asym > tols["antisymmetry"]:
             raise ValueError(
                 f"structure constants violate antisymmetry by {asym:.3e} "
-                f"(> {ANTISYMMETRY_TOL:.1e}); refusing to repair"
+                f"(> {tols['antisymmetry']:.1e}); refusing to repair"
             )
         c = 0.5 * (c - np.swapaxes(c, 1, 2))
 
@@ -135,8 +132,10 @@ class StructuredLieAlgebra:
             + np.einsum("mki,lmj->lijk", c, c)
         )
         jac_max = float(np.max(np.abs(jac))) if n else 0.0
-        if jac_max > JACOBI_TOL:
+        if jac_max > tols["jacobi"]:
             raise ValueError(f"Jacobi identity violated: max residual {jac_max:.3e}")
+        reports = [CheckReport.from_residual("antisymmetry", asym, tols["antisymmetry"]),
+                   CheckReport.from_residual("jacobi", jac_max, tols["jacobi"])]
 
         self.dim = n
         self.structure_constants = c
@@ -159,12 +158,15 @@ class StructuredLieAlgebra:
             )
             model = np.einsum("kij,kab->ijab", c, basis)
             err = float(np.max(np.abs(comm - model)))
-            if err > COMMUTATOR_TOL:
+            if err > tols["commutator_consistency"]:
                 raise ValueError(
                     f"matrix commutators disagree with structure constants by {err:.3e}"
                 )
+            reports.append(CheckReport.from_residual(
+                "commutator_consistency", err, tols["commutator_consistency"]))
             self.matrix_basis = basis
             self.matrix_dim = basis.shape[1]
+        self.reports = tuple(reports)
 
         for arr in (self.structure_constants, self.matrix_basis):
             if arr is not None:
@@ -232,7 +234,8 @@ class StructuredLieAlgebra:
 class GroupElement:
     """An invertible matrix tagged with the algebra whose group it belongs to."""
 
-    def __init__(self, matrix, algebra: StructuredLieAlgebra, drift_tol: float = GROUP_DRIFT_TOL):
+    def __init__(self, matrix, algebra: StructuredLieAlgebra,
+                 drift_tol: float = DEFAULT_TOLERANCES["group_drift"]):
         mat = np.array(matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"group element must be a square matrix, got shape {mat.shape}")

@@ -1,22 +1,27 @@
 """Batch front-end: validate space files, integrate, and emit CSV/JSON artifacts.
 
-Exit codes: 0 all mandatory checks pass and the computation finished,
-1 check failures or aborted dynamics, 2 parse/schema errors.  Output files
-are written atomically and deterministically (17 significant digits), so
-identical inputs give byte-identical artifacts.
+Exit codes: 0 all mandatory checks pass and the computation finished;
+1 check failures (a failed decomposition gate too), aborted dynamics, or a
+geodesic drifting past ``group_drift`` (its artifacts are still written);
+2 parse/schema errors, a bad ``--tol`` name or value, and an algebra or a
+requested alpha failing its gate at the ``--tol`` values (``--force``
+builds such an alpha anyway, tainted).  Output files are written
+atomically and deterministically (17 significant digits).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import serialize
-from .connection import canonical_first, curvature, sectional_curvature, torsion
+from .connection import curvature, sectional_curvature, torsion
 from .deffile import DefFileError, build_space, check_space, parse_definition
 from .reductive import DecompositionError
+from .reporting import DEFAULT_TOLERANCES, resolve_tolerances
 from .transport import CurveSpec, geodesic, geodesic_convergence, parallel_transport, realize_curve
 
 __all__ = ["main"]
@@ -31,34 +36,43 @@ def _read_definition(path: str):
     return parse_definition(text)
 
 
-def _tol_overrides(pairs):
-    out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise DefFileError(f"--tol expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        out[name.strip()] = float(value)
-    return out
+def _tol_pair(item: str):
+    """Parse one ``--tol NAME=VALUE``; argparse reports a failure as exit 2."""
+    name, _, value = (part.strip() for part in item.partition("="))
+    if name not in DEFAULT_TOLERANCES:
+        raise argparse.ArgumentTypeError(
+            f"unknown tolerance name {name!r} (known: {', '.join(sorted(DEFAULT_TOLERANCES))})")
+    try:
+        if 0.0 <= float(value) < math.inf:
+            return name, float(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected NAME=VALUE with a finite VALUE >= 0, got {item!r}")
 
 
 def _floats_arg(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.replace(",", " ").split()])
 
 
-def _prepare(args, need_pass: bool = True):
+def _build(args):
+    """Parse and build the space with the resolved tolerances; run the battery."""
+    tols = resolve_tolerances(dict(args.tol or ()))
+    bundle, alpha = build_space(_read_definition(args.file), force=args.force,
+                                tolerances=tols)
+    reports, passed = check_space(bundle, tols)
+    return bundle, alpha, tols, reports, passed
+
+
+def _prepare(args):
     """Parse, build and gate on the check battery (unless --force)."""
-    defn = _read_definition(args.file)
-    bundle, alpha = build_space(defn, force=args.force)
-    reports, passed = check_space(bundle, _tol_overrides(args.tol))
+    bundle, alpha, tols, reports, passed = _build(args)
     tainted = any(r.tainted for r in reports) or (not passed and args.force)
-    if need_pass and not passed and not args.force:
+    if not passed and not args.force:
         _emit_report(args, bundle, reports, passed)
         print("mandatory checks failed; rerun with --force to integrate anyway",
               file=sys.stderr)
         return None
-    if alpha is None:
-        alpha = canonical_first(bundle.dec)
-    return bundle, alpha, reports, passed, tainted
+    return bundle, alpha or bundle.suggested_alphas[0], tols, tainted
 
 
 def _emit_report(args, bundle, reports, passed, extra=None):
@@ -81,9 +95,7 @@ def _emit_report(args, bundle, reports, passed, extra=None):
 
 
 def cmd_check(args) -> int:
-    defn = _read_definition(args.file)
-    bundle, _alpha = build_space(defn, force=args.force)
-    reports, passed = check_space(bundle, _tol_overrides(args.tol))
+    bundle, _alpha, _tols, reports, passed = _build(args)
     _emit_report(args, bundle, reports, passed)
     return 0 if passed else 1
 
@@ -92,7 +104,7 @@ def cmd_geodesic(args) -> int:
     prep = _prepare(args)
     if prep is None:
         return 1
-    bundle, alpha, reports, passed, tainted = prep
+    bundle, alpha, tols, tainted = prep
     x0 = _floats_arg(args.x0)
     traj = geodesic(alpha, None, x0, (args.t0, args.t1), args.step,
                     reproject=args.reproject)
@@ -106,11 +118,16 @@ def cmd_geodesic(args) -> int:
     print(f"geodesic: {len(traj)} samples, step {traj.meta['step']:.6g}, "
           f"group drift {drift if drift is None else format(drift, '.3e')}, "
           f"h-leak {leak if leak is None else format(leak, '.3e')}")
+    code = 0
+    if drift is not None and drift > tols["group_drift"]:
+        print(f"group drift {drift:.3e} exceeds tolerance group_drift "
+              f"{tols['group_drift']:.1e}; trajectory written", file=sys.stderr)
+        code = 1
     if traj.meta.get("blow_up"):
         print(f"blow-up abort at t = {traj.meta['aborted_at']:.6g}; "
               "partial trajectory written", file=sys.stderr)
-        return 1
-    return 0
+        code = 1
+    return code
 
 
 def _parse_curve(args, dec) -> CurveSpec:
@@ -146,7 +163,7 @@ def cmd_transport(args) -> int:
     prep = _prepare(args)
     if prep is None:
         return 1
-    bundle, alpha, reports, passed, tainted = prep
+    bundle, alpha, _tols, tainted = prep
     curve = _parse_curve(args, bundle.dec)
     base = realize_curve(bundle.dec, curve, step=args.step)
     seeds = [_floats_arg(z) for z in args.z0]
@@ -178,15 +195,12 @@ def cmd_transport(args) -> int:
 
 
 def cmd_tensors(args) -> int:
-    prep = _prepare(args, need_pass=False)
+    prep = _prepare(args)
     if prep is None:
         return 1
-    bundle, alpha, reports, passed, tainted = prep
-    if not passed and not args.force:
-        _emit_report(args, bundle, reports, passed)
-        return 1
+    bundle, alpha, tols, tainted = prep
     tor = torsion(alpha)
-    curv = curvature(alpha)
+    curv = curvature(alpha, tol=tols["curvature_h_leak"])
     anti = float(np.max(np.abs(curv.coeffs + np.swapaxes(curv.coeffs, 1, 2)))) \
         if curv.coeffs.size else 0.0
     meta = {"space": bundle.name, "alpha": alpha.label,
@@ -218,7 +232,7 @@ def cmd_convergence(args) -> int:
     prep = _prepare(args)
     if prep is None:
         return 1
-    bundle, alpha, reports, passed, tainted = prep
+    bundle, alpha, _tols, tainted = prep
     steps = [float(s) for s in args.steps.replace(",", " ").split()]
     x0 = _floats_arg(args.x0)
     result = geodesic_convergence(alpha, None, x0, (args.t0, args.t1), steps)
@@ -245,7 +259,7 @@ def cmd_convergence(args) -> int:
 def _common(sub):
     sub.add_argument("file", help="space-definition file")
     sub.add_argument("--json", action="store_true", help="print reports as JSON")
-    sub.add_argument("--tol", action="append", metavar="NAME=VALUE",
+    sub.add_argument("--tol", action="append", metavar="NAME=VALUE", type=_tol_pair,
                      help="override a named tolerance (repeatable)")
     sub.add_argument("--force", action="store_true",
                      help="proceed despite failed checks; outputs are tainted")

@@ -29,7 +29,7 @@ from .reductive import (
     check_ad_H_invariance_bilinear,
     check_metric_invariance,
 )
-from .reporting import CheckReport, DEFAULT_TOLERANCES
+from .reporting import CheckReport, DEFAULT_TOLERANCES, resolve_tolerances
 
 __all__ = [
     "AlphaMap",
@@ -45,24 +45,22 @@ __all__ = [
     "sectional_curvature",
 ]
 
-INVARIANCE_TOL = DEFAULT_TOLERANCES["invariance"]
-ALGEBRAIC_TOL = DEFAULT_TOLERANCES["naturally_reductive"]
-H_LEAK_TOL = DEFAULT_TOLERANCES["curvature_h_leak"]
-
 LABELS = ("explicit", "canonical_first", "canonical_second", "levi_civita")
 
 
 class AlphaMap:
     """Coefficient model of an isotropy-invariant bilinear map on m.
 
-    Invariance is enforced at construction unless ``unchecked=True`` is
-    passed, in which case the map is marked tainted and every downstream
+    Invariance is enforced at construction, against the ``invariance``
+    entry of ``resolve_tolerances(tolerances)``, unless ``unchecked=True``
+    is passed, in which case the map is marked tainted and every downstream
     report says so (a non-invariant alpha does not define a connection on
-    the quotient; integrating with one is exploratory only).
+    the quotient; integrating with one is exploratory only).  Either way
+    the residual is kept as the ``invariance`` report.
     """
 
     def __init__(self, dec: ReductiveDecomposition, coeffs, label: str = "explicit",
-                 unchecked: bool = False):
+                 unchecked: bool = False, tolerances=None):
         if label not in LABELS:
             raise ValueError(f"label must be one of {LABELS}")
         coeffs = np.array(coeffs, dtype=float)
@@ -70,15 +68,15 @@ class AlphaMap:
             raise ValueError(
                 f"alpha coefficients must have shape ({dec.N},) * 3, got {coeffs.shape}"
             )
-        if not unchecked:
-            report = check_ad_H_invariance_bilinear(dec, coeffs)
-            if not report.passed:
-                raise ValueError(
-                    "bilinear map is not Ad(H)-invariant "
-                    f"(residual {report.max_residual:.3e} > {report.tolerance:.1e}); "
-                    "pass unchecked=True to build it anyway (tainted)"
-                )
+        report = check_ad_H_invariance_bilinear(
+            dec, coeffs, tol=resolve_tolerances(tolerances)["invariance"])
+        if not unchecked and not report.passed:
+            raise ValueError(
+                "bilinear map is not Ad(H)-invariant "
+                f"(residual {report.max_residual:.3e} > {report.tolerance:.1e})"
+            )
         coeffs.setflags(write=False)
+        self.invariance = report
         self.dec = dec
         self.coeffs = coeffs
         self.label = label
@@ -126,9 +124,11 @@ class TensorAtOrigin:
         return f"TensorAtOrigin({self.kind}, shape={self.coeffs.shape})"
 
 
-def canonical_first(dec: ReductiveDecomposition) -> AlphaMap:
+def canonical_first(dec: ReductiveDecomposition, unchecked: bool = False,
+                    tolerances=None) -> AlphaMap:
     """alpha(X, Y) = 1/2 [X, Y]_m: the torsion-free canonical derivative."""
-    return AlphaMap(dec, 0.5 * dec.m_bracket_tensor, label="canonical_first")
+    return AlphaMap(dec, 0.5 * dec.m_bracket_tensor, label="canonical_first",
+                    unchecked=unchecked, tolerances=tolerances)
 
 
 def canonical_second(dec: ReductiveDecomposition) -> AlphaMap:
@@ -137,18 +137,20 @@ def canonical_second(dec: ReductiveDecomposition) -> AlphaMap:
 
 
 def levi_civita_alpha(dec: ReductiveDecomposition, metric: MetricOnM,
-                      unchecked: bool = False) -> AlphaMap:
+                      unchecked: bool = False, tolerances=None) -> AlphaMap:
     """alpha of the Levi-Civita derivative of an invariant metric.
 
     For each basis pair the symmetric part U solves ``2 G u = r`` with
     ``r_l = <[A_l, A_i]_m, A_j> + <A_i, [A_l, A_j]_m>``; the gram matrix is
     factored once and reused for all N^2 right-hand sides.  A metric failing
-    the invariance check is rejected unless ``unchecked=True``, which
-    yields a tainted map (the formula still defines the Levi-Civita
-    derivative at the base point, but not an invariant one).
+    the invariance check (``metric_invariance`` tolerance) is rejected
+    unless ``unchecked=True``, which yields a tainted map (the formula
+    still defines the Levi-Civita derivative at the base point, but not an
+    invariant one).
     """
+    tols = resolve_tolerances(tolerances)
     if not unchecked:
-        report = check_metric_invariance(dec, metric)
+        report = check_metric_invariance(dec, metric, tol=tols["metric_invariance"])
         if not report.passed:
             raise ValueError(
                 f"metric is not Ad(H)-invariant (residual {report.max_residual:.3e}); "
@@ -160,7 +162,8 @@ def levi_civita_alpha(dec: ReductiveDecomposition, metric: MetricOnM,
     # r[l, i, j] = <[A_l, A_i]_m, A_j> + <A_i, [A_l, A_j]_m>
     r = np.einsum("kli,kj->lij", b, g) + np.einsum("klj,ki->lij", b, g)
     u = np.linalg.solve(2.0 * g, r.reshape(n, n * n)).reshape(n, n, n)
-    return AlphaMap(dec, 0.5 * b + u, label="levi_civita", unchecked=unchecked)
+    return AlphaMap(dec, 0.5 * b + u, label="levi_civita", unchecked=unchecked,
+                    tolerances=tols)
 
 
 def nabla_at_origin(alpha: AlphaMap, x, y) -> np.ndarray:
@@ -175,11 +178,12 @@ def torsion(alpha: AlphaMap) -> TensorAtOrigin:
     return TensorAtOrigin("torsion", t, tainted=not alpha.checked)
 
 
-def curvature(alpha: AlphaMap) -> TensorAtOrigin:
+def curvature(alpha: AlphaMap,
+              tol: float = DEFAULT_TOLERANCES["curvature_h_leak"]) -> TensorAtOrigin:
     """Curvature tensor R[l, i, j, k] = coords of R(A_i, A_j) A_k.
 
     The term [[X, Y]_h, Z] is a full-algebra bracket; reductivity guarantees
-    it lands in m, and this is asserted (h-leak <= 1e-10) rather than
+    it lands in m, and this is asserted (h-leak <= ``tol``) rather than
     silently projected away.
     """
     dec = alpha.dec
@@ -201,7 +205,7 @@ def curvature(alpha: AlphaMap) -> TensorAtOrigin:
         coords = dec._cob_inv @ amb.reshape(dec.algebra.dim, -1)
         coords = coords.reshape(dec.algebra.dim, n, n, n)
         leak = float(np.max(np.abs(coords[:q]))) if coords[:q].size else 0.0
-        if leak > H_LEAK_TOL:
+        if leak > tol:
             raise ValueError(
                 f"[[X, Y]_h, Z] leaves m by {leak:.3e}; decomposition is inconsistent"
             )
@@ -214,7 +218,8 @@ def curvature(alpha: AlphaMap) -> TensorAtOrigin:
 
 
 def naturally_reductive_check(dec: ReductiveDecomposition, metric: MetricOnM,
-                              tol: float = ALGEBRAIC_TOL) -> CheckReport:
+                              tol: float = DEFAULT_TOLERANCES["naturally_reductive"]
+                              ) -> CheckReport:
     """Residual of <[X, Y]_m, Z> = <X, [Y, Z]_m> over all basis triples."""
     g = metric.gram
     b = dec.m_bracket_tensor
@@ -232,7 +237,7 @@ def naturally_reductive_check(dec: ReductiveDecomposition, metric: MetricOnM,
 
 
 def is_metric(alpha: AlphaMap, metric: MetricOnM,
-              tol: float = ALGEBRAIC_TOL) -> CheckReport:
+              tol: float = DEFAULT_TOLERANCES["is_metric"]) -> CheckReport:
     """Residual of skew-adjointness <alpha(X, Y), Z> = -<Y, alpha(X, Z)>."""
     g = metric.gram
     a = alpha.coeffs

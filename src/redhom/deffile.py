@@ -16,8 +16,9 @@ Values are vectors ``(a, b, c)``, matrices ``[r11 r12; r21 r22]`` (rows
 separated by semicolons), lists thereof separated by whitespace, index
 quadruples ``(k, i, j, value)`` with 1-based indices, or bare words.
 Structure constants given as quadruples are completed antisymmetrically;
-conflicting duplicates are rejected.  Unknown keys or blocks and non-finite
-literals are schema errors.
+conflicting duplicates are rejected there and in explicit alpha
+coefficients.  Unknown keys or blocks and non-finite literals are schema
+errors.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .reductive import (
     normal_decomposition,
     symmetric_decomposition,
 )
+from .reporting import resolve_tolerances
 
 __all__ = ["DefFileError", "SpaceDefinition", "parse_definition", "build_space"]
 
@@ -227,7 +229,7 @@ def _constants_from_quadruples(dim: int, quads, lineno: int) -> np.ndarray:
     return c
 
 
-def _build_algebra(defn: SpaceDefinition) -> StructuredLieAlgebra:
+def _build_algebra(defn: SpaceDefinition, tols: dict) -> StructuredLieAlgebra:
     block = defn.algebra
     line = lambda key: defn.lines.get(("algebra", key), 0)
     if "dim" not in block:
@@ -256,23 +258,24 @@ def _build_algebra(defn: SpaceDefinition) -> StructuredLieAlgebra:
             for i in range(dim)
         ])
         coeffs = expand_in_matrix_basis(basis, comms.reshape(dim * dim, *basis.shape[1:]),
+                                        residual_tol=tols["basis_residual"],
                                         what="commutator")
         c = coeffs.reshape(dim, dim, dim).transpose(2, 0, 1)
     else:
         raise DefFileError("[algebra] needs structure_constants or matrix_basis",
                            line("dim"))
     try:
-        return StructuredLieAlgebra(c, basis, name=name)
+        return StructuredLieAlgebra(c, basis, name=name, tolerances=tols)
     except ValueError as exc:
         raise DefFileError(f"invalid algebra: {exc}", line("dim")) from exc
 
 
-def _build_decomposition(defn: SpaceDefinition, algebra: StructuredLieAlgebra):
+def _build_decomposition(defn: SpaceDefinition, algebra: StructuredLieAlgebra, tols: dict):
     block = defn.decomposition
     line = lambda key: defn.lines.get(("decomposition", key), 0)
     metric = None
     if not block:
-        dec = build_decomposition(algebra, [], np.eye(algebra.dim))
+        dec = build_decomposition(algebra, [], np.eye(algebra.dim), tolerances=tols)
         return dec, metric
     if "h_generators" in block and "m_basis" not in block:
         raise DefFileError("h_generators only combine with explicit bases",
@@ -281,7 +284,7 @@ def _build_decomposition(defn: SpaceDefinition, algebra: StructuredLieAlgebra):
         if "m_basis" in block or "biinvariant_gram" in block:
             raise DefFileError("sigma excludes m_basis/biinvariant_gram", line("sigma"))
         sigma = _matrices(block["sigma"], line("sigma"))[0]
-        dec = symmetric_decomposition(algebra, sigma)
+        dec = symmetric_decomposition(algebra, sigma, tolerances=tols)
     elif "biinvariant_gram" in block:
         if "m_basis" in block:
             raise DefFileError("biinvariant_gram excludes m_basis", line("biinvariant_gram"))
@@ -289,40 +292,59 @@ def _build_decomposition(defn: SpaceDefinition, algebra: StructuredLieAlgebra):
             raise DefFileError("biinvariant_gram needs h_basis", line("biinvariant_gram"))
         gram = _matrices(block["biinvariant_gram"], line("biinvariant_gram"))[0]
         h = _vectors(block["h_basis"], line("h_basis"))
-        dec, metric = normal_decomposition(algebra, gram, h)
+        dec, metric = normal_decomposition(algebra, gram, h, tolerances=tols)
     elif "m_basis" in block:
         h = _vectors(block["h_basis"], line("h_basis")) if "h_basis" in block else []
         m = _vectors(block["m_basis"], line("m_basis"))
         gens = None
         if "h_generators" in block:
             gens = _matrices(block["h_generators"], line("h_generators"))
-        dec = build_decomposition(algebra, h, m, h_generators=gens)
+        dec = build_decomposition(algebra, h, m, h_generators=gens, tolerances=tols)
     else:
         raise DefFileError("[decomposition] needs m_basis, sigma or biinvariant_gram",
                            min(defn.lines.get(("decomposition", k), 1) for k in block))
     return dec, metric
 
 
-def build_space(defn: SpaceDefinition, force: bool = False):
+def _gated_alpha(cached, build, tols: dict, force: bool, lineno):
+    """``cached`` (a catalog alpha) if it passes at ``tols``, else ``build(unchecked)``
+    through its gate: a failure raises at ``lineno``, or with ``force`` is built tainted."""
+    if cached is not None and cached.invariance.judged(tols).passed:
+        return cached
+    try:
+        return build(False)
+    except ValueError as exc:
+        if not force:
+            raise DefFileError(
+                f"invalid alpha: {exc}; --force builds it anyway (tainted)", lineno) from exc
+    return build(True)
+
+
+def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
     """Turn a parsed definition into (bundle, alpha).
 
     ``alpha`` is None when the file has no connection block.  With
-    ``force=True`` an explicit alpha that fails the invariance check is
-    constructed anyway and marked tainted.
+    ``force=True`` a requested alpha that fails its gate is constructed
+    anyway and marked tainted.  Every gate reads ``resolve_tolerances(tolerances)``.
     """
+    tols = resolve_tolerances(tolerances)
     if defn.space is not None and (defn.algebra or defn.decomposition):
         raise DefFileError("a named space excludes [algebra]/[decomposition] blocks",
                            defn.lines.get((None, "space")))
+    catalog = {}
     if defn.space is not None:
         bundle = _named_space(defn.space, defn.lines.get((None, "space"), 1))
         algebra, dec = bundle.algebra, bundle.dec
         metric = bundle.metric
         name = bundle.name
+        # the catalog's Levi-Civita alpha belongs to the catalog metric
+        catalog = {a.label: a for a in bundle.suggested_alphas
+                   if not (defn.metric and a.label == "levi_civita")}
     else:
         if not defn.algebra:
             raise DefFileError("definition needs either 'space = ...' or an [algebra] block")
-        algebra = _build_algebra(defn)
-        dec, metric = _build_decomposition(defn, algebra)
+        algebra = _build_algebra(defn, tols)
+        dec, metric = _build_decomposition(defn, algebra, tols)
         name = algebra.name
 
     if defn.metric:
@@ -340,41 +362,39 @@ def build_space(defn: SpaceDefinition, force: bool = False):
     if defn.connection:
         lineno = defn.lines.get(("connection", "alpha"), 0)
         specifier = defn.connection["alpha"].strip()
-        if specifier in _ALPHA_KEYWORDS:
-            if specifier == "canonical_first":
-                alpha = canonical_first(dec)
-            elif specifier == "canonical_second":
-                alpha = canonical_second(dec)
-            else:
-                if metric is None:
-                    raise DefFileError("levi_civita needs a metric", lineno)
-                try:
-                    alpha = levi_civita_alpha(dec, metric)
-                except ValueError as exc:
-                    if not force:
-                        raise DefFileError(str(exc), lineno) from exc
-                    alpha = levi_civita_alpha(dec, metric, unchecked=True)
+        if specifier == "canonical_first":
+            build = lambda unchecked: canonical_first(dec, unchecked, tols)
+        elif specifier == "canonical_second":
+            build = lambda unchecked: canonical_second(dec)
+        elif specifier == "levi_civita":
+            if metric is None:
+                raise DefFileError("levi_civita needs a metric", lineno)
+            build = lambda unchecked: levi_civita_alpha(dec, metric, unchecked, tols)
         elif specifier.startswith("("):
-            quads = _quadruples(specifier, lineno)
             coeffs = np.zeros((dec.N, dec.N, dec.N))
-            for k, i, j, v in quads:
+            seen = {}
+            for k, i, j, v in _quadruples(specifier, lineno):
                 for idx in (k, i, j):
                     if not 1 <= idx <= dec.N:
                         raise DefFileError(f"alpha index {idx} out of range 1..{dec.N}",
                                            lineno)
+                if seen.setdefault((k, i, j), v) != v:
+                    raise DefFileError(f"conflicting duplicate entry for {(k, i, j)}", lineno)
                 coeffs[k - 1, i - 1, j - 1] = v
-            try:
-                alpha = AlphaMap(dec, coeffs, label="explicit", unchecked=force)
-            except ValueError as exc:
-                raise DefFileError(f"invalid alpha: {exc}", lineno) from exc
+            build = lambda unchecked: AlphaMap(dec, coeffs, label="explicit",
+                                               unchecked=unchecked, tolerances=tols)
         else:
             raise DefFileError(
                 f"alpha must be one of {_ALPHA_KEYWORDS} or a coefficient list", lineno)
+        alpha = _gated_alpha(catalog.get(specifier), build, tols, force, lineno)
 
-    suggested = [alpha] if alpha is not None else [canonical_first(dec)]
+    # with no alpha asked for, the report covers canonical_first, gate failure included
+    reported = alpha or _gated_alpha(catalog.get("canonical_first"),
+                                     lambda unchecked: canonical_first(dec, unchecked, tols),
+                                     tols, force=True, lineno=None)
     bundle = SpaceBundle(
         algebra=algebra, dec=dec, metric=metric,
-        suggested_alphas=suggested,
+        suggested_alphas=[reported],
         provenance=f"definition file ({'named: ' + defn.space if defn.space else 'explicit blocks'})",
         name=name,
     )

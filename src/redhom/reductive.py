@@ -12,11 +12,12 @@ and reports state that otherwise only the identity component was verified.
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import StructuredLieAlgebra, GroupElement, expm
-from .reporting import CheckReport, DEFAULT_TOLERANCES
+from .reporting import CheckReport, DEFAULT_TOLERANCES, resolve_tolerances
 
 __all__ = [
     "MetricOnM",
@@ -28,12 +29,6 @@ __all__ = [
     "check_ad_H_invariance_bilinear",
     "check_metric_invariance",
 ]
-
-PROJECTION_TOL = DEFAULT_TOLERANCES["projection"]
-SUBALGEBRA_TOL = DEFAULT_TOLERANCES["subalgebra"]
-REDUCTIVITY_TOL = DEFAULT_TOLERANCES["reductivity"]
-GENERATOR_TOL = DEFAULT_TOLERANCES["generator_stability"]
-INVARIANCE_TOL = DEFAULT_TOLERANCES["invariance"]
 
 # Parameters at which the finite (group-level) invariance condition is
 # sampled along exp(t eta) for each identity-component direction eta.
@@ -85,16 +80,18 @@ class ReductiveDecomposition:
 
     Not constructed directly; use :func:`build_decomposition`,
     :func:`symmetric_decomposition` or :func:`normal_decomposition`.
+    ``reports`` holds the residuals :func:`build_decomposition` gated on.
     """
 
     def __init__(self, algebra, h_basis, m_basis, pr_h, pr_m, h_generators,
-                 cob, cob_inv):
+                 cob, cob_inv, reports):
         self.algebra = algebra
         self.h_basis = h_basis            # (q, n) rows = coordinate vectors
         self.m_basis = m_basis            # (N, n)
         self.pr_h = pr_h                  # (n, n)
         self.pr_m = pr_m
         self.h_generators = h_generators  # tuple of GroupElement or ()
+        self.reports = tuple(reports)
         self._cob = cob                   # columns: h basis then m basis
         self._cob_inv = cob_inv
         self.q = h_basis.shape[0]
@@ -191,6 +188,21 @@ class ReductiveDecomposition:
         leak = float(np.max(np.abs(s[: self.q, self.q:]))) if self.q and self.N else 0.0
         return block, leak
 
+    @cached_property
+    def isotropy_samples(self) -> tuple:
+        """``(witness, operator)`` pairs of the sampled isotropy action on m:
+        exp(t ad eta) per h-basis direction and sample time, then each generator."""
+        samples = []
+        for r in range(self.q):
+            ad_eta = self.algebra.ad(self.h_basis[r])
+            samples += [({"kind": "finite", "h_index": r, "t": t},
+                         self.restrict_to_m(expm(t * ad_eta))[0])
+                        for t in _FINITE_SAMPLE_TIMES]
+        samples += [({"kind": "generator", "index": k},
+                     self.restrict_to_m(self.algebra.adjoint_Ad(gen))[0])
+                    for k, gen in enumerate(self.h_generators)]
+        return tuple(samples)
+
     def symmetric_pair_residual(self) -> float:
         """Largest m-component of [m, m]; zero characterizes symmetric pairs."""
         if self.N == 0:
@@ -205,13 +217,14 @@ class ReductiveDecomposition:
 
 
 def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
-                        h_generators=None) -> ReductiveDecomposition:
+                        h_generators=None, tolerances=None) -> ReductiveDecomposition:
     """Validate bases of h and m and assemble the projections.
 
     Raises :class:`DecompositionError` when the sum is not direct, h is not
-    a subalgebra, or some [eta, X] leaks out of m (the offending pair and
-    its leak norm are reported).
+    a subalgebra, or some [eta, X] leaks out of m (the worst pair and its
+    leak norm are reported).  Gates read ``resolve_tolerances(tolerances)``.
     """
+    tols = resolve_tolerances(tolerances)
     n = algebra.dim
     h = np.array(h_basis, dtype=float).reshape(-1, n) if len(h_basis) else np.zeros((0, n))
     m = np.array(m_basis, dtype=float).reshape(-1, n) if len(m_basis) else np.zeros((0, n))
@@ -230,59 +243,82 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
     sel_h[: q, : q] = np.eye(q)
     pr_h = cob @ sel_h @ cob_inv
     pr_m = np.eye(n) - pr_h
+    # projector identities are structural; verify they hold to tolerance
+    resid = max(
+        float(np.max(np.abs(pr_h + pr_m - np.eye(n)))),
+        float(np.max(np.abs(pr_h @ pr_h - pr_h))),
+        float(np.max(np.abs(pr_m @ pr_m - pr_m))),
+        float(np.max(np.abs(pr_m @ pr_h))),
+    ) if n else 0.0
+    if resid > tols["projection"]:
+        raise DecompositionError(f"projection identities violated by {resid:.3e}")
 
     c = algebra.structure_constants
-    # h must close under the bracket
-    for r in range(q):
-        for s in range(r + 1, q):
-            br = np.einsum("kij,i,j->k", c, h[r], h[s])
-            leak = float(np.max(np.abs(pr_m @ br))) if N else 0.0
-            if leak > SUBALGEBRA_TOL:
-                raise DecompositionError(
-                    f"h is not a subalgebra: [h[{r}], h[{s}]] leaks into m "
-                    f"with norm {leak:.3e}"
-                )
-    # [h, m] must stay in m
-    for r in range(q):
-        for i in range(N):
-            br = np.einsum("kij,i,j->k", c, h[r], m[i])
-            leak = float(np.max(np.abs(pr_h @ br)))
-            if leak > REDUCTIVITY_TOL:
-                raise DecompositionError(
-                    f"not reductive: [h[{r}], m[{i}]] has h-leak {leak:.3e} "
-                    f"(> {REDUCTIVITY_TOL:.1e})"
-                )
+    # h must close under the bracket: m-part of [h[r], h[s]] for r < s
+    sub, pair = 0.0, (0, 0)
+    if N:
+        sub, pair = _worst_leak(pr_m, np.einsum("kij,ri,sj->krs", c, h, h, optimize=True),
+                                upper=True)
+    if sub > tols["subalgebra"]:
+        raise DecompositionError(
+            f"h is not a subalgebra: [h[{pair[0]}], h[{pair[1]}]] leaks into m "
+            f"with norm {sub:.3e}"
+        )
+    # [h, m] must stay in m: h-part of [h[r], m[i]]
+    red, pair = _worst_leak(pr_h, np.einsum("kij,ri,lj->krl", c, h, m, optimize=True))
+    if red > tols["reductivity"]:
+        raise DecompositionError(
+            f"not reductive: [h[{pair[0]}], m[{pair[1]}]] has h-leak {red:.3e} "
+            f"(> {tols['reductivity']:.1e})"
+        )
+    reports = [CheckReport.from_residual(check, value, tols[key], key=key)
+               for check, value, key in (("projection_identities", resid, "projection"),
+                                         ("h_subalgebra", sub, "subalgebra"),
+                                         ("reductivity", red, "reductivity"))]
 
     gens = []
     if h_generators:
         if algebra.matrix_basis is None:
             raise DecompositionError("h_generators require a matrix-realized algebra")
+        worst = 0.0
         for k, gen in enumerate(h_generators):
-            g = gen if isinstance(gen, GroupElement) else GroupElement(gen, algebra)
+            g = gen if isinstance(gen, GroupElement) else GroupElement(
+                gen, algebra, drift_tol=tols["group_drift"])
             ad = algebra.adjoint_Ad(g)
             s = cob_inv @ ad @ cob
             leak = float(np.max(np.abs(s[: q, q:]))) if q and N else 0.0
-            if leak > GENERATOR_TOL:
+            if leak > tols["generator_stability"]:
                 raise DecompositionError(
                     f"generator #{k} does not stabilize m (leak {leak:.3e})"
                 )
+            worst = max(worst, leak)
             gens.append(g)
+        reports.append(CheckReport.from_residual(
+            "generator_stability", worst, tols["generator_stability"]))
 
-    dec = ReductiveDecomposition(algebra, h, m, pr_h, pr_m, tuple(gens), cob, cob_inv)
-
-    # projector identities are structural; verify they hold to tolerance
-    resid = max(
-        float(np.max(np.abs(pr_h + pr_m - np.eye(n)))) if n else 0.0,
-        float(np.max(np.abs(pr_h @ pr_h - pr_h))) if n else 0.0,
-        float(np.max(np.abs(pr_m @ pr_m - pr_m))) if n else 0.0,
-        float(np.max(np.abs(pr_m @ pr_h))) if n else 0.0,
-    )
-    if resid > PROJECTION_TOL:
-        raise DecompositionError(f"projection identities violated by {resid:.3e}")
-    return dec
+    return ReductiveDecomposition(algebra, h, m, pr_h, pr_m, tuple(gens), cob, cob_inv,
+                                  reports)
 
 
-def symmetric_decomposition(algebra: StructuredLieAlgebra, sigma) -> ReductiveDecomposition:
+def _worst_leak(projector, brackets, upper=False):
+    """Largest entry of ``projector`` applied to each bracket column.
+
+    ``brackets`` has shape (n, a, b); returns the maximum over all columns
+    (over a < b when ``upper``) and the (a, b) index of the worst one.
+    """
+    n, rows, cols = brackets.shape
+    leaks = np.max(np.abs(projector @ brackets.reshape(n, rows * cols)), axis=0, initial=0.0)
+    leaks = leaks.reshape(rows, cols)
+    if upper:
+        leaks = np.triu(leaks, 1)
+    if not leaks.size:
+        return 0.0, (0, 0)
+    pair = np.unravel_index(int(np.argmax(leaks)), leaks.shape)
+    return float(leaks[pair]), (int(pair[0]), int(pair[1]))
+
+
+def symmetric_decomposition(algebra: StructuredLieAlgebra, sigma,
+                            tolerances=None) -> ReductiveDecomposition:
     """Canonical decomposition from an involutive algebra automorphism.
 
     h is the +1 eigenspace, m the -1 eigenspace of sigma, extracted from the
@@ -314,16 +350,18 @@ def symmetric_decomposition(algebra: StructuredLieAlgebra, sigma) -> ReductiveDe
             "sigma fixes the whole algebra: m = {0}, the isotropy group is open",
             stacklevel=2,
         )
-    dec = build_decomposition(algebra, h, m)
+    tols = resolve_tolerances(tolerances)
+    dec = build_decomposition(algebra, h, m, tolerances=tols)
     resid = dec.symmetric_pair_residual()
-    if resid > SUBALGEBRA_TOL:
+    if resid > tols["subalgebra"]:
         raise DecompositionError(
             f"eigenspace split fails [m, m] in h by {resid:.3e}"
         )
     return dec
 
 
-def normal_decomposition(algebra: StructuredLieAlgebra, biinvariant_gram, h_basis):
+def normal_decomposition(algebra: StructuredLieAlgebra, biinvariant_gram, h_basis,
+                         tolerances=None):
     """Orthogonal-complement decomposition from an ad-invariant scalar product.
 
     Returns ``(decomposition, metric)`` where m is the gram-orthogonal
@@ -363,7 +401,7 @@ def normal_decomposition(algebra: StructuredLieAlgebra, biinvariant_gram, h_basi
         m = vt[rank:]
     else:
         m = np.eye(n)
-    dec = build_decomposition(algebra, h, m)
+    dec = build_decomposition(algebra, h, m, tolerances=tolerances)
     metric = MetricOnM(dec.m_basis @ g @ dec.m_basis.T)
     return dec, metric
 
@@ -394,8 +432,32 @@ def _bilinear_derivation_residual(coeffs, act) -> float:
     return float(np.max(np.abs(lhs - rhs))) if coeffs.size else 0.0
 
 
+def _isotropy_report(check: str, key: str, dec: ReductiveDecomposition, tol: float,
+                     infinitesimal, finite) -> CheckReport:
+    """Worst residual of an invariance condition under the isotropy action.
+
+    ``infinitesimal(L)`` is evaluated for the action L of every h-basis
+    direction on m, ``finite(R)`` for every operator of
+    ``dec.isotropy_samples``.
+    """
+    worst, witnesses = 0.0, []
+    cases = [({"kind": "infinitesimal", "h_index": r}, infinitesimal, act)
+             for r, act in enumerate(dec.h_action)]
+    cases += [(witness, finite, op) for witness, op in dec.isotropy_samples]
+    for witness, residual, op in cases:
+        res = residual(op)
+        if res > worst:
+            worst, witnesses = res, [{**witness, "residual": res}]
+    note = "identity-component verified"
+    if dec.h_generators:
+        note += f" plus {len(dec.h_generators)} discrete generator(s)"
+    return CheckReport.from_residual(check, worst, tol, witnesses=witnesses, note=note,
+                                     key=key)
+
+
 def check_ad_H_invariance_bilinear(dec: ReductiveDecomposition, alpha,
-                                   tol: float = INVARIANCE_TOL) -> CheckReport:
+                                   tol: float = DEFAULT_TOLERANCES["invariance"]
+                                   ) -> CheckReport:
     """Verify that a bilinear map m x m -> m commutes with the isotropy action.
 
     Checks the infinitesimal condition for every h-basis direction, the
@@ -404,78 +466,20 @@ def check_ad_H_invariance_bilinear(dec: ReductiveDecomposition, alpha,
     never raised.
     """
     coeffs = _alpha_coeffs(alpha, dec)
-    worst = 0.0
-    witnesses = []
-
-    for r in range(dec.q):
-        res = _bilinear_derivation_residual(coeffs, dec.h_action[r])
-        if res > worst:
-            worst = res
-            witnesses = [{"kind": "infinitesimal", "h_index": r, "residual": res}]
-
-    for r in range(dec.q):
-        ad_eta = dec.algebra.ad(dec.h_basis[r])
-        for t in _FINITE_SAMPLE_TIMES:
-            op, _ = dec.restrict_to_m(expm(t * ad_eta))
-            res = _bilinear_equivariance_residual(coeffs, op)
-            if res > worst:
-                worst = res
-                witnesses = [{"kind": "finite", "h_index": r, "t": t, "residual": res}]
-
-    for k, gen in enumerate(dec.h_generators):
-        op, _ = dec.restrict_to_m(dec.algebra.adjoint_Ad(gen))
-        res = _bilinear_equivariance_residual(coeffs, op)
-        if res > worst:
-            worst = res
-            witnesses = [{"kind": "generator", "index": k, "residual": res}]
-
-    note = (
-        "identity-component verified"
-        if not dec.h_generators
-        else f"identity-component verified plus {len(dec.h_generators)} discrete generator(s)"
-    )
-    return CheckReport.from_residual(
-        "ad_H_invariance_bilinear", worst, tol, witnesses=witnesses, note=note
-    )
+    return _isotropy_report(
+        "ad_H_invariance_bilinear", "invariance", dec, tol,
+        lambda act: _bilinear_derivation_residual(coeffs, act),
+        lambda op: _bilinear_equivariance_residual(coeffs, op))
 
 
 def check_metric_invariance(dec: ReductiveDecomposition, metric: MetricOnM,
-                            tol: float = INVARIANCE_TOL) -> CheckReport:
+                            tol: float = DEFAULT_TOLERANCES["metric_invariance"]
+                            ) -> CheckReport:
     """Verify isotropy invariance of a scalar product on m (report, never raise)."""
     g = metric.gram
     if g.shape != (dec.N, dec.N):
         raise ValueError(f"metric dimension {g.shape[0]} does not match dim m = {dec.N}")
-    worst = 0.0
-    witnesses = []
-
-    for r in range(dec.q):
-        act = dec.h_action[r]
-        res = float(np.max(np.abs(act.T @ g + g @ act)))
-        if res > worst:
-            worst = res
-            witnesses = [{"kind": "infinitesimal", "h_index": r, "residual": res}]
-
-    for r in range(dec.q):
-        ad_eta = dec.algebra.ad(dec.h_basis[r])
-        for t in _FINITE_SAMPLE_TIMES:
-            op, _ = dec.restrict_to_m(expm(t * ad_eta))
-            res = float(np.max(np.abs(op.T @ g @ op - g)))
-            if res > worst:
-                worst = res
-                witnesses = [{"kind": "finite", "h_index": r, "t": t, "residual": res}]
-
-    for k, gen in enumerate(dec.h_generators):
-        op, _ = dec.restrict_to_m(dec.algebra.adjoint_Ad(gen))
-        res = float(np.max(np.abs(op.T @ g @ op - g)))
-        if res > worst:
-            worst = res
-            witnesses = [{"kind": "generator", "index": k, "residual": res}]
-
-    note = (
-        "identity-component verified"
-        if not dec.h_generators
-        else f"identity-component verified plus {len(dec.h_generators)} discrete generator(s)"
-    )
-    return CheckReport.from_residual(
-        "metric_invariance", worst, tol, witnesses=witnesses, note=note
-    )
+    return _isotropy_report(
+        "metric_invariance", "metric_invariance", dec, tol,
+        lambda act: float(np.max(np.abs(act.T @ g + g @ act))),
+        lambda op: float(np.max(np.abs(op.T @ g @ op - g))))

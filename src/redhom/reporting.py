@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = ["CheckReport", "DEFAULT_TOLERANCES", "resolve_tolerances"]
 
@@ -23,12 +23,12 @@ DEFAULT_TOLERANCES = {
     "is_metric": 1e-10,
     "curvature_h_leak": 1e-10,
     "basis_residual": 1e-8,
-    "horizontality": 1e-8,
     "group_drift": 1e-8,
 }
 
 
 def resolve_tolerances(overrides=None) -> dict:
+    """The registry with ``overrides`` (a partial or resolved dict) applied."""
     tols = dict(DEFAULT_TOLERANCES)
     if overrides:
         unknown = set(overrides) - set(tols)
@@ -45,6 +45,8 @@ class CheckReport:
     ``mandatory`` marks validity conditions (their failure invalidates the
     space); classification checks such as natural reductivity are recorded
     but do not gate. ``tainted`` propagates from unchecked bilinear maps.
+    ``key`` names the registry entry the residual is judged against; it is
+    the check name unless the constructor that measured it says otherwise.
     """
 
     check: str
@@ -55,11 +57,12 @@ class CheckReport:
     mandatory: bool = True
     tainted: bool = False
     note: str = ""
+    key: str = ""
 
     @classmethod
     def from_residual(cls, check: str, residual: float, tolerance: float,
                       witnesses=None, mandatory: bool = True, note: str = "",
-                      tainted: bool = False) -> "CheckReport":
+                      tainted: bool = False, key: str = "") -> "CheckReport":
         residual = float(residual)
         return cls(
             check=check,
@@ -70,7 +73,16 @@ class CheckReport:
             mandatory=mandatory,
             tainted=tainted,
             note=note,
+            key=key or check,
         )
+
+    def judged(self, tolerances: dict) -> "CheckReport":
+        """A copy of this report with its stored residual judged against the
+        ``key`` entry of the resolved ``tolerances``."""
+        tolerance = tolerances[self.key]
+        return replace(self, tolerance=float(tolerance),
+                       passed=bool(self.max_residual <= tolerance),
+                       witnesses=list(self.witnesses))
 
     def to_json_dict(self) -> dict:
         return {

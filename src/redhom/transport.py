@@ -44,7 +44,6 @@ __all__ = [
 
 BLOWUP_NORM = 1e6
 FD_COARSE_WARNING = 1e-4
-HORIZONTALITY_TOL = 1e-8
 
 
 # -- finite differences and interpolation -----------------------------------------

@@ -1,0 +1,150 @@
+import ast
+import os
+
+import numpy as np
+import pytest
+
+import redhom as rh
+
+SPACES = {
+    "sphere2": rh.sphere2,
+    "stiefel(4,2)": lambda: rh.stiefel(4, 2),
+    "stiefel(5,2)": lambda: rh.stiefel(5, 2),
+    "grassmann_like(4,2)": lambda: rh.grassmann_like(4, 2),
+    "grassmann_like(5,2)": lambda: rh.grassmann_like(5, 2),
+    "so(4)/{e}": lambda: rh.group_as_space(rh.so_n(4)),
+    "rigid-body": lambda: rh.group_as_space(rh.so3(), np.diag([1.0, 2.0, 3.0]),
+                                            name="rigid-body"),
+}
+
+# (check, pass, tolerance, residual) of every report, as recorded from a
+# battery that recomputed each residual itself; the collector must agree
+ALGEBRA_AND_SPLIT = [
+    ("antisymmetry", True, 1e-12, 0.0),
+    ("jacobi", True, 1e-12, 0.0),
+    ("commutator_consistency", True, 1e-10, 0.0),
+    ("projection_identities", True, 1e-12, 0.0),
+    ("h_subalgebra", True, 1e-10, 0.0),
+    ("reductivity", True, 1e-10, 0.0),
+]
+
+
+def _alpha_rows(label, residual, metric=True):
+    rows = [(f"alpha_invariance[{label}]", True, 1e-8, residual),
+            (f"tensor_assembly[{label}]", True, 1e-10, 0.0)]
+    if label == "canonical_first":
+        rows.append(("torsion_free[canonical_first]", True, 1e-12, 0.0))
+    if metric:
+        rows.append(("is_metric", True, 1e-10, 0.0))
+    return rows
+
+
+_NORMAL_METRIC = [("metric_invariance", True, 1e-8, 5.551115123125783e-16),
+                  ("naturally_reductive", True, 1e-10, 0.0)]
+
+GOLDEN = {
+    "sphere2": _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0),
+    "stiefel(4,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 2.220446049250313e-16)
+    + _alpha_rows("levi_civita", 2.220446049250313e-16),
+    "stiefel(5,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 2.220446049250313e-16)
+    + _alpha_rows("levi_civita", 2.220446049250313e-16),
+    "grassmann_like(4,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0)
+    + _alpha_rows("canonical_second", 0.0),
+    "grassmann_like(5,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0)
+    + _alpha_rows("canonical_second", 0.0),
+    "so(4)/{e}": _alpha_rows("canonical_first", 0.0, metric=False),
+    "rigid-body": [
+        ("metric_invariance", True, 1e-8, 0.0),
+        ("naturally_reductive", False, 1e-10, 2.0),
+        ("alpha_invariance[canonical_first]", True, 1e-8, 0.0),
+        ("tensor_assembly[canonical_first]", True, 1e-10, 0.0),
+        ("torsion_free[canonical_first]", True, 1e-12, 0.0),
+        ("is_metric", False, 1e-10, 1.0),
+    ] + _alpha_rows("levi_civita", 0.0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SPACES))
+def battery(request):
+    return request.param, rh.diagnostic_battery(SPACES[request.param]())
+
+
+class TestCatalogBattery:
+    def test_every_mandatory_check_passes(self, battery):
+        _, reports = battery
+        failed = [r.check for r in reports if r.mandatory and not r.passed]
+        assert failed == []
+
+    def test_reports_match_the_recorded_golden_values(self, battery):
+        name, reports = battery
+        golden = ALGEBRA_AND_SPLIT + GOLDEN[name]
+        assert [(r.check, r.passed, r.tolerance) for r in reports] == \
+            [row[:3] for row in golden]
+        for report, row in zip(reports, golden):
+            assert report.max_residual == pytest.approx(row[3], abs=1e-14), report.check
+
+    def test_override_rejudges_stored_residuals(self):
+        bundle = rh.stiefel(4, 2)
+        reports = rh.diagnostic_battery(bundle, {"invariance": 1e-20, "jacobi": 0.5})
+        by_name = {r.check: r for r in reports}
+        assert by_name["jacobi"].tolerance == 0.5
+        inv = by_name["alpha_invariance[canonical_first]"]
+        assert inv.tolerance == 1e-20 and not inv.passed
+        # the stored report keeps the verdict of the tolerance it was built with
+        assert bundle.alpha("canonical_first").invariance.passed
+
+    def test_each_stored_report_is_judged_by_the_key_its_constructor_recorded(self):
+        bundle = rh.stiefel(4, 2)
+        keys = {r.check: r.key for r in (*bundle.algebra.reports, *bundle.dec.reports)}
+        assert keys["projection_identities"] == "projection"
+        assert keys["h_subalgebra"] == "subalgebra"
+        assert bundle.alpha("canonical_first").invariance.key == "invariance"
+        reports = rh.diagnostic_battery(bundle, {"projection": 0.25, "subalgebra": 0.5})
+        by_name = {r.check: r for r in reports}
+        assert by_name["projection_identities"].tolerance == 0.25
+        assert by_name["h_subalgebra"].tolerance == 0.5
+
+
+class TestConstructorReports:
+    def test_antisymmetry_is_measured_before_the_repair(self, so3):
+        c = np.array(so3.structure_constants)
+        c[2, 0, 1] += 1e-13
+        alg = rh.StructuredLieAlgebra(c, so3.matrix_basis)
+        assert alg.reports[0].check == "antisymmetry"
+        assert alg.reports[0].max_residual == pytest.approx(1e-13, rel=1e-6)
+
+    def test_unchecked_alpha_keeps_its_invariance_residual(self, sphere2):
+        coeffs = np.zeros((2, 2, 2))
+        coeffs[0, 0, 0] = 0.3
+        alpha = rh.AlphaMap(sphere2.dec, coeffs, unchecked=True)
+        assert not alpha.invariance.passed
+        assert alpha.invariance.max_residual == pytest.approx(0.3)
+
+    def test_decomposition_error_names_the_worst_pair(self, so3):
+        # h = span(L1, L2) is not closed: [L1, L2] = L3 lies in m
+        with pytest.raises(rh.DecompositionError, match=r"\[h\[0\], h\[1\]\]"):
+            rh.build_decomposition(so3, [[1, 0, 0], [0, 1, 0]], [[0, 0, 1]])
+
+    def test_loosened_tolerance_reaches_the_decomposition_gate(self, so3):
+        h, m = [[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]
+        dec = rh.build_decomposition(so3, h, m,
+                                     tolerances={"subalgebra": 2.0, "reductivity": 2.0})
+        sub = next(r for r in dec.reports if r.check == "h_subalgebra")
+        assert sub.max_residual == pytest.approx(1.0) and sub.passed
+
+
+def test_no_module_but_reporting_defines_a_tolerance_constant():
+    """Every gate reads the one registry in ``reporting``; no module keeps a copy."""
+    package = os.path.dirname(rh.__file__)
+    offenders = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py") or filename == "reporting.py":
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            offenders += [f"{filename}:{t.id}" for t in targets
+                          if isinstance(t, ast.Name) and t.id.endswith("_TOL")]
+    assert offenders == []

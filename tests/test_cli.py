@@ -1,0 +1,183 @@
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from redhom import catalog, connection, deffile
+from redhom.cli import main
+
+SPHERE_BAD_ALPHA = "space = sphere2\n\n[connection]\nalpha = (1,1,1,0.3)\n"
+SPHERE_SQUASHED_LC = (
+    "space = sphere2\n\n[metric]\ngram = [1 0; 0 2]\n\n[connection]\nalpha = levi_civita\n"
+)
+
+
+def explicit_blocks(bundle):
+    """[algebra] and [decomposition] blocks spelling out a catalog space."""
+    c = bundle.algebra.structure_constants
+    quads = " ".join(f"({k + 1},{i + 1},{j + 1},{float(c[k, i, j])!r})"
+                     for k, i, j in zip(*np.nonzero(c)) if i < j)
+    vecs = lambda rows: " ".join("(" + ",".join(repr(float(x)) for x in r) + ")"
+                                 for r in rows)
+    return (f"[algebra]\ndim = {bundle.algebra.dim}\nstructure_constants = {quads}\n\n"
+            f"[decomposition]\nh_basis = {vecs(bundle.dec.h_basis)}\n"
+            f"m_basis = {vecs(bundle.dec.m_basis)}\n")
+
+
+def write(tmp_path, text, name="space.def"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def run_json(capsys, argv):
+    code = main(argv + ["--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def report_entry(report, check):
+    return next(c for c in report["checks"] if c["check"] == check)
+
+
+class TestTolFlag:
+    @pytest.mark.parametrize("item, words", [
+        ("bogus=1", "unknown tolerance name 'bogus'"),
+        ("invariance=abc", "expected NAME=VALUE with a finite VALUE >= 0"),
+        ("invariance=nan", "expected NAME=VALUE with a finite VALUE >= 0"),
+        ("invariance", "expected NAME=VALUE with a finite VALUE >= 0"),
+    ])
+    def test_malformed_value_exits_2_naming_the_flag(self, tmp_path, capsys, item, words):
+        path = write(tmp_path, "space = sphere2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path, "--tol", item])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --tol" in err and words in err
+
+
+class TestToleranceOverride:
+    def test_invariance_gate_and_verdict_move_together(self, tmp_path, capsys):
+        path = write(tmp_path, SPHERE_BAD_ALPHA)
+        assert main(["check", path]) == 2
+        assert "residual 3.000e-01 > 1.0e-08" in capsys.readouterr().err
+
+        code, report = run_json(capsys, ["check", path, "--tol", "invariance=10"])
+        entry = report_entry(report, "alpha_invariance[explicit]")
+        assert code == 0
+        assert entry["pass"] and entry["tolerance"] == 10.0
+        assert entry["max_residual"] == pytest.approx(0.3)
+
+    def test_forced_alpha_is_judged_at_the_same_tolerance(self, tmp_path, capsys):
+        path = write(tmp_path, SPHERE_BAD_ALPHA)
+        code, report = run_json(capsys, ["check", path, "--force"])
+        entry = report_entry(report, "alpha_invariance[explicit]")
+        assert code == 1 and not entry["pass"] and entry["tainted"]
+
+        code, report = run_json(capsys, ["check", path, "--force", "--tol", "invariance=10"])
+        entry = report_entry(report, "alpha_invariance[explicit]")
+        assert code == 0 and entry["pass"] and entry["tolerance"] == 10.0
+
+    def test_levi_civita_gate_reads_metric_invariance(self, tmp_path, capsys):
+        path = write(tmp_path, SPHERE_SQUASHED_LC)
+        assert main(["check", path, "--tol", "invariance=10"]) == 2
+        assert "metric is not Ad(H)-invariant" in capsys.readouterr().err
+
+        code, report = run_json(capsys, ["check", path, "--tol", "metric_invariance=10"])
+        entry = report_entry(report, "metric_invariance")
+        assert code == 0
+        assert entry["pass"] and entry["tolerance"] == 10.0
+        assert entry["max_residual"] == pytest.approx(1.0)
+
+
+class TestTightenedAlphaGate:
+    # canonical_first on stiefel(4,2) has an invariance residual of about 2e-16
+    TOL = ["--tol", "invariance=0"]
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_implicit_alpha_failing_its_gate_is_reported(self, tmp_path, capsys, force):
+        path = write(tmp_path, explicit_blocks(catalog.stiefel(4, 2)))
+        code, report = run_json(capsys, ["check", path, *self.TOL, *force])
+        entry = report_entry(report, "alpha_invariance[canonical_first]")
+        assert code == 1 and not report["pass"]
+        assert not entry["pass"] and entry["tolerance"] == 0.0 and entry["tainted"]
+        assert 0.0 < entry["max_residual"] < 1e-14
+
+    def test_requested_alpha_failing_its_gate_needs_force(self, tmp_path, capsys):
+        text = explicit_blocks(catalog.stiefel(4, 2)) + "\n[connection]\nalpha = canonical_first\n"
+        path = write(tmp_path, text)
+        assert main(["check", path, *self.TOL]) == 2
+        err = capsys.readouterr().err
+        assert "line 10: invalid alpha" in err and "--force builds it anyway" in err
+
+        code, report = run_json(capsys, ["check", path, *self.TOL, "--force"])
+        entry = report_entry(report, "alpha_invariance[canonical_first]")
+        assert code == 1 and not entry["pass"] and entry["tainted"]
+
+    def test_named_and_explicit_spaces_report_alike(self, tmp_path, capsys):
+        named = write(tmp_path, "space = stiefel(4,2)\n", "named.def")
+        explicit = write(tmp_path, explicit_blocks(catalog.stiefel(4, 2)), "explicit.def")
+        entries = []
+        for path in (named, explicit):
+            code, report = run_json(capsys, ["check", path, *self.TOL])
+            assert code == 1
+            entries.append(report_entry(report, "alpha_invariance[canonical_first]"))
+        assert entries[0] == entries[1]
+
+
+def test_conflicting_duplicate_alpha_quadruples_are_rejected(tmp_path, capsys):
+    path = write(tmp_path, "space = sphere2\n\n[connection]\nalpha = (1,1,2,0.5) (1,1,2,0.0)\n")
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "conflicting duplicate entry for (1, 1, 2)" in err
+
+
+class TestGeodesicDrift:
+    ARGS = ["--x0=1,0.5", "--t1=10", "--step=0.1"]
+
+    def test_drift_above_the_registry_exits_1_after_writing(self, tmp_path, capsys):
+        path = write(tmp_path, "space = sphere2\n")
+        out = str(tmp_path / "geo")
+        assert main(["geodesic", path, *self.ARGS, f"--out={out}"]) == 1
+        err = capsys.readouterr().err
+        assert "group drift 2.7" in err and "group_drift 1.0e-08" in err
+        assert (tmp_path / "geo.csv").exists() and (tmp_path / "geo.json").exists()
+
+    def test_tol_override_moves_the_drift_gate(self, tmp_path, capsys):
+        path = write(tmp_path, "space = sphere2\n")
+        out = str(tmp_path / "geo")
+        assert main(["geodesic", path, *self.ARGS, f"--out={out}",
+                     "--tol", "group_drift=1e-4"]) == 0
+        assert "group drift" not in capsys.readouterr().err
+
+
+def test_tensors_gate_on_the_battery_once(tmp_path, capsys):
+    path = write(tmp_path, "space = stiefel(4,2)\n")
+    out = str(tmp_path / "t")
+    assert main(["tensors", path, f"--out={out}", "--tol", "metric_invariance=1e-20"]) == 1
+    assert "mandatory checks failed" in capsys.readouterr().err
+    assert not (tmp_path / "t_curvature.json").exists()
+    assert main(["tensors", path, f"--out={out}"]) == 0
+    assert (tmp_path / "t_curvature.json").exists()
+
+
+def test_check_on_a_named_space_computes_each_residual_once(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(catalog, "diagnostic_battery")
+    count(deffile, "diagnostic_battery")
+    count(connection, "check_ad_H_invariance_bilinear")
+    count(catalog, "curvature")
+    path = write(tmp_path, "space = stiefel(4,2)\n")
+    assert main(["check", path]) == 0
+    # canonical_first and levi_civita are each checked by their constructor
+    assert calls == {"diagnostic_battery": 1, "check_ad_H_invariance_bilinear": 2,
+                     "curvature": 1}
