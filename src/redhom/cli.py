@@ -6,7 +6,8 @@ geodesic drifting past ``group_drift`` (its artifacts are still written);
 2 parse/schema errors, a bad ``--tol`` name or value, and an algebra or a
 requested alpha failing its gate at the ``--tol`` values (``--force``
 builds such an alpha anyway, tainted).  Output files are written
-atomically and deterministically (17 significant digits).
+atomically and deterministically: CSV cells with 17 significant digits,
+JSON numbers as the shortest repr that reads back exactly.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import serialize
-from .connection import curvature, sectional_curvature, torsion
+from .connection import curvature, is_metric, sectional_curvature, torsion
 from .deffile import DefFileError, build_space, check_space, parse_definition
 from .reductive import DecompositionError
 from .reporting import DEFAULT_TOLERANCES, resolve_tolerances
@@ -163,33 +165,33 @@ def cmd_transport(args) -> int:
     prep = _prepare(args)
     if prep is None:
         return 1
-    bundle, alpha, _tols, tainted = prep
-    curve = _parse_curve(args, bundle.dec)
-    base = realize_curve(bundle.dec, curve, step=args.step)
+    bundle, alpha, tols, tainted = prep
+    dec = bundle.dec
+    curve = _parse_curve(args, dec)
+    base = realize_curve(dec, curve, step=args.step)
     seeds = [_floats_arg(z) for z in args.z0]
-    results = [parallel_transport(alpha, base, z) for z in seeds]
-    for traj in results:
-        traj.meta["tainted"] = traj.meta.get("tainted", False) or tainted
+    if any(z.shape != (dec.N,) for z in seeds):
+        raise ValueError(f"each --z0 must hold {dec.N} coordinates")
+    batch = parallel_transport(alpha, base, np.array(seeds))
+    batch.meta["tainted"] = batch.meta.get("tainted", False) or tainted
 
-    suffixes = [""] if len(results) == 1 else [f"_seed{i}" for i in range(len(results))]
-    for suffix, traj in zip(suffixes, results):
+    shared = serialize.BaseText(batch)
+    suffixes = [""] if len(seeds) == 1 else [f"_seed{i}" for i in range(len(seeds))]
+    for i, suffix in enumerate(suffixes):
+        traj = replace(batch, transported=batch.transported[:, i])
         serialize.atomic_write_text(
             args.out + suffix + ".csv",
-            serialize.trajectory_csv(traj, bundle.name, alpha.label))
+            serialize.trajectory_csv(traj, bundle.name, alpha.label, shared))
         serialize.atomic_write_text(
             args.out + suffix + ".json",
-            serialize.trajectory_json(traj, bundle.name, alpha.label))
+            serialize.trajectory_json(traj, bundle.name, alpha.label, shared))
 
-    if bundle.metric is not None and results:
-        g = bundle.metric.gram
-        drift = 0.0
-        for a in range(len(results)):
-            for b in range(a, len(results)):
-                za, zb = results[a].transported, results[b].transported
-                vals = np.einsum("sk,kl,sl->s", za, g, zb)
-                drift = max(drift, float(np.max(np.abs(vals - vals[0]))))
-        print(f"transport: gram-value drift across seeds {drift:.3e}")
-    for warning in results[0].meta.get("warnings", []):
+    if bundle.metric is not None and is_metric(alpha, bundle.metric, tols["is_metric"]).passed:
+        zs = batch.transported
+        gram = np.einsum("tak,kl,tbl->tab", zs, bundle.metric.gram, zs, optimize=True)
+        drift = float(np.max(np.abs(gram - gram[0])))
+        print(f"transport: drift of the metric on transported seeds {drift:.3e}")
+    for warning in batch.meta.get("warnings", []):
         print(f"warning: {warning}", file=sys.stderr)
     return 0
 

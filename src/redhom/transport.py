@@ -15,6 +15,8 @@ The integrator is classical fixed-step RK4 on the coupled system, with the
 frame update as a plain matrix ODE; drift off the group is left observable
 (an optional polar reprojection caps it).  Lift and transport are linear
 ODEs, so their RK4 update is precomputed as one transition matrix per step.
+Every parallel field along one curve solves the same linear ODE, so all
+seeds transported in one call share one sequence of transition matrices.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ class Trajectory:
 
     ``frames[i]`` is the group matrix g(t_i), ``velocities[i]`` the
     m-coordinates of g^-1 g' at t_i, and ``transported[i]`` the coordinates
-    of a parallel vector field when one has been integrated.  ``meta``
+    of a parallel vector field when one has been integrated (one row per
+    seed when several were transported together).  ``meta``
     records the integrator, step size and drift diagnostics.
     """
 
@@ -436,18 +439,22 @@ def geodesic(alpha: AlphaMap, g0, x0, t_span, step: float,
 def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     """Transport coordinates z along a base trajectory: z' = -alpha(x(t), z).
 
+    ``z0`` is one seed of shape (N,) or a seed matrix of shape (S, N).
     Integration reuses the base grid, with cubic Hermite interpolation of
     the velocity coordinates at interval midpoints (from finite-difference
-    derivatives, which preserves the integrator's order).  Returns a copy of
-    the base trajectory with the transported coordinates attached.
+    derivatives, which preserves the integrator's order).  The RK4
+    transition matrices depend on the base curve alone, so they are built
+    once and every seed is advanced through the same sequence.  Returns a
+    copy of the base trajectory with the transported coordinates attached,
+    of shape (M, N) for one seed and (M, S, N) for a seed matrix.
     """
     if len(base) < 2:
         raise ValueError("base trajectory has no intervals to integrate over")
     dec = alpha.dec
     if base.dec is not dec:
         raise ValueError("alpha and base trajectory use different decompositions")
-    z = np.asarray(z0, dtype=float).copy()
-    if z.shape != (dec.N,):
+    seeds = np.array(z0, dtype=float, ndmin=1)
+    if seeds.ndim > 2 or seeds.shape[-1] != dec.N:
         raise ValueError(f"z0 must have length {dec.N}")
 
     times = base.times
@@ -466,11 +473,16 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     a_mid = -np.einsum("kij,si->skj", alpha.coeffs, x_mid)
     trans = _rk4_linear_transitions(a_nodes[:-1], a_mid, a_nodes[1:], dt)
 
-    zs = np.empty((len(base), dec.N))
-    zs[0] = z
-    for i in range(len(base) - 1):
-        z = trans[i] @ z
-        zs[i + 1] = z
+    # one matrix-vector product per seed and step: a product over the whole
+    # seed matrix would round differently, and each seed's z must not depend
+    # on which other seeds share its call
+    batch = seeds.reshape(-1, dec.N)
+    zs = np.empty((len(base),) + batch.shape)
+    for s, z in enumerate(batch):
+        zs[0, s] = z
+        for i in range(len(base) - 1):
+            z = trans[i] @ z
+            zs[i + 1, s] = z
 
     meta = dict(base.meta)
     meta.update({
@@ -479,7 +491,7 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
         "warnings": warnings_list,
     })
     return Trajectory(dec, base.times, base.frames, base.velocities,
-                      transported=zs, meta=meta)
+                      transported=zs if seeds.ndim == 2 else zs[:, 0], meta=meta)
 
 
 # -- Euler-Arnold ------------------------------------------------------------------

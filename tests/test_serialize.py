@@ -1,0 +1,129 @@
+"""Golden-file tests of the CLI artifacts, and the JSON array encoder against ``json.dumps``.
+
+The files under ``tests/data/golden`` hold the exact bytes each case must
+write.  They change only when the output format changes on purpose.
+"""
+
+import json
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from redhom import serialize
+from redhom.cli import main
+from redhom.transport import Trajectory
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+
+STIEFEL42_LC = "space = stiefel(4,2)\n\n[connection]\nalpha = levi_civita\n"
+SEEDS = ["--z0=1,0,0,0,0", "--z0=0.2,-0.5,0.3,0.1,-0.4"]
+
+# case -> (definition text, argv with {space}, {out} and {data} filled in per run)
+CASES = {
+    "geodesic": (STIEFEL42_LC, [
+        "geodesic", "{space}", "--x0=0.3,-0.2,0.5,0.1,0.4", "--t1=0.2", "--step=0.02",
+        "--out={out}/geo"]),
+    "transport_one_parameter": (STIEFEL42_LC, [
+        "transport", "{space}", "--curve=one_parameter:0.4,0.1,-0.3,0.2,0.5", *SEEDS,
+        "--t1=0.2", "--step=0.02", "--out={out}/tr"]),
+    "transport_group_file": (STIEFEL42_LC, [
+        "transport", "{space}", "--curve=group_file:{data}/stiefel42_curve.csv", *SEEDS,
+        "--out={out}/tr"]),
+    "tensors": ("space = stiefel(4,2)\n", ["tensors", "{space}", "--out={out}/ten"]),
+}
+
+
+def run_case(case, tmp_path):
+    """Run one case's CLI call; return its exit code and its output directory."""
+    text, argv = CASES[case]
+    space = tmp_path / "space.def"
+    space.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main([a.format(space=space, out=out, data=DATA) for a in argv])
+    return code, out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifacts_match_golden_files(case, tmp_path):
+    code, out = run_case(case, tmp_path)
+    assert code == 0
+    golden = GOLDEN / case
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+ARRAYS = [
+    np.array([1.5, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e-310, 0.1 + 0.2]),
+    np.array([[math.nan, 2.0, -math.inf], [3.0, -0.0, 1e300]]),
+    np.arange(24.0).reshape(2, 3, 4) / 7.0,
+    np.empty(0),
+    np.empty((0, 3)),
+    np.empty((2, 0)),
+    np.empty((2, 0, 3)),
+    np.array([[0.25, -1.0, 3.0]]),
+    np.array([[[-2.5, 4.0]]]),
+    np.array([7.0]),
+]
+
+
+@pytest.mark.parametrize("array", ARRAYS, ids=[str(a.shape) for a in ARRAYS])
+def test_json_array_matches_json_dumps(array):
+    reference = json.dumps(array.tolist(), indent=1)
+    assert serialize.json_array(array) == reference
+    nested = json.dumps({"a": array.tolist(), "b": [1]}, sort_keys=True, indent=1)
+    assert '{\n "a": ' + serialize.json_array(array, level=1) + ',' in nested
+
+
+def special_trajectory():
+    rng = np.random.default_rng(3)
+    frames = rng.standard_normal((4, 2, 2))
+    frames[1, 0, 1] = math.nan
+    velocities = rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-300, 300, (4, 3))
+    velocities[2, 1] = -math.inf
+    transported = rng.standard_normal((4, 3))
+    transported[0] = [-0.0, 5e-324, math.inf]
+    meta = {"tainted": True, "blow_up": False, "step": 0.5, "drift": math.nan,
+            "warnings": ["a", "b"], "fd_order": np.int64(4), "aborted_at": None}
+    return Trajectory(None, np.linspace(0.0, 1.5, 4), frames, velocities,
+                      transported=transported, meta=meta)
+
+
+def test_trajectory_json_matches_json_dumps_of_its_payload():
+    traj = special_trajectory()
+    payload = {
+        "meta": {**traj.meta, "fd_order": 4, "drift": "nan", "space": "s", "alpha": "a"},
+        "columns": serialize.trajectory_columns(traj),
+        "times": traj.times.tolist(),
+        "frames": traj.frames.tolist(),
+        "velocities": traj.velocities.tolist(),
+        "transported": traj.transported.tolist(),
+    }
+    reference = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    assert serialize.trajectory_json(traj, "s", "a") == reference
+    assert '"tainted": true' in reference and '"blow_up": false' in reference
+
+
+def test_trajectory_csv_matches_cell_by_cell_formatting():
+    traj = special_trajectory()
+    lines = [f"# space=s alpha=a step={serialize.fmt(0.5)} integrator=",
+             ",".join(serialize.trajectory_columns(traj))]
+    for i in range(len(traj)):
+        row = [traj.times[i], *traj.frames[i].ravel(), *traj.velocities[i], *traj.transported[i]]
+        lines.append(",".join(serialize.fmt(v) for v in row))
+    assert serialize.trajectory_csv(traj, "s", "a") == "\n".join(lines) + "\n"
+
+
+def test_shared_base_text_gives_the_same_files():
+    traj = special_trajectory()
+    other = replace(traj, transported=traj.transported[::-1].copy())
+    text = serialize.BaseText(traj)
+    for seed in (traj, other):
+        for write in (serialize.trajectory_csv, serialize.trajectory_json):
+            assert write(seed, "s", "a", text) == write(seed, "s", "a")

@@ -1,0 +1,104 @@
+"""Oracle tests of parallel transport.
+
+Levi-Civita transport must conserve every inner product z_a(t)^T G z_b(t);
+seeds transported together must come out bit for bit as when each seed is
+transported alone; and one CLI call must build one transition sequence
+whatever its number of seeds.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from redhom import transport
+from redhom.cli import main
+from redhom.connection import levi_civita_alpha
+from redhom.transport import CurveSpec, geodesic, parallel_transport, realize_curve
+
+DATA = Path(__file__).parent / "data"
+STIEFEL42_LC = "space = stiefel(4,2)\n\n[connection]\nalpha = levi_civita\n"
+RIGID_BODY = (
+    "[algebra]\ndim = 3\n"
+    "matrix_basis = [0 0 0; 0 0 -1; 0 1 0] [0 0 1; 0 0 0; -1 0 0] [0 -1 0; 1 0 0; 0 0 0]\n\n"
+    "[metric]\ngram = [1 0 0; 0 2 0; 0 0 3]\n\n[connection]\nalpha = {alpha}\n"
+)
+DRIFT_LINE = "transport: drift of the metric on transported seeds"
+
+
+def lifted_curve(dec):
+    raw = np.loadtxt(DATA / "stiefel42_curve.csv", delimiter=",", comments="#")
+    spec = CurveSpec.group_samples(raw[:, 0], raw[:, 1:].reshape(-1, 4, 4))
+    return realize_curve(dec, spec)
+
+
+def test_levi_civita_transport_conserves_the_metric(stiefel42, rng):
+    dec, metric = stiefel42.dec, stiefel42.metric
+    alpha = levi_civita_alpha(dec, metric)
+    base = geodesic(alpha, None, rng.standard_normal(dec.N), (0.0, 1.0), 0.01)
+    zs = parallel_transport(alpha, base, rng.standard_normal((3, dec.N))).transported
+    gram = np.einsum("tak,kl,tbl->tab", zs, metric.gram, zs)
+    assert np.max(np.abs(gram - gram[0])) <= 1e-12
+
+
+def test_batched_seeds_match_one_seed_calls_bitwise(stiefel42, rng):
+    dec = stiefel42.dec
+    alpha = levi_civita_alpha(dec, stiefel42.metric)
+    base = lifted_curve(dec)
+    seeds = rng.standard_normal((3, dec.N))
+    batch = parallel_transport(alpha, base, seeds)
+    assert batch.transported.shape == (len(base), 3, dec.N)
+    for s in range(3):
+        single = parallel_transport(alpha, base, seeds[s].copy())
+        assert single.transported.shape == (len(base), dec.N)
+        assert batch.transported[:, s].tobytes() == single.transported.tobytes()
+
+
+def test_seed_of_wrong_length_is_rejected(stiefel42):
+    alpha = levi_civita_alpha(stiefel42.dec, stiefel42.metric)
+    base = lifted_curve(stiefel42.dec)
+    with pytest.raises(ValueError, match="z0 must have length 5"):
+        parallel_transport(alpha, base, np.ones((2, 4)))
+
+
+def run_transport(tmp_path, text, curve, seeds):
+    space = tmp_path / "space.def"
+    space.write_text(text)
+    return main(["transport", str(space), f"--curve={curve}",
+                 *(f"--z0={z}" for z in seeds), "--t1=0.2", "--step=0.02",
+                 f"--out={tmp_path / 'tr'}"])
+
+
+def test_one_transition_sequence_per_cli_call(tmp_path, monkeypatch):
+    calls = []
+    original = transport._rk4_linear_transitions
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return original(*args)
+
+    monkeypatch.setattr(transport, "_rk4_linear_transitions", counted)
+    code = run_transport(tmp_path, STIEFEL42_LC, "one_parameter:0.4,0.1,-0.3,0.2,0.5",
+                         ["1,0,0,0,0", "0,1,0,0,0", "0.2,-0.5,0.3,0.1,-0.4"])
+    assert code == 0
+    assert calls == [10]
+    assert sorted(p.name for p in tmp_path.glob("tr_seed*")) == [
+        f"tr_seed{i}.{ext}" for i in range(3) for ext in ("csv", "json")]
+
+
+@pytest.mark.parametrize("alpha, printed", [
+    ("levi_civita", True),
+    ("canonical_first", False),     # (1/2)[X, Y] is not skew for an anisotropic inertia
+])
+def test_metric_drift_is_printed_only_for_metric_alphas(tmp_path, capsys, alpha, printed):
+    code = run_transport(tmp_path, RIGID_BODY.format(alpha=alpha), "one_parameter:0.3,-0.2,0.5",
+                         ["1,0,0", "0,0.5,-0.5"])
+    assert code == 0
+    assert (DRIFT_LINE in capsys.readouterr().out) is printed
+
+
+def test_wrong_seed_length_on_the_command_line_exits_1(tmp_path, capsys):
+    code = run_transport(tmp_path, STIEFEL42_LC, "one_parameter:0.4,0.1,-0.3,0.2,0.5",
+                         ["1,0,0,0,0", "1,0,0"])
+    assert code == 1
+    assert "each --z0 must hold 5 coordinates" in capsys.readouterr().err
