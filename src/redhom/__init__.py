@@ -39,10 +39,8 @@ from .reporting import CheckReport, DEFAULT_TOLERANCES, resolve_tolerances
 from .transport import (
     ConvergenceResult,
     CurveSpec,
-    EulerArnoldField,
     Trajectory,
     convergence_probe,
-    euler_arnold_field,
     geodesic,
     geodesic_convergence,
     horizontal_lift,

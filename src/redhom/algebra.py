@@ -32,22 +32,23 @@ _EXPM_NORM_CAP = 0.5
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a truncated series."""
+    """Matrix exponential by scaling-and-squaring with a truncated series.
+
+    ``a`` is one square matrix or a (..., d, d) stack; each matrix of a
+    stack is scaled and squared by its own 1-norm.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expm expects a square matrix, got shape {a.shape}")
-    d = a.shape[0]
-    norm1 = np.linalg.norm(a, 1)
-    squarings = 0
-    if norm1 > _EXPM_NORM_CAP:
-        squarings = int(np.ceil(np.log2(norm1 / _EXPM_NORM_CAP)))
-    b = a / (2.0 ** squarings)
-    eye = np.eye(d)
+    norm1 = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    squarings = np.ceil(np.log2(np.maximum(norm1 / _EXPM_NORM_CAP, 1.0))).astype(int)
+    b = a / (2.0 ** squarings)[..., None, None]
+    eye = np.eye(a.shape[-1])
     out = eye.copy()
     for j in range(_EXPM_SERIES_ORDER, 0, -1):
         out = eye + (b @ out) / j
-    for _ in range(squarings):
-        out = out @ out
+    for k in range(squarings.max(initial=0)):
+        out = np.where((squarings > k)[..., None, None], out @ out, out)
     return out
 
 

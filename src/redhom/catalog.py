@@ -256,9 +256,11 @@ def diagnostic_battery(bundle: SpaceBundle, tolerances=None) -> list[CheckReport
             f"tensor_assembly[{a.label}]", assembled, tols["curvature_h_leak"], note=note))
         if a.label == "canonical_first":
             tor = torsion(a).coeffs
+            # the torsion of (1/2)[X, Y]_m is the antisymmetry defect of the m-bracket table
             reports.append(CheckReport.from_residual(
                 "torsion_free[canonical_first]",
-                float(np.max(np.abs(tor))) if tor.size else 0.0, 1e-12))
+                float(np.max(np.abs(tor))) if tor.size else 0.0, tols["antisymmetry"],
+                key="antisymmetry"))
         if bundle.metric is not None:
             reports.append(is_metric(a, bundle.metric, tol=tols["is_metric"]))
 

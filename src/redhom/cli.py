@@ -8,12 +8,19 @@ requested alpha failing its gate at the ``--tol`` values (``--force``
 builds such an alpha anyway, tainted).  Output files are written
 atomically and deterministically: CSV cells with 17 significant digits,
 JSON numbers as the shortest repr that reads back exactly.
+
+Geodesic frames stay on the group up to round-off, so ``convergence``
+reports ``exact`` for an alpha whose symmetric part vanishes: its geodesics
+are the one-parameter curves ``exp(t X)`` and every step size meets the
+closed form to machine precision.  A vector value may follow its option
+as a separate argument even when it starts with ``-`` (``--x0 -0.3,0.2``).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -50,6 +57,22 @@ def _tol_pair(item: str):
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected NAME=VALUE with a finite VALUE >= 0, got {item!r}")
+
+
+def _attach_vector_values(argv):
+    """Rewrite ``--x0 -0.3,0.2`` (and ``--z0``) as ``--x0=-0.3,0.2``.
+
+    argparse reads a separate value that starts with ``-`` and is not a
+    plain number as an option, so a vector whose first coordinate is
+    negative would otherwise end in "expected one argument".
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--x0", "--z0") and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _floats_arg(text: str) -> np.ndarray:
@@ -108,8 +131,7 @@ def cmd_geodesic(args) -> int:
         return 1
     bundle, alpha, tols, tainted = prep
     x0 = _floats_arg(args.x0)
-    traj = geodesic(alpha, None, x0, (args.t0, args.t1), args.step,
-                    reproject=args.reproject)
+    traj = geodesic(alpha, None, x0, (args.t0, args.t1), args.step)
     traj.meta["tainted"] = traj.meta.get("tainted", False) or tainted
     serialize.atomic_write_text(
         args.out + ".csv", serialize.trajectory_csv(traj, bundle.name, alpha.label))
@@ -285,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--reproject", action="store_true",
-                   help="polar-reproject the frame to the group each step")
     p.set_defaults(func=cmd_geodesic)
 
     p = subs.add_parser("transport", help="parallel-transport seeds along a curve")
@@ -316,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_vector_values(sys.argv[1:] if argv is None else argv))
     if getattr(args, "out", None) is None and args.command in (
             "geodesic", "transport", "tensors"):
         args.out = "redhom_out"

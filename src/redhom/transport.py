@@ -1,4 +1,4 @@
-"""Horizontal lifts, geodesics, parallel transport, and Euler-Arnold dynamics.
+"""Horizontal lifts, geodesics and parallel transport.
 
 Everything is driven through m-coordinates.  A curve on the quotient is
 represented by a horizontal frame curve ``g(t)`` in the group together with
@@ -9,14 +9,16 @@ moving frame.  The governing ODEs are then
 * horizontal lift of ``c(t)``:   write ``g = c h``, ``h' = -pr_h(c^-1 c') h``
 * geodesic:                      ``x' = -alpha(x, x)``, ``g' = g mat(x)``
 * parallel transport:            ``z' = -alpha(x(t), z)``
-* Euler-Arnold (Levi-Civita):    ``x' = (pr_m ad_x)^*(x)``
 
-The integrator is classical fixed-step RK4 on the coupled system, with the
-frame update as a plain matrix ODE; drift off the group is left observable
-(an optional polar reprojection caps it).  Lift and transport are linear
-ODEs, so their RK4 update is precomputed as one transition matrix per step.
-Every parallel field along one curve solves the same linear ODE, so all
-seeds transported in one call share one sequence of transition matrices.
+The geodesic velocity equation does not involve g, so x is integrated
+alone with fixed-step RK4.  The frames of a geodesic or of a sampled
+velocity curve then solve ``g' = g mat(x(t))`` and are advanced by one
+exponential per step of the fourth-order Magnus expansion (Iserles,
+Munthe-Kaas, Norsett and Zanna, Acta Numerica 9, 2000), so they stay on
+the group up to round-off.  Lift and transport are linear ODEs, so their
+RK4 update is precomputed as one transition matrix per step.  Every
+parallel field along one curve solves the same linear ODE, so all seeds
+transported in one call share one sequence of transition matrices.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import GroupElement, expand_in_matrix_basis, expm
-from .connection import AlphaMap, levi_civita_alpha
-from .reductive import MetricOnM, ReductiveDecomposition, check_metric_invariance
+from .connection import AlphaMap
+from .reductive import ReductiveDecomposition
 
 __all__ = [
     "CurveSpec",
@@ -36,8 +38,6 @@ __all__ = [
     "horizontal_lift",
     "geodesic",
     "parallel_transport",
-    "euler_arnold_field",
-    "EulerArnoldField",
     "convergence_probe",
     "ConvergenceResult",
     "geodesic_convergence",
@@ -46,6 +46,7 @@ __all__ = [
 
 BLOWUP_NORM = 1e6
 FD_COARSE_WARNING = 1e-4
+MAGNUS_BLOCK = 256
 
 
 # -- finite differences and interpolation -----------------------------------------
@@ -84,6 +85,17 @@ def _best_fd(times: np.ndarray, values: np.ndarray):
     if uniform and len(times) >= 5:
         return _fd4_uniform(values, h), 4
     return _fd_derivatives(times, values), 2
+
+
+def _time_grid(t_span, step):
+    """The fewest equal steps over ``t_span`` no longer than ``step``: (times, step taken)."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ValueError("t_span must be a nonempty interval")
+    nsteps = max(1, math.ceil((t1 - t0) / step - 1e-12))
+    return np.linspace(t0, t1, nsteps + 1), (t1 - t0) / nsteps
 
 
 def _hermite_midpoints(values, derivs, dt):
@@ -152,13 +164,7 @@ def frame_diagnostics(dec, times, frames, velocities) -> dict:
         )
     if alg.matrix_basis is None or len(times) < 3:
         return out
-    uniform, h = _uniform_spacing(times)
-    if uniform and len(times) >= 5:
-        gdot = _fd4_uniform(frames, h)
-        out["fd_order"] = 4
-    else:
-        gdot = _fd_derivatives(times, frames)
-        out["fd_order"] = 2
+    gdot, out["fd_order"] = _best_fd(times, frames)
     body = np.linalg.solve(frames, gdot)
     coords, resid = expand_in_matrix_basis(alg.matrix_basis, body, strict=False)
     split = dec._cob_inv @ coords.T
@@ -352,38 +358,30 @@ def _bmm(a, b):
 
 
 def geodesic(alpha: AlphaMap, g0, x0, t_span, step: float,
-             reproject: bool = False, blowup_norm: float = BLOWUP_NORM) -> Trajectory:
-    """Integrate the geodesic system x' = -alpha(x, x), g' = g mat(x).
+             blowup_norm: float = BLOWUP_NORM) -> Trajectory:
+    """Integrate the geodesic x' = -alpha(x, x) and its frame g' = g mat(x).
 
-    Fixed-step RK4 on the coupled state; the step is shrunk slightly if the
-    interval is not an integer multiple of the request.  A blow-up guard
-    aborts once |x| exceeds ``blowup_norm`` and returns the partial
-    trajectory (completeness holds for lifts, not for arbitrary alpha).
-    With ``reproject=True`` every frame is pulled back to the orthogonal
-    group by polar projection; off by default so drift stays observable.
+    The velocity equation does not involve g, so x is integrated alone by
+    fixed-step RK4; the step is shrunk slightly if the interval is not an
+    integer multiple of the request.  The frames come from
+    ``_magnus_frames``, with x at the interval midpoints interpolated by
+    cubic Hermite from the exact derivatives at the nodes, and stay on the
+    group up to round-off.  A blow-up guard aborts once |x| exceeds
+    ``blowup_norm`` and returns the partial trajectory (completeness holds
+    for lifts, not for arbitrary alpha).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    times, h = _time_grid(t_span, step)
+    nsteps = len(times) - 1
     dec = alpha.dec
     dec.algebra._require_matrices()
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError("t_span must be a nonempty interval")
-    nsteps = max(1, math.ceil((t1 - t0) / step - 1e-12))
-    h = (t1 - t0) / nsteps
-    times = np.linspace(t0, t1, nsteps + 1)
-
-    mm = dec.m_matrices
     coeffs = alpha.coeffs
-    d = dec.algebra.matrix_dim
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (dec.N,):
         raise ValueError(f"x0 must have length {dec.N}")
     g = _frame_matrix(g0, dec)
 
-    frames = np.empty((nsteps + 1, d, d))
     xs = np.empty((nsteps + 1, dec.N))
-    frames[0] = g
+    dxs = np.empty_like(xs)
     xs[0] = x
 
     def xdot(v):
@@ -393,44 +391,64 @@ def geodesic(alpha: AlphaMap, g0, x0, t_span, step: float,
     last = nsteps
     for i in range(nsteps):
         k1x = xdot(x)
-        k1g = g @ np.tensordot(x, mm, axes=1)
         x2 = x + 0.5 * h * k1x
         k2x = xdot(x2)
-        k2g = (g + 0.5 * h * k1g) @ np.tensordot(x2, mm, axes=1)
         x3 = x + 0.5 * h * k2x
         k3x = xdot(x3)
-        k3g = (g + 0.5 * h * k2g) @ np.tensordot(x3, mm, axes=1)
         x4 = x + h * k3x
         k4x = xdot(x4)
-        k4g = (g + h * k3g) @ np.tensordot(x4, mm, axes=1)
         x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        g = g + h / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
-        if reproject:
-            u, _, vt = np.linalg.svd(g)
-            g = u @ vt
-        frames[i + 1] = g
+        dxs[i] = k1x
         xs[i + 1] = x
         if np.max(np.abs(x)) > blowup_norm:
             aborted_at = float(times[i + 1])
             last = i + 1
             break
+    dxs[last] = xdot(x)
 
-    frames = frames[: last + 1]
     xs = xs[: last + 1]
     times = times[: last + 1]
+    dt = np.full(last, h)
+    x_mid = _hermite_midpoints(xs, dxs[: last + 1], dt)
+    frames = _magnus_frames(g, dec.m_matrices, xs, x_mid, dt)
+    del dxs, x_mid                  # not held while the diagnostics run
     meta = {
-        "integrator": "rk4",
+        "integrator": "rk4-magnus4",
         "step": h,
         "requested_step": step,
         "alpha": alpha.label,
         "tainted": not alpha.checked,
-        "reprojected": reproject,
         "blow_up": aborted_at is not None,
         "aborted_at": aborted_at,
     }
     traj = Trajectory(dec, times, frames, xs, meta=meta)
     meta.update(traj.diagnostics())
     return traj
+
+
+def _magnus_frames(g0, basis, xs, x_mid, dt):
+    """Frames of g' = g A(t), A = sum_k x_k basis_k, from x at nodes and midpoints.
+
+    Each step is one exponential of the fourth-order Magnus expansion with
+    Simpson's rule, ``g_{i+1} = g_i expm(Omega_i)`` with
+    ``Omega_i = dt/6 (A_i + 4 A_mid + A_{i+1}) + dt^2/12 [A_i, A_{i+1}]``.
+    Omega_i lies in the algebra, so the frames stay on the group up to
+    round-off.  The exponentials are built a block of steps at a time, which
+    keeps the temporaries small.
+    """
+    frames = np.empty((len(xs),) + g0.shape)
+    frames[0] = g = g0
+    for start in range(0, len(dt), MAGNUS_BLOCK):
+        stop = min(start + MAGNUS_BLOCK, len(dt))
+        a = np.einsum("sk,kab->sab", xs[start:stop + 1], basis)
+        a_mid = np.einsum("sk,kab->sab", x_mid[start:stop], basis)
+        d = dt[start:stop].reshape(-1, 1, 1)
+        a0, a1 = a[:-1], a[1:]
+        omega = d / 6.0 * (a0 + 4.0 * a_mid + a1) + d * d / 12.0 * (a0 @ a1 - a1 @ a0)
+        for i, inc in enumerate(expm(omega), start + 1):
+            g = g @ inc
+            frames[i] = g
+    return frames
 
 
 # -- parallel transport ------------------------------------------------------------
@@ -494,47 +512,6 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
                       transported=zs if seeds.ndim == 2 else zs[:, 0], meta=meta)
 
 
-# -- Euler-Arnold ------------------------------------------------------------------
-
-
-class EulerArnoldField:
-    """The metric adjoint field x -> (pr_m ad_x)^*(x) driving geodesics.
-
-    Agreement with -alpha_LC(x, x) is asserted on every evaluation (the two
-    must coincide for an invariant metric).
-    """
-
-    def __init__(self, dec: ReductiveDecomposition, metric: MetricOnM):
-        report = check_metric_invariance(dec, metric)
-        if not report.passed:
-            raise ValueError(
-                f"metric is not Ad(H)-invariant (residual {report.max_residual:.3e})"
-            )
-        self.dec = dec
-        self.metric = metric
-        self._alpha_lc = levi_civita_alpha(dec, metric)
-        self._gram = metric.gram
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ad_m = self.dec.ad_m_matrix(x)
-        g = self._gram
-        val = np.linalg.solve(g, ad_m.T @ (g @ x))
-        ref = -self._alpha_lc(x, x)
-        scale = max(1.0, float(np.max(np.abs(val))))
-        err = float(np.max(np.abs(val - ref)))
-        if err > 1e-10 * scale:
-            raise AssertionError(
-                f"adjoint field disagrees with Levi-Civita alpha by {err:.3e}"
-            )
-        return val
-
-
-def euler_arnold_field(dec: ReductiveDecomposition, metric: MetricOnM) -> EulerArnoldField:
-    """Build the geodesic right-hand side for an invariant (pseudo-)metric."""
-    return EulerArnoldField(dec, metric)
-
-
 # -- convergence probe -------------------------------------------------------------
 
 
@@ -576,15 +553,18 @@ def geodesic_convergence(alpha: AlphaMap, g0, x0, t_span, steps,
     With ``reference='auto'`` the closed-form frame ``g0 exp(T mat(x0))`` is
     used whenever alpha vanishes on the diagonal (then x stays constant);
     otherwise a run at ``min(steps)/fine_factor`` serves as reference.
+    The order is fitted against the steps the runs take, which are shorter
+    than the requested ones when those do not divide the interval.
     """
     dec = alpha.dec
+    steps = [_time_grid(t_span, float(s))[1] for s in steps]
     sym = 0.5 * (alpha.coeffs + np.swapaxes(alpha.coeffs, 1, 2))
     diagonal_free = float(np.max(np.abs(sym))) <= 1e-15 if sym.size else True
     if reference == "exp" or (reference == "auto" and diagonal_free):
         span = float(t_span[1]) - float(t_span[0])
         ref = _frame_matrix(g0, dec) @ expm(span * dec.m_matrix(np.asarray(x0, dtype=float)))
     else:
-        fine = geodesic(alpha, g0, x0, t_span, min(float(s) for s in steps) / fine_factor)
+        fine = geodesic(alpha, g0, x0, t_span, min(steps) / fine_factor)
         ref = fine.frames[-1]
 
     def err(step):
@@ -616,10 +596,8 @@ def _one_parameter_trajectory(dec, spec, step, g0):
     x0 = np.asarray(spec.x0, dtype=float)
     if x0.shape != (dec.N,):
         raise ValueError(f"one-parameter direction must have length {dec.N}")
-    t0, t1 = spec.t_span
-    nsteps = max(1, math.ceil((t1 - t0) / step - 1e-12))
-    h = (t1 - t0) / nsteps
-    times = np.linspace(t0, t1, nsteps + 1)
+    times, h = _time_grid(spec.t_span, step)
+    nsteps = len(times) - 1
     d = dec.algebra.matrix_dim
     inc = expm(h * dec.m_matrix(x0))
     frames = np.empty((nsteps + 1, d, d))
@@ -639,23 +617,11 @@ def _velocity_trajectory(dec, spec, g0):
     xs = np.asarray(spec.values, dtype=float)
     if xs.shape != (len(times), dec.N):
         raise ValueError(f"velocity samples must have shape (len(times), {dec.N})")
-    d = dec.algebra.matrix_dim
     dt = np.diff(times)
     x_mid = 0.5 * (xs[:-1] + xs[1:])        # order-1 interpolation of the samples
-    a0 = np.einsum("sk,kab->sab", xs, dec.m_matrices)
-    am = np.einsum("sk,kab->sab", x_mid, dec.m_matrices)
-    frames = np.empty((len(times), d, d))
-    frames[0] = _frame_matrix(g0 if g0 is not None else spec.initial_frame, dec)
-    # g' = g mat(x): right-multiplication, so transition acts from the right
-    for i in range(len(times) - 1):
-        h = dt[i]
-        g = frames[i]
-        k1 = g @ a0[i]
-        k2 = (g + 0.5 * h * k1) @ am[i]
-        k3 = (g + 0.5 * h * k2) @ am[i]
-        k4 = (g + h * k3) @ a0[i + 1]
-        frames[i + 1] = g + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    meta = {"integrator": "rk4", "step": float(np.max(dt)), "curve": "piecewise_velocity"}
+    g = _frame_matrix(g0 if g0 is not None else spec.initial_frame, dec)
+    frames = _magnus_frames(g, dec.m_matrices, xs, x_mid, dt)
+    meta = {"integrator": "magnus4", "step": float(np.max(dt)), "curve": "piecewise_velocity"}
     traj = Trajectory(dec, np.array(times), frames, xs.copy(), meta=meta)
     meta.update(traj.diagnostics())
     return traj

@@ -130,6 +130,15 @@ class TestExpm:
         with pytest.raises(ValueError):
             rh.expm(np.zeros((2, 3)))
 
+    def test_stack_matches_one_matrix_at_a_time(self, rng):
+        # norms from 1e-3 to 1e2 give each matrix its own number of squarings
+        stack = rng.standard_normal((2, 6, 4, 4)) * np.logspace(-3, 2, 6)[:, None, None]
+        got = rh.expm(stack)
+        assert got.shape == stack.shape
+        for i, j in np.ndindex(2, 6):
+            one = rh.expm(stack[i, j])
+            assert np.max(np.abs(got[i, j] - one)) <= 1e-15 * max(1.0, np.max(np.abs(one)))
+
 
 class TestAdjointAd:
     def test_identity(self, so3):

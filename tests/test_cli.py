@@ -136,11 +136,13 @@ class TestGeodesicDrift:
     ARGS = ["--x0=1,0.5", "--t1=10", "--step=0.1"]
 
     def test_drift_above_the_registry_exits_1_after_writing(self, tmp_path, capsys):
+        # the frames stay on the group to round-off, so only a zero tolerance trips the gate
         path = write(tmp_path, "space = sphere2\n")
         out = str(tmp_path / "geo")
-        assert main(["geodesic", path, *self.ARGS, f"--out={out}"]) == 1
+        assert main(["geodesic", path, *self.ARGS, f"--out={out}",
+                     "--tol", "group_drift=0"]) == 1
         err = capsys.readouterr().err
-        assert "group drift 2.7" in err and "group_drift 1.0e-08" in err
+        assert "group drift" in err and "exceeds tolerance group_drift 0.0e+00" in err
         assert (tmp_path / "geo.csv").exists() and (tmp_path / "geo.json").exists()
 
     def test_tol_override_moves_the_drift_gate(self, tmp_path, capsys):
@@ -149,6 +151,35 @@ class TestGeodesicDrift:
         assert main(["geodesic", path, *self.ARGS, f"--out={out}",
                      "--tol", "group_drift=1e-4"]) == 0
         assert "group drift" not in capsys.readouterr().err
+
+
+class TestNegativeVectorValue:
+    def test_separate_geodesic_x0_parses_like_the_attached_form(self, tmp_path):
+        path = write(tmp_path, "space = sphere2\n")
+        args = ["--t1=1", "--step=0.1"]
+        assert main(["geodesic", path, "--x0", "-0.3,0.2", *args,
+                     f"--out={tmp_path / 'sep'}"]) == 0
+        assert main(["geodesic", path, "--x0=-0.3,0.2", *args,
+                     f"--out={tmp_path / 'att'}"]) == 0
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"sep.{ext}").read_bytes() == (tmp_path / f"att.{ext}").read_bytes()
+
+    def test_separate_transport_seeds(self, tmp_path):
+        path = write(tmp_path, "space = sphere2\n")
+        assert main(["transport", path, "--curve", "one_parameter:-0.3,0.2",
+                     "--z0", "-1,0", "--z0", "-.5,1", "--t1=0.1", "--step=0.01",
+                     f"--out={tmp_path / 'tr'}"]) == 0
+        first = json.loads((tmp_path / "tr_seed1.json").read_text())["transported"][0]
+        assert first == [-0.5, 1.0]
+
+
+def test_torsion_check_reads_the_antisymmetry_tolerance(tmp_path, capsys):
+    path = write(tmp_path, "space = stiefel(4,2)\n")
+    for args, tol in (([], 1e-12), (["--tol", "antisymmetry=1e-6"], 1e-6)):
+        code, report = run_json(capsys, ["check", path, *args])
+        entry = report_entry(report, "torsion_free[canonical_first]")
+        assert code == 0
+        assert entry["tolerance"] == tol and entry["max_residual"] == 0.0
 
 
 def test_tensors_gate_on_the_battery_once(tmp_path, capsys):

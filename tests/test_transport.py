@@ -1,9 +1,14 @@
-"""Oracle tests of parallel transport.
+"""Oracle tests of geodesics, lifts and parallel transport.
 
 Levi-Civita transport must conserve every inner product z_a(t)^T G z_b(t);
 seeds transported together must come out bit for bit as when each seed is
 transported alone; and one CLI call must build one transition sequence
-whatever its number of seeds.
+whatever its number of seeds.  Geodesic and velocity-curve frames must stay
+on the group and meet the closed form exp(t X) where one exists; a
+geodesic's velocity must be parallel along it; lifted frames must differ
+from the sampled curve by an isotropy element; the metric adjoint field
+must give the Levi-Civita geodesic equation; and the convergence probe
+must fit its order against the steps the runs take.
 """
 
 from pathlib import Path
@@ -12,9 +17,11 @@ import numpy as np
 import pytest
 
 from redhom import transport
+from redhom.algebra import expm
 from redhom.cli import main
 from redhom.connection import levi_civita_alpha
-from redhom.transport import CurveSpec, geodesic, parallel_transport, realize_curve
+from redhom.transport import (CurveSpec, geodesic, geodesic_convergence, parallel_transport,
+                              realize_curve)
 
 DATA = Path(__file__).parent / "data"
 STIEFEL42_LC = "space = stiefel(4,2)\n\n[connection]\nalpha = levi_civita\n"
@@ -102,3 +109,77 @@ def test_wrong_seed_length_on_the_command_line_exits_1(tmp_path, capsys):
                          ["1,0,0,0,0", "1,0,0"])
     assert code == 1
     assert "each --z0 must hold 5 coordinates" in capsys.readouterr().err
+
+
+def orthogonality_defect(frames):
+    eye = np.eye(frames.shape[-1])
+    return np.max(np.abs(np.einsum("mji,mjk->mik", frames, frames) - eye))
+
+
+def test_canonical_first_geodesic_is_the_one_parameter_curve(stiefel42, rng):
+    dec = stiefel42.dec
+    alpha = stiefel42.suggested_alphas[0]
+    assert alpha.label == "canonical_first"
+    x0 = rng.standard_normal(dec.N)
+    geo = geodesic(alpha, None, x0, (0.0, 2.0), 0.05)
+    closed = np.array([expm(t * dec.m_matrix(x0)) for t in geo.times])
+    assert np.max(np.abs(geo.frames - closed)) <= 1e-13
+
+
+def test_geodesic_frames_stay_orthogonal(sphere2):
+    geo = geodesic(sphere2.suggested_alphas[0], None, [1.0, 0.5], (0.0, 10.0), 0.1)
+    assert len(geo) == 101
+    assert orthogonality_defect(geo.frames) <= 1e-13
+    assert geo.meta["group_drift"] <= 1e-13
+
+
+def test_constant_velocity_samples_give_the_one_parameter_frames(stiefel42):
+    dec = stiefel42.dec
+    x0 = np.array([0.4, 0.1, -0.3, 0.2, 0.5])
+    one = realize_curve(dec, CurveSpec.one_parameter(x0, (0.0, 1.0)), step=0.01)
+    spec = CurveSpec.velocity_samples(one.times, np.tile(x0, (len(one), 1)))
+    sampled = realize_curve(dec, spec)
+    assert sampled.meta["curve"] == "piecewise_velocity"
+    assert np.max(np.abs(sampled.frames - one.frames)) <= 1e-13
+    assert orthogonality_defect(sampled.frames) <= 1e-13
+
+
+def test_convergence_order_is_fitted_against_the_steps_taken(rigid_body):
+    # 0.2 does not divide 0.5: that run takes three steps of 1/6
+    alpha = levi_civita_alpha(rigid_body.dec, rigid_body.metric)
+    result = geodesic_convergence(alpha, None, [0.3, -0.5, 0.8], (0.0, 0.5),
+                                  [0.2, 0.1, 0.05, 0.025])
+    assert result.steps == [0.5 / 3, 0.1, 0.05, 0.025]
+    assert abs(result.slope - 4.0) <= 0.05
+
+
+@pytest.mark.parametrize("space, tol", [("stiefel42", 1e-13), ("rigid_body", 1e-10)])
+def test_levi_civita_geodesic_velocity_is_self_parallel(space, tol, request, rng):
+    bundle = request.getfixturevalue(space)
+    alpha = levi_civita_alpha(bundle.dec, bundle.metric)
+    x0 = rng.standard_normal(bundle.dec.N)
+    geo = geodesic(alpha, None, x0, (0.0, 1.0), 0.01)
+    transported = parallel_transport(alpha, geo, x0).transported
+    assert np.max(np.abs(transported - geo.velocities)) <= tol
+
+
+def test_lifted_frames_differ_from_the_samples_by_isotropy(stiefel42):
+    dec = stiefel42.dec
+    raw = np.loadtxt(DATA / "stiefel42_curve.csv", delimiter=",", comments="#")
+    samples = raw[:, 1:].reshape(-1, 4, 4)
+    hs = np.linalg.solve(samples, lifted_curve(dec).frames)     # c^-1 g
+    block = np.any(dec.h_matrices != 0, axis=(0, 1))            # the SO(2) corner
+    assert block.tolist() == [False, False, True, True]
+    outside = ~np.outer(block, block)
+    assert np.max(np.abs((hs - np.eye(4))[:, outside])) <= 1e-13
+    assert orthogonality_defect(hs[:, 2:, 2:]) <= 1e-11
+
+
+@pytest.mark.parametrize("space", ["stiefel42", "rigid_body"])
+def test_adjoint_field_is_minus_the_levi_civita_alpha(space, request, rng):
+    bundle = request.getfixturevalue(space)
+    dec, gram = bundle.dec, bundle.metric.gram
+    alpha = levi_civita_alpha(dec, bundle.metric)
+    for x in rng.standard_normal((5, dec.N)):
+        adjoint = np.linalg.solve(gram, dec.ad_m_matrix(x).T @ (gram @ x))
+        assert np.max(np.abs(adjoint + alpha(x, x))) <= 1e-13
