@@ -127,12 +127,14 @@ class StructuredLieAlgebra:
             )
         c = 0.5 * (c - np.swapaxes(c, 1, 2))
 
-        jac = (
-            np.einsum("mij,lmk->lijk", c, c)
-            + np.einsum("mjk,lmi->lijk", c, c)
-            + np.einsum("mki,lmj->lijk", c, c)
-        )
-        jac_max = float(np.max(np.abs(jac))) if n else 0.0
+        # per output index l: t[k, i, j] = sum_m c[l, m, k] c[m, i, j], the l-coordinate
+        # of [[xi_i, xi_j], xi_k]; the Jacobi sum is t plus its two cyclic shifts
+        jac_max = 0.0
+        for c_l in np.swapaxes(c, 1, 2):
+            t = np.tensordot(c_l, c, 1)
+            jac = t + t.transpose(2, 0, 1)
+            jac += t.transpose(1, 2, 0)
+            jac_max = float(np.maximum(jac_max, np.max(np.abs(jac))))
         if jac_max > tols["jacobi"]:
             raise ValueError(f"Jacobi identity violated: max residual {jac_max:.3e}")
         reports = [CheckReport.from_residual("antisymmetry", asym, tols["antisymmetry"]),
@@ -154,10 +156,9 @@ class StructuredLieAlgebra:
             rank = np.linalg.matrix_rank(basis.reshape(n, -1))
             if rank < n:
                 raise ValueError("matrix basis is linearly dependent")
-            comm = np.einsum("iab,jbc->ijac", basis, basis) - np.einsum(
-                "jab,ibc->ijac", basis, basis
-            )
-            model = np.einsum("kij,kab->ijab", c, basis)
+            prod = basis[:, None] @ basis          # prod[i, j] = xi_i xi_j
+            comm = prod - np.swapaxes(prod, 0, 1)
+            model = np.tensordot(c, basis, (0, 0))
             err = float(np.max(np.abs(comm - model)))
             if err > tols["commutator_consistency"]:
                 raise ValueError(
@@ -213,7 +214,7 @@ class StructuredLieAlgebra:
         self._require_matrices()
         mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
         ginv = np.linalg.inv(mat)
-        conj = np.einsum("ab,ibc,cd->iad", mat, self.matrix_basis, ginv)
+        conj = mat @ self.matrix_basis @ ginv
         coeffs = expand_in_matrix_basis(
             self.matrix_basis, conj, what="Ad-conjugated basis matrix"
         )

@@ -188,30 +188,23 @@ def curvature(alpha: AlphaMap,
     """
     dec = alpha.dec
     a = alpha.coeffs
-    n, q = dec.N, dec.q
+    q = dec.q
 
-    # alpha(A_i, alpha(A_j, A_k)) and the swap
-    a_aa = np.einsum("lim,mjk->lijk", a, a)
-    term1 = a_aa
-    term4 = np.einsum("ljm,mik->lijk", a, a)
-    # alpha([A_i, A_j]_m, A_k)
-    term3 = np.einsum("lmk,mij->lijk", a, dec.m_bracket_tensor)
+    # alpha(A_i, alpha(A_j, A_k)); its (i, j) swap is alpha(A_j, alpha(A_i, A_k))
+    term1 = np.tensordot(a, a, 1)
+    term4 = term1.swapaxes(1, 2)
+    # alpha([A_i, A_j]_m, A_k); the product has axes (l, k, i, j)
+    term3 = np.tensordot(a, dec.m_bracket_tensor, (1, 0)).transpose(0, 2, 3, 1)
 
-    # [[A_i, A_j]_h, A_k]: ambient bracket of the h-part with A_k
-    if q:
-        hpart = np.einsum("rij,ra->aij", dec._m_pair_bracket_h, dec.h_basis)  # ambient
-        amb = np.einsum("kab,aij,bc->kijc", dec.algebra.structure_constants,
-                        hpart, dec.m_basis.T)
-        coords = dec._cob_inv @ amb.reshape(dec.algebra.dim, -1)
-        coords = coords.reshape(dec.algebra.dim, n, n, n)
-        leak = float(np.max(np.abs(coords[:q]))) if coords[:q].size else 0.0
-        if leak > tol:
-            raise ValueError(
-                f"[[X, Y]_h, Z] leaves m by {leak:.3e}; decomposition is inconsistent"
-            )
-        term2 = coords[q:]
-    else:
-        term2 = np.zeros((n, n, n, n))
+    # [[A_i, A_j]_h, A_k] = sum_r ([A_i, A_j]_h)^r [eta_r, A_k] in full-algebra
+    # coordinates; the product has axes (s, k, i, j)
+    coords = np.tensordot(dec._h_m_bracket, dec._m_pair_bracket_h, (1, 0))
+    leak = float(np.max(np.abs(coords[:q]), initial=0.0))
+    if leak > tol:
+        raise ValueError(
+            f"[[X, Y]_h, Z] leaves m by {leak:.3e}; decomposition is inconsistent"
+        )
+    term2 = coords[q:].transpose(0, 2, 3, 1)
 
     r = term1 - term2 - term3 - term4
     return TensorAtOrigin("curvature", r, tainted=not alpha.checked)

@@ -97,10 +97,10 @@ class ReductiveDecomposition:
         self.q = h_basis.shape[0]
         self.N = m_basis.shape[0]
 
-        c = algebra.structure_constants
+        # c_m[k, a, j]: ambient coordinates of [xi_a, A_j]
+        c_m = algebra.structure_constants @ m_basis.T
         # ambient coordinates of [A_i, A_j] for the m-basis
-        self._m_pair_bracket = np.einsum("kab,ia,jb->kij", c, m_basis, m_basis)
-        coords = cob_inv @ self._m_pair_bracket.reshape(algebra.dim, -1)
+        coords = cob_inv @ (m_basis @ c_m).reshape(algebra.dim, -1)
         coords = coords.reshape(algebra.dim, self.N, self.N)
         bm = coords[self.q:]
         # enforce exact antisymmetry of the m-bracket table: i<j entries are
@@ -113,13 +113,14 @@ class ReductiveDecomposition:
         self._m_pair_bracket_h = coords[: self.q]
 
         # action of each h-basis vector on m: L[r][k, l] = m-coords of [eta_r, A_l]
-        act = np.einsum("kab,ra,lb->krl", c, h_basis, m_basis)
+        act = h_basis @ c_m
         act = (cob_inv @ act.reshape(algebra.dim, -1)).reshape(algebra.dim, self.q, self.N)
+        self._h_m_bracket = act           # (q+N, q, N): coords of [eta_r, A_l]
         self.h_action = np.ascontiguousarray(np.swapaxes(act[self.q:], 0, 1))  # (q, N, N)
 
         if algebra.matrix_basis is not None:
-            self.m_matrices = np.einsum("ia,abc->ibc", m_basis, algebra.matrix_basis)
-            self.h_matrices = np.einsum("ra,abc->rbc", h_basis, algebra.matrix_basis)
+            self.m_matrices = np.tensordot(m_basis, algebra.matrix_basis, 1)
+            self.h_matrices = np.tensordot(h_basis, algebra.matrix_basis, 1)
         else:
             self.m_matrices = None
             self.h_matrices = None
@@ -332,8 +333,8 @@ def symmetric_decomposition(algebra: StructuredLieAlgebra, sigma,
     if float(np.max(np.abs(s @ s - np.eye(n)))) > 1e-12:
         raise ValueError("sigma is not involutive (sigma^2 != identity)")
     c = algebra.structure_constants
-    lhs = np.einsum("lk,kij->lij", s, c)
-    rhs = np.einsum("kab,ai,bj->kij", c, s, s)
+    lhs = np.tensordot(s, c, 1)
+    rhs = s.T @ (c @ s)
     auto = float(np.max(np.abs(lhs - rhs)))
     if auto > 1e-10:
         raise ValueError(f"sigma is not a Lie algebra automorphism (residual {auto:.3e})")
@@ -420,16 +421,16 @@ def _alpha_coeffs(alpha, dec) -> np.ndarray:
 
 def _bilinear_equivariance_residual(coeffs, op) -> float:
     """max | R a(X, Y) - a(R X, R Y) | over basis pairs for a linear map R on m."""
-    lhs = np.einsum("kl,lij->kij", op, coeffs)
-    rhs = np.einsum("kpq,pi,qj->kij", coeffs, op, op)
-    return float(np.max(np.abs(lhs - rhs))) if coeffs.size else 0.0
+    lhs = np.tensordot(op, coeffs, 1)
+    rhs = op.T @ (coeffs @ op)            # rhs[k] = R^T a[k] R
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def _bilinear_derivation_residual(coeffs, act) -> float:
     """max | L a(X, Y) - a(L X, Y) - a(X, L Y) | for the infinitesimal action L."""
-    lhs = np.einsum("kl,lij->kij", act, coeffs)
-    rhs = np.einsum("klj,li->kij", coeffs, act) + np.einsum("kil,lj->kij", coeffs, act)
-    return float(np.max(np.abs(lhs - rhs))) if coeffs.size else 0.0
+    lhs = np.tensordot(act, coeffs, 1)
+    rhs = act.T @ coeffs + coeffs @ act
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def _isotropy_report(check: str, key: str, dec: ReductiveDecomposition, tol: float,
@@ -481,5 +482,5 @@ def check_metric_invariance(dec: ReductiveDecomposition, metric: MetricOnM,
         raise ValueError(f"metric dimension {g.shape[0]} does not match dim m = {dec.N}")
     return _isotropy_report(
         "metric_invariance", "metric_invariance", dec, tol,
-        lambda act: float(np.max(np.abs(act.T @ g + g @ act))),
-        lambda op: float(np.max(np.abs(op.T @ g @ op - g))))
+        lambda act: float(np.max(np.abs(act.T @ g + g @ act), initial=0.0)),
+        lambda op: float(np.max(np.abs(op.T @ g @ op - g), initial=0.0)))

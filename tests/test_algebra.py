@@ -211,6 +211,19 @@ class TestConstructionValidation:
         with pytest.raises(ValueError):
             rh.StructuredLieAlgebra(so3.structure_constants, dep)
 
+    def test_jacobi_residual_matches_the_three_einsum_cyclic_sum(self):
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal((6, 6, 6))
+        c = c - np.swapaxes(c, 1, 2)          # antisymmetric, but not a Lie algebra
+        alg = rh.StructuredLieAlgebra(c, tolerances={"jacobi": np.inf})
+        c = alg.structure_constants
+        jac = (np.einsum("mij,lmk->lijk", c, c)
+               + np.einsum("mjk,lmi->lijk", c, c)
+               + np.einsum("mki,lmj->lijk", c, c))
+        jacobi = next(r for r in alg.reports if r.check == "jacobi")
+        assert jacobi.max_residual > 1.0
+        assert jacobi.max_residual == pytest.approx(np.max(np.abs(jac)), rel=1e-13)
+
     def test_jacobi_passes_for_catalog(self, so3, so4):
         for alg in (so3, so4):
             c = alg.structure_constants

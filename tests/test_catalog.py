@@ -12,6 +12,8 @@ SPACES = {
     "stiefel(5,2)": lambda: rh.stiefel(5, 2),
     "grassmann_like(4,2)": lambda: rh.grassmann_like(4, 2),
     "grassmann_like(5,2)": lambda: rh.grassmann_like(5, 2),
+    "stiefel(10,2)": lambda: rh.stiefel(10, 2),
+    "grassmann_like(8,4)": lambda: rh.grassmann_like(8, 4),
     "so(4)/{e}": lambda: rh.group_as_space(rh.so_n(4)),
     "rigid-body": lambda: rh.group_as_space(rh.so3(), np.diag([1.0, 2.0, 3.0]),
                                             name="rigid-body"),
@@ -51,6 +53,10 @@ GOLDEN = {
     "grassmann_like(4,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0)
     + _alpha_rows("canonical_second", 0.0),
     "grassmann_like(5,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0)
+    + _alpha_rows("canonical_second", 0.0),
+    "stiefel(10,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 2.220446049250313e-16)
+    + _alpha_rows("levi_civita", 2.220446049250313e-16),
+    "grassmann_like(8,4)": _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0)
     + _alpha_rows("canonical_second", 0.0),
     "so(4)/{e}": _alpha_rows("canonical_first", 0.0, metric=False),
     "rigid-body": [
@@ -105,6 +111,37 @@ class TestCatalogBattery:
         assert by_name["h_subalgebra"].tolerance == 0.5
 
 
+def _so2():
+    return rh.StructuredLieAlgebra(np.zeros((1, 1, 1)), [[[0.0, -1.0], [1.0, 0.0]]],
+                                   name="so(2)", orthogonal=True)
+
+
+def _open_isotropy():
+    # sigma = identity fixes all of so(3): h = g and m = {0}
+    with pytest.warns(UserWarning, match=r"m = \{0\}"):
+        dec = rh.symmetric_decomposition(rh.so3(), np.eye(3))
+    return rh.SpaceBundle(dec.algebra, dec, rh.MetricOnM(np.zeros((0, 0))),
+                          [rh.canonical_first(dec), rh.canonical_second(dec)])
+
+
+EMPTY_SHAPES = {
+    "dim-1 algebra": lambda: rh.group_as_space(_so2(), np.eye(1)),
+    "m = {0}": _open_isotropy,
+    "h = {0}": lambda: rh.group_as_space(rh.so3(), np.diag([1.0, 2.0, 3.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_SHAPES))
+def test_empty_and_unit_shapes_go_through_curvature_and_the_battery(case):
+    bundle = EMPTY_SHAPES[case]()
+    n = bundle.dec.N
+    for alpha in bundle.suggested_alphas:
+        assert rh.curvature(alpha).coeffs.shape == (n,) * 4
+    reports = rh.diagnostic_battery(bundle)
+    assert [r.check for r in reports if r.mandatory and not r.passed] == []
+    assert "metric_invariance" in [r.check for r in reports]
+
+
 class TestConstructorReports:
     def test_antisymmetry_is_measured_before_the_repair(self, so3):
         c = np.array(so3.structure_constants)
@@ -147,4 +184,32 @@ def test_no_module_but_reporting_defines_a_tolerance_constant():
                 [node.target] if isinstance(node, ast.AnnAssign) else [])
             offenders += [f"{filename}:{t.id}" for t in targets
                           if isinstance(t, ast.Name) and t.id.endswith("_TOL")]
+    assert offenders == []
+
+
+def test_no_module_contracts_three_matrices_in_one_unoptimized_einsum():
+    """An einsum over three or more operands of rank >= 2 without ``optimize=``
+    runs as one loop over every index at once; write it as matrix products or
+    give it a contraction path.  Per-step calls on vectors (``"kij,i,j->k"``)
+    are exempt."""
+    package = os.path.dirname(rh.__file__)
+    offenders = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "einsum"):
+                continue
+            if any(k.arg == "optimize" for k in node.keywords):
+                continue
+            spec = node.args[0] if node.args else None
+            if not (isinstance(spec, ast.Constant) and isinstance(spec.value, str)):
+                offenders.append(f"{filename}:{node.lineno}")
+                continue
+            operands = spec.value.split("->")[0].split(",")
+            if sum(len(term.strip()) >= 2 for term in operands) >= 3:
+                offenders.append(f"{filename}:{node.lineno}")
     assert offenders == []

@@ -159,17 +159,26 @@ class TestCurvature:
                 assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
     def test_grassmann_matches_direct_bracket_contraction(self, grassmann42):
-        # alpha = 0 there, so R(X,Y)Z must equal -[[X,Y]_h, Z] assembled by hand
-        dec = grassmann42.dec
-        alg = grassmann42.algebra
-        r = rh.curvature(grassmann42.alpha("canonical_first"))
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            x, y, z = rng.standard_normal((3, dec.N))
-            full = alg.bracket(dec.m_embed(x), dec.m_embed(y))
-            hpart = dec.project_h(full)
-            want = dec.m_coords(alg.bracket(hpart, dec.m_embed(z)))
-            assert np.max(np.abs(r(x, y, z) + want)) <= 1e-10
+        # R(X,Y)Z = alpha(X, alpha(Y,Z)) - [[X,Y]_h, Z] - alpha([X,Y]_m, Z) - alpha(Y, alpha(X,Z)),
+        # assembled by hand from vectors with the full-algebra bracket of the h-part:
+        # on grassmann(4,2) alpha = 0, on stiefel(5,2) Levi-Civita alpha != 0, and on
+        # so(3)/{e} (h = {0}, so every bilinear map is invariant) a random alpha
+        free = rh.build_decomposition(rh.so3(), [], np.eye(3))
+        alphas = [grassmann42.alpha("canonical_first"),
+                  rh.stiefel(5, 2).alpha("levi_civita"),
+                  rh.AlphaMap(free, np.random.default_rng(11).standard_normal((3, 3, 3)))]
+        for alpha in alphas:
+            dec, alg = alpha.dec, alpha.dec.algebra
+            r = rh.curvature(alpha)
+            rng = np.random.default_rng(7)
+            for _ in range(10):
+                x, y, z = rng.standard_normal((3, dec.N))
+                hpart = dec.project_h(alg.bracket(dec.m_embed(x), dec.m_embed(y)))
+                want = (alpha(x, alpha(y, z))
+                        - dec.m_coords(alg.bracket(hpart, dec.m_embed(z)))
+                        - alpha(dec.bracket_m(x, y), z)
+                        - alpha(y, alpha(x, z)))
+                assert np.max(np.abs(r(x, y, z) - want)) <= 1e-12
 
 
 class TestNaturallyReductive:

@@ -122,6 +122,29 @@ class TestBilinearInvarianceCheck:
         assert rep.max_residual > 1e-8
         assert rep.witnesses
 
+    def test_matches_the_per_case_einsum_loop(self):
+        dec = rh.stiefel(5, 2).dec
+        coeffs = np.random.default_rng(3).standard_normal((dec.N,) * 3)
+        worst, witness = 0.0, None
+        cases = [({"kind": "infinitesimal", "h_index": r}, act, False)
+                 for r, act in enumerate(dec.h_action)]
+        cases += [(w, op, True) for w, op in dec.isotropy_samples]
+        for case, op, finite in cases:
+            lhs = np.einsum("kl,lij->kij", op, coeffs)
+            if finite:
+                rhs = np.einsum("kpq,pi,qj->kij", coeffs, op, op)
+            else:
+                rhs = (np.einsum("klj,li->kij", coeffs, op)
+                       + np.einsum("kil,lj->kij", coeffs, op))
+            res = float(np.max(np.abs(lhs - rhs)))
+            if res > worst:
+                worst, witness = res, case
+        rep = rh.check_ad_H_invariance_bilinear(dec, coeffs)
+        assert not rep.passed
+        assert rep.max_residual == pytest.approx(worst, rel=1e-13)
+        assert [{k: v for k, v in w.items() if k != "residual"}
+                for w in rep.witnesses] == [witness]
+
     def test_note_mentions_identity_component(self, s2dec):
         rep = rh.check_ad_H_invariance_bilinear(s2dec, np.zeros((2, 2, 2)))
         assert "identity-component" in rep.note
