@@ -120,7 +120,7 @@ class StructuredLieAlgebra:
         n = c.shape[0]
 
         asym = float(np.max(np.abs(c + np.swapaxes(c, 1, 2)))) if n else 0.0
-        if asym > tols["antisymmetry"]:
+        if not asym <= tols["antisymmetry"]:       # a NaN fails too
             raise ValueError(
                 f"structure constants violate antisymmetry by {asym:.3e} "
                 f"(> {tols['antisymmetry']:.1e}); refusing to repair"
@@ -135,7 +135,7 @@ class StructuredLieAlgebra:
             jac = t + t.transpose(2, 0, 1)
             jac += t.transpose(1, 2, 0)
             jac_max = float(np.maximum(jac_max, np.max(np.abs(jac))))
-        if jac_max > tols["jacobi"]:
+        if not jac_max <= tols["jacobi"]:
             raise ValueError(f"Jacobi identity violated: max residual {jac_max:.3e}")
         reports = [CheckReport.from_residual("antisymmetry", asym, tols["antisymmetry"]),
                    CheckReport.from_residual("jacobi", jac_max, tols["jacobi"])]
@@ -160,7 +160,7 @@ class StructuredLieAlgebra:
             comm = prod - np.swapaxes(prod, 0, 1)
             model = np.tensordot(c, basis, (0, 0))
             err = float(np.max(np.abs(comm - model)))
-            if err > tols["commutator_consistency"]:
+            if not err <= tols["commutator_consistency"]:
                 raise ValueError(
                     f"matrix commutators disagree with structure constants by {err:.3e}"
                 )
@@ -246,7 +246,7 @@ class GroupElement:
             raise ValueError(f"matrix is numerically singular (|det| = {abs(det):.3e})")
         if algebra.orthogonal:
             drift = float(np.max(np.abs(mat.T @ mat - np.eye(mat.shape[0]))))
-            if drift > drift_tol:
+            if not drift <= drift_tol:
                 raise ValueError(
                     f"orthogonality drift {drift:.3e} exceeds {drift_tol:.1e}"
                 )

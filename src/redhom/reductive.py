@@ -447,8 +447,10 @@ def _isotropy_report(check: str, key: str, dec: ReductiveDecomposition, tol: flo
     cases += [(witness, finite, op) for witness, op in dec.isotropy_samples]
     for witness, residual, op in cases:
         res = residual(op)
-        if res > worst:
+        if not res <= worst:        # a NaN never compares, so it is taken and kept
             worst, witnesses = res, [{**witness, "residual": res}]
+            if np.isnan(res):
+                break
     note = "identity-component verified"
     if dec.h_generators:
         note += f" plus {len(dec.h_generators)} discrete generator(s)"

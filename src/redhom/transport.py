@@ -11,14 +11,16 @@ moving frame.  The governing ODEs are then
 * parallel transport:            ``z' = -alpha(x(t), z)``
 
 The geodesic velocity equation does not involve g, so x is integrated
-alone with fixed-step RK4.  The frames of a geodesic or of a sampled
-velocity curve then solve ``g' = g mat(x(t))`` and are advanced by one
-exponential per step of the fourth-order Magnus expansion (Iserles,
-Munthe-Kaas, Norsett and Zanna, Acta Numerica 9, 2000), so they stay on
-the group up to round-off.  Lift and transport are linear ODEs, so their
-RK4 update is precomputed as one transition matrix per step.  Every
-parallel field along one curve solves the same linear ODE, so all seeds
-transported in one call share one sequence of transition matrices.
+alone with fixed-step RK4.  Every other equation is linear, and one
+propagator, ``_magnus_frames``, solves them all with one exponential per
+step of the fourth-order Magnus expansion (Iserles, Munthe-Kaas, Norsett
+and Zanna, Acta Numerica 9, 2000): the frames of a geodesic or of a
+sampled velocity curve, the lift's isotropy factor h, and the transport
+propagator.  Their generators lie in a Lie algebra, so each solution
+stays on its group up to round-off: g in G, h in H and, for a metric
+alpha, the transport propagator in O(g).  Every parallel field along one
+curve solves the same linear ODE, so all seeds transported in one call
+share one propagator sequence.
 """
 
 from __future__ import annotations
@@ -218,6 +220,7 @@ class CurveSpec:
         times = np.asarray(times, dtype=float)
         mats = np.asarray(mats, dtype=float)
         _check_times(times)
+        # no registry key: a singularity cut guarding the solves ahead, not a tolerance
         if np.any(np.abs(np.linalg.det(mats)) < 1e-12):
             raise ValueError("group samples contain a numerically singular matrix")
         return cls(kind="group_samples", times=times, values=mats,
@@ -250,9 +253,10 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
     """Lift sampled group matrices to a horizontal frame curve.
 
     Writing ``g = c h``, horizontality of g forces ``h' = -pr_h(c^-1 c') h``,
-    which is integrated with RK4 across the sample grid; the derivative
-    ``c^-1 c'`` comes from finite differences of the samples with cubic
-    Hermite interpolation at interval midpoints.  The initial condition is
+    which ``_magnus_frames`` solves across the sample grid, so h stays in H
+    up to round-off.  The derivative ``c^-1 c'`` comes from finite
+    differences of the samples; its h-coordinates are interpolated at the
+    interval midpoints by cubic Hermite.  The initial condition is
     ``h(t0) = c(t0)^-1 g0`` (identity when g0 is omitted).
     """
     if curve.kind != "group_samples":
@@ -271,13 +275,14 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
     body = np.linalg.solve(mats, cdot)                   # c^-1 c' at samples
     coords, resid = expand_in_matrix_basis(alg.matrix_basis, body, strict=False)
     worst_resid = float(np.max(resid))
+    # no registry key: rejects samples off the group; fd_error_estimate reports grid error
     if worst_resid > 2e-2:
         raise ValueError(
             f"samples do not stay on the group: c^-1 c' leaves the algebra by {worst_resid:.3e}"
         )
 
     if fd_order == 4:
-        # spread between the 2nd- and 4th-order estimates bounds the grid error
+        # spread of the lift's generator c^-1 c', not of c' as _fd_error_estimate would measure
         body2 = np.linalg.solve(mats, _fd_derivatives(times, mats))
         fd_err = float(np.max(np.abs(body - body2)))
     else:
@@ -293,25 +298,17 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
     h_coords = split[: dec.q].T                          # (m, q)
     m_coords = split[dec.q:].T                           # (m, N)
 
-    # generator of the compensating curve: A(t) = -mat(pr_h(c^-1 c'))
-    a_nodes = -np.einsum("mr,rab->mab", h_coords, dec.h_matrices) if dec.q \
-        else np.zeros((m, d, d))
-    a_dot, _ = _best_fd(times, a_nodes)
-    dt = np.diff(times)
-    a_mid = _hermite_midpoints(a_nodes, a_dot, dt)
-    trans = _rk4_linear_transitions(a_nodes[:-1], a_mid, a_nodes[1:], dt)
-
     explicit_frame = g0 if g0 is not None else curve.initial_frame
     if explicit_frame is None:
         h0 = np.eye(d)  # default: the lift starts at the first group sample
     else:
         h0 = np.linalg.solve(mats[0], _frame_matrix(explicit_frame, dec))
-    hs = np.empty((m, d, d))
-    hs[0] = h0
-    cur = h0
-    for i in range(m - 1):
-        cur = trans[i] @ cur
-        hs[i + 1] = cur
+    # h' = A h with A = -mat(pr_h(c^-1 c')), solved transposed
+    h_dot, _ = _best_fd(times, h_coords)
+    dt = np.diff(times)
+    h_mid = _hermite_midpoints(h_coords, h_dot, dt)
+    hs = _magnus_frames(h0.T, np.swapaxes(dec.h_matrices, 1, 2), -h_coords, -h_mid,
+                        dt).swapaxes(1, 2)
 
     frames = np.einsum("mab,mbc->mac", mats, hs)
 
@@ -324,7 +321,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
     xs = xsplit[dec.q:].T
 
     meta = {
-        "integrator": "rk4-lift",
+        "integrator": "magnus4-lift",
         "step": float(np.max(dt)),
         "samples": m,
         "warnings": warnings_list,
@@ -336,22 +333,6 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
     traj = Trajectory(dec, np.array(times), frames, np.ascontiguousarray(xs), meta=meta)
     meta.update(traj.diagnostics())
     return traj
-
-
-def _rk4_linear_transitions(a0, amid, a1, dt):
-    """Per-step RK4 transition matrices for the linear ODE y' = A(t) y."""
-    shape = (-1,) + (1,) * (a0.ndim - 1)
-    d = dt.reshape(shape)
-    k1 = a0
-    k2 = amid + 0.5 * d * _bmm(amid, k1)
-    k3 = amid + 0.5 * d * _bmm(amid, k2)
-    k4 = a1 + d * _bmm(a1, k3)
-    eye = np.eye(a0.shape[-1])
-    return eye + d / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _bmm(a, b):
-    return np.einsum("mij,mjk->mik", a, b)
 
 
 # -- geodesics ---------------------------------------------------------------------
@@ -435,6 +416,10 @@ def _magnus_frames(g0, basis, xs, x_mid, dt):
     Omega_i lies in the algebra, so the frames stay on the group up to
     round-off.  The exponentials are built a block of steps at a time, which
     keeps the temporaries small.
+
+    A left-acting ODE ``Y' = B(t) Y`` is the same problem transposed,
+    ``(Y^T)' = Y^T B(t)^T``: pass ``Y(t0)^T`` and the transposed basis, and
+    transpose the frames back.  Lift and transport are solved this way.
     """
     frames = np.empty((len(xs),) + g0.shape)
     frames[0] = g = g0
@@ -460,9 +445,10 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     ``z0`` is one seed of shape (N,) or a seed matrix of shape (S, N).
     Integration reuses the base grid, with cubic Hermite interpolation of
     the velocity coordinates at interval midpoints (from finite-difference
-    derivatives, which preserves the integrator's order).  The RK4
-    transition matrices depend on the base curve alone, so they are built
-    once and every seed is advanced through the same sequence.  Returns a
+    derivatives, which preserves the integrator's order).  The propagators
+    ``P(t_i)`` with ``z(t_i) = P(t_i) z0`` depend on the base curve alone, so
+    ``_magnus_frames`` builds them once and each seed is one product with
+    them; for a metric alpha they lie in O(g) up to round-off.  Returns a
     copy of the base trajectory with the transported coordinates attached,
     of shape (M, N) for one seed and (M, S, N) for a seed matrix.
     """
@@ -487,20 +473,11 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     dxs, _ = _best_fd(times, xs)
     dt = np.diff(times)
     x_mid = _hermite_midpoints(xs, dxs, dt)
-    a_nodes = -np.einsum("kij,si->skj", alpha.coeffs, xs)
-    a_mid = -np.einsum("kij,si->skj", alpha.coeffs, x_mid)
-    trans = _rk4_linear_transitions(a_nodes[:-1], a_mid, a_nodes[1:], dt)
-
-    # one matrix-vector product per seed and step: a product over the whole
-    # seed matrix would round differently, and each seed's z must not depend
-    # on which other seeds share its call
-    batch = seeds.reshape(-1, dec.N)
-    zs = np.empty((len(base),) + batch.shape)
-    for s, z in enumerate(batch):
-        zs[0, s] = z
-        for i in range(len(base) - 1):
-            z = trans[i] @ z
-            zs[i + 1, s] = z
+    # z' = A z with A_kj = -sum_i x_i alpha_kij, solved transposed
+    prop_t = _magnus_frames(np.eye(dec.N), np.transpose(alpha.coeffs, (1, 2, 0)), -xs, -x_mid, dt)
+    # one product per seed: a product over the whole seed matrix would round
+    # differently, and each seed's z must not depend on which seeds share its call
+    zs = np.stack([z @ prop_t for z in seeds.reshape(-1, dec.N)], axis=1)
 
     meta = dict(base.meta)
     meta.update({
@@ -559,6 +536,7 @@ def geodesic_convergence(alpha: AlphaMap, g0, x0, t_span, steps,
     dec = alpha.dec
     steps = [_time_grid(t_span, float(s))[1] for s in steps]
     sym = 0.5 * (alpha.coeffs + np.swapaxes(alpha.coeffs, 1, 2))
+    # no registry key: picks the reference and judges no result (a zero test to round-off)
     diagonal_free = float(np.max(np.abs(sym))) <= 1e-15 if sym.size else True
     if reference == "exp" or (reference == "auto" and diagonal_free):
         span = float(t_span[1]) - float(t_span[0])

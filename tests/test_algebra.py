@@ -199,6 +199,12 @@ class TestConstructionValidation:
         with pytest.raises(ValueError, match="Jacobi"):
             rh.StructuredLieAlgebra(c)
 
+    def test_nan_structure_constant_rejected(self, so3):
+        c = np.array(so3.structure_constants)
+        c[0, 1, 2] = c[0, 2, 1] = np.nan
+        with pytest.raises(ValueError, match="antisymmetry by nan"):
+            rh.StructuredLieAlgebra(c)
+
     def test_matrix_commutator_consistency_enforced(self, so3):
         wrong = np.array([so3.matrix_basis[0], so3.matrix_basis[1],
                           2.0 * so3.matrix_basis[2]])
@@ -239,8 +245,9 @@ class TestGroupElement:
             rh.GroupElement(np.zeros((3, 3)), so3)
 
     def test_orthogonality_drift_guard(self, so3):
-        with pytest.raises(ValueError, match="drift"):
-            rh.GroupElement(np.diag([1.0 + 1e-5, 1.0, 1.0]), so3)
+        for diagonal in ([1.0 + 1e-5, 1.0, 1.0], [np.nan, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="drift"), np.errstate(invalid="ignore"):
+                rh.GroupElement(np.diag(diagonal), so3)
 
     def test_inverse_and_product(self, so3, rng):
         g = so3.group_exp(rng.standard_normal(3), 0.9)

@@ -42,6 +42,14 @@ class TestAlphaMap:
         tainted = rh.AlphaMap(sphere2.dec, coeffs, unchecked=True)
         assert not tainted.checked
 
+    def test_nan_coefficients_fail_the_invariance_gate(self, sphere2):
+        coeffs = np.full((2, 2, 2), np.nan)
+        with pytest.raises(ValueError, match="invariant"):
+            rh.AlphaMap(sphere2.dec, coeffs)
+        report = rh.AlphaMap(sphere2.dec, coeffs, unchecked=True).invariance
+        assert np.isnan(report.max_residual) and not report.passed
+        assert [w["kind"] for w in report.witnesses] == ["infinitesimal"]
+
     def test_shape_validated(self, sphere2):
         with pytest.raises(ValueError, match="shape"):
             rh.AlphaMap(sphere2.dec, np.zeros((3, 3, 3)))
