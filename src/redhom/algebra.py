@@ -23,6 +23,7 @@ __all__ = [
     "expand_in_matrix_basis",
 ]
 
+# no registry key: a singularity cut for group elements (inverted later), not a tolerance
 DET_FLOOR = 1e-12
 
 # Scaling-and-squaring parameters: scale until the 1-norm is at most 0.5,
@@ -109,10 +110,13 @@ class StructuredLieAlgebra:
     that matrix commutators match the structure constants and that the
     basis matrices are linearly independent, at ``resolve_tolerances(tolerances)``.
     ``reports`` keeps the residuals (antisymmetry measured before the repair).
+    ``orthogonal`` holds when every basis matrix is exactly skew, so the
+    group lies in O(d): group elements and frames are then gated on their
+    orthogonality drift.
     """
 
     def __init__(self, structure_constants, matrix_basis=None, name: str = "",
-                 orthogonal: bool = False, tolerances=None):
+                 tolerances=None):
         tols = resolve_tolerances(tolerances)
         c = np.array(structure_constants, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
@@ -143,7 +147,7 @@ class StructuredLieAlgebra:
         self.dim = n
         self.structure_constants = c
         self.name = name or f"lie-algebra(dim={n})"
-        self.orthogonal = orthogonal
+        self.orthogonal = False
         self.matrix_basis = None
         self.matrix_dim = None
 
@@ -168,6 +172,7 @@ class StructuredLieAlgebra:
                 "commutator_consistency", err, tols["commutator_consistency"]))
             self.matrix_basis = basis
             self.matrix_dim = basis.shape[1]
+            self.orthogonal = np.array_equal(basis, -basis.swapaxes(1, 2))
         self.reports = tuple(reports)
 
         for arr in (self.structure_constants, self.matrix_basis):

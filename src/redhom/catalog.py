@@ -101,7 +101,7 @@ def so_n(n: int) -> StructuredLieAlgebra:
                 if q and p[0] != p[1]:
                     k, sign = coeff(*p)
                     c[k, i, j] += s * sign
-    return StructuredLieAlgebra(c, basis, name=f"so({n})", orthogonal=True)
+    return StructuredLieAlgebra(c, basis, name=f"so({n})")
 
 
 def so3() -> StructuredLieAlgebra:
@@ -113,8 +113,7 @@ def so3() -> StructuredLieAlgebra:
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         c[k, i, j] = 1.0
         c[k, j, i] = -1.0
-    return StructuredLieAlgebra(c, np.array([l1, l2, l3]), name="so(3)",
-                                orthogonal=True)
+    return StructuredLieAlgebra(c, np.array([l1, l2, l3]), name="so(3)")
 
 
 def sphere2() -> SpaceBundle:

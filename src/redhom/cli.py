@@ -3,11 +3,15 @@
 Exit codes: 0 all mandatory checks pass and the computation finished;
 1 check failures (a failed decomposition gate too), aborted dynamics, or a
 geodesic drifting past ``group_drift`` (its artifacts are still written);
-2 parse/schema errors, a bad ``--tol`` name or value, and an algebra or a
-requested alpha failing its gate at the ``--tol`` values (``--force``
-builds such an alpha anyway, tainted).  Output files are written
-atomically and deterministically: CSV cells with 17 significant digits,
-JSON numbers as the shortest repr that reads back exactly.
+2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
+non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
+``--z0`` or a ``one_parameter:`` curve, and an algebra or a requested
+alpha failing its gate at the ``--tol`` values (``--force`` builds such an
+alpha anyway, tainted).  The ``group_drift`` gate covers every algebra
+whose matrix basis is skew, from the catalog or a definition file, since
+its group lies in O(d).  Output files are written atomically and
+deterministically: CSV cells with 17 significant digits, JSON numbers as
+the shortest repr that reads back exactly.
 
 Geodesic frames stay on the group up to round-off, so ``convergence``
 reports ``exact`` for an alpha whose symmetric part vanishes: its geodesics
@@ -75,8 +79,23 @@ def _attach_vector_values(argv):
     return out
 
 
-def _floats_arg(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.replace(",", " ").split()])
+def _finite_floats(text: str) -> np.ndarray:
+    """Parse finite numbers separated by commas or spaces; argparse reports a failure as exit 2."""
+    try:
+        values = np.array([float(v) for v in text.replace(",", " ").split()])
+        if values.size and np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected finite numbers, comma separated, got {text!r}")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        (value,) = _finite_floats(text)
+    except (argparse.ArgumentTypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"expected one finite number, got {text!r}") from None
+    return float(value)
 
 
 def _build(args):
@@ -130,8 +149,7 @@ def cmd_geodesic(args) -> int:
     if prep is None:
         return 1
     bundle, alpha, tols, tainted = prep
-    x0 = _floats_arg(args.x0)
-    traj = geodesic(alpha, None, x0, (args.t0, args.t1), args.step)
+    traj = geodesic(alpha, args.x0, (args.t0, args.t1), args.step)
     traj.meta["tainted"] = traj.meta.get("tainted", False) or tainted
     serialize.atomic_write_text(
         args.out + ".csv", serialize.trajectory_csv(traj, bundle.name, alpha.label))
@@ -157,7 +175,10 @@ def cmd_geodesic(args) -> int:
 def _parse_curve(args, dec) -> CurveSpec:
     spec = args.curve
     if spec.startswith("one_parameter:"):
-        x0 = _floats_arg(spec.split(":", 1)[1])
+        try:
+            x0 = _finite_floats(spec.split(":", 1)[1])
+        except argparse.ArgumentTypeError as exc:
+            raise DefFileError(f"--curve one_parameter: {exc}") from None
         return CurveSpec.one_parameter(x0, (args.t0, args.t1))
     if spec.startswith("velocity_file:"):
         times, rows = _read_samples(spec.split(":", 1)[1])
@@ -191,7 +212,7 @@ def cmd_transport(args) -> int:
     dec = bundle.dec
     curve = _parse_curve(args, dec)
     base = realize_curve(dec, curve, step=args.step)
-    seeds = [_floats_arg(z) for z in args.z0]
+    seeds = args.z0
     if any(z.shape != (dec.N,) for z in seeds):
         raise ValueError(f"each --z0 must hold {dec.N} coordinates")
     batch = parallel_transport(alpha, base, np.array(seeds))
@@ -257,9 +278,7 @@ def cmd_convergence(args) -> int:
     if prep is None:
         return 1
     bundle, alpha, _tols, tainted = prep
-    steps = [float(s) for s in args.steps.replace(",", " ").split()]
-    x0 = _floats_arg(args.x0)
-    result = geodesic_convergence(alpha, None, x0, (args.t0, args.t1), steps)
+    result = geodesic_convergence(alpha, args.x0, (args.t0, args.t1), args.steps.tolist())
     if result.exact:
         print("convergence: exact (errors at machine precision)")
     else:
@@ -303,21 +322,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("geodesic", help="integrate a geodesic")
     _common(p)
-    p.add_argument("--x0", required=True, help="initial velocity coordinates, comma separated")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--x0", type=_finite_floats, required=True,
+                   help="initial velocity coordinates, comma separated")
+    p.add_argument("--t0", type=_finite_float, default=0.0)
+    p.add_argument("--t1", type=_finite_float, required=True)
+    p.add_argument("--step", type=_finite_float, required=True)
     p.set_defaults(func=cmd_geodesic)
 
     p = subs.add_parser("transport", help="parallel-transport seeds along a curve")
     _common(p)
     p.add_argument("--curve", required=True,
                    help="one_parameter:<coords> | velocity_file:<csv> | group_file:<csv>")
-    p.add_argument("--z0", action="append", required=True,
+    p.add_argument("--z0", type=_finite_floats, action="append", required=True,
                    help="seed coordinates, comma separated (repeatable)")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
+    p.add_argument("--t1", type=_finite_float, default=1.0)
+    p.add_argument("--step", type=_finite_float, default=1e-3)
     p.set_defaults(func=cmd_transport)
 
     p = subs.add_parser("tensors", help="emit torsion/curvature/sectional tables")
@@ -326,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("convergence", help="estimate the integrator order")
     _common(p)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--steps", default="0.2,0.1,0.05,0.025")
+    p.add_argument("--x0", type=_finite_floats, required=True)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
+    p.add_argument("--t1", type=_finite_float, default=1.0)
+    p.add_argument("--steps", type=_finite_floats, default="0.2,0.1,0.05,0.025")
     p.set_defaults(func=cmd_convergence)
 
     return parser

@@ -259,6 +259,7 @@ def sectional_curvature(alpha: AlphaMap, metric: MetricOnM, x, y,
     y = np.asarray(y, dtype=float)
     g = metric.gram
     denom = (x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2
+    # no registry key: a singularity cut on the division below, not a tolerance
     if abs(denom) < 1e-12:
         raise ValueError(f"degenerate plane: gram area {denom:.3e} below 1e-12")
     r = riem if riem is not None else curvature(alpha)

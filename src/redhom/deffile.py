@@ -172,6 +172,22 @@ def _matrices(text: str, lineno: int) -> list[np.ndarray]:
     return mats
 
 
+def _matrix(text: str, lineno: int, size: int, key: str) -> np.ndarray:
+    """The one ``size`` x ``size`` matrix of a key's value."""
+    mats = _matrices(text, lineno)
+    if len(mats) != 1 or mats[0].shape != (size, size):
+        shapes = " ".join(f"{r}x{c}" for r, c in (m.shape for m in mats))
+        raise DefFileError(f"{key} must be one {size}x{size} matrix, got {shapes}", lineno)
+    return mats[0]
+
+
+def _coordinate_vectors(text: str, lineno: int, dim: int, key: str) -> list[list[float]]:
+    vecs = _vectors(text, lineno)
+    if any(len(v) != dim for v in vecs):
+        raise DefFileError(f"each {key} vector needs dim = {dim} coordinates", lineno)
+    return vecs
+
+
 def _quadruples(text: str, lineno: int):
     out = []
     for g in _consume_groups(text, "(", ")", lineno):
@@ -196,13 +212,16 @@ def _named_space(name: str, lineno: int) -> SpaceBundle:
         raise DefFileError(
             f"unknown named space {name!r} "
             "(expected sphere2, so(n), stiefel(n,k) or grassmann(n,k))", lineno)
-    if m.group(1) == "sphere2":
-        return sphere2()
-    if m.group(2):
-        return group_as_space(so_n(int(m.group(2))), name=f"so({m.group(2)})/{{e}}")
-    if m.group(3):
-        return stiefel(int(m.group(3)), int(m.group(4)))
-    return grassmann_like(int(m.group(5)), int(m.group(6)))
+    try:
+        if m.group(1) == "sphere2":
+            return sphere2()
+        if m.group(2):
+            return group_as_space(so_n(int(m.group(2))), name=f"so({m.group(2)})/{{e}}")
+        if m.group(3):
+            return stiefel(int(m.group(3)), int(m.group(4)))
+        return grassmann_like(int(m.group(5)), int(m.group(6)))
+    except ValueError as exc:
+        raise DefFileError(f"invalid named space {name!r}: {exc}", lineno) from exc
 
 
 def _constants_from_quadruples(dim: int, quads, lineno: int) -> np.ndarray:
@@ -247,6 +266,9 @@ def _build_algebra(defn: SpaceDefinition, tols: dict) -> StructuredLieAlgebra:
             raise DefFileError(
                 f"matrix_basis has {len(mats)} matrices but dim = {dim}",
                 line("matrix_basis"))
+        if len({m.shape for m in mats}) != 1 or mats[0].shape[0] != mats[0].shape[1]:
+            raise DefFileError("matrix_basis matrices must be square and of one size",
+                               line("matrix_basis"))
         basis = np.array(mats)
 
     if "structure_constants" in block:
@@ -257,9 +279,12 @@ def _build_algebra(defn: SpaceDefinition, tols: dict) -> StructuredLieAlgebra:
             [basis[i] @ basis[j] - basis[j] @ basis[i] for j in range(dim)]
             for i in range(dim)
         ])
-        coeffs = expand_in_matrix_basis(basis, comms.reshape(dim * dim, *basis.shape[1:]),
-                                        residual_tol=tols["basis_residual"],
-                                        what="commutator")
+        try:
+            coeffs = expand_in_matrix_basis(basis, comms.reshape(dim * dim, *basis.shape[1:]),
+                                            residual_tol=tols["basis_residual"],
+                                            what="commutator")
+        except ValueError as exc:
+            raise DefFileError(f"invalid algebra: {exc}", line("matrix_basis")) from exc
         c = coeffs.reshape(dim, dim, dim).transpose(2, 0, 1)
     else:
         raise DefFileError("[algebra] needs structure_constants or matrix_basis",
@@ -273,6 +298,8 @@ def _build_algebra(defn: SpaceDefinition, tols: dict) -> StructuredLieAlgebra:
 def _build_decomposition(defn: SpaceDefinition, algebra: StructuredLieAlgebra, tols: dict):
     block = defn.decomposition
     line = lambda key: defn.lines.get(("decomposition", key), 0)
+    n = algebra.dim
+    vectors = lambda key: _coordinate_vectors(block[key], line(key), n, key)
     metric = None
     if not block:
         dec = build_decomposition(algebra, [], np.eye(algebra.dim), tolerances=tols)
@@ -283,23 +310,29 @@ def _build_decomposition(defn: SpaceDefinition, algebra: StructuredLieAlgebra, t
     if "sigma" in block:
         if "m_basis" in block or "biinvariant_gram" in block:
             raise DefFileError("sigma excludes m_basis/biinvariant_gram", line("sigma"))
-        sigma = _matrices(block["sigma"], line("sigma"))[0]
+        sigma = _matrix(block["sigma"], line("sigma"), n, "sigma")
         dec = symmetric_decomposition(algebra, sigma, tolerances=tols)
     elif "biinvariant_gram" in block:
         if "m_basis" in block:
             raise DefFileError("biinvariant_gram excludes m_basis", line("biinvariant_gram"))
         if "h_basis" not in block:
             raise DefFileError("biinvariant_gram needs h_basis", line("biinvariant_gram"))
-        gram = _matrices(block["biinvariant_gram"], line("biinvariant_gram"))[0]
-        h = _vectors(block["h_basis"], line("h_basis"))
-        dec, metric = normal_decomposition(algebra, gram, h, tolerances=tols)
+        gram = _matrix(block["biinvariant_gram"], line("biinvariant_gram"), n,
+                       "biinvariant_gram")
+        dec, metric = normal_decomposition(algebra, gram, vectors("h_basis"), tolerances=tols)
     elif "m_basis" in block:
-        h = _vectors(block["h_basis"], line("h_basis")) if "h_basis" in block else []
-        m = _vectors(block["m_basis"], line("m_basis"))
+        h = vectors("h_basis") if "h_basis" in block else []
         gens = None
         if "h_generators" in block:
+            if algebra.matrix_basis is None:
+                raise DefFileError("h_generators need a matrix_basis", line("h_generators"))
+            d = algebra.matrix_dim
             gens = _matrices(block["h_generators"], line("h_generators"))
-        dec = build_decomposition(algebra, h, m, h_generators=gens, tolerances=tols)
+            if any(g.shape != (d, d) for g in gens):
+                raise DefFileError(f"h_generators must be {d}x{d} matrices",
+                                   line("h_generators"))
+        dec = build_decomposition(algebra, h, vectors("m_basis"), h_generators=gens,
+                                  tolerances=tols)
     else:
         raise DefFileError("[decomposition] needs m_basis, sigma or biinvariant_gram",
                            min(defn.lines.get(("decomposition", k), 1) for k in block))
@@ -349,10 +382,7 @@ def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
 
     if defn.metric:
         lineno = defn.lines.get(("metric", "gram"), 0)
-        gram = _matrices(defn.metric["gram"], lineno)[0]
-        if gram.shape != (dec.N, dec.N):
-            raise DefFileError(
-                f"gram is {gram.shape[0]}x{gram.shape[1]} but dim m = {dec.N}", lineno)
+        gram = _matrix(defn.metric["gram"], lineno, dec.N, "gram on m")
         try:
             metric = MetricOnM(gram)
         except ValueError as exc:

@@ -47,11 +47,13 @@ class MetricOnM:
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"gram matrix must be square, got shape {g.shape}")
         asym = float(np.max(np.abs(g - g.T))) if g.size else 0.0
+        # no registry key: validates an input matrix, which is then symmetrized exactly
         if asym > 1e-12:
             raise ValueError(f"gram matrix is asymmetric by {asym:.3e}")
         g = 0.5 * (g + g.T)
         if g.size:
             svals = np.linalg.svd(g, compute_uv=False)
+            # no registry key: a numerical-rank cut (inverse condition number), not a tolerance
             if svals[-1] < 1e-10 * svals[0]:
                 raise ValueError(
                     f"gram matrix is numerically degenerate "
@@ -236,6 +238,7 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
     cob = np.vstack([h, m]).T if n else np.zeros((0, 0))
     if N + q:
         svals = np.linalg.svd(cob, compute_uv=False)
+        # no registry key: a numerical-rank cut guarding the inverse below, not a tolerance
         if svals.size and svals[-1] < 1e-12 * max(svals[0], 1.0):
             raise DecompositionError("h-basis and m-basis do not form a direct sum")
     cob_inv = np.linalg.inv(cob) if n else cob.copy()
@@ -283,9 +286,12 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
             raise DecompositionError("h_generators require a matrix-realized algebra")
         worst = 0.0
         for k, gen in enumerate(h_generators):
-            g = gen if isinstance(gen, GroupElement) else GroupElement(
-                gen, algebra, drift_tol=tols["group_drift"])
-            ad = algebra.adjoint_Ad(g)
+            try:
+                g = gen if isinstance(gen, GroupElement) else GroupElement(
+                    gen, algebra, drift_tol=tols["group_drift"])
+                ad = algebra.adjoint_Ad(g)
+            except ValueError as exc:        # singular, off O(d), or not normalizing g
+                raise DecompositionError(f"generator #{k}: {exc}") from exc
             s = cob_inv @ ad @ cob
             leak = float(np.max(np.abs(s[: q, q:]))) if q and N else 0.0
             if leak > tols["generator_stability"]:
@@ -330,17 +336,21 @@ def symmetric_decomposition(algebra: StructuredLieAlgebra, sigma,
     s = np.asarray(sigma, dtype=float)
     if s.shape != (n, n):
         raise ValueError(f"sigma must be a {n}x{n} coefficient matrix, got {s.shape}")
+    # no registry key for this and the next gate: they validate the input sigma, and
+    # [m, m] in h, which is what the split must deliver, is gated at "subalgebra" below
     if float(np.max(np.abs(s @ s - np.eye(n)))) > 1e-12:
-        raise ValueError("sigma is not involutive (sigma^2 != identity)")
+        raise DecompositionError("sigma is not involutive (sigma^2 != identity)")
     c = algebra.structure_constants
     lhs = np.tensordot(s, c, 1)
     rhs = s.T @ (c @ s)
     auto = float(np.max(np.abs(lhs - rhs)))
     if auto > 1e-10:
-        raise ValueError(f"sigma is not a Lie algebra automorphism (residual {auto:.3e})")
+        raise DecompositionError(
+            f"sigma is not a Lie algebra automorphism (residual {auto:.3e})")
 
     def eigenbasis(projector):
         u, sv, _ = np.linalg.svd(projector)
+        # no registry key: a numerical-rank cut on a projector whose singular values are 0 or 1
         rank = int(np.sum(sv > 1e-10))
         return u[:, :rank].T
 
@@ -375,17 +385,19 @@ def normal_decomposition(algebra: StructuredLieAlgebra, biinvariant_gram, h_basi
     g = np.asarray(biinvariant_gram, dtype=float)
     if g.shape != (n, n):
         raise ValueError(f"gram must be {n}x{n}, got {g.shape}")
+    # no registry key for the symmetry and ad-invariance gates: they validate the input
+    # gram; the degeneracy gates below and the null-space cut are numerical-rank cuts
     if float(np.max(np.abs(g - g.T))) > 1e-12:
-        raise ValueError("bi-invariant gram must be symmetric")
+        raise DecompositionError("bi-invariant gram must be symmetric")
     svals = np.linalg.svd(g, compute_uv=False)
     if svals[-1] < 1e-10 * svals[0]:
-        raise ValueError("bi-invariant gram is numerically degenerate")
+        raise DecompositionError("bi-invariant gram is numerically degenerate")
     c = algebra.structure_constants
     t1 = np.einsum("kab,kc->abc", c, g)      # <[xi_a, xi_b], xi_c>
     t2 = np.einsum("bk,kac->abc", g, c)      # <xi_b, [xi_a, xi_c]>
     adres = float(np.max(np.abs(t1 + t2)))
     if adres > 1e-10:
-        raise ValueError(f"gram is not ad-invariant (residual {adres:.3e})")
+        raise DecompositionError(f"gram is not ad-invariant (residual {adres:.3e})")
 
     h = np.array(h_basis, dtype=float).reshape(-1, n) if len(h_basis) else np.zeros((0, n))
     q = h.shape[0]

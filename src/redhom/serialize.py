@@ -232,13 +232,8 @@ def tensor_csv(tensor) -> str:
     coeffs = tensor.coeffs
     if coeffs.ndim != 3:
         raise ValueError("CSV output is defined for rank-3 tensors only")
-    lines = ["k,i,j,value"]
-    n = coeffs.shape[0]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                lines.append(f"{k + 1},{i + 1},{j + 1},{fmt(coeffs[k, i, j])}")
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack([np.indices(coeffs.shape).reshape(3, -1).T + 1, coeffs.ravel()])
+    return "\n".join(["k,i,j,value", *_csv_rows(rows)]) + "\n"
 
 
 def sectional_csv(entries) -> str:

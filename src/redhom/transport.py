@@ -21,6 +21,13 @@ stays on its group up to round-off: g in G, h in H and, for a metric
 alpha, the transport propagator in O(g).  Every parallel field along one
 curve solves the same linear ODE, so all seeds transported in one call
 share one propagator sequence.
+
+Every trajectory starts at the identity frame, and a lift at its first
+sample; no initial frame is taken, since it would add nothing.  The
+covariant derivatives are invariant under left translation, so the
+geodesic or parallel field from a frame g0 is g0 times the one from the
+identity, with the same x and z.  A lift through c(t0) h1 is the lift
+through c(t0) times h1, since Ad(H) keeps m.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import GroupElement, expand_in_matrix_basis, expm
+from .algebra import expand_in_matrix_basis, expm
 from .connection import AlphaMap
 from .reductive import ReductiveDecomposition
 
@@ -47,6 +54,7 @@ __all__ = [
 ]
 
 BLOWUP_NORM = 1e6
+FINE_FACTOR = 100                   # reference step of geodesic_convergence: min(steps) / this
 FD_COARSE_WARNING = 1e-4
 MAGNUS_BLOCK = 256
 
@@ -58,6 +66,8 @@ def _uniform_spacing(times: np.ndarray):
     d = np.diff(times)
     if d.size == 0:
         return False, 0.0
+    # no registry key: tells a uniform grid from rounding in the sample times; it picks
+    # the finite-difference stencil and judges no result
     uniform = bool(np.max(np.abs(d - d[0])) <= 1e-9 * max(abs(float(d[0])), 1e-300))
     return uniform, float(d[0])
 
@@ -196,27 +206,24 @@ class CurveSpec:
     x0: np.ndarray | None = None
     times: np.ndarray | None = None
     values: np.ndarray | None = None
-    initial_frame: np.ndarray | None = None
 
     @classmethod
-    def one_parameter(cls, x0, t_span, initial_frame=None):
+    def one_parameter(cls, x0, t_span):
         t0, t1 = float(t_span[0]), float(t_span[1])
         if not t1 > t0:
             raise ValueError("t_span must be a nonempty interval")
-        return cls(kind="one_parameter", x0=np.asarray(x0, dtype=float),
-                   t_span=(t0, t1), initial_frame=initial_frame)
+        return cls(kind="one_parameter", x0=np.asarray(x0, dtype=float), t_span=(t0, t1))
 
     @classmethod
-    def velocity_samples(cls, times, xs, initial_frame=None):
+    def velocity_samples(cls, times, xs):
         times = np.asarray(times, dtype=float)
         xs = np.asarray(xs, dtype=float)
         _check_times(times)
         return cls(kind="piecewise_velocity", times=times, values=xs,
-                   t_span=(float(times[0]), float(times[-1])),
-                   initial_frame=initial_frame)
+                   t_span=(float(times[0]), float(times[-1])))
 
     @classmethod
-    def group_samples(cls, times, mats, initial_frame=None):
+    def group_samples(cls, times, mats):
         times = np.asarray(times, dtype=float)
         mats = np.asarray(mats, dtype=float)
         _check_times(times)
@@ -224,8 +231,7 @@ class CurveSpec:
         if np.any(np.abs(np.linalg.det(mats)) < 1e-12):
             raise ValueError("group samples contain a numerically singular matrix")
         return cls(kind="group_samples", times=times, values=mats,
-                   t_span=(float(times[0]), float(times[-1])),
-                   initial_frame=initial_frame)
+                   t_span=(float(times[0]), float(times[-1])))
 
 
 def _check_times(times):
@@ -235,29 +241,18 @@ def _check_times(times):
         raise ValueError("sample times must be strictly increasing")
 
 
-def _frame_matrix(g0, dec, default_identity=True):
-    if g0 is None:
-        if not default_identity:
-            raise ValueError("an initial frame is required")
-        return np.eye(dec.algebra.matrix_dim)
-    if isinstance(g0, GroupElement):
-        return np.array(g0.matrix, dtype=float)
-    return np.array(g0, dtype=float)
-
-
 # -- horizontal lift ---------------------------------------------------------------
 
 
-def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
-                    g0=None) -> Trajectory:
+def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory:
     """Lift sampled group matrices to a horizontal frame curve.
 
     Writing ``g = c h``, horizontality of g forces ``h' = -pr_h(c^-1 c') h``,
     which ``_magnus_frames`` solves across the sample grid, so h stays in H
     up to round-off.  The derivative ``c^-1 c'`` comes from finite
     differences of the samples; its h-coordinates are interpolated at the
-    interval midpoints by cubic Hermite.  The initial condition is
-    ``h(t0) = c(t0)^-1 g0`` (identity when g0 is omitted).
+    interval midpoints by cubic Hermite.  The lift starts at the first
+    sample, h(t0) = I; the lift through c(t0) h1 is this one times h1.
     """
     if curve.kind != "group_samples":
         raise ValueError("horizontal_lift expects a group_samples curve")
@@ -298,16 +293,11 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
     h_coords = split[: dec.q].T                          # (m, q)
     m_coords = split[dec.q:].T                           # (m, N)
 
-    explicit_frame = g0 if g0 is not None else curve.initial_frame
-    if explicit_frame is None:
-        h0 = np.eye(d)  # default: the lift starts at the first group sample
-    else:
-        h0 = np.linalg.solve(mats[0], _frame_matrix(explicit_frame, dec))
     # h' = A h with A = -mat(pr_h(c^-1 c')), solved transposed
     h_dot, _ = _best_fd(times, h_coords)
     dt = np.diff(times)
     h_mid = _hermite_midpoints(h_coords, h_dot, dt)
-    hs = _magnus_frames(h0.T, np.swapaxes(dec.h_matrices, 1, 2), -h_coords, -h_mid,
+    hs = _magnus_frames(np.eye(d), np.swapaxes(dec.h_matrices, 1, 2), -h_coords, -h_mid,
                         dt).swapaxes(1, 2)
 
     frames = np.einsum("mab,mbc->mac", mats, hs)
@@ -338,9 +328,11 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
 # -- geodesics ---------------------------------------------------------------------
 
 
-def geodesic(alpha: AlphaMap, g0, x0, t_span, step: float,
-             blowup_norm: float = BLOWUP_NORM) -> Trajectory:
+def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     """Integrate the geodesic x' = -alpha(x, x) and its frame g' = g mat(x).
+
+    The frame starts at the identity; by left invariance the geodesic from
+    a frame g0 is g0 times this one, with the same x.
 
     The velocity equation does not involve g, so x is integrated alone by
     fixed-step RK4; the step is shrunk slightly if the interval is not an
@@ -348,7 +340,7 @@ def geodesic(alpha: AlphaMap, g0, x0, t_span, step: float,
     ``_magnus_frames``, with x at the interval midpoints interpolated by
     cubic Hermite from the exact derivatives at the nodes, and stay on the
     group up to round-off.  A blow-up guard aborts once |x| exceeds
-    ``blowup_norm`` and returns the partial trajectory (completeness holds
+    ``BLOWUP_NORM`` and returns the partial trajectory (completeness holds
     for lifts, not for arbitrary alpha).
     """
     times, h = _time_grid(t_span, step)
@@ -359,7 +351,6 @@ def geodesic(alpha: AlphaMap, g0, x0, t_span, step: float,
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (dec.N,):
         raise ValueError(f"x0 must have length {dec.N}")
-    g = _frame_matrix(g0, dec)
 
     xs = np.empty((nsteps + 1, dec.N))
     dxs = np.empty_like(xs)
@@ -381,7 +372,7 @@ def geodesic(alpha: AlphaMap, g0, x0, t_span, step: float,
         x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         dxs[i] = k1x
         xs[i + 1] = x
-        if np.max(np.abs(x)) > blowup_norm:
+        if np.max(np.abs(x)) > BLOWUP_NORM:
             aborted_at = float(times[i + 1])
             last = i + 1
             break
@@ -391,7 +382,7 @@ def geodesic(alpha: AlphaMap, g0, x0, t_span, step: float,
     times = times[: last + 1]
     dt = np.full(last, h)
     x_mid = _hermite_midpoints(xs, dxs[: last + 1], dt)
-    frames = _magnus_frames(g, dec.m_matrices, xs, x_mid, dt)
+    frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs, x_mid, dt)
     del dxs, x_mid                  # not held while the diagnostics run
     meta = {
         "integrator": "rk4-magnus4",
@@ -516,6 +507,8 @@ def convergence_probe(error_at_step, steps) -> ConvergenceResult:
     if len(steps) < 3:
         raise ValueError("need at least three step sizes for an order estimate")
     errors = [float(error_at_step(s)) for s in steps]
+    # no registry key: the round-off floor below which a slope would fit noise; it
+    # picks the exact sentinel and judges no result
     if max(errors) <= 1e-13:
         return ConvergenceResult(steps, errors, None, True)
     safe = [max(e, 1e-300) for e in errors]
@@ -523,30 +516,30 @@ def convergence_probe(error_at_step, steps) -> ConvergenceResult:
     return ConvergenceResult(steps, errors, slope, False)
 
 
-def geodesic_convergence(alpha: AlphaMap, g0, x0, t_span, steps,
-                         reference: str = "auto", fine_factor: int = 100) -> ConvergenceResult:
+def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResult:
     """Convergence of the geodesic frame against a closed form or a fine run.
 
-    With ``reference='auto'`` the closed-form frame ``g0 exp(T mat(x0))`` is
-    used whenever alpha vanishes on the diagonal (then x stays constant);
-    otherwise a run at ``min(steps)/fine_factor`` serves as reference.
-    The order is fitted against the steps the runs take, which are shorter
-    than the requested ones when those do not divide the interval.
+    The closed-form frame ``exp(T mat(x0))`` is the reference whenever alpha
+    vanishes on the diagonal (then x stays constant); otherwise a run at
+    ``min(steps) / FINE_FACTOR`` is.  The order is fitted against the steps
+    the runs take, which are shorter than the requested ones when those do
+    not divide the interval.
     """
     dec = alpha.dec
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (dec.N,):
+        raise ValueError(f"x0 must have length {dec.N}")
     steps = [_time_grid(t_span, float(s))[1] for s in steps]
     sym = 0.5 * (alpha.coeffs + np.swapaxes(alpha.coeffs, 1, 2))
     # no registry key: picks the reference and judges no result (a zero test to round-off)
     diagonal_free = float(np.max(np.abs(sym))) <= 1e-15 if sym.size else True
-    if reference == "exp" or (reference == "auto" and diagonal_free):
-        span = float(t_span[1]) - float(t_span[0])
-        ref = _frame_matrix(g0, dec) @ expm(span * dec.m_matrix(np.asarray(x0, dtype=float)))
+    if diagonal_free:
+        ref = expm((float(t_span[1]) - float(t_span[0])) * dec.m_matrix(x0))
     else:
-        fine = geodesic(alpha, g0, x0, t_span, min(steps) / fine_factor)
-        ref = fine.frames[-1]
+        ref = geodesic(alpha, x0, t_span, min(steps) / FINE_FACTOR).frames[-1]
 
     def err(step):
-        run = geodesic(alpha, g0, x0, t_span, step)
+        run = geodesic(alpha, x0, t_span, step)
         return float(np.max(np.abs(run.frames[-1] - ref)))
 
     return convergence_probe(err, steps)
@@ -556,20 +549,20 @@ def geodesic_convergence(alpha: AlphaMap, g0, x0, t_span, steps,
 
 
 def realize_curve(dec: ReductiveDecomposition, spec: CurveSpec,
-                  step: float | None = None, g0=None) -> Trajectory:
+                  step: float | None = None) -> Trajectory:
     """Turn a curve specification into a trajectory with frames and velocities."""
     if spec.kind == "group_samples":
-        return horizontal_lift(dec, spec, g0=g0)
+        return horizontal_lift(dec, spec)
     if spec.kind == "one_parameter":
         if step is None or step <= 0:
             raise ValueError("one-parameter curves need a positive step")
-        return _one_parameter_trajectory(dec, spec, step, g0)
+        return _one_parameter_trajectory(dec, spec, step)
     if spec.kind == "piecewise_velocity":
-        return _velocity_trajectory(dec, spec, g0)
+        return _velocity_trajectory(dec, spec)
     raise ValueError(f"unknown curve kind {spec.kind!r}")
 
 
-def _one_parameter_trajectory(dec, spec, step, g0):
+def _one_parameter_trajectory(dec, spec, step):
     dec.algebra._require_matrices()
     x0 = np.asarray(spec.x0, dtype=float)
     if x0.shape != (dec.N,):
@@ -579,7 +572,7 @@ def _one_parameter_trajectory(dec, spec, step, g0):
     d = dec.algebra.matrix_dim
     inc = expm(h * dec.m_matrix(x0))
     frames = np.empty((nsteps + 1, d, d))
-    frames[0] = _frame_matrix(g0 if g0 is not None else spec.initial_frame, dec)
+    frames[0] = np.eye(d)
     for i in range(nsteps):
         frames[i + 1] = frames[i] @ inc
     xs = np.tile(x0, (nsteps + 1, 1))
@@ -589,7 +582,7 @@ def _one_parameter_trajectory(dec, spec, step, g0):
     return traj
 
 
-def _velocity_trajectory(dec, spec, g0):
+def _velocity_trajectory(dec, spec):
     dec.algebra._require_matrices()
     times = spec.times
     xs = np.asarray(spec.values, dtype=float)
@@ -597,8 +590,7 @@ def _velocity_trajectory(dec, spec, g0):
         raise ValueError(f"velocity samples must have shape (len(times), {dec.N})")
     dt = np.diff(times)
     x_mid = 0.5 * (xs[:-1] + xs[1:])        # order-1 interpolation of the samples
-    g = _frame_matrix(g0 if g0 is not None else spec.initial_frame, dec)
-    frames = _magnus_frames(g, dec.m_matrices, xs, x_mid, dt)
+    frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs, x_mid, dt)
     meta = {"integrator": "magnus4", "step": float(np.max(dt)), "curve": "piecewise_velocity"}
     traj = Trajectory(dec, np.array(times), frames, xs.copy(), meta=meta)
     meta.update(traj.diagnostics())

@@ -3,10 +3,15 @@ import pytest
 
 import redhom as rh
 from redhom.algebra import expand_in_matrix_basis
+from redhom.deffile import build_space, parse_definition
 
 from conftest import commutator_coords
 
 E1, E2, E3 = np.eye(3)
+RIGID_BODY_ALGEBRA = (
+    "[algebra]\nname = rigid-body\ndim = 3\n"
+    "matrix_basis = [0 0 0; 0 0 -1; 0 1 0] [0 0 1; 0 0 0; -1 0 0] [0 -1 0; 1 0 0; 0 0 0]\n"
+)
 
 
 def rodrigues(axis, angle):
@@ -167,11 +172,9 @@ class TestAdjointAd:
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     def test_non_normalizing_element_rejected(self, so3):
-        g = rh.StructuredLieAlgebra(so3.structure_constants, so3.matrix_basis,
-                                    name="so3-loose")  # no orthogonality guard
-        bad = rh.GroupElement(np.diag([2.0, 1.0, 1.0]), g)
+        # a raw matrix: as a GroupElement of so(3) it would fail the drift gate first
         with pytest.raises(ValueError, match="span"):
-            g.adjoint_Ad(bad)
+            so3.adjoint_Ad(np.diag([2.0, 1.0, 1.0]))
 
 
 class TestConstructionValidation:
@@ -245,9 +248,20 @@ class TestGroupElement:
             rh.GroupElement(np.zeros((3, 3)), so3)
 
     def test_orthogonality_drift_guard(self, so3):
-        for diagonal in ([1.0 + 1e-5, 1.0, 1.0], [np.nan, 1.0, 1.0]):
-            with pytest.raises(ValueError, match="drift"), np.errstate(invalid="ignore"):
-                rh.GroupElement(np.diag(diagonal), so3)
+        # orthogonal is derived from the basis, so a definition-file so(3) is gated too
+        rigid_body, _ = build_space(parse_definition(RIGID_BODY_ALGEBRA))
+        for alg in (so3, rigid_body.algebra):
+            assert alg.orthogonal is True
+            for diagonal in ([1.0 + 1e-5, 1.0, 1.0], [np.nan, 1.0, 1.0]):
+                with pytest.raises(ValueError, match="drift"), np.errstate(invalid="ignore"):
+                    rh.GroupElement(np.diag(diagonal), alg)
+        # the same brackets on a conjugated, non-skew basis: a group outside O(3)
+        p = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        skewed = rh.StructuredLieAlgebra(so3.structure_constants,
+                                         p @ so3.matrix_basis @ np.linalg.inv(p))
+        assert skewed.orthogonal is False
+        assert rh.StructuredLieAlgebra(so3.structure_constants).orthogonal is False
+        rh.GroupElement(np.diag([1.0 + 1e-5, 1.0, 1.0]), skewed)
 
     def test_inverse_and_product(self, so3, rng):
         g = so3.group_exp(rng.standard_normal(3), 0.9)

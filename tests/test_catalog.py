@@ -113,7 +113,7 @@ class TestCatalogBattery:
 
 def _so2():
     return rh.StructuredLieAlgebra(np.zeros((1, 1, 1)), [[[0.0, -1.0], [1.0, 0.0]]],
-                                   name="so(2)", orthogonal=True)
+                                   name="so(2)")
 
 
 def _open_isotropy():

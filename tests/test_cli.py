@@ -11,6 +11,11 @@ SPHERE_BAD_ALPHA = "space = sphere2\n\n[connection]\nalpha = (1,1,1,0.3)\n"
 SPHERE_SQUASHED_LC = (
     "space = sphere2\n\n[metric]\ngram = [1 0; 0 2]\n\n[connection]\nalpha = levi_civita\n"
 )
+RIGID_BODY_LC = (
+    "[algebra]\nname = rigid-body\ndim = 3\n"
+    "matrix_basis = [0 0 0; 0 0 -1; 0 1 0] [0 0 1; 0 0 0; -1 0 0] [0 -1 0; 1 0 0; 0 0 0]\n\n"
+    "[metric]\ngram = [1 0 0; 0 2 0; 0 0 3]\n\n[connection]\nalpha = levi_civita\n"
+)
 
 
 def explicit_blocks(bundle):
@@ -133,24 +138,58 @@ def test_conflicting_duplicate_alpha_quadruples_are_rejected(tmp_path, capsys):
 
 
 class TestGeodesicDrift:
-    ARGS = ["--x0=1,0.5", "--t1=10", "--step=0.1"]
+    ARGS = ["--t1=10", "--step=0.1"]
 
     def test_drift_above_the_registry_exits_1_after_writing(self, tmp_path, capsys):
-        # the frames stay on the group to round-off, so only a zero tolerance trips the gate
-        path = write(tmp_path, "space = sphere2\n")
-        out = str(tmp_path / "geo")
-        assert main(["geodesic", path, *self.ARGS, f"--out={out}",
-                     "--tol", "group_drift=0"]) == 1
-        err = capsys.readouterr().err
-        assert "group drift" in err and "exceeds tolerance group_drift 0.0e+00" in err
-        assert (tmp_path / "geo.csv").exists() and (tmp_path / "geo.json").exists()
+        # the frames stay on the group to round-off, so only a zero tolerance trips the gate;
+        # a definition-file so(3) is gated like the catalog's, its basis being skew
+        for name, text, x0 in (("sphere", "space = sphere2\n", "--x0=1,0.5"),
+                               ("rigid", RIGID_BODY_LC, "--x0=0.3,-0.5,0.8")):
+            out = tmp_path / name
+            assert main(["geodesic", write(tmp_path, text), x0, *self.ARGS,
+                         f"--out={out}", "--tol", "group_drift=0"]) == 1, name
+            err = capsys.readouterr().err
+            assert "group drift" in err and "exceeds tolerance group_drift 0.0e+00" in err
+            assert out.with_suffix(".csv").exists() and out.with_suffix(".json").exists()
+            assert json.loads(out.with_suffix(".json").read_text())["meta"]["group_drift"] > 0
 
     def test_tol_override_moves_the_drift_gate(self, tmp_path, capsys):
         path = write(tmp_path, "space = sphere2\n")
         out = str(tmp_path / "geo")
-        assert main(["geodesic", path, *self.ARGS, f"--out={out}",
+        assert main(["geodesic", path, "--x0=1,0.5", *self.ARGS, f"--out={out}",
                      "--tol", "group_drift=1e-4"]) == 0
         assert "group drift" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, args, code, words", [
+    pytest.param("geodesic", ["--x0=1,0.5", "--t1=inf", "--step=0.1"], 2,
+                 "argument --t1: expected one finite number", id="t1-inf"),
+    pytest.param("geodesic", ["--x0=nan,0.5", "--t1=1", "--step=0.1"], 2,
+                 "argument --x0: expected finite numbers", id="x0-nan"),
+    pytest.param("geodesic", ["--x0=1,x", "--t1=1", "--step=0.1"], 2,
+                 "argument --x0: expected finite numbers", id="x0-word"),
+    pytest.param("geodesic", ["--x0=1,0.5", "--t1=1", "--step=1e400"], 2,
+                 "argument --step: expected one finite number", id="step-overflow"),
+    pytest.param("geodesic", ["--x0=1,0.5", "--t0=0,1", "--t1=1", "--step=0.1"], 2,
+                 "argument --t0: expected one finite number", id="t0-two-values"),
+    pytest.param("transport", ["--curve=one_parameter:1,0", "--z0=inf,0"], 2,
+                 "argument --z0: expected finite numbers", id="z0-inf"),
+    pytest.param("transport", ["--curve=one_parameter:1,nan", "--z0=1,0"], 2,
+                 "definition error: --curve one_parameter: expected finite", id="curve-nan"),
+    pytest.param("convergence", ["--x0=1,0.5", "--steps=0.1,-inf,0.05"], 2,
+                 "argument --steps: expected finite numbers", id="steps-inf"),
+    # a wrong length is not a malformed number: exit 1 with geodesic's message
+    pytest.param("convergence", ["--x0=1,2,3"], 1, "x0 must have length 2", id="x0-length"),
+])
+def test_malformed_or_non_finite_numbers_are_rejected(tmp_path, capsys, command, args, code,
+                                                      words):
+    path = write(tmp_path, "space = sphere2\n")
+    try:
+        got = main([command, path, *args, f"--out={tmp_path / 'o'}"])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code and words in capsys.readouterr().err
+    assert not list(tmp_path.glob("o*"))
 
 
 class TestNegativeVectorValue:

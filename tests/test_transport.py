@@ -45,7 +45,7 @@ def test_levi_civita_transport_conserves_the_metric(stiefel42, rng):
     dec, metric = stiefel42.dec, stiefel42.metric
     alpha = levi_civita_alpha(dec, metric)
     for step, t1 in [(0.01, 1.0), (0.1, 10.0)]:       # fine, then coarse and long
-        base = geodesic(alpha, None, rng.standard_normal(dec.N), (0.0, t1), step)
+        base = geodesic(alpha, rng.standard_normal(dec.N), (0.0, t1), step)
         zs = parallel_transport(alpha, base, rng.standard_normal((3, dec.N))).transported
         gram = np.einsum("tak,kl,tbl->tab", zs, metric.gram, zs)
         assert np.max(np.abs(gram - gram[0])) <= 1e-13, step
@@ -159,13 +159,13 @@ def test_canonical_first_geodesic_is_the_one_parameter_curve(stiefel42, rng):
     alpha = stiefel42.suggested_alphas[0]
     assert alpha.label == "canonical_first"
     x0 = rng.standard_normal(dec.N)
-    geo = geodesic(alpha, None, x0, (0.0, 2.0), 0.05)
+    geo = geodesic(alpha, x0, (0.0, 2.0), 0.05)
     closed = np.array([expm(t * dec.m_matrix(x0)) for t in geo.times])
     assert np.max(np.abs(geo.frames - closed)) <= 1e-13
 
 
 def test_geodesic_frames_stay_orthogonal(sphere2):
-    geo = geodesic(sphere2.suggested_alphas[0], None, [1.0, 0.5], (0.0, 10.0), 0.1)
+    geo = geodesic(sphere2.suggested_alphas[0], [1.0, 0.5], (0.0, 10.0), 0.1)
     assert len(geo) == 101
     assert orthogonality_defect(geo.frames) <= 1e-13
     assert geo.meta["group_drift"] <= 1e-13
@@ -185,7 +185,7 @@ def test_constant_velocity_samples_give_the_one_parameter_frames(stiefel42):
 def test_convergence_order_is_fitted_against_the_steps_taken(rigid_body):
     # 0.2 does not divide 0.5: that run takes three steps of 1/6
     alpha = levi_civita_alpha(rigid_body.dec, rigid_body.metric)
-    result = geodesic_convergence(alpha, None, [0.3, -0.5, 0.8], (0.0, 0.5),
+    result = geodesic_convergence(alpha, [0.3, -0.5, 0.8], (0.0, 0.5),
                                   [0.2, 0.1, 0.05, 0.025])
     assert result.steps == [0.5 / 3, 0.1, 0.05, 0.025]
     assert abs(result.slope - 4.0) <= 0.05
@@ -196,7 +196,7 @@ def test_levi_civita_geodesic_velocity_is_self_parallel(space, tol, request, rng
     bundle = request.getfixturevalue(space)
     alpha = levi_civita_alpha(bundle.dec, bundle.metric)
     x0 = rng.standard_normal(bundle.dec.N)
-    geo = geodesic(alpha, None, x0, (0.0, 1.0), 0.01)
+    geo = geodesic(alpha, x0, (0.0, 1.0), 0.01)
     transported = parallel_transport(alpha, geo, x0).transported
     assert np.max(np.abs(transported - geo.velocities)) <= tol
 
