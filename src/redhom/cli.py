@@ -2,7 +2,8 @@
 
 Exit codes: 0 all mandatory checks pass and the computation finished;
 1 check failures (a failed decomposition gate too), aborted dynamics, or a
-geodesic drifting past ``group_drift`` (its artifacts are still written);
+geodesic drifting past ``group_drift`` (its artifacts are still written),
+and finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows;
 2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
 non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
 ``--z0`` or a ``one_parameter:`` curve, and an algebra or a requested

@@ -17,8 +17,8 @@ separated by semicolons), lists thereof separated by whitespace, index
 quadruples ``(k, i, j, value)`` with 1-based indices, or bare words.
 Structure constants given as quadruples are completed antisymmetrically;
 conflicting duplicates are rejected there and in explicit alpha
-coefficients.  Unknown keys or blocks and non-finite literals are schema
-errors.
+coefficients.  Unknown keys or blocks, non-finite literals and an algebra
+dim above ``MAX_DIM`` (a named space's too) are schema errors.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ _KNOWN = {
 }
 
 _ALPHA_KEYWORDS = ("canonical_first", "canonical_second", "levi_civita")
+# largest algebra dim a definition file may ask for, named spaces included: the
+# structure constants take dim^3 doubles, 134 MB here, and are allocated before any
+# check; so(12), the largest algebra of the stiefel(n,2) size ladder, has dim 66
+MAX_DIM = 256
 
 
 class DefFileError(ValueError):
@@ -212,6 +216,10 @@ def _named_space(name: str, lineno: int) -> SpaceBundle:
         raise DefFileError(
             f"unknown named space {name!r} "
             "(expected sphere2, so(n), stiefel(n,k) or grassmann(n,k))", lineno)
+    n = int(m.group(2) or m.group(3) or m.group(5) or 3)    # the group is so(n), so(3) for sphere2
+    if n * (n - 1) // 2 > MAX_DIM:
+        raise DefFileError(f"named space {name!r} needs so({n}) of dim {n * (n - 1) // 2}, "
+                           f"above the largest supported dim {MAX_DIM}", lineno)
     try:
         if m.group(1) == "sphere2":
             return sphere2()
@@ -257,6 +265,9 @@ def _build_algebra(defn: SpaceDefinition, tols: dict) -> StructuredLieAlgebra:
     if len(dim_vals) != 1 or dim_vals[0] != int(dim_vals[0]) or dim_vals[0] < 1:
         raise DefFileError("'dim' must be a positive integer", line("dim"))
     dim = int(dim_vals[0])
+    if dim > MAX_DIM:
+        raise DefFileError(f"'dim' = {dim} exceeds the largest supported dim {MAX_DIM}",
+                           line("dim"))
     name = block.get("name", "user-algebra")
 
     basis = None

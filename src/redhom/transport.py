@@ -10,8 +10,12 @@ moving frame.  The governing ODEs are then
 * geodesic:                      ``x' = -alpha(x, x)``, ``g' = g mat(x)``
 * parallel transport:            ``z' = -alpha(x(t), z)``
 
-The geodesic velocity equation does not involve g, so x is integrated
-alone with fixed-step RK4.  Every other equation is linear, and one
+The geodesic velocity equation does not involve g, and only alpha's
+symmetric part moves x.  When that part vanishes, x is constant and the
+geodesics are the one-parameter curves ``exp(t X)``, as on every catalog
+space with its Levi-Civita alpha (they are naturally reductive).
+Otherwise x is integrated alone with fixed-step RK4, whose blow-up guard
+reads a block of steps at a time.  Every other equation is linear, and one
 propagator, ``_magnus_frames``, solves them all with one exponential per
 step of the fourth-order Magnus expansion (Iserles, Munthe-Kaas, Norsett
 and Zanna, Acta Numerica 9, 2000): the frames of a geodesic or of a
@@ -57,6 +61,7 @@ BLOWUP_NORM = 1e6
 FINE_FACTOR = 100                   # reference step of geodesic_convergence: min(steps) / this
 FD_COARSE_WARNING = 1e-4
 MAGNUS_BLOCK = 256
+GUARD_BLOCK = 64                    # RK4 steps between two blow-up checks of geodesic
 
 
 # -- finite differences and interpolation -----------------------------------------
@@ -106,7 +111,10 @@ def _time_grid(t_span, step):
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be a nonempty interval")
-    nsteps = max(1, math.ceil((t1 - t0) / step - 1e-12))
+    span = (t1 - t0) / step
+    if not math.isfinite(span):
+        raise ValueError(f"t_span ({t0!r}, {t1!r}) holds too many steps of {step!r} to count")
+    nsteps = max(1, math.ceil(span - 1e-12))
     return np.linspace(t0, t1, nsteps + 1), (t1 - t0) / nsteps
 
 
@@ -334,54 +342,40 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     The frame starts at the identity; by left invariance the geodesic from
     a frame g0 is g0 times this one, with the same x.
 
-    The velocity equation does not involve g, so x is integrated alone by
-    fixed-step RK4; the step is shrunk slightly if the interval is not an
-    integer multiple of the request.  The frames come from
-    ``_magnus_frames``, with x at the interval midpoints interpolated by
-    cubic Hermite from the exact derivatives at the nodes, and stay on the
-    group up to round-off.  A blow-up guard aborts once |x| exceeds
-    ``BLOWUP_NORM`` and returns the partial trajectory (completeness holds
-    for lifts, not for arbitrary alpha).
+    The velocity equation does not involve g, and only alpha's symmetric
+    part moves x.  When that part vanishes, x stays x0 and no step is
+    taken; otherwise x is integrated alone by fixed-step RK4.  The step is
+    shrunk slightly if the interval is not an integer multiple of the
+    request.  The frames come from ``_magnus_frames``, with x at the
+    interval midpoints interpolated by cubic Hermite from the exact
+    derivatives at the nodes, and stay on the group up to round-off.
+
+    A blow-up guard ends the run once |x| exceeds ``BLOWUP_NORM``
+    (completeness holds for lifts, not for arbitrary alpha).  It reads the
+    samples ``GUARD_BLOCK`` steps at a time and keeps those before the
+    first one over the norm, as a check after every step would; the
+    returned partial trajectory ends at the last sample within the norm,
+    and ``meta["aborted_at"]`` is the time of the first one beyond it.
     """
     times, h = _time_grid(t_span, step)
-    nsteps = len(times) - 1
     dec = alpha.dec
     dec.algebra._require_matrices()
-    coeffs = alpha.coeffs
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (dec.N,):
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (dec.N,):
         raise ValueError(f"x0 must have length {dec.N}")
 
-    xs = np.empty((nsteps + 1, dec.N))
-    dxs = np.empty_like(xs)
-    xs[0] = x
+    sym = _symmetric_part(alpha)
+    if sym is None:
+        xs = np.tile(x0, (len(times), 1))
+        dxs = np.zeros_like(xs)
+        aborted_at = None
+    else:
+        xs, dxs = _rk4_velocities(-sym, x0, h, len(times) - 1)
+        aborted_at = float(times[len(xs)]) if len(xs) < len(times) else None
+        times = times[: len(xs)]
 
-    def xdot(v):
-        return -np.einsum("kij,i,j->k", coeffs, v, v)
-
-    aborted_at = None
-    last = nsteps
-    for i in range(nsteps):
-        k1x = xdot(x)
-        x2 = x + 0.5 * h * k1x
-        k2x = xdot(x2)
-        x3 = x + 0.5 * h * k2x
-        k3x = xdot(x3)
-        x4 = x + h * k3x
-        k4x = xdot(x4)
-        x = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        dxs[i] = k1x
-        xs[i + 1] = x
-        if np.max(np.abs(x)) > BLOWUP_NORM:
-            aborted_at = float(times[i + 1])
-            last = i + 1
-            break
-    dxs[last] = xdot(x)
-
-    xs = xs[: last + 1]
-    times = times[: last + 1]
-    dt = np.full(last, h)
-    x_mid = _hermite_midpoints(xs, dxs[: last + 1], dt)
+    dt = np.full(len(xs) - 1, h)
+    x_mid = _hermite_midpoints(xs, dxs, dt)
     frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs, x_mid, dt)
     del dxs, x_mid                  # not held while the diagnostics run
     meta = {
@@ -396,6 +390,52 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     traj = Trajectory(dec, times, frames, xs, meta=meta)
     meta.update(traj.diagnostics())
     return traj
+
+
+def _symmetric_part(alpha: AlphaMap):
+    """Coefficients of (alpha(x, y) + alpha(y, x)) / 2, or None when they vanish.
+
+    Only this part moves a geodesic's velocity: alpha(x, x) = sym(x, x).
+    """
+    sym = 0.5 * (alpha.coeffs + np.swapaxes(alpha.coeffs, 1, 2))
+    # no registry key: picks the constant-velocity path and judges no result (a zero
+    # test to round-off)
+    if not sym.size or float(np.max(np.abs(sym))) <= 1e-15:
+        return None
+    return sym
+
+
+def _rk4_velocities(neg_sym, x0, h, nsteps):
+    """RK4 for x' = neg_sym(x, x) from x0: (xs, dxs) up to the first sample over the norm.
+
+    ``dxs[i]`` is the field at ``xs[i]``.  The guard reads each block of
+    ``GUARD_BLOCK`` new samples at once, so the steps run past a blow-up to
+    the end of its block, where they may overflow; their results are
+    dropped with their floating-point warnings.
+    """
+    xs = np.empty((nsteps + 1, len(x0)))
+    dxs = np.empty_like(xs)
+    half, sixth = 0.5 * h, h / 6.0
+    x = xs[0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, nsteps, GUARD_BLOCK):
+            stop = min(start + GUARD_BLOCK, nsteps)
+            for i in range(start, stop):
+                dxs[i] = k1 = neg_sym @ x @ x
+                v = x + half * k1
+                k2 = neg_sym @ v @ v
+                v = x + half * k2
+                k3 = neg_sym @ v @ v
+                v = x + h * k3
+                k4 = neg_sym @ v @ v
+                x = xs[i + 1] = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # "not <=" also catches a sample that overflowed to nan
+            over = ~(np.max(np.abs(xs[start + 1:stop + 1]), axis=1) <= BLOWUP_NORM)
+            if over.any():
+                first = start + 1 + int(np.argmax(over))
+                return xs[:first], dxs[:first]
+    dxs[nsteps] = neg_sym @ x @ x
+    return xs, dxs
 
 
 def _magnus_frames(g0, basis, xs, x_mid, dt):
@@ -519,8 +559,8 @@ def convergence_probe(error_at_step, steps) -> ConvergenceResult:
 def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResult:
     """Convergence of the geodesic frame against a closed form or a fine run.
 
-    The closed-form frame ``exp(T mat(x0))`` is the reference whenever alpha
-    vanishes on the diagonal (then x stays constant); otherwise a run at
+    The closed-form frame ``exp(T mat(x0))`` is the reference whenever
+    alpha's symmetric part vanishes (then x stays constant); otherwise a run at
     ``min(steps) / FINE_FACTOR`` is.  The order is fitted against the steps
     the runs take, which are shorter than the requested ones when those do
     not divide the interval.
@@ -530,10 +570,7 @@ def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResul
     if x0.shape != (dec.N,):
         raise ValueError(f"x0 must have length {dec.N}")
     steps = [_time_grid(t_span, float(s))[1] for s in steps]
-    sym = 0.5 * (alpha.coeffs + np.swapaxes(alpha.coeffs, 1, 2))
-    # no registry key: picks the reference and judges no result (a zero test to round-off)
-    diagonal_free = float(np.max(np.abs(sym))) <= 1e-15 if sym.size else True
-    if diagonal_free:
+    if _symmetric_part(alpha) is None:
         ref = expm((float(t_span[1]) - float(t_span[0])) * dec.m_matrix(x0))
     else:
         ref = geodesic(alpha, x0, t_span, min(steps) / FINE_FACTOR).frames[-1]

@@ -137,6 +137,20 @@ def test_conflicting_duplicate_alpha_quadruples_are_rejected(tmp_path, capsys):
     assert "line 4" in err and "conflicting duplicate entry for (1, 1, 2)" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    # 1e7^3 doubles: numpy would refuse the structure constants outright
+    ("[algebra]\ndim = 10000000\nstructure_constants = (1, 2, 3, 1)\n", 2),
+    ("space = stiefel(100000,2)\n", 1),
+], ids=["dim-line", "named-space"])
+def test_algebra_dim_above_the_cap_is_a_definition_error(tmp_path, capsys, monkeypatch, text,
+                                                         line):
+    # so(100000) must be refused from its name: building it would exhaust memory
+    monkeypatch.setattr(deffile, "stiefel", lambda n, k: pytest.fail("stiefel was built"))
+    assert main(["check", write(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}" in err and f"largest supported dim {deffile.MAX_DIM}" in err
+
+
 class TestGeodesicDrift:
     ARGS = ["--t1=10", "--step=0.1"]
 
@@ -180,6 +194,9 @@ class TestGeodesicDrift:
                  "argument --steps: expected finite numbers", id="steps-inf"),
     # a wrong length is not a malformed number: exit 1 with geodesic's message
     pytest.param("convergence", ["--x0=1,2,3"], 1, "x0 must have length 2", id="x0-length"),
+    # finite numbers, but the step count overflows
+    pytest.param("geodesic", ["--x0=1,0.5", "--t0=-1e308", "--t1=1e308", "--step=1"], 1,
+                 "error: t_span (-1e+308, 1e+308) holds too many steps", id="span-overflow"),
 ])
 def test_malformed_or_non_finite_numbers_are_rejected(tmp_path, capsys, command, args, code,
                                                       words):

@@ -10,18 +10,24 @@ on the group and meet the closed form exp(t X) where one exists; a
 geodesic's velocity must be parallel along it; lifted frames must differ
 from the sampled curve by an isotropy element; the metric adjoint field
 must give the Levi-Civita geodesic equation; and the convergence probe
-must fit its order against the steps the runs take.
+must fit its order against the steps the runs take.  Where alpha's
+symmetric part vanishes a geodesic's velocity must stay x0 bit for bit;
+elsewhere the block-guarded RK4 must match a per-step einsum RK4 kept
+here, keep the rigid body's energy and momentum norm, and end a blow-up
+at the sample the per-step guard ends it, with frames still on the group.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import redhom as rh
 from redhom import transport
 from redhom.algebra import expm
 from redhom.cli import main
-from redhom.connection import levi_civita_alpha
+from redhom.connection import AlphaMap, levi_civita_alpha
 from redhom.transport import (CurveSpec, convergence_probe, geodesic, geodesic_convergence,
                               parallel_transport, realize_curve)
 
@@ -32,6 +38,8 @@ RIGID_BODY = (
     "matrix_basis = [0 0 0; 0 0 -1; 0 1 0] [0 0 1; 0 0 0; -1 0 0] [0 -1 0; 1 0 0; 0 0 0]\n\n"
     "[metric]\ngram = [1 0 0; 0 2 0; 0 0 3]\n\n[connection]\nalpha = {alpha}\n"
 )
+# so(3) as a group, no metric, and the alpha of riccati_alpha below: x_1' = x_1^2
+RICCATI = RIGID_BODY.split("[metric]")[0] + "[connection]\nalpha = (1, 1, 1, -1)\n"
 DRIFT_LINE = "transport: drift of the metric on transported seeds"
 
 
@@ -162,6 +170,99 @@ def test_canonical_first_geodesic_is_the_one_parameter_curve(stiefel42, rng):
     geo = geodesic(alpha, x0, (0.0, 2.0), 0.05)
     closed = np.array([expm(t * dec.m_matrix(x0)) for t in geo.times])
     assert np.max(np.abs(geo.frames - closed)) <= 1e-13
+
+
+@pytest.mark.parametrize("build", [rh.sphere2, lambda: rh.stiefel(6, 2),
+                                   lambda: rh.grassmann_like(6, 3)],
+                         ids=["sphere2", "stiefel62", "grassmann63"])
+def test_levi_civita_geodesic_keeps_its_velocity_bitwise(build, rng):
+    # naturally reductive: the Levi-Civita alpha is skew, so x' = -alpha(x, x) = 0
+    bundle = build()
+    dec = bundle.dec
+    x0 = rng.standard_normal(dec.N)
+    geo = geodesic(levi_civita_alpha(dec, bundle.metric), x0, (0.0, 2.0), 0.05)
+    assert len(geo) == 41 and not geo.meta["blow_up"]
+    assert geo.velocities.tobytes() == np.tile(x0, (41, 1)).tobytes()
+    closed = np.array([expm(t * dec.m_matrix(x0)) for t in geo.times])
+    assert np.max(np.abs(geo.frames - closed)) <= 1e-13
+
+
+def rk4_reference(coeffs, x0, h, nsteps):
+    """Per-step einsum RK4 and blow-up guard: (samples up to the last within the norm,
+    index of the first sample beyond it or None)."""
+    def field(v):
+        return -np.einsum("kij,i,j->k", coeffs, v, v)
+
+    xs = [np.asarray(x0, dtype=float)]
+    for _ in range(nsteps):
+        x = xs[-1]
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        x = x + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if np.max(np.abs(x)) > transport.BLOWUP_NORM:
+            return np.array(xs), len(xs)
+        xs.append(x)
+    return np.array(xs), None
+
+
+def test_rigid_body_geodesic_matches_the_per_step_rk4(rigid_body):
+    alpha = levi_civita_alpha(rigid_body.dec, rigid_body.metric)
+    gram = rigid_body.metric.gram
+    x0 = np.array([0.3, -0.5, 0.8])
+    geo = geodesic(alpha, x0, (0.0, 50.0), 0.01)
+    ref, aborted = rk4_reference(alpha.coeffs, x0, 0.01, 5000)
+    assert aborted is None and len(geo) == 5001
+    assert np.max(np.abs(geo.velocities - ref)) <= 1e-13
+    # energy x^T G x and momentum norm |G x| are conserved; rk4_reference keeps them to
+    # 2.4e-11 and 1.4e-11 here
+    energy = np.einsum("mi,ij,mj->m", geo.velocities, gram, geo.velocities)
+    momentum = np.linalg.norm(geo.velocities @ gram, axis=1)
+    assert np.max(np.abs(energy - energy[0])) <= 5e-11
+    assert np.max(np.abs(momentum - momentum[0])) <= 3e-11
+
+
+def riccati_alpha():
+    """x_1' = x_1^2 on so(3) as a group: x_1 = a / (1 - a t) blows up at t = 1/a."""
+    coeffs = np.zeros((3, 3, 3))
+    coeffs[0, 0, 0] = -1.0
+    return AlphaMap(rh.group_as_space(rh.so3()).dec, coeffs)
+
+
+@pytest.mark.parametrize("first_over", [
+    pytest.param(lambda block: block // 2, id="in-first-block"),
+    pytest.param(lambda block: 2 * block, id="at-block-end"),
+    pytest.param(lambda block: 2 * block + 1, id="at-block-start"),
+])
+def test_blow_up_ends_where_a_per_step_guard_ends_it(first_over):
+    alpha = riccati_alpha()
+    h, first = 0.01, first_over(transport.GUARD_BLOCK)
+    a = 1.0 / (h * (first - 1))                     # blow-up time (first - 1) steps
+    x0 = [a, 0.2, -0.1]
+    ref, aborted = rk4_reference(alpha.coeffs, x0, h, 4 * first)
+    assert aborted == first                         # the case covers what its id says
+    geo = geodesic(alpha, x0, (0.0, 4 * first * h), h)
+    assert geo.meta["blow_up"] and len(geo) == first
+    assert geo.meta["aborted_at"] == pytest.approx(first * h, abs=1e-12)
+    assert 1.0 / a < geo.meta["aborted_at"] <= 1.0 / a + h * (1 + 1e-12)
+    assert np.max(np.abs(geo.velocities)) <= transport.BLOWUP_NORM
+    np.testing.assert_allclose(geo.velocities, ref, rtol=1e-13, atol=0)
+    assert geo.meta["group_drift"] <= 1e-13
+
+
+def test_blow_up_on_the_command_line_writes_the_partial_trajectory(tmp_path, capsys):
+    space = tmp_path / "riccati.def"
+    space.write_text(RICCATI)
+    out = tmp_path / "geo"
+    assert main(["geodesic", str(space), "--x0=1,0.2,-0.1", "--t1=2", "--step=0.01",
+                 f"--out={out}"]) == 1
+    err = capsys.readouterr().err
+    assert "blow-up abort at t = 1.01; partial trajectory written" in err
+    assert "Traceback" not in err and "group drift" not in err
+    assert out.with_suffix(".csv").exists()
+    meta = json.loads(out.with_suffix(".json").read_text())["meta"]
+    assert meta["aborted_at"] == 1.01 and meta["group_drift"] <= 1e-13
 
 
 def test_geodesic_frames_stay_orthogonal(sphere2):
