@@ -3,16 +3,21 @@
 Exit codes: 0 all mandatory checks pass and the computation finished;
 1 check failures (a failed decomposition gate too), aborted dynamics, or a
 geodesic drifting past ``group_drift`` (its artifacts are still written),
-and finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows;
+finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows, and
+an ``--x0`` with a coordinate of magnitude over the blow-up norm (no step
+is taken);
 2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
 non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
-``--z0`` or a ``one_parameter:`` curve, and an algebra or a requested
-alpha failing its gate at the ``--tol`` values (``--force`` builds such an
-alpha anyway, tainted).  The ``group_drift`` gate covers every algebra
-whose matrix basis is skew, from the catalog or a definition file, since
-its group lies in O(d).  Output files are written atomically and
-deterministically: CSV cells with 17 significant digits, JSON numbers as
-the shortest repr that reads back exactly.
+``--z0`` or a ``one_parameter:`` curve, a ``group_file:`` or
+``velocity_file:`` sample file with a non-finite cell (the error names the
+file and the first such data row), and an algebra or a requested alpha
+failing its gate at the ``--tol`` values (``--force`` builds such an alpha
+anyway, tainted).  The ``group_drift`` gate covers every algebra whose
+matrix basis is skew, from the catalog or a definition file, since its
+group lies in O(d).  Output files are written atomically and
+deterministically.  Every float in them, CSV and JSON alike, is the text
+``json.dumps`` gives it: the shortest repr that reads back exactly, and
+``NaN``, ``Infinity`` or ``-Infinity`` when not finite.
 
 Geodesic frames stay on the group up to round-off, so ``convergence``
 reports ``exact`` for an alpha whose symmetric part vanishes: its geodesics
@@ -152,10 +157,7 @@ def cmd_geodesic(args) -> int:
     bundle, alpha, tols, tainted = prep
     traj = geodesic(alpha, args.x0, (args.t0, args.t1), args.step)
     traj.meta["tainted"] = traj.meta.get("tainted", False) or tainted
-    serialize.atomic_write_text(
-        args.out + ".csv", serialize.trajectory_csv(traj, bundle.name, alpha.label))
-    serialize.atomic_write_text(
-        args.out + ".json", serialize.trajectory_json(traj, bundle.name, alpha.label))
+    serialize.write_trajectory(args.out, traj, bundle.name, alpha.label)
     drift = traj.meta.get("group_drift")
     leak = traj.meta.get("horizontality_leak")
     print(f"geodesic: {len(traj)} samples, step {traj.meta['step']:.6g}, "
@@ -202,6 +204,10 @@ def _read_samples(path: str):
         raise DefFileError(f"cannot read samples from {path}: {exc}") from exc
     except ValueError as exc:
         raise DefFileError(f"malformed sample file {path}: {exc}") from exc
+    bad = ~np.isfinite(raw).all(axis=1)
+    if bad.any():
+        raise DefFileError(f"sample file {path}: data row {int(np.argmax(bad)) + 1} holds a "
+                           "non-finite value")
     return raw[:, 0], raw[:, 1:]
 
 
@@ -223,12 +229,7 @@ def cmd_transport(args) -> int:
     suffixes = [""] if len(seeds) == 1 else [f"_seed{i}" for i in range(len(seeds))]
     for i, suffix in enumerate(suffixes):
         traj = replace(batch, transported=batch.transported[:, i])
-        serialize.atomic_write_text(
-            args.out + suffix + ".csv",
-            serialize.trajectory_csv(traj, bundle.name, alpha.label, shared))
-        serialize.atomic_write_text(
-            args.out + suffix + ".json",
-            serialize.trajectory_json(traj, bundle.name, alpha.label, shared))
+        serialize.write_trajectory(args.out + suffix, traj, bundle.name, alpha.label, shared)
 
     if bundle.metric is not None and is_metric(alpha, bundle.metric, tols["is_metric"]).passed:
         zs = batch.transported

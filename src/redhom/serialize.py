@@ -1,28 +1,32 @@
 """Deterministic CSV/JSON emission for trajectories, tensors and reports.
 
-CSV cells hold 17 significant digits (``format(x, ".17g")``).  JSON numbers
-are Python's shortest round-trip ``repr``, with ``NaN``, ``Infinity`` and
-``-Infinity`` for non-finite values, exactly as ``json.dumps`` writes them.
-Either way every float reads back exactly and identical inputs give
-byte-identical files.  Writes go to a temporary file in the target
-directory followed by an atomic rename, so no partial file survives an
-error.
+Every float in every artifact is written as ``json.dumps`` writes it:
+Python's shortest round-trip ``repr``, and ``NaN``, ``Infinity`` or
+``-Infinity`` when it is not finite.  So a CSV cell and its JSON twin are
+the same text, every value reads back exactly (``json.load``, ``float``
+and ``np.loadtxt`` alike), and identical inputs give byte-identical files.
+Writes go to a temporary file in the target directory followed by an
+atomic rename, so no partial file survives an error.
 
-Arrays are converted to text in bulk (``json_array`` and the CSV row
-templates) instead of value by value in the pure-Python encoder that
-``json.dumps(..., indent=1)`` runs.  A ``BaseText`` holds the columns a
-base curve shares with every field transported along it (t, the frame
-entries and the velocities), so each seed's file converts only its own
-``z`` columns.
+``write_trajectory`` converts each value of a trajectory to text once, a
+block of rows at a time, and builds both the CSV rows and the pieces of the
+JSON arrays from those texts.  The pieces give the text
+``json.dumps(..., indent=1)`` would, without its value-by-value pure-Python
+encoder.  The CSV is written block by block and the JSON from its pieces,
+so neither file is ever held as one string.  A ``BaseText`` holds the
+columns a base curve shares with every field transported along it (t, the
+frame entries and the velocities), so each seed's files convert only its
+own ``z`` columns.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import tempfile
-from functools import cached_property
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
     "json_array",
     "atomic_write_text",
     "BaseText",
+    "write_trajectory",
     "trajectory_csv",
     "trajectory_json",
     "tensor_json",
@@ -44,21 +49,48 @@ __all__ = [
 _BLOCK_VALUES = 4096
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
 def fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    """The text of one float in every artifact, as ``json.dumps`` writes it."""
+    return _json_float(float(x))
 
 
-def atomic_write_text(path: str, text: str):
+def _cells(values) -> list:
+    """Texts of an array's values in row-major order, each as ``fmt`` writes it."""
+    flat = np.asarray(values, dtype=float).ravel()
+    return list(map(float.__repr__ if np.isfinite(flat).all() else _json_float, flat.tolist()))
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block for rows of ``width`` values."""
+    return max(1, _BLOCK_VALUES // max(1, width))
+
+
+@contextmanager
+def _atomic_file(path: str):
+    """A text handle on a temporary file that replaces ``path`` when the block ends."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".redhom-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str):
+    with _atomic_file(path) as handle:
+        handle.write(text)
 
 
 def _meta_header(traj, space: str, alpha: str) -> str:
@@ -81,46 +113,14 @@ def trajectory_columns(traj):
     return cols
 
 
-def _csv_rows(columns) -> list:
-    """Rows of a 2-D float array as comma-joined ``.17g`` cells (``%.17g`` equals ``fmt``)."""
-    template = ",".join(["%.17g"] * columns.shape[1])
-    step = max(1, _BLOCK_VALUES // max(1, columns.shape[1]))
-    return [template % tuple(row) for i in range(0, len(columns), step)
-            for row in columns[i:i + step].tolist()]
+def _csv_rows(cells: list, rows: int) -> list:
+    """CSV lines of ``rows`` rows from the cell texts of several arrays.
 
-
-class BaseText:
-    """The t, frame and velocity columns of a trajectory, converted to text once.
-
-    These columns are the same in every file written along one base curve;
-    pass one ``BaseText`` to ``trajectory_csv`` and ``trajectory_json`` for
-    each seed and only the ``z`` columns are converted per seed.  Each form
-    is built on first use.
+    Each entry of ``cells`` holds the row-major texts of one array with
+    ``rows`` leading rows; a line is a row's cells of each array in turn.
     """
-
-    def __init__(self, traj):
-        self.traj = traj
-
-    @cached_property
-    def csv_rows(self) -> list:
-        traj = self.traj
-        return _csv_rows(np.hstack([traj.times[:, None],
-                                    traj.frames.reshape(len(traj), -1), traj.velocities]))
-
-    @cached_property
-    def json_arrays(self) -> dict:
-        traj = self.traj
-        return {"times": json_array(traj.times, 1), "frames": json_array(traj.frames, 1),
-                "velocities": json_array(traj.velocities, 1)}
-
-
-def trajectory_csv(traj, space: str = "", alpha: str = "", base: BaseText | None = None) -> str:
-    """CSV of a trajectory; ``base`` holds its t, frame and velocity columns as text."""
-    rows = (base if base is not None else BaseText(traj)).csv_rows
-    if traj.transported is not None:
-        rows = [row + "," + z for row, z in zip(rows, _csv_rows(traj.transported))]
-    return "\n".join([_meta_header(traj, space, alpha), ",".join(trajectory_columns(traj)),
-                      *rows, ""])
+    parts = [(c, len(c) // rows) for c in cells if c]
+    return [",".join([",".join(c[k * w:(k + 1) * w]) for c, w in parts]) for k in range(rows)]
 
 
 def _jsonable(value):
@@ -140,14 +140,6 @@ def _jsonable(value):
     return value
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
 def _items(cells: list, shape: tuple, level: int) -> list:
     """Texts of the items of the outermost list of ``shape``, from its flat cell texts."""
     for depth in range(len(shape) - 1, 0, -1):
@@ -163,6 +155,23 @@ def _items(cells: list, shape: tuple, level: int) -> list:
     return cells
 
 
+def _json_piece(cells: list, shape: tuple, level: int) -> str:
+    """The items of a block of leading rows as ``json_array`` writes them, without brackets."""
+    return (",\n" + " " * (level + 1)).join(_items(cells, shape, level))
+
+
+def _json_parts(pieces: list, level: int) -> list:
+    """Texts that concatenate to the JSON array whose blocks of rows are ``pieces``."""
+    if not pieces:
+        return ["[]"]
+    indent = " " * (level + 1)
+    parts = ["[\n" + indent]
+    for piece in pieces:
+        parts += [piece, ",\n" + indent]
+    parts[-1] = "\n" + " " * level + "]"
+    return parts
+
+
 def json_array(values, level: int = 0) -> str:
     """``json.dumps(values.tolist(), indent=1)`` for a float array of one or more axes.
 
@@ -172,48 +181,103 @@ def json_array(values, level: int = 0) -> str:
     only one block are alive at once.
     """
     a = np.asarray(values, dtype=float)
-    if len(a) == 0:
-        return "[]"
-    text = float.__repr__ if np.isfinite(a).all() else _json_float
-    rows = max(1, _BLOCK_VALUES // max(1, a.size // len(a)))
-    sep = ",\n" + " " * (level + 1)
-    blocks = []
-    for i in range(0, len(a), rows):
-        block = a[i:i + rows]
-        cells = list(map(text, block.ravel().tolist()))
-        blocks.append(sep.join(_items(cells, block.shape, level)))
-    blocks[0] = "[\n" + " " * (level + 1) + blocks[0]
-    blocks[-1] += "\n" + " " * level + "]"
-    return sep.join(blocks)
+    rows = _block_rows(a.size // len(a)) if len(a) else 1
+    blocks = (a[i:i + rows] for i in range(0, len(a), rows))
+    return "".join(_json_parts([_json_piece(_cells(b), b.shape, level) for b in blocks], level))
 
 
-def _json_object(fields: dict, arrays: dict) -> str:
-    """``json.dumps({**fields, **arrays}, sort_keys=True, indent=1) + "\\n"``.
+def _json_object(fields: dict, arrays: dict) -> list:
+    """Texts that concatenate to ``json.dumps({**fields, **arrays}, sort_keys=True,
+    indent=1) + "\\n"``.
 
-    ``arrays`` maps keys to values already encoded by ``json_array(..., 1)``.
+    ``arrays`` maps keys to the texts of values nested one level deep, as
+    ``_json_parts(..., 1)`` gives them.
     """
-    texts = {key: json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")
+    texts = {key: [json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")]
              for key, value in fields.items()}
     texts.update(arrays)
     parts = ["{"]
     for key in sorted(texts):
-        parts += ["\n ", json.dumps(key), ": ", texts[key], ","]
+        parts += ["\n ", json.dumps(key), ": ", *texts[key], ","]
     parts[-1] = "\n}\n"
-    return "".join(parts)
+    return parts
 
 
-def trajectory_json(traj, space: str = "", alpha: str = "", base: BaseText | None = None) -> str:
-    """JSON of a trajectory; ``base`` holds its t, frame and velocity columns as text."""
+class BaseText:
+    """The t, frame and velocity columns of a trajectory, converted to text once.
+
+    It holds, per block of rows, their CSV cells and their JSON pieces.
+    These columns are the same in every file written along one base curve;
+    pass one ``BaseText`` to ``write_trajectory`` for each seed and only
+    the ``z`` columns are converted per seed.
+    """
+
+    def __init__(self, traj):
+        self.blocks = list(_base_blocks(traj))
+
+
+def _base_blocks(traj):
+    """``(start, lines, pieces)`` per block of rows of the t, frame and velocity columns.
+
+    ``lines`` are the block's CSV lines of those columns and ``pieces`` maps
+    each JSON key to the block's piece of its array.
+    """
+    arrays = {"times": traj.times, "frames": traj.frames, "velocities": traj.velocities}
+    rows = _block_rows(sum(a[0].size for a in arrays.values()) if len(traj) else 0)
+    for start in range(0, len(traj), rows):
+        blocks = {key: a[start:start + rows] for key, a in arrays.items()}
+        cells = {key: _cells(b) for key, b in blocks.items()}
+        yield (start, _csv_rows(list(cells.values()), len(blocks["times"])),
+               {key: _json_piece(cells[key], b.shape, 1) for key, b in blocks.items()})
+
+
+def _emit_trajectory(csv, traj, space: str, alpha: str, base: BaseText | None) -> list:
+    """Write a trajectory's CSV text to the handle ``csv``; return the parts of its JSON."""
+    z = traj.transported
+    arrays = {"times": [], "frames": [], "velocities": []}
+    if z is not None:
+        arrays["transported"] = []
+    csv.write(_meta_header(traj, space, alpha) + "\n" + ",".join(trajectory_columns(traj))
+              + "\n")
+    for start, lines, pieces in (base.blocks if base is not None else _base_blocks(traj)):
+        for key, piece in pieces.items():
+            arrays[key].append(piece)
+        if z is not None:
+            block = z[start:start + len(lines)]
+            cells = _cells(block)
+            arrays["transported"].append(_json_piece(cells, block.shape, 1))
+            lines = _csv_rows([lines, cells], len(lines))
+        csv.write("\n".join(lines) + "\n")
     fields = {
         "meta": _jsonable({**traj.meta, "space": space, "alpha": alpha}),
         "columns": trajectory_columns(traj),
     }
-    arrays = dict((base if base is not None else BaseText(traj)).json_arrays)
-    if traj.transported is None:
+    if z is None:
         fields["transported"] = None
-    else:
-        arrays["transported"] = json_array(traj.transported, 1)
-    return _json_object(fields, arrays)
+    return _json_object(fields, {key: _json_parts(p, 1) for key, p in arrays.items()})
+
+
+def write_trajectory(prefix: str, traj, space: str, alpha: str, base: BaseText | None = None):
+    """Write ``prefix.csv`` and ``prefix.json`` of a trajectory, each value converted once.
+
+    ``base`` holds its t, frame and velocity columns as text.
+    """
+    with _atomic_file(prefix + ".csv") as handle:
+        json_parts = _emit_trajectory(handle, traj, space, alpha, base)
+    with _atomic_file(prefix + ".json") as handle:
+        handle.writelines(json_parts)
+
+
+def trajectory_csv(traj, space: str = "", alpha: str = "", base: BaseText | None = None) -> str:
+    """The text ``write_trajectory`` writes to ``prefix.csv``."""
+    text = io.StringIO()
+    _emit_trajectory(text, traj, space, alpha, base)
+    return text.getvalue()
+
+
+def trajectory_json(traj, space: str = "", alpha: str = "", base: BaseText | None = None) -> str:
+    """The text ``write_trajectory`` writes to ``prefix.json``."""
+    return "".join(_emit_trajectory(io.StringIO(), traj, space, alpha, base))
 
 
 def tensor_json(tensor, extra_meta=None) -> str:
@@ -224,16 +288,16 @@ def tensor_json(tensor, extra_meta=None) -> str:
         "tainted": tensor.tainted,
     }
     fields.update(_jsonable(extra_meta or {}))
-    return _json_object(fields, {"coefficients": json_array(tensor.coeffs.ravel(), 1)})
+    return "".join(_json_object(fields, {"coefficients": [json_array(tensor.coeffs.ravel(), 1)]}))
 
 
 def tensor_csv(tensor) -> str:
-    """Rank-3 tensors as (k, i, j, value) rows with 1-based indices."""
+    """Rank-3 tensors as (k, i, j, value) rows with 1-based integer indices."""
     coeffs = tensor.coeffs
     if coeffs.ndim != 3:
         raise ValueError("CSV output is defined for rank-3 tensors only")
-    rows = np.column_stack([np.indices(coeffs.shape).reshape(3, -1).T + 1, coeffs.ravel()])
-    return "\n".join(["k,i,j,value", *_csv_rows(rows)]) + "\n"
+    indices = list(map(str, (np.indices(coeffs.shape).reshape(3, -1).T + 1).ravel().tolist()))
+    return "\n".join(["k,i,j,value", *_csv_rows([indices, _cells(coeffs)], coeffs.size)]) + "\n"
 
 
 def sectional_csv(entries) -> str:

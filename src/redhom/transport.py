@@ -226,7 +226,7 @@ class CurveSpec:
     def velocity_samples(cls, times, xs):
         times = np.asarray(times, dtype=float)
         xs = np.asarray(xs, dtype=float)
-        _check_times(times)
+        _check_samples(times, xs)
         return cls(kind="piecewise_velocity", times=times, values=xs,
                    t_span=(float(times[0]), float(times[-1])))
 
@@ -234,7 +234,7 @@ class CurveSpec:
     def group_samples(cls, times, mats):
         times = np.asarray(times, dtype=float)
         mats = np.asarray(mats, dtype=float)
-        _check_times(times)
+        _check_samples(times, mats)
         # no registry key: a singularity cut guarding the solves ahead, not a tolerance
         if np.any(np.abs(np.linalg.det(mats)) < 1e-12):
             raise ValueError("group samples contain a numerically singular matrix")
@@ -242,7 +242,10 @@ class CurveSpec:
                    t_span=(float(times[0]), float(times[-1])))
 
 
-def _check_times(times):
+def _check_samples(times, values):
+    # a NaN passes every comparison-based test below and in the lift, so reject it here
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise ValueError("curve samples must be finite")
     if times.ndim != 1 or len(times) < 2:
         raise ValueError("need at least two strictly increasing sample times")
     if np.any(np.diff(times) <= 0):
@@ -355,7 +358,8 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     samples ``GUARD_BLOCK`` steps at a time and keeps those before the
     first one over the norm, as a check after every step would; the
     returned partial trajectory ends at the last sample within the norm,
-    and ``meta["aborted_at"]`` is the time of the first one beyond it.
+    and ``meta["aborted_at"]`` is the time of the first one beyond it.  An
+    x0 already beyond the norm raises ``ValueError`` before any step.
     """
     times, h = _time_grid(t_span, step)
     dec = alpha.dec
@@ -363,6 +367,10 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dec.N,):
         raise ValueError(f"x0 must have length {dec.N}")
+    # "not <=" also catches a nan; checked before the paths split, so both reject it
+    if not np.max(np.abs(x0), initial=0.0) <= BLOWUP_NORM:
+        raise ValueError("x0 has a coordinate of magnitude over the blow-up norm "
+                         f"{BLOWUP_NORM:g}")
 
     sym = _symmetric_part(alpha)
     if sym is None:

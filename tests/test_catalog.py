@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,28 @@ def test_no_module_but_reporting_defines_a_tolerance_constant():
                 [node.target] if isinstance(node, ast.AnnAssign) else [])
             offenders += [f"{filename}:{t.id}" for t in targets
                           if isinstance(t, ast.Name) and t.id.endswith("_TOL")]
+    assert offenders == []
+
+
+# a printf-style float conversion, or a format spec asking for round-trip precision
+SECOND_NUMBER_RULE = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?[eEfFgG]|\.(?:1[5-9]|[2-9]\d)[eEfFgG]")
+
+
+def test_no_module_formats_floats_by_a_second_rule():
+    """Artifacts write every float by the one rule of ``serialize.fmt`` (the text
+    ``json.dumps`` gives it).  No string constant may hold a ``%g``-style
+    template or a ``.17g``-style round-trip spec, which would bring back a second
+    text for the same value; short console specs such as ``.3e`` stay allowed."""
+    package = os.path.dirname(rh.__file__)
+    offenders = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        offenders += [f"{filename}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and SECOND_NUMBER_RULE.search(node.value)]
     assert offenders == []
 
 

@@ -197,6 +197,10 @@ class TestGeodesicDrift:
     # finite numbers, but the step count overflows
     pytest.param("geodesic", ["--x0=1,0.5", "--t0=-1e308", "--t1=1e308", "--step=1"], 1,
                  "error: t_span (-1e+308, 1e+308) holds too many steps", id="span-overflow"),
+    # finite, but over the blow-up norm before the first step
+    pytest.param("geodesic", ["--x0=1e7,0.5", "--t1=1", "--step=0.1"], 1,
+                 "error: x0 has a coordinate of magnitude over the blow-up norm 1e+06",
+                 id="x0-over-blow-up-norm"),
 ])
 def test_malformed_or_non_finite_numbers_are_rejected(tmp_path, capsys, command, args, code,
                                                       words):
@@ -206,6 +210,23 @@ def test_malformed_or_non_finite_numbers_are_rejected(tmp_path, capsys, command,
     except SystemExit as exc:
         got = exc.code
     assert got == code and words in capsys.readouterr().err
+    assert not list(tmp_path.glob("o*"))
+
+
+@pytest.mark.parametrize("kind, width", [("group_file", 9), ("velocity_file", 2)])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_curve_file_with_a_non_finite_cell_is_a_definition_error(tmp_path, capsys, kind,
+                                                                  width, bad):
+    rows = [[0.1 * i, *np.eye(3).ravel()][:1 + width] for i in range(5)]
+    rows[2][1 + width // 2] = bad
+    samples = tmp_path / "curve.csv"
+    samples.write_text("# t, sample\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    path = write(tmp_path, "space = sphere2\n\n[connection]\nalpha = levi_civita\n")
+    assert main(["transport", path, f"--curve={kind}:{samples}", "--z0=1,0",
+                 f"--out={tmp_path / 'o'}"]) == 2
+    captured = capsys.readouterr()
+    assert f"sample file {samples}: data row 3 holds a non-finite value" in captured.err
+    assert "drift" not in captured.out
     assert not list(tmp_path.glob("o*"))
 
 

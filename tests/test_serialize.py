@@ -1,7 +1,9 @@
 """Golden-file tests of the CLI artifacts, and the JSON array encoder against ``json.dumps``.
 
 The files under ``tests/data/golden`` hold the exact bytes each case must
-write.  They change only when the output format changes on purpose.
+write.  They change only when the output format changes on purpose.  Every
+float is written by one rule, the text ``json.dumps`` gives it, so a CSV
+file and its JSON twin must read back to the same float bits.
 """
 
 import json
@@ -95,7 +97,22 @@ def special_trajectory():
                       transported=transported, meta=meta)
 
 
-def test_trajectory_json_matches_json_dumps_of_its_payload():
+def write(tmp_path, traj, name="t", base=None):
+    """Write a trajectory's two files; return their texts."""
+    prefix = str(tmp_path / name)
+    serialize.write_trajectory(prefix, traj, "s", "a", base)
+    return Path(prefix + ".csv").read_text(), Path(prefix + ".json").read_text()
+
+
+def same_bits(a, b):
+    """Equal float arrays bit for bit: NaN positions, signs of zero and all."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+def test_trajectory_json_matches_json_dumps_of_its_payload(tmp_path):
     traj = special_trajectory()
     payload = {
         "meta": {**traj.meta, "fd_order": 4, "drift": "nan", "space": "s", "alpha": "a"},
@@ -106,24 +123,64 @@ def test_trajectory_json_matches_json_dumps_of_its_payload():
         "transported": traj.transported.tolist(),
     }
     reference = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    assert serialize.trajectory_json(traj, "s", "a") == reference
+    assert write(tmp_path, traj)[1] == reference
     assert '"tainted": true' in reference and '"blow_up": false' in reference
 
 
-def test_trajectory_csv_matches_cell_by_cell_formatting():
+def test_trajectory_csv_matches_cell_by_cell_formatting(tmp_path):
     traj = special_trajectory()
-    lines = [f"# space=s alpha=a step={serialize.fmt(0.5)} integrator=",
+    lines = [f"# space=s alpha=a step={serialize._json_float(0.5)} integrator=",
              ",".join(serialize.trajectory_columns(traj))]
     for i in range(len(traj)):
         row = [traj.times[i], *traj.frames[i].ravel(), *traj.velocities[i], *traj.transported[i]]
-        lines.append(",".join(serialize.fmt(v) for v in row))
-    assert serialize.trajectory_csv(traj, "s", "a") == "\n".join(lines) + "\n"
+        lines.append(",".join(serialize._json_float(float(v)) for v in row))
+    assert write(tmp_path, traj)[0] == "\n".join(lines) + "\n"
 
 
-def test_shared_base_text_gives_the_same_files():
+def test_shared_base_text_gives_the_same_files(tmp_path):
     traj = special_trajectory()
     other = replace(traj, transported=traj.transported[::-1].copy())
     text = serialize.BaseText(traj)
     for seed in (traj, other):
-        for write in (serialize.trajectory_csv, serialize.trajectory_json):
-            assert write(seed, "s", "a", text) == write(seed, "s", "a")
+        files = write(tmp_path, seed, "own")
+        assert write(tmp_path, seed, "shared", text) == files
+        assert (serialize.trajectory_csv(seed, "s", "a", text),
+                serialize.trajectory_json(seed, "s", "a")) == files
+
+
+def test_csv_and_json_read_back_the_same_float_bits(tmp_path, monkeypatch):
+    # three rows of t, frame and velocity cells per block: the four rows span two blocks
+    monkeypatch.setattr(serialize, "_BLOCK_VALUES", 3 * 8)
+    traj = special_trajectory()
+    write(tmp_path, traj)
+    table = np.loadtxt(tmp_path / "t.csv", delimiter=",", comments="#", skiprows=2, ndmin=2)
+    cols = np.cumsum([1, 4, 3])
+    csv = dict(zip(["times", "frames", "velocities", "transported"], np.split(table, cols, 1)))
+    data = json.loads((tmp_path / "t.json").read_text())
+    for key in csv:
+        value = getattr(traj, key)
+        assert same_bits(csv[key].reshape(value.shape), value), key
+        assert same_bits(data[key], value), key
+    assert np.signbit(csv["transported"][0, 0]) and csv["transported"][0, 1] == 5e-324
+
+
+def golden_twins():
+    """(csv, json) golden pairs that hold the same values."""
+    pairs = sorted((p, p.with_suffix(".json")) for p in GOLDEN.glob("*/*.csv"))
+    return [pair for pair in pairs if pair[1].exists()]
+
+
+@pytest.mark.parametrize("pair", golden_twins(), ids=lambda p: f"{p[0].parent.name}/{p[0].name}")
+def test_golden_csv_holds_the_float_bits_of_its_json_twin(pair):
+    csv_path, json_path = pair
+    data = json.loads(json_path.read_text())
+    if "coefficients" in data:
+        table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        assert same_bits(table[:, 3], data["coefficients"])
+        return
+    table = np.loadtxt(csv_path, delimiter=",", comments="#", skiprows=2, ndmin=2)
+    arrays = [np.asarray(data[k], dtype=float) for k in ("times", "frames", "velocities")]
+    if data["transported"] is not None:
+        arrays.append(np.asarray(data["transported"], dtype=float))
+    joined = np.hstack([a.reshape(len(a), -1) for a in arrays])
+    assert same_bits(table, joined)

@@ -14,7 +14,9 @@ must fit its order against the steps the runs take.  Where alpha's
 symmetric part vanishes a geodesic's velocity must stay x0 bit for bit;
 elsewhere the block-guarded RK4 must match a per-step einsum RK4 kept
 here, keep the rigid body's energy and momentum norm, and end a blow-up
-at the sample the per-step guard ends it, with frames still on the group.
+at the sample the per-step guard ends it, with frames still on the group;
+an x0 already over the blow-up norm and non-finite curve samples are
+rejected before any step.
 """
 
 import json
@@ -249,6 +251,38 @@ def test_blow_up_ends_where_a_per_step_guard_ends_it(first_over):
     assert np.max(np.abs(geo.velocities)) <= transport.BLOWUP_NORM
     np.testing.assert_allclose(geo.velocities, ref, rtol=1e-13, atol=0)
     assert geo.meta["group_drift"] <= 1e-13
+
+
+@pytest.mark.parametrize("make_alpha", [
+    pytest.param(riccati_alpha, id="rk4"),
+    pytest.param(lambda: rh.sphere2().suggested_alphas[0], id="no-symmetric-part"),
+])
+def test_x0_over_the_blow_up_norm_is_rejected_before_any_step(make_alpha):
+    alpha = make_alpha()
+    x0 = np.zeros(alpha.dec.N)
+    x0[0] = -transport.BLOWUP_NORM                  # on the norm, shrinking: integrated
+    assert len(geodesic(alpha, x0, (0.0, 1e-9), 1e-9)) == 2
+    for over in (np.nextafter(transport.BLOWUP_NORM, np.inf), 1e7, -1e7):
+        x0[0] = over
+        with pytest.raises(ValueError, match="over the blow-up norm"):
+            geodesic(alpha, x0, (0.0, 1.0), 0.01)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_curve_samples_must_be_finite(bad):
+    # a nan passes the singularity cut and the time-order test; each kind rejects it itself
+    times = np.linspace(0.0, 1.0, 5)
+    cases = {CurveSpec.group_samples: np.tile(np.eye(3), (5, 1, 1)),
+             CurveSpec.velocity_samples: np.zeros((5, 2))}
+    for make, values in cases.items():
+        make(times, values)
+        spoiled = values.copy()
+        spoiled[2].flat[1] = bad
+        stamps = times.copy()
+        stamps[4] = bad
+        for args in ((times, spoiled), (stamps, values)):
+            with pytest.raises(ValueError, match="curve samples must be finite"):
+                make(*args)
 
 
 def test_blow_up_on_the_command_line_writes_the_partial_trajectory(tmp_path, capsys):
