@@ -198,11 +198,6 @@ class StructuredLieAlgebra:
         a = _check_vector(a, self.dim)
         return np.einsum("i,iab->ab", a, self.matrix_basis)
 
-    def coords(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of a matrix lying in the realized algebra."""
-        self._require_matrices()
-        return expand_in_matrix_basis(self.matrix_basis, mat, what="algebra element")
-
     # -- group-level operations ---------------------------------------------------
 
     def group_exp(self, a, t: float = 1.0) -> "GroupElement":

@@ -60,7 +60,6 @@ class SpaceBundle:
     dec: ReductiveDecomposition
     metric: MetricOnM | None
     suggested_alphas: list[AlphaMap] = field(default_factory=list)
-    provenance: str = ""
     name: str = ""
 
     def alpha(self, label: str) -> AlphaMap:
@@ -133,7 +132,6 @@ def sphere2() -> SpaceBundle:
         dec=dec,
         metric=metric,
         suggested_alphas=[canonical_first(dec)],
-        provenance="SO(3)/SO(2) via the symmetric pair fixing the third axis; round metric",
         name="sphere2",
     )
 
@@ -165,7 +163,6 @@ def stiefel(n: int, k: int) -> SpaceBundle:
         dec=dec,
         metric=metric,
         suggested_alphas=alphas,
-        provenance=f"SO({n})/SO({n - k}) normal decomposition w.r.t. tr(X^T Y)/2",
         name=f"stiefel({n},{k})",
     )
 
@@ -192,7 +189,6 @@ def grassmann_like(n: int, k: int) -> SpaceBundle:
         dec=dec,
         metric=metric,
         suggested_alphas=alphas,
-        provenance=f"SO({n}) symmetric pair under conjugation by diag(I_{k}, -I_{n - k})",
         name=f"grassmann({n},{k})",
     )
 
@@ -214,7 +210,6 @@ def group_as_space(algebra: StructuredLieAlgebra, gram=None,
         dec=dec,
         metric=metric,
         suggested_alphas=alphas,
-        provenance=f"{algebra.name} as the quotient by the trivial subgroup",
         name=name or f"{algebra.name}/{{e}}",
     )
 

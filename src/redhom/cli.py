@@ -37,7 +37,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import serialize
-from .connection import curvature, is_metric, sectional_curvature, torsion
+from .connection import curvature, sectional_curvature, torsion
 from .deffile import DefFileError, build_space, check_space, parse_definition
 from .reductive import DecompositionError
 from .reporting import DEFAULT_TOLERANCES, resolve_tolerances
@@ -114,7 +114,10 @@ def _build(args):
 
 
 def _prepare(args):
-    """Parse, build and gate on the check battery (unless --force)."""
+    """Parse, build and gate on the check battery (unless --force).
+
+    ``alpha`` is the bundle's one suggested alpha, so ``reports`` are its own.
+    """
     bundle, alpha, tols, reports, passed = _build(args)
     tainted = any(r.tainted for r in reports) or (not passed and args.force)
     if not passed and not args.force:
@@ -122,7 +125,7 @@ def _prepare(args):
         print("mandatory checks failed; rerun with --force to integrate anyway",
               file=sys.stderr)
         return None
-    return bundle, alpha or bundle.suggested_alphas[0], tols, tainted
+    return bundle, alpha or bundle.suggested_alphas[0], tols, tainted, reports
 
 
 def _emit_report(args, bundle, reports, passed, extra=None):
@@ -154,7 +157,7 @@ def cmd_geodesic(args) -> int:
     prep = _prepare(args)
     if prep is None:
         return 1
-    bundle, alpha, tols, tainted = prep
+    bundle, alpha, tols, tainted, _reports = prep
     traj = geodesic(alpha, args.x0, (args.t0, args.t1), args.step)
     traj.meta["tainted"] = traj.meta.get("tainted", False) or tainted
     serialize.write_trajectory(args.out, traj, bundle.name, alpha.label)
@@ -215,7 +218,7 @@ def cmd_transport(args) -> int:
     prep = _prepare(args)
     if prep is None:
         return 1
-    bundle, alpha, tols, tainted = prep
+    bundle, alpha, _tols, tainted, reports = prep
     dec = bundle.dec
     curve = _parse_curve(args, dec)
     base = realize_curve(dec, curve, step=args.step)
@@ -231,7 +234,8 @@ def cmd_transport(args) -> int:
         traj = replace(batch, transported=batch.transported[:, i])
         serialize.write_trajectory(args.out + suffix, traj, bundle.name, alpha.label, shared)
 
-    if bundle.metric is not None and is_metric(alpha, bundle.metric, tols["is_metric"]).passed:
+    # the battery judged is_metric for this alpha and metric at tols["is_metric"]
+    if any(r.check == "is_metric" and r.passed for r in reports):
         zs = batch.transported
         gram = np.einsum("tak,kl,tbl->tab", zs, bundle.metric.gram, zs, optimize=True)
         drift = float(np.max(np.abs(gram - gram[0])))
@@ -245,7 +249,7 @@ def cmd_tensors(args) -> int:
     prep = _prepare(args)
     if prep is None:
         return 1
-    bundle, alpha, tols, tainted = prep
+    bundle, alpha, tols, tainted, _reports = prep
     tor = torsion(alpha)
     curv = curvature(alpha, tol=tols["curvature_h_leak"])
     anti = float(np.max(np.abs(curv.coeffs + np.swapaxes(curv.coeffs, 1, 2)))) \
@@ -279,7 +283,7 @@ def cmd_convergence(args) -> int:
     prep = _prepare(args)
     if prep is None:
         return 1
-    bundle, alpha, _tols, tainted = prep
+    bundle, alpha, _tols, tainted, _reports = prep
     result = geodesic_convergence(alpha, args.x0, (args.t0, args.t1), args.steps.tolist())
     if result.exact:
         print("convergence: exact (errors at machine precision)")

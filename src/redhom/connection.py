@@ -90,10 +90,6 @@ class AlphaMap:
             raise ValueError(f"expected m-coordinate vectors of length {self.dec.N}")
         return np.einsum("kij,i,j->k", self.coeffs, x, y)
 
-    def left_matrix(self, x) -> np.ndarray:
-        """Matrix of Y -> alpha(X, Y) for fixed X."""
-        return np.einsum("kij,i->kj", self.coeffs, np.asarray(x, dtype=float))
-
     def __repr__(self):
         taint = "" if self.checked else ", unchecked"
         return f"AlphaMap({self.label}, N={self.dec.N}{taint})"
@@ -210,6 +206,17 @@ def curvature(alpha: AlphaMap,
     return TensorAtOrigin("curvature", r, tainted=not alpha.checked)
 
 
+def _worst_triple(diff, tol):
+    """Largest entry of a residual over basis triples, and its triple as the witness
+    when it is over ``tol``: (worst, witnesses)."""
+    worst = float(np.max(diff)) if diff.size else 0.0
+    witnesses = []
+    if diff.size and worst > tol:
+        i, j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        witnesses = [{"triple": [int(i), int(j), int(k)], "residual": worst}]
+    return worst, witnesses
+
+
 def naturally_reductive_check(dec: ReductiveDecomposition, metric: MetricOnM,
                               tol: float = DEFAULT_TOLERANCES["naturally_reductive"]
                               ) -> CheckReport:
@@ -218,12 +225,7 @@ def naturally_reductive_check(dec: ReductiveDecomposition, metric: MetricOnM,
     b = dec.m_bracket_tensor
     lhs = np.einsum("lij,lk->ijk", b, g)
     rhs = np.einsum("il,ljk->ijk", g, b)
-    diff = np.abs(lhs - rhs)
-    worst = float(np.max(diff)) if diff.size else 0.0
-    witnesses = []
-    if diff.size and worst > tol:
-        i, j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        witnesses = [{"triple": [int(i), int(j), int(k)], "residual": worst}]
+    worst, witnesses = _worst_triple(np.abs(lhs - rhs), tol)
     return CheckReport.from_residual(
         "naturally_reductive", worst, tol, witnesses=witnesses, mandatory=False
     )
@@ -236,12 +238,7 @@ def is_metric(alpha: AlphaMap, metric: MetricOnM,
     a = alpha.coeffs
     lhs = np.einsum("kij,kl->ijl", a, g)   # <alpha(A_i, A_j), A_l>
     rhs = np.einsum("kil,kj->ijl", a, g)   # <A_j, alpha(A_i, A_l)>
-    diff = np.abs(lhs + rhs)
-    worst = float(np.max(diff)) if diff.size else 0.0
-    witnesses = []
-    if diff.size and worst > tol:
-        i, j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        witnesses = [{"triple": [int(i), int(j), int(k)], "residual": worst}]
+    worst, witnesses = _worst_triple(np.abs(lhs + rhs), tol)
     return CheckReport.from_residual(
         "is_metric", worst, tol, witnesses=witnesses, mandatory=False,
         tainted=not alpha.checked,

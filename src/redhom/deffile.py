@@ -436,7 +436,6 @@ def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
     bundle = SpaceBundle(
         algebra=algebra, dec=dec, metric=metric,
         suggested_alphas=[reported],
-        provenance=f"definition file ({'named: ' + defn.space if defn.space else 'explicit blocks'})",
         name=name,
     )
     return bundle, alpha

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import StructuredLieAlgebra, GroupElement, expm
+from .algebra import StructuredLieAlgebra, GroupElement, expand_in_matrix_basis, expm
 from .reporting import CheckReport, DEFAULT_TOLERANCES, resolve_tolerances
 
 __all__ = [
@@ -69,9 +69,6 @@ class MetricOnM:
         self.gram = g
         self.signature = sig
         self.dim = g.shape[0]
-
-    def inner(self, x, y) -> float:
-        return float(np.asarray(x) @ self.gram @ np.asarray(y))
 
     def __repr__(self):
         return f"MetricOnM(dim={self.dim}, signature={self.signature})"
@@ -137,9 +134,6 @@ class ReductiveDecomposition:
         """m-coordinates (w.r.t. the A-basis) of an ambient coordinate vector."""
         return (self._cob_inv @ np.asarray(v, dtype=float))[self.q:]
 
-    def h_coords(self, v) -> np.ndarray:
-        return (self._cob_inv @ np.asarray(v, dtype=float))[: self.q]
-
     def m_embed(self, x) -> np.ndarray:
         """Ambient coordinates of an m-vector given in the A-basis."""
         x = np.asarray(x, dtype=float)
@@ -147,9 +141,16 @@ class ReductiveDecomposition:
             raise ValueError(f"expected m-coordinates of length {self.N}, got shape {x.shape}")
         return self.m_basis.T @ x
 
-    def h_embed(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return self.h_basis.T @ y
+    def split_matrices(self, mats):
+        """h- and m-coordinates of a stack of (M, d, d) algebra matrices.
+
+        Returns ``(h (M, q), m (M, N), residual (M,))``, where ``residual``
+        is each least-squares expansion's relative residual, so a matrix
+        off the algebra is reported, not rejected.
+        """
+        coords, resid = expand_in_matrix_basis(self.algebra.matrix_basis, mats, strict=False)
+        split = self._cob_inv @ coords.T
+        return split[: self.q].T, split[self.q:].T, resid
 
     def project_m(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)

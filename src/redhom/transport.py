@@ -12,19 +12,21 @@ moving frame.  The governing ODEs are then
 
 The geodesic velocity equation does not involve g, and only alpha's
 symmetric part moves x.  When that part vanishes, x is constant and the
-geodesics are the one-parameter curves ``exp(t X)``, as on every catalog
-space with its Levi-Civita alpha (they are naturally reductive).
-Otherwise x is integrated alone with fixed-step RK4, whose blow-up guard
-reads a block of steps at a time.  Every other equation is linear, and one
-propagator, ``_magnus_frames``, solves them all with one exponential per
-step of the fourth-order Magnus expansion (Iserles, Munthe-Kaas, Norsett
-and Zanna, Acta Numerica 9, 2000): the frames of a geodesic or of a
-sampled velocity curve, the lift's isotropy factor h, and the transport
-propagator.  Their generators lie in a Lie algebra, so each solution
-stays on its group up to round-off: g in G, h in H and, for a metric
-alpha, the transport propagator in O(g).  Every parallel field along one
-curve solves the same linear ODE, so all seeds transported in one call
-share one propagator sequence.
+geodesic is the one-parameter curve ``exp(t X)``, as on every catalog
+space with its Levi-Civita alpha (they are naturally reductive), and
+``_one_parameter_frames`` builds its frames as the powers of one
+exponential.  Otherwise x is integrated alone with fixed-step RK4, whose
+blow-up guard reads a block of steps at a time.  Every other equation is
+linear with a varying generator, and one propagator, ``_magnus_frames``,
+solves them all with one exponential per step of the fourth-order Magnus
+expansion (Iserles, Munthe-Kaas, Norsett and Zanna, Acta Numerica 9,
+2000): the frames of an RK4 geodesic or of a sampled velocity curve, the
+lift's isotropy factor h, and the transport propagator.  Their generators
+lie in a Lie algebra, so each solution stays on its group up to
+round-off: g in G, h in H and, for a metric alpha, the transport
+propagator in O(g).  Every parallel field along one curve solves the same
+linear ODE, so all seeds transported in one call share one propagator
+sequence.
 
 Every trajectory starts at the identity frame, and a lift at its first
 sample; no initial frame is taken, since it would add nothing.  The
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import expand_in_matrix_basis, expm
+from .algebra import expm
 from .connection import AlphaMap
 from .reductive import ReductiveDecomposition
 
@@ -125,14 +127,6 @@ def _hermite_midpoints(values, derivs, dt):
     return 0.5 * (values[:-1] + values[1:]) + dt * (derivs[:-1] - derivs[1:]) / 8.0
 
 
-def _fd_error_estimate(times, values):
-    """Difference between 2nd- and 4th-order derivative estimates, or None."""
-    uniform, h = _uniform_spacing(times)
-    if not uniform or len(times) < 5:
-        return None
-    return float(np.max(np.abs(_fd_derivatives(times, values) - _fd4_uniform(values, h))))
-
-
 # -- trajectories -----------------------------------------------------------------
 
 
@@ -185,14 +179,10 @@ def frame_diagnostics(dec, times, frames, velocities) -> dict:
     if alg.matrix_basis is None or len(times) < 3:
         return out
     gdot, out["fd_order"] = _best_fd(times, frames)
-    body = np.linalg.solve(frames, gdot)
-    coords, resid = expand_in_matrix_basis(alg.matrix_basis, body, strict=False)
-    split = dec._cob_inv @ coords.T
+    h_part, m_part, resid = dec.split_matrices(np.linalg.solve(frames, gdot))
     out["expansion_residual"] = float(np.max(resid))
-    out["horizontality_leak"] = (
-        float(np.max(np.abs(split[: dec.q]))) if dec.q else 0.0
-    )
-    out["velocity_residual"] = float(np.max(np.abs(split[dec.q:].T - velocities)))
+    out["horizontality_leak"] = float(np.max(np.abs(h_part))) if dec.q else 0.0
+    out["velocity_residual"] = float(np.max(np.abs(m_part - velocities)))
     return out
 
 
@@ -279,7 +269,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
 
     cdot, fd_order = _best_fd(times, mats)
     body = np.linalg.solve(mats, cdot)                   # c^-1 c' at samples
-    coords, resid = expand_in_matrix_basis(alg.matrix_basis, body, strict=False)
+    h_coords, m_coords, resid = dec.split_matrices(body)
     worst_resid = float(np.max(resid))
     # no registry key: rejects samples off the group; fd_error_estimate reports grid error
     if worst_resid > 2e-2:
@@ -288,7 +278,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
         )
 
     if fd_order == 4:
-        # spread of the lift's generator c^-1 c', not of c' as _fd_error_estimate would measure
+        # spread of the lift's generator c^-1 c', not of c' as parallel_transport measures
         body2 = np.linalg.solve(mats, _fd_derivatives(times, mats))
         fd_err = float(np.max(np.abs(body - body2)))
     else:
@@ -299,10 +289,6 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
         warnings_list.append(
             f"samples too coarse: estimated c^-1 c' finite-difference error {fd_err:.3e}"
         )
-
-    split = dec._cob_inv @ coords.T                      # (n, m)
-    h_coords = split[: dec.q].T                          # (m, q)
-    m_coords = split[dec.q:].T                           # (m, N)
 
     # h' = A h with A = -mat(pr_h(c^-1 c')), solved transposed
     h_dot, _ = _best_fd(times, h_coords)
@@ -316,10 +302,8 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
     # x = m-coords of g^-1 g' = Ad_{h^-1}(pr_m(c^-1 c'))
     pm_mats = np.einsum("mk,kab->mab", m_coords, dec.m_matrices)
     conj = np.einsum("mab,mbc->mac", np.linalg.solve(hs, pm_mats), hs)
-    xc, xresid = expand_in_matrix_basis(alg.matrix_basis, conj, strict=False)
-    xsplit = dec._cob_inv @ xc.T
-    ad_leak = float(np.max(np.abs(xsplit[: dec.q]))) if dec.q else 0.0
-    xs = xsplit[dec.q:].T
+    x_h, xs, _ = dec.split_matrices(conj)
+    ad_leak = float(np.max(np.abs(x_h))) if dec.q else 0.0
 
     meta = {
         "integrator": "magnus4-lift",
@@ -346,12 +330,15 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     a frame g0 is g0 times this one, with the same x.
 
     The velocity equation does not involve g, and only alpha's symmetric
-    part moves x.  When that part vanishes, x stays x0 and no step is
-    taken; otherwise x is integrated alone by fixed-step RK4.  The step is
-    shrunk slightly if the interval is not an integer multiple of the
-    request.  The frames come from ``_magnus_frames``, with x at the
-    interval midpoints interpolated by cubic Hermite from the exact
-    derivatives at the nodes, and stay on the group up to round-off.
+    part moves x.  When that part vanishes, x stays x0, no step is taken,
+    and the frames are those of the one-parameter curve, bit for bit.
+    Otherwise x is integrated alone by fixed-step RK4, and the frames come
+    from ``_magnus_frames``, with x at the interval midpoints interpolated
+    by cubic Hermite from the exact derivatives at the nodes.  Either way
+    the frames stay on the group up to round-off, and the integrator reads
+    ``rk4-magnus4``: a Magnus step of a constant generator is the one
+    exponential.  The step is shrunk slightly if the interval is not an
+    integer multiple of the request.
 
     A blow-up guard ends the run once |x| exceeds ``BLOWUP_NORM``
     (completeness holds for lifts, not for arbitrary alpha).  It reads the
@@ -375,17 +362,16 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     sym = _symmetric_part(alpha)
     if sym is None:
         xs = np.tile(x0, (len(times), 1))
-        dxs = np.zeros_like(xs)
+        frames = _one_parameter_frames(dec, x0, h, len(times) - 1)
         aborted_at = None
     else:
         xs, dxs = _rk4_velocities(-sym, x0, h, len(times) - 1)
         aborted_at = float(times[len(xs)]) if len(xs) < len(times) else None
         times = times[: len(xs)]
-
-    dt = np.full(len(xs) - 1, h)
-    x_mid = _hermite_midpoints(xs, dxs, dt)
-    frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs, x_mid, dt)
-    del dxs, x_mid                  # not held while the diagnostics run
+        dt = np.full(len(xs) - 1, h)
+        frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs,
+                                _hermite_midpoints(xs, dxs, dt), dt)
+        del dxs                     # not held while the diagnostics run
     meta = {
         "integrator": "rk4-magnus4",
         "step": h,
@@ -454,7 +440,8 @@ def _magnus_frames(g0, basis, xs, x_mid, dt):
     ``Omega_i = dt/6 (A_i + 4 A_mid + A_{i+1}) + dt^2/12 [A_i, A_{i+1}]``.
     Omega_i lies in the algebra, so the frames stay on the group up to
     round-off.  The exponentials are built a block of steps at a time, which
-    keeps the temporaries small.
+    keeps the temporaries small.  A constant generator needs none of this:
+    ``_one_parameter_frames`` takes the powers of one exponential.
 
     A left-acting ODE ``Y' = B(t) Y`` is the same problem transposed,
     ``(Y^T)' = Y^T B(t)^T``: pass ``Y(t0)^T`` and the transposed basis, and
@@ -472,6 +459,17 @@ def _magnus_frames(g0, basis, xs, x_mid, dt):
         for i, inc in enumerate(expm(omega), start + 1):
             g = g @ inc
             frames[i] = g
+    return frames
+
+
+def _one_parameter_frames(dec, x0, h, nsteps):
+    """Frames exp(i h mat(x0)), i = 0..nsteps, as powers of one exponential."""
+    d = dec.algebra.matrix_dim
+    inc = expm(h * dec.m_matrix(x0))
+    frames = np.empty((nsteps + 1, d, d))
+    frames[0] = g = np.eye(d)
+    for i in range(1, nsteps + 1):
+        frames[i] = g = g @ inc
     return frames
 
 
@@ -503,13 +501,14 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     times = base.times
     xs = base.velocities
     warnings_list = list(base.meta.get("warnings", []))
-    fd_err = _fd_error_estimate(times, xs)
-    if fd_err is not None and fd_err > FD_COARSE_WARNING:
-        warnings_list.append(
-            f"transport grid too coarse: velocity interpolation error ~{fd_err:.3e}"
-        )
+    dxs, fd_order = _best_fd(times, xs)
+    if fd_order == 4:
+        fd_err = float(np.max(np.abs(_fd_derivatives(times, xs) - dxs)))
+        if fd_err > FD_COARSE_WARNING:
+            warnings_list.append(
+                f"transport grid too coarse: velocity interpolation error ~{fd_err:.3e}"
+            )
 
-    dxs, _ = _best_fd(times, xs)
     dt = np.diff(times)
     x_mid = _hermite_midpoints(xs, dxs, dt)
     # z' = A z with A_kj = -sum_i x_i alpha_kij, solved transposed
@@ -613,14 +612,8 @@ def _one_parameter_trajectory(dec, spec, step):
     if x0.shape != (dec.N,):
         raise ValueError(f"one-parameter direction must have length {dec.N}")
     times, h = _time_grid(spec.t_span, step)
-    nsteps = len(times) - 1
-    d = dec.algebra.matrix_dim
-    inc = expm(h * dec.m_matrix(x0))
-    frames = np.empty((nsteps + 1, d, d))
-    frames[0] = np.eye(d)
-    for i in range(nsteps):
-        frames[i + 1] = frames[i] @ inc
-    xs = np.tile(x0, (nsteps + 1, 1))
+    frames = _one_parameter_frames(dec, x0, h, len(times) - 1)
+    xs = np.tile(x0, (len(times), 1))
     meta = {"integrator": "exp", "step": h, "curve": "one_parameter"}
     traj = Trajectory(dec, times, frames, xs, meta=meta)
     meta.update(traj.diagnostics())

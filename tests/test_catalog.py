@@ -236,3 +236,41 @@ def test_no_module_contracts_three_matrices_in_one_unoptimized_einsum():
             if sum(len(term.strip()) >= 2 for term in operands) >= 3:
                 offenders.append(f"{filename}:{node.lineno}")
     assert offenders == []
+
+
+def package_trees():
+    """(file name, parsed module) for every module of the package."""
+    package = os.path.dirname(rh.__file__)
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            with open(os.path.join(package, filename), encoding="utf-8") as handle:
+                yield filename, ast.parse(handle.read())
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name an ``import`` binds is read somewhere in its module, so a name
+    left behind when its last use goes is caught.  ``__init__`` is exempt: its
+    imports are the package's public names."""
+    offenders = []
+    for filename, tree in package_trees():
+        if filename == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{filename}:{line}: {name}" for name, line in imported.items()
+                      if name not in read]
+    assert offenders == []
+
+
+def test_only_the_decomposition_reads_its_change_of_basis():
+    """``_cob`` and ``_cob_inv`` stay inside ``reductive``; other modules split
+    algebra matrices through ``ReductiveDecomposition.split_matrices``."""
+    offenders = [f"{filename}:{node.lineno}" for filename, tree in package_trees()
+                 if filename != "reductive.py" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in ("_cob", "_cob_inv")]
+    assert offenders == []

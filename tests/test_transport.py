@@ -16,10 +16,14 @@ elsewhere the block-guarded RK4 must match a per-step einsum RK4 kept
 here, keep the rigid body's energy and momentum norm, and end a blow-up
 at the sample the per-step guard ends it, with frames still on the group;
 an x0 already over the blow-up norm and non-finite curve samples are
-rejected before any step.
+rejected before any step.  Each quantity is derived once: a constant-velocity
+geodesic is the one-parameter curve bit for bit, built from one exponential;
+one transport call judges is_metric once; and each finite-difference warning
+reaches the command line.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +191,76 @@ def test_levi_civita_geodesic_keeps_its_velocity_bitwise(build, rng):
     assert geo.velocities.tobytes() == np.tile(x0, (41, 1)).tobytes()
     closed = np.array([expm(t * dec.m_matrix(x0)) for t in geo.times])
     assert np.max(np.abs(geo.frames - closed)) <= 1e-13
+    one = realize_curve(dec, CurveSpec.one_parameter(x0, (0.0, 2.0)), step=0.05)
+    assert geo.frames.tobytes() == one.frames.tobytes()
+
+
+def count_calls(monkeypatch, module, name):
+    """Record each call of ``module.name`` made through any ``redhom`` namespace
+    that binds it (``from .x import f`` copies the name)."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "redhom"]:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_constant_velocity_geodesic_takes_one_exponential(monkeypatch, rng):
+    bundle = rh.stiefel(6, 2)
+    alpha = levi_civita_alpha(bundle.dec, bundle.metric)
+    exps = count_calls(monkeypatch, transport, "expm")
+    magnus = count_calls(monkeypatch, transport, "_magnus_frames")
+    geo = geodesic(alpha, rng.standard_normal(bundle.dec.N), (0.0, 50.0), 0.01)
+    assert len(geo) == 5001
+    assert len(exps) == 1 and magnus == []
+
+
+def test_one_transport_call_judges_is_metric_once(tmp_path, monkeypatch, capsys):
+    calls = count_calls(monkeypatch, rh.connection, "is_metric")
+    code = run_transport(tmp_path, STIEFEL42_LC, "one_parameter:0.4,0.1,-0.3,0.2,0.5",
+                         ["1,0,0,0,0", "0,1,0,0,0"])
+    assert code == 0
+    assert len(calls) == 1
+    assert DRIFT_LINE in capsys.readouterr().out
+
+
+def so4_element():
+    return np.tensordot([0.4, 0.1, -0.3, 0.2, 0.5, 0.3], rh.so_n(4).matrix_basis, 1)
+
+
+def velocity_samples():
+    t = np.linspace(0.0, 1.0, 11)
+    return t, np.column_stack([np.sin(8 * t), np.cos(5 * t), t, 0 * t, t * t])
+
+
+def coarse_group_samples():
+    t = np.linspace(0.0, 1.0, 11)
+    return t, expm(3 * t[:, None, None] * so4_element()).reshape(len(t), -1)
+
+
+def nonuniform_group_samples():
+    t = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.8])
+    return t, expm(t[:, None, None] * so4_element()).reshape(len(t), -1)
+
+
+@pytest.mark.parametrize("kind, samples, warning", [
+    ("velocity_file", velocity_samples, "transport grid too coarse"),
+    ("group_file", coarse_group_samples, "samples too coarse"),
+    ("group_file", nonuniform_group_samples, "nonuniform or short grid"),
+], ids=["transport-grid", "coarse-samples", "nonuniform-samples"])
+def test_finite_difference_warnings_reach_the_command_line(tmp_path, capsys, kind, samples,
+                                                           warning):
+    times, rows = samples()
+    path = tmp_path / "samples.csv"
+    np.savetxt(path, np.column_stack([times, rows]), delimiter=",")
+    assert run_transport(tmp_path, STIEFEL42_LC, f"{kind}:{path}", ["1,0,0,0,0"]) == 0
+    assert f"warning: {warning}" in capsys.readouterr().err
 
 
 def rk4_reference(coeffs, x0, h, nsteps):
