@@ -20,7 +20,6 @@ from .connection import (
     curvature,
     is_metric,
     levi_civita_alpha,
-    nabla_at_origin,
     naturally_reductive_check,
     sectional_curvature,
     torsion,

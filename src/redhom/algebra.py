@@ -205,24 +205,22 @@ class StructuredLieAlgebra:
         self._require_matrices()
         return GroupElement(expm(float(t) * self.matrix(a)), self)
 
-    def adjoint_Ad(self, g: "GroupElement") -> np.ndarray:
+    def adjoint_Ad(self, g: "GroupElement",
+                   residual_tol: float = DEFAULT_TOLERANCES["basis_residual"]) -> np.ndarray:
         """Matrix of Ad_g : xi -> g xi g^-1 in the chosen basis.
 
         Fails if some conjugated basis matrix leaves the span of the
-        realized algebra, which signals that g does not normalize it.
+        realized algebra by more than ``residual_tol``, which signals that g
+        does not normalize it.
         """
         self._require_matrices()
         mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
         ginv = np.linalg.inv(mat)
         conj = mat @ self.matrix_basis @ ginv
         coeffs = expand_in_matrix_basis(
-            self.matrix_basis, conj, what="Ad-conjugated basis matrix"
+            self.matrix_basis, conj, residual_tol, what="Ad-conjugated basis matrix"
         )
         return coeffs.T  # column i = coords of g xi_i g^-1
-
-    def identity(self) -> "GroupElement":
-        self._require_matrices()
-        return GroupElement(np.eye(self.matrix_dim), self)
 
     def _require_matrices(self):
         if self.matrix_basis is None:
@@ -253,14 +251,6 @@ class GroupElement:
         mat.setflags(write=False)
         self.matrix = mat
         self.algebra = algebra
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.matrix), self.algebra)
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        if self.algebra is not other.algebra:
-            raise ValueError("group elements belong to different algebras")
-        return GroupElement(self.matrix @ other.matrix, self.algebra)
 
     def __repr__(self):
         return f"GroupElement(d={self.matrix.shape[0]}, algebra={self.algebra.name!r})"

@@ -7,10 +7,14 @@ and is orthonormal for the bi-invariant product <X, Y> = tr(X^T Y)/2.
 coordinate axes with the cyclic table [L1, L2] = L3 etc., matching the
 cross-product picture used in the rigid-body example.
 
+``<space>_geometry`` builds a space's algebra, decomposition, metric and
+name; the public constructor adds its suggested alphas.  A definition file
+uses the geometry part and builds only the alpha it reports.
+
 Every bundle constructed here passes the gates of the constructors it is
-built from (algebra, decomposition, alphas), and the tests hold every
-catalog space to a fully passing :func:`diagnostic_battery`; a catalog
-constructor returning an invalid space is a bug, not a report.
+built from (algebra, decomposition, metric, alphas), and the tests hold
+every catalog space to a fully passing :func:`diagnostic_battery`; a
+catalog constructor returning an invalid space is a bug, not a report.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .reductive import (
     MetricOnM,
     ReductiveDecomposition,
     build_decomposition,
-    check_metric_invariance,
     normal_decomposition,
     symmetric_decomposition,
 )
@@ -45,9 +48,13 @@ __all__ = [
     "so_n",
     "so3",
     "sphere2",
+    "sphere2_geometry",
     "stiefel",
+    "stiefel_geometry",
     "grassmann_like",
+    "grassmann_like_geometry",
     "group_as_space",
+    "group_geometry",
     "diagnostic_battery",
 ]
 
@@ -115,7 +122,7 @@ def so3() -> StructuredLieAlgebra:
     return StructuredLieAlgebra(c, np.array([l1, l2, l3]), name="so(3)")
 
 
-def sphere2() -> SpaceBundle:
+def sphere2_geometry() -> SpaceBundle:
     """The round 2-sphere as the rotation group modulo rotations about one axis.
 
     h = span(L3), m = span(L1, L2); the split is the canonical one of the
@@ -126,14 +133,14 @@ def sphere2() -> SpaceBundle:
     alg = so3()
     dec = build_decomposition(alg, h_basis=[[0.0, 0.0, 1.0]],
                               m_basis=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    metric = MetricOnM(np.eye(2))
-    return SpaceBundle(
-        algebra=alg,
-        dec=dec,
-        metric=metric,
-        suggested_alphas=[canonical_first(dec)],
-        name="sphere2",
-    )
+    return SpaceBundle(algebra=alg, dec=dec, metric=MetricOnM(dec, np.eye(2)), name="sphere2")
+
+
+def sphere2() -> SpaceBundle:
+    """:func:`sphere2_geometry` suggesting the first canonical alpha."""
+    space = sphere2_geometry()
+    space.suggested_alphas = [canonical_first(space.dec)]
+    return space
 
 
 def biinvariant_gram(algebra: StructuredLieAlgebra) -> np.ndarray:
@@ -143,7 +150,7 @@ def biinvariant_gram(algebra: StructuredLieAlgebra) -> np.ndarray:
     return 0.5 * np.einsum("iab,jab->ij", b, b)
 
 
-def stiefel(n: int, k: int) -> SpaceBundle:
+def stiefel_geometry(n: int, k: int) -> SpaceBundle:
     """SO(n)/SO(n-k) with the normal metric from the bi-invariant product.
 
     The subgroup is the lower-right SO(n-k) block; m is its orthogonal
@@ -157,17 +164,18 @@ def stiefel(n: int, k: int) -> SpaceBundle:
     h_rows = [i for i, (a, b) in enumerate(pairs) if a >= k and b >= k]
     h_basis = np.eye(alg.dim)[h_rows]
     dec, metric = normal_decomposition(alg, biinvariant_gram(alg), h_basis)
-    alphas = [canonical_first(dec), levi_civita_alpha(dec, metric)]
-    return SpaceBundle(
-        algebra=alg,
-        dec=dec,
-        metric=metric,
-        suggested_alphas=alphas,
-        name=f"stiefel({n},{k})",
-    )
+    return SpaceBundle(algebra=alg, dec=dec, metric=metric, name=f"stiefel({n},{k})")
 
 
-def grassmann_like(n: int, k: int) -> SpaceBundle:
+def stiefel(n: int, k: int) -> SpaceBundle:
+    """:func:`stiefel_geometry` suggesting the first canonical and Levi-Civita alphas."""
+    space = stiefel_geometry(n, k)
+    space.suggested_alphas = [canonical_first(space.dec),
+                              levi_civita_alpha(space.dec, space.metric)]
+    return space
+
+
+def grassmann_like_geometry(n: int, k: int) -> SpaceBundle:
     """The symmetric quotient of SO(n) fixed by conjugation with diag(I_k, -I_{n-k}).
 
     h is the block algebra so(k) + so(n-k), m the off-diagonal block of
@@ -182,36 +190,38 @@ def grassmann_like(n: int, k: int) -> SpaceBundle:
     signs = np.array([1.0 if (a < k) == (b < k) else -1.0 for a, b in pairs])
     sigma = np.diag(signs)
     dec = symmetric_decomposition(alg, sigma)
-    metric = MetricOnM(dec.m_basis @ biinvariant_gram(alg) @ dec.m_basis.T)
-    alphas = [canonical_first(dec), canonical_second(dec)]
-    return SpaceBundle(
-        algebra=alg,
-        dec=dec,
-        metric=metric,
-        suggested_alphas=alphas,
-        name=f"grassmann({n},{k})",
-    )
+    metric = MetricOnM(dec, dec.m_basis @ biinvariant_gram(alg) @ dec.m_basis.T)
+    return SpaceBundle(algebra=alg, dec=dec, metric=metric, name=f"grassmann({n},{k})")
 
 
-def group_as_space(algebra: StructuredLieAlgebra, gram=None,
-                   name: str = "") -> SpaceBundle:
+def grassmann_like(n: int, k: int) -> SpaceBundle:
+    """:func:`grassmann_like_geometry` suggesting both canonical alphas."""
+    space = grassmann_like_geometry(n, k)
+    space.suggested_alphas = [canonical_first(space.dec), canonical_second(space.dec)]
+    return space
+
+
+def group_geometry(algebra: StructuredLieAlgebra, gram=None, name: str = "") -> SpaceBundle:
     """A Lie group viewed as the quotient by the trivial subgroup.
 
     h = {0}, m = g, every projection is the identity, and any scalar
     product is invariant since there is no isotropy to respect.
     """
     dec = build_decomposition(algebra, h_basis=[], m_basis=np.eye(algebra.dim))
-    metric = MetricOnM(gram) if gram is not None else None
-    alphas = [canonical_first(dec)]
-    if metric is not None:
-        alphas.append(levi_civita_alpha(dec, metric))
-    return SpaceBundle(
-        algebra=algebra,
-        dec=dec,
-        metric=metric,
-        suggested_alphas=alphas,
-        name=name or f"{algebra.name}/{{e}}",
-    )
+    return SpaceBundle(algebra=algebra, dec=dec,
+                       metric=MetricOnM(dec, gram) if gram is not None else None,
+                       name=name or f"{algebra.name}/{{e}}")
+
+
+def group_as_space(algebra: StructuredLieAlgebra, gram=None,
+                   name: str = "") -> SpaceBundle:
+    """:func:`group_geometry` suggesting the first canonical alpha, and the
+    Levi-Civita alpha when a gram is given."""
+    space = group_geometry(algebra, gram, name)
+    space.suggested_alphas = [canonical_first(space.dec)]
+    if space.metric is not None:
+        space.suggested_alphas.append(levi_civita_alpha(space.dec, space.metric))
+    return space
 
 
 # -- diagnostic battery -------------------------------------------------------------
@@ -220,18 +230,18 @@ def group_as_space(algebra: StructuredLieAlgebra, gram=None,
 def diagnostic_battery(bundle: SpaceBundle, tolerances=None) -> list[CheckReport]:
     """Collect the construction-level checks of a bundle and return the reports.
 
-    Residuals the constructors gated on (algebra, decomposition, alpha
-    invariance) are judged here against ``resolve_tolerances(tolerances)``.
-    Only metric invariance, tensor assembly, torsion-freeness and the
-    informational checks (natural reductivity, is_metric) are computed.
+    Residuals the constructors measured (algebra, decomposition, metric
+    and alpha invariance) are only collected and judged here against
+    ``resolve_tolerances(tolerances)``.  Only tensor assembly,
+    torsion-freeness and the informational checks (natural reductivity,
+    is_metric) are computed.
     """
     tols = resolve_tolerances(tolerances)
     dec = bundle.dec
     reports = [r.judged(tols) for r in (*bundle.algebra.reports, *dec.reports)]
 
     if bundle.metric is not None:
-        reports.append(check_metric_invariance(dec, bundle.metric,
-                                               tol=tols["metric_invariance"]))
+        reports.append(bundle.metric.invariance.judged(tols))
         reports.append(naturally_reductive_check(dec, bundle.metric,
                                                  tol=tols["naturally_reductive"]))
 

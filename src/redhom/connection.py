@@ -4,9 +4,8 @@ An invariant covariant derivative on the quotient is determined by a
 bilinear map ``alpha: m x m -> m`` commuting with the isotropy action.  We
 store alpha as a rank-3 coefficient array ``a[k, i, j]`` over the chosen
 m-basis, i.e. ``alpha(A_i, A_j) = sum_k a[k, i, j] A_k``.  Everything else
-in this module (value at the base point, torsion, curvature, metric
-diagnostics) is a contraction of that array with the bracket tables cached
-on the decomposition.
+in this module (torsion, curvature, metric diagnostics) is a contraction
+of that array with the bracket tables cached on the decomposition.
 
 Conventions, with all vectors in m-coordinates:
 
@@ -23,12 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .reductive import (
-    MetricOnM,
-    ReductiveDecomposition,
-    check_ad_H_invariance_bilinear,
-    check_metric_invariance,
-)
+from .reductive import MetricOnM, ReductiveDecomposition, check_ad_H_invariance_bilinear
 from .reporting import CheckReport, DEFAULT_TOLERANCES, resolve_tolerances
 
 __all__ = [
@@ -37,7 +31,6 @@ __all__ = [
     "canonical_first",
     "canonical_second",
     "levi_civita_alpha",
-    "nabla_at_origin",
     "torsion",
     "curvature",
     "naturally_reductive_check",
@@ -138,15 +131,18 @@ def levi_civita_alpha(dec: ReductiveDecomposition, metric: MetricOnM,
 
     For each basis pair the symmetric part U solves ``2 G u = r`` with
     ``r_l = <[A_l, A_i]_m, A_j> + <A_i, [A_l, A_j]_m>``; the gram matrix is
-    factored once and reused for all N^2 right-hand sides.  A metric failing
-    the invariance check (``metric_invariance`` tolerance) is rejected
-    unless ``unchecked=True``, which yields a tainted map (the formula
-    still defines the Levi-Civita derivative at the base point, but not an
-    invariant one).
+    factored once and reused for all N^2 right-hand sides.  The gate reads
+    the residual the metric measured at construction, ``metric.invariance``,
+    judged at the ``metric_invariance`` tolerance: a metric failing it is
+    rejected unless ``unchecked=True``, which yields a tainted map (the
+    formula still defines the Levi-Civita derivative at the base point, but
+    not an invariant one).  ``metric`` must be a metric on ``dec``.
     """
+    if metric.dec is not dec:
+        raise ValueError("metric and alpha use different decompositions")
     tols = resolve_tolerances(tolerances)
     if not unchecked:
-        report = check_metric_invariance(dec, metric, tol=tols["metric_invariance"])
+        report = metric.invariance.judged(tols)
         if not report.passed:
             raise ValueError(
                 f"metric is not Ad(H)-invariant (residual {report.max_residual:.3e}); "
@@ -160,11 +156,6 @@ def levi_civita_alpha(dec: ReductiveDecomposition, metric: MetricOnM,
     u = np.linalg.solve(2.0 * g, r.reshape(n, n * n)).reshape(n, n, n)
     return AlphaMap(dec, 0.5 * b + u, label="levi_civita", unchecked=unchecked,
                     tolerances=tols)
-
-
-def nabla_at_origin(alpha: AlphaMap, x, y) -> np.ndarray:
-    """Covariant derivative of fundamental fields at the base point: -[X,Y]_m + alpha(X,Y)."""
-    return -alpha.dec.bracket_m(x, y) + alpha(x, y)
 
 
 def torsion(alpha: AlphaMap) -> TensorAtOrigin:

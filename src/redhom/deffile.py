@@ -33,11 +33,11 @@ from .algebra import StructuredLieAlgebra, expand_in_matrix_basis
 from .catalog import (
     SpaceBundle,
     diagnostic_battery,
-    grassmann_like,
-    group_as_space,
+    grassmann_like_geometry,
+    group_geometry,
     so_n,
-    sphere2,
-    stiefel,
+    sphere2_geometry,
+    stiefel_geometry,
 )
 from .connection import AlphaMap, canonical_first, canonical_second, levi_civita_alpha
 from .reductive import (
@@ -211,6 +211,7 @@ _SPACE_RE = re.compile(
 
 
 def _named_space(name: str, lineno: int) -> SpaceBundle:
+    """The catalog geometry of a named space: no alpha is built here."""
     m = _SPACE_RE.match(name.replace(" ", "")) or _SPACE_RE.match(name)
     if not m:
         raise DefFileError(
@@ -222,12 +223,12 @@ def _named_space(name: str, lineno: int) -> SpaceBundle:
                            f"above the largest supported dim {MAX_DIM}", lineno)
     try:
         if m.group(1) == "sphere2":
-            return sphere2()
+            return sphere2_geometry()
         if m.group(2):
-            return group_as_space(so_n(int(m.group(2))), name=f"so({m.group(2)})/{{e}}")
+            return group_geometry(so_n(int(m.group(2))), name=f"so({m.group(2)})/{{e}}")
         if m.group(3):
-            return stiefel(int(m.group(3)), int(m.group(4)))
-        return grassmann_like(int(m.group(5)), int(m.group(6)))
+            return stiefel_geometry(int(m.group(3)), int(m.group(4)))
+        return grassmann_like_geometry(int(m.group(5)), int(m.group(6)))
     except ValueError as exc:
         raise DefFileError(f"invalid named space {name!r}: {exc}", lineno) from exc
 
@@ -350,11 +351,9 @@ def _build_decomposition(defn: SpaceDefinition, algebra: StructuredLieAlgebra, t
     return dec, metric
 
 
-def _gated_alpha(cached, build, tols: dict, force: bool, lineno):
-    """``cached`` (a catalog alpha) if it passes at ``tols``, else ``build(unchecked)``
-    through its gate: a failure raises at ``lineno``, or with ``force`` is built tainted."""
-    if cached is not None and cached.invariance.judged(tols).passed:
-        return cached
+def _gated_alpha(build, force: bool, lineno):
+    """``build(unchecked)`` through its gate: a failure raises at ``lineno``, or with
+    ``force`` is built tainted."""
     try:
         return build(False)
     except ValueError as exc:
@@ -367,7 +366,10 @@ def _gated_alpha(cached, build, tols: dict, force: bool, lineno):
 def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
     """Turn a parsed definition into (bundle, alpha).
 
-    ``alpha`` is None when the file has no connection block.  With
+    ``alpha`` is None when the file has no connection block.  The bundle's
+    one suggested alpha is ``alpha``, or ``canonical_first`` when none is
+    asked for; a named space contributes its catalog geometry only, so that
+    alpha is the only one built, once, through its gate.  With
     ``force=True`` a requested alpha that fails its gate is constructed
     anyway and marked tainted.  Every gate reads ``resolve_tolerances(tolerances)``.
     """
@@ -375,15 +377,9 @@ def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
     if defn.space is not None and (defn.algebra or defn.decomposition):
         raise DefFileError("a named space excludes [algebra]/[decomposition] blocks",
                            defn.lines.get((None, "space")))
-    catalog = {}
     if defn.space is not None:
-        bundle = _named_space(defn.space, defn.lines.get((None, "space"), 1))
-        algebra, dec = bundle.algebra, bundle.dec
-        metric = bundle.metric
-        name = bundle.name
-        # the catalog's Levi-Civita alpha belongs to the catalog metric
-        catalog = {a.label: a for a in bundle.suggested_alphas
-                   if not (defn.metric and a.label == "levi_civita")}
+        space = _named_space(defn.space, defn.lines.get((None, "space"), 1))
+        algebra, dec, metric, name = space.algebra, space.dec, space.metric, space.name
     else:
         if not defn.algebra:
             raise DefFileError("definition needs either 'space = ...' or an [algebra] block")
@@ -395,7 +391,7 @@ def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
         lineno = defn.lines.get(("metric", "gram"), 0)
         gram = _matrix(defn.metric["gram"], lineno, dec.N, "gram on m")
         try:
-            metric = MetricOnM(gram)
+            metric = MetricOnM(dec, gram)
         except ValueError as exc:
             raise DefFileError(f"invalid metric: {exc}", lineno) from exc
 
@@ -427,12 +423,11 @@ def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
         else:
             raise DefFileError(
                 f"alpha must be one of {_ALPHA_KEYWORDS} or a coefficient list", lineno)
-        alpha = _gated_alpha(catalog.get(specifier), build, tols, force, lineno)
+        alpha = _gated_alpha(build, force, lineno)
 
     # with no alpha asked for, the report covers canonical_first, gate failure included
-    reported = alpha or _gated_alpha(catalog.get("canonical_first"),
-                                     lambda unchecked: canonical_first(dec, unchecked, tols),
-                                     tols, force=True, lineno=None)
+    reported = alpha or _gated_alpha(lambda unchecked: canonical_first(dec, unchecked, tols),
+                                     force=True, lineno=None)
     bundle = SpaceBundle(
         algebra=algebra, dec=dec, metric=metric,
         suggested_alphas=[reported],

@@ -40,12 +40,18 @@ class DecompositionError(ValueError):
 
 
 class MetricOnM:
-    """Gram matrix of a scalar product on m; indefinite signatures allowed."""
+    """Gram matrix of a scalar product on the m of ``dec``; indefinite signatures allowed.
 
-    def __init__(self, gram, signature=None):
+    Its isotropy-invariance residual is measured once, here, and kept as the
+    ``invariance`` report (callers re-judge it with ``CheckReport.judged``).
+    A non-invariant product is kept: :func:`~redhom.connection.levi_civita_alpha`
+    gates on that report.
+    """
+
+    def __init__(self, dec: ReductiveDecomposition, gram, signature=None):
         g = np.array(gram, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"gram matrix must be square, got shape {g.shape}")
+        if g.shape != (dec.N, dec.N):
+            raise ValueError(f"gram matrix must be {dec.N}x{dec.N} (dim m), got shape {g.shape}")
         asym = float(np.max(np.abs(g - g.T))) if g.size else 0.0
         # no registry key: validates an input matrix, which is then symmetrized exactly
         if asym > 1e-12:
@@ -66,12 +72,13 @@ class MetricOnM:
         if signature is not None and tuple(signature) != sig:
             raise ValueError(f"declared signature {tuple(signature)} but eigenvalues give {sig}")
         g.setflags(write=False)
+        self.dec = dec
         self.gram = g
         self.signature = sig
-        self.dim = g.shape[0]
+        self.invariance = check_metric_invariance(dec, self)
 
     def __repr__(self):
-        return f"MetricOnM(dim={self.dim}, signature={self.signature})"
+        return f"MetricOnM(dim={self.dec.N}, signature={self.signature})"
 
 
 class ReductiveDecomposition:
@@ -83,13 +90,14 @@ class ReductiveDecomposition:
     """
 
     def __init__(self, algebra, h_basis, m_basis, pr_h, pr_m, h_generators,
-                 cob, cob_inv, reports):
+                 generator_actions, cob, cob_inv, reports):
         self.algebra = algebra
         self.h_basis = h_basis            # (q, n) rows = coordinate vectors
         self.m_basis = m_basis            # (N, n)
         self.pr_h = pr_h                  # (n, n)
         self.pr_m = pr_m
         self.h_generators = h_generators  # tuple of GroupElement or ()
+        self._generator_actions = generator_actions   # Ad of each generator restricted to m
         self.reports = tuple(reports)
         self._cob = cob                   # columns: h basis then m basis
         self._cob_inv = cob_inv
@@ -202,9 +210,8 @@ class ReductiveDecomposition:
             samples += [({"kind": "finite", "h_index": r, "t": t},
                          self.restrict_to_m(expm(t * ad_eta))[0])
                         for t in _FINITE_SAMPLE_TIMES]
-        samples += [({"kind": "generator", "index": k},
-                     self.restrict_to_m(self.algebra.adjoint_Ad(gen))[0])
-                    for k, gen in enumerate(self.h_generators)]
+        samples += [({"kind": "generator", "index": k}, op)
+                    for k, op in enumerate(self._generator_actions)]
         return tuple(samples)
 
     def symmetric_pair_residual(self) -> float:
@@ -281,7 +288,7 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
                                          ("h_subalgebra", sub, "subalgebra"),
                                          ("reductivity", red, "reductivity"))]
 
-    gens = []
+    gens, actions = [], []
     if h_generators:
         if algebra.matrix_basis is None:
             raise DecompositionError("h_generators require a matrix-realized algebra")
@@ -290,7 +297,7 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
             try:
                 g = gen if isinstance(gen, GroupElement) else GroupElement(
                     gen, algebra, drift_tol=tols["group_drift"])
-                ad = algebra.adjoint_Ad(g)
+                ad = algebra.adjoint_Ad(g, tols["basis_residual"])
             except ValueError as exc:        # singular, off O(d), or not normalizing g
                 raise DecompositionError(f"generator #{k}: {exc}") from exc
             s = cob_inv @ ad @ cob
@@ -301,11 +308,12 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
                 )
             worst = max(worst, leak)
             gens.append(g)
+            actions.append(s[q:, q:])
         reports.append(CheckReport.from_residual(
             "generator_stability", worst, tols["generator_stability"]))
 
-    return ReductiveDecomposition(algebra, h, m, pr_h, pr_m, tuple(gens), cob, cob_inv,
-                                  reports)
+    return ReductiveDecomposition(algebra, h, m, pr_h, pr_m, tuple(gens), tuple(actions),
+                                  cob, cob_inv, reports)
 
 
 def _worst_leak(projector, brackets, upper=False):
@@ -416,7 +424,7 @@ def normal_decomposition(algebra: StructuredLieAlgebra, biinvariant_gram, h_basi
     else:
         m = np.eye(n)
     dec = build_decomposition(algebra, h, m, tolerances=tolerances)
-    metric = MetricOnM(dec.m_basis @ g @ dec.m_basis.T)
+    metric = MetricOnM(dec, dec.m_basis @ g @ dec.m_basis.T)
     return dec, metric
 
 
@@ -493,8 +501,6 @@ def check_metric_invariance(dec: ReductiveDecomposition, metric: MetricOnM,
                             ) -> CheckReport:
     """Verify isotropy invariance of a scalar product on m (report, never raise)."""
     g = metric.gram
-    if g.shape != (dec.N, dec.N):
-        raise ValueError(f"metric dimension {g.shape[0]} does not match dim m = {dec.N}")
     return _isotropy_report(
         "metric_invariance", "metric_invariance", dec, tol,
         lambda act: float(np.max(np.abs(act.T @ g + g @ act), initial=0.0)),

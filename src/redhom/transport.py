@@ -62,21 +62,12 @@ __all__ = [
 BLOWUP_NORM = 1e6
 FINE_FACTOR = 100                   # reference step of geodesic_convergence: min(steps) / this
 FD_COARSE_WARNING = 1e-4
+FD_UNESTIMATED = "nonuniform or short grid: finite-difference error not estimated"
 MAGNUS_BLOCK = 256
 GUARD_BLOCK = 64                    # RK4 steps between two blow-up checks of geodesic
 
 
 # -- finite differences and interpolation -----------------------------------------
-
-
-def _uniform_spacing(times: np.ndarray):
-    d = np.diff(times)
-    if d.size == 0:
-        return False, 0.0
-    # no registry key: tells a uniform grid from rounding in the sample times; it picks
-    # the finite-difference stencil and judges no result
-    uniform = bool(np.max(np.abs(d - d[0])) <= 1e-9 * max(abs(float(d[0])), 1e-300))
-    return uniform, float(d[0])
 
 
 def _fd4_uniform(y: np.ndarray, h: float) -> np.ndarray:
@@ -98,10 +89,22 @@ def _fd_derivatives(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.gradient(values, times, axis=0, edge_order=order)
 
 
+def _fd4_step(times: np.ndarray):
+    """The step of a uniform grid of 5 or more samples, on which fourth-order
+    differences and their error estimate apply, else None."""
+    d = np.diff(times)
+    if d.size < 4:
+        return None
+    # no registry key: tells a uniform grid from rounding in the sample times; it picks
+    # the finite-difference stencil and judges no result
+    uniform = bool(np.max(np.abs(d - d[0])) <= 1e-9 * max(abs(float(d[0])), 1e-300))
+    return float(d[0]) if uniform else None
+
+
 def _best_fd(times: np.ndarray, values: np.ndarray):
     """Highest-order derivative estimate available for the grid: (derivs, order)."""
-    uniform, h = _uniform_spacing(times)
-    if uniform and len(times) >= 5:
+    h = _fd4_step(times)
+    if h is not None:
         return _fd4_uniform(values, h), 4
     return _fd_derivatives(times, values), 2
 
@@ -284,7 +287,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
     else:
         fd_err = None
     if fd_err is None:
-        warnings_list.append("nonuniform or short grid: finite-difference error not estimated")
+        warnings_list.append(FD_UNESTIMATED)
     elif fd_err > FD_COARSE_WARNING:
         warnings_list.append(
             f"samples too coarse: estimated c^-1 c' finite-difference error {fd_err:.3e}"
@@ -629,7 +632,8 @@ def _velocity_trajectory(dec, spec):
     dt = np.diff(times)
     x_mid = 0.5 * (xs[:-1] + xs[1:])        # order-1 interpolation of the samples
     frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs, x_mid, dt)
-    meta = {"integrator": "magnus4", "step": float(np.max(dt)), "curve": "piecewise_velocity"}
+    meta = {"integrator": "magnus4", "step": float(np.max(dt)), "curve": "piecewise_velocity",
+            "warnings": [] if _fd4_step(times) is not None else [FD_UNESTIMATED]}
     traj = Trajectory(dec, np.array(times), frames, xs.copy(), meta=meta)
     meta.update(traj.diagnostics())
     return traj

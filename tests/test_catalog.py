@@ -121,7 +121,7 @@ def _open_isotropy():
     # sigma = identity fixes all of so(3): h = g and m = {0}
     with pytest.warns(UserWarning, match=r"m = \{0\}"):
         dec = rh.symmetric_decomposition(rh.so3(), np.eye(3))
-    return rh.SpaceBundle(dec.algebra, dec, rh.MetricOnM(np.zeros((0, 0))),
+    return rh.SpaceBundle(dec.algebra, dec, rh.MetricOnM(dec, np.zeros((0, 0))),
                           [rh.canonical_first(dec), rh.canonical_second(dec)])
 
 
@@ -273,4 +273,28 @@ def test_only_the_decomposition_reads_its_change_of_basis():
     offenders = [f"{filename}:{node.lineno}" for filename, tree in package_trees()
                  if filename != "reductive.py" for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr in ("_cob", "_cob_inv")]
+    assert offenders == []
+
+
+def test_only_the_constructors_measure_invariance():
+    """Each invariance residual is measured once, by the constructor that keeps it:
+    ``MetricOnM`` for a metric and ``AlphaMap`` for an alpha.  Everything else,
+    the battery and the Levi-Civita gate included, judges the stored report."""
+    checks = {"check_metric_invariance", "check_ad_H_invariance_bilinear"}
+    owners = {"reductive.py:MetricOnM.__init__", "connection.py:AlphaMap.__init__"}
+    offenders = []
+
+    def visit(node, filename, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call) and f"{filename}:{scope}" not in owners:
+                callee = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if callee in checks:
+                    offenders.append(f"{filename}:{child.lineno}")
+            visit(child, filename, inner)
+
+    for filename, tree in package_trees():
+        visit(tree, filename, "")
     assert offenders == []

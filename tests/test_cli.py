@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from redhom import catalog, connection, deffile
+from redhom import catalog, connection, deffile, reductive
+from redhom.algebra import expm
 from redhom.cli import main
 
 SPHERE_BAD_ALPHA = "space = sphere2\n\n[connection]\nalpha = (1,1,1,0.3)\n"
@@ -28,6 +29,11 @@ def explicit_blocks(bundle):
     return (f"[algebra]\ndim = {bundle.algebra.dim}\nstructure_constants = {quads}\n\n"
             f"[decomposition]\nh_basis = {vecs(bundle.dec.h_basis)}\n"
             f"m_basis = {vecs(bundle.dec.m_basis)}\n")
+
+
+def matrix_text(mat):
+    """A matrix as a definition-file value, each entry at full precision."""
+    return "[" + "; ".join(" ".join(map(repr, row)) for row in mat.tolist()) + "]"
 
 
 def write(tmp_path, text, name="space.def"):
@@ -95,6 +101,22 @@ class TestToleranceOverride:
         assert entry["max_residual"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("source", ["catalog", "[metric]"])
+def test_levi_civita_gate_judges_a_catalog_metric_like_a_given_one(tmp_path, capsys, source):
+    # the stiefel(4,2) metric has an invariance residual of about 6e-16
+    text = "space = stiefel(4,2)\n"
+    if source == "[metric]":
+        text += f"\n[metric]\ngram = {matrix_text(catalog.stiefel_geometry(4, 2).metric.gram)}\n"
+    path = write(tmp_path, text + "\n[connection]\nalpha = levi_civita\n")
+    args = ["geodesic", path, "--x0=0.4,0.1,-0.3,0.2,0.5", "--t1=1", "--step=0.1",
+            f"--out={tmp_path / 'o'}", "--tol", "metric_invariance=0"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "invalid alpha: metric is not Ad(H)-invariant (residual 5.551e-16)" in err
+    assert main([*args, "--force"]) == 0
+    assert json.loads((tmp_path / "o.json").read_text())["meta"]["tainted"] is True
+
+
 class TestTightenedAlphaGate:
     # canonical_first on stiefel(4,2) has an invariance residual of about 2e-16
     TOL = ["--tol", "invariance=0"]
@@ -145,10 +167,26 @@ def test_conflicting_duplicate_alpha_quadruples_are_rejected(tmp_path, capsys):
 def test_algebra_dim_above_the_cap_is_a_definition_error(tmp_path, capsys, monkeypatch, text,
                                                          line):
     # so(100000) must be refused from its name: building it would exhaust memory
-    monkeypatch.setattr(deffile, "stiefel", lambda n, k: pytest.fail("stiefel was built"))
+    monkeypatch.setattr(deffile, "stiefel_geometry", lambda n, k: pytest.fail("stiefel was built"))
     assert main(["check", write(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert f"line {line}" in err and f"largest supported dim {deffile.MAX_DIM}" in err
+
+
+def test_basis_residual_tolerance_reaches_the_generator_gate(tmp_path, capsys):
+    # Ad of the rotation exp(0.7 L3) expands in the basis with a residual of about 3e-16
+    rotation = expm(0.7 * catalog.so3().matrix_basis[2])
+    text = ("[algebra]\ndim = 3\nstructure_constants = (3,1,2,1) (1,2,3,1) (2,3,1,1)\n"
+            "matrix_basis = [0 0 0; 0 0 -1; 0 1 0] [0 0 1; 0 0 0; -1 0 0] [0 -1 0; 1 0 0; 0 0 0]"
+            "\n\n[decomposition]\nh_basis = (0,0,1)\n"
+            f"m_basis = (1,0,0) (0,1,0)\nh_generators = {matrix_text(rotation)}\n")
+    path = write(tmp_path, text)
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    assert main(["check", path, "--tol", "basis_residual=0"]) == 1
+    err = capsys.readouterr().err
+    assert "check failure: generator #0: Ad-conjugated basis matrix" in err
+    assert "> 0.0e+00" in err
 
 
 class TestGeodesicDrift:
@@ -283,9 +321,17 @@ def test_check_on_a_named_space_computes_each_residual_once(tmp_path, capsys, mo
     count(catalog, "diagnostic_battery")
     count(deffile, "diagnostic_battery")
     count(connection, "check_ad_H_invariance_bilinear")
+    count(reductive, "check_metric_invariance")
     count(catalog, "curvature")
-    path = write(tmp_path, "space = stiefel(4,2)\n")
-    assert main(["check", path]) == 0
-    # canonical_first and levi_civita are each checked by their constructor
-    assert calls == {"diagnostic_battery": 1, "check_ad_H_invariance_bilinear": 2,
-                     "curvature": 1}
+    named = write(tmp_path, "space = stiefel(4,2)\n", "named.def")
+    lc = write(tmp_path, "space = stiefel(4,2)\n\n[connection]\nalpha = levi_civita\n", "lc.def")
+    x0, out = "0.4,0.1,-0.3,0.2,0.5", f"--out={tmp_path / 'o'}"
+    # only the reported alpha is built: canonical_first for check, levi_civita otherwise
+    for argv in (["check", named],
+                 ["geodesic", lc, f"--x0={x0}", "--t1=1", "--step=0.1", out],
+                 ["transport", lc, f"--curve=one_parameter:{x0}", "--z0=1,0,0,0,0", "--t1=1",
+                  "--step=0.1", out]):
+        calls.clear()
+        assert main(argv) == 0, argv[0]
+        assert calls == {"diagnostic_battery": 1, "check_ad_H_invariance_bilinear": 1,
+                         "check_metric_invariance": 1, "curvature": 1}, argv[0]

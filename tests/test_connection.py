@@ -76,34 +76,22 @@ class TestLeviCivita:
             assert np.max(np.abs(lc(x, x) + euler_rhs)) <= 1e-12
 
     def test_non_invariant_metric_rejected(self, sphere2):
-        bad = rh.MetricOnM(np.diag([1.0, 2.0]))
+        bad = rh.MetricOnM(sphere2.dec, np.diag([1.0, 2.0]))
         with pytest.raises(ValueError, match="invariant"):
             rh.levi_civita_alpha(sphere2.dec, bad)
         tainted = rh.levi_civita_alpha(sphere2.dec, bad, unchecked=True)
         assert not tainted.checked
 
+    def test_metric_of_another_decomposition_rejected(self, sphere2):
+        # its stored invariance report measures the other decomposition's isotropy
+        other = rh.sphere2()
+        with pytest.raises(ValueError, match="different decompositions"):
+            rh.levi_civita_alpha(sphere2.dec, other.metric)
+
     def test_u_part_symmetric(self, rigid_body):
         lc = rigid_body.alpha("levi_civita")
         u = lc.coeffs - 0.5 * rigid_body.dec.m_bracket_tensor
         assert np.max(np.abs(u - np.swapaxes(u, 1, 2))) <= 1e-13
-
-
-class TestNablaAtOrigin:
-    def test_canonical_second_gives_minus_bracket(self, free_so3, rng):
-        a = rh.canonical_second(free_so3)
-        x, y = rng.standard_normal((2, 3))
-        want = -free_so3.bracket_m(x, y)
-        assert np.allclose(rh.nabla_at_origin(a, x, y), want, atol=1e-14)
-
-    def test_symmetric_space_first_kind_vanishes(self, sphere2):
-        a = rh.canonical_first(sphere2.dec)
-        assert np.allclose(rh.nabla_at_origin(a, X1, X2), 0.0, atol=1e-15)
-
-    def test_first_kind_is_minus_half_bracket(self, free_so3, rng):
-        a = rh.canonical_first(free_so3)
-        x, y = rng.standard_normal((2, 3))
-        want = -0.5 * free_so3.bracket_m(x, y)
-        assert np.allclose(rh.nabla_at_origin(a, x, y), want, atol=1e-14)
 
 
 class TestTorsion:
@@ -221,7 +209,7 @@ class TestIsMetric:
     def test_equivalence_with_skewness_on_20_random_maps(self, free_so3, rng):
         # exact-skew constructions pass, symmetric perturbations fail
         gram = np.diag([1.0, 2.0, 3.0])
-        metric = rh.MetricOnM(gram)
+        metric = rh.MetricOnM(free_so3, gram)
         ginv = np.linalg.inv(gram)
         for trial in range(20):
             coeffs = np.empty((3, 3, 3))
@@ -241,7 +229,7 @@ class TestSectionalCurvature:
     def test_degenerate_plane_refused(self):
         abelian = rh.StructuredLieAlgebra(np.zeros((3, 3, 3)), name="r3")
         dec = rh.build_decomposition(abelian, [], np.eye(3))
-        metric = rh.MetricOnM(np.diag([1.0, -1.0, 1.0]))
+        metric = rh.MetricOnM(dec, np.diag([1.0, -1.0, 1.0]))
         a = rh.canonical_second(dec)
         # (1, 1, 0) is a null direction orthogonal to (0, 0, 1)
         with pytest.raises(ValueError, match="degenerate plane"):

@@ -152,17 +152,20 @@ class TestBilinearInvarianceCheck:
 
 class TestMetricInvarianceCheck:
     def test_round_metric_passes(self, s2dec):
-        assert rh.check_metric_invariance(s2dec, rh.MetricOnM(np.eye(2))).passed
+        assert rh.check_metric_invariance(s2dec, rh.MetricOnM(s2dec, np.eye(2))).passed
 
     def test_trivial_subgroup_any_metric_passes(self, so3, rng):
         dec = rh.build_decomposition(so3, [], np.eye(3))
         m = rng.standard_normal((3, 3))
-        rep = rh.check_metric_invariance(dec, rh.MetricOnM(m @ m.T + 3 * np.eye(3)))
+        rep = rh.check_metric_invariance(dec, rh.MetricOnM(dec, m @ m.T + 3 * np.eye(3)))
         assert rep.passed and rep.max_residual == 0.0
 
     def test_squashed_metric_fails(self, s2dec):
-        rep = rh.check_metric_invariance(s2dec, rh.MetricOnM(np.diag([1.0, 2.0])))
+        metric = rh.MetricOnM(s2dec, np.diag([1.0, 2.0]))
+        rep = rh.check_metric_invariance(s2dec, metric)
         assert not rep.passed
+        # the metric keeps the same report, measured once at construction
+        assert metric.invariance == rep
 
 
 class TestSymmetricDecomposition:
@@ -236,19 +239,29 @@ class TestIsotropyRestriction:
                     assert leak <= 1e-9
 
 
+def flat(n):
+    """The decomposition of the abelian algebra R^n with h = {0}: dim m = n."""
+    return rh.build_decomposition(rh.StructuredLieAlgebra(np.zeros((n, n, n))), [], np.eye(n))
+
+
 class TestMetricOnM:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="asymmetric"):
-            rh.MetricOnM([[1.0, 0.5], [0.2, 1.0]])
+            rh.MetricOnM(flat(2), [[1.0, 0.5], [0.2, 1.0]])
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            rh.MetricOnM([[1.0, 1.0], [1.0, 1.0]])
+            rh.MetricOnM(flat(2), [[1.0, 1.0], [1.0, 1.0]])
+
+    def test_gram_of_the_wrong_size_rejected(self, s2dec):
+        for gram in (np.eye(3), np.ones(2), np.eye(2)[:, :1]):
+            with pytest.raises(ValueError, match=r"must be 2x2 \(dim m\)"):
+                rh.MetricOnM(s2dec, gram)
 
     def test_signature(self):
-        assert rh.MetricOnM(np.diag([2.0, -1.0, 1.0])).signature == (2, 1)
-        assert rh.MetricOnM(np.eye(4)).signature == (4, 0)
+        assert rh.MetricOnM(flat(3), np.diag([2.0, -1.0, 1.0])).signature == (2, 1)
+        assert rh.MetricOnM(flat(4), np.eye(4)).signature == (4, 0)
 
     def test_declared_signature_checked(self):
         with pytest.raises(ValueError, match="signature"):
-            rh.MetricOnM(np.eye(2), signature=(1, 1))
+            rh.MetricOnM(flat(2), np.eye(2), signature=(1, 1))

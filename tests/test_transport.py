@@ -244,23 +244,39 @@ def coarse_group_samples():
     return t, expm(3 * t[:, None, None] * so4_element()).reshape(len(t), -1)
 
 
+NONUNIFORM_TIMES = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.8])
+
+
 def nonuniform_group_samples():
-    t = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.8])
+    t = NONUNIFORM_TIMES
     return t, expm(t[:, None, None] * so4_element()).reshape(len(t), -1)
+
+
+def nonuniform_velocity_samples():
+    t = NONUNIFORM_TIMES
+    return t, np.column_stack([np.sin(t), np.cos(t), t, 0 * t, t * t])
+
+
+def short_velocity_samples():
+    t = np.linspace(0.0, 0.2, 3)
+    return t, np.column_stack([t, 1 + 0 * t, -t, 0 * t, t * t])
 
 
 @pytest.mark.parametrize("kind, samples, warning", [
     ("velocity_file", velocity_samples, "transport grid too coarse"),
     ("group_file", coarse_group_samples, "samples too coarse"),
     ("group_file", nonuniform_group_samples, "nonuniform or short grid"),
-], ids=["transport-grid", "coarse-samples", "nonuniform-samples"])
+    ("velocity_file", nonuniform_velocity_samples, "nonuniform or short grid"),
+    ("velocity_file", short_velocity_samples, "nonuniform or short grid"),
+], ids=["transport-grid", "coarse-samples", "nonuniform-samples", "nonuniform-velocities",
+        "short-velocities"])
 def test_finite_difference_warnings_reach_the_command_line(tmp_path, capsys, kind, samples,
                                                            warning):
     times, rows = samples()
     path = tmp_path / "samples.csv"
     np.savetxt(path, np.column_stack([times, rows]), delimiter=",")
     assert run_transport(tmp_path, STIEFEL42_LC, f"{kind}:{path}", ["1,0,0,0,0"]) == 0
-    assert f"warning: {warning}" in capsys.readouterr().err
+    assert capsys.readouterr().err.count(f"warning: {warning}") == 1
 
 
 def rk4_reference(coeffs, x0, h, nsteps):
