@@ -7,30 +7,29 @@ and is orthonormal for the bi-invariant product <X, Y> = tr(X^T Y)/2.
 coordinate axes with the cyclic table [L1, L2] = L3 etc., matching the
 cross-product picture used in the rigid-body example.
 
-``<space>_geometry`` builds a space's algebra, decomposition, metric and
-name; the public constructor adds its suggested alphas.  A definition file
-uses the geometry part and builds only the alpha it reports.
+Each constructor returns a space's geometry: algebra, decomposition,
+metric and name.  An alpha, which fixes the invariant covariant derivative,
+is chosen separately and built by :mod:`~redhom.connection`
+(``canonical_first(space.dec)``, ``levi_civita_alpha(space.dec, space.metric)``).
 
 Every bundle constructed here passes the gates of the constructors it is
-built from (algebra, decomposition, metric, alphas), and the tests hold
-every catalog space to a fully passing :func:`diagnostic_battery`; a
-catalog constructor returning an invalid space is a bug, not a report.
+built from (algebra, decomposition, metric), and the tests hold every
+catalog space with each of its usual alphas to a fully passing
+:func:`diagnostic_battery`; a catalog constructor returning an invalid
+space is a bug, not a report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import StructuredLieAlgebra
 from .connection import (
     AlphaMap,
-    canonical_first,
-    canonical_second,
-    curvature,
+    curvature_h_leak_note,
     is_metric,
-    levi_civita_alpha,
     naturally_reductive_check,
     torsion,
 )
@@ -48,32 +47,21 @@ __all__ = [
     "so_n",
     "so3",
     "sphere2",
-    "sphere2_geometry",
     "stiefel",
-    "stiefel_geometry",
     "grassmann_like",
-    "grassmann_like_geometry",
     "group_as_space",
-    "group_geometry",
     "diagnostic_battery",
 ]
 
 
 @dataclass
 class SpaceBundle:
-    """An algebra, a validated decomposition, an optional metric, and suggested alphas."""
+    """An algebra, a validated decomposition and an optional metric on m."""
 
     algebra: StructuredLieAlgebra
     dec: ReductiveDecomposition
     metric: MetricOnM | None
-    suggested_alphas: list[AlphaMap] = field(default_factory=list)
     name: str = ""
-
-    def alpha(self, label: str) -> AlphaMap:
-        for a in self.suggested_alphas:
-            if a.label == label:
-                return a
-        raise KeyError(f"no suggested alpha labelled {label!r}")
 
 
 def _pair_index(n):
@@ -122,7 +110,7 @@ def so3() -> StructuredLieAlgebra:
     return StructuredLieAlgebra(c, np.array([l1, l2, l3]), name="so(3)")
 
 
-def sphere2_geometry() -> SpaceBundle:
+def sphere2() -> SpaceBundle:
     """The round 2-sphere as the rotation group modulo rotations about one axis.
 
     h = span(L3), m = span(L1, L2); the split is the canonical one of the
@@ -136,13 +124,6 @@ def sphere2_geometry() -> SpaceBundle:
     return SpaceBundle(algebra=alg, dec=dec, metric=MetricOnM(dec, np.eye(2)), name="sphere2")
 
 
-def sphere2() -> SpaceBundle:
-    """:func:`sphere2_geometry` suggesting the first canonical alpha."""
-    space = sphere2_geometry()
-    space.suggested_alphas = [canonical_first(space.dec)]
-    return space
-
-
 def biinvariant_gram(algebra: StructuredLieAlgebra) -> np.ndarray:
     """Gram matrix of <X, Y> = tr(X^T Y)/2 on the realized basis."""
     algebra._require_matrices()
@@ -150,7 +131,7 @@ def biinvariant_gram(algebra: StructuredLieAlgebra) -> np.ndarray:
     return 0.5 * np.einsum("iab,jab->ij", b, b)
 
 
-def stiefel_geometry(n: int, k: int) -> SpaceBundle:
+def stiefel(n: int, k: int) -> SpaceBundle:
     """SO(n)/SO(n-k) with the normal metric from the bi-invariant product.
 
     The subgroup is the lower-right SO(n-k) block; m is its orthogonal
@@ -167,15 +148,7 @@ def stiefel_geometry(n: int, k: int) -> SpaceBundle:
     return SpaceBundle(algebra=alg, dec=dec, metric=metric, name=f"stiefel({n},{k})")
 
 
-def stiefel(n: int, k: int) -> SpaceBundle:
-    """:func:`stiefel_geometry` suggesting the first canonical and Levi-Civita alphas."""
-    space = stiefel_geometry(n, k)
-    space.suggested_alphas = [canonical_first(space.dec),
-                              levi_civita_alpha(space.dec, space.metric)]
-    return space
-
-
-def grassmann_like_geometry(n: int, k: int) -> SpaceBundle:
+def grassmann_like(n: int, k: int) -> SpaceBundle:
     """The symmetric quotient of SO(n) fixed by conjugation with diag(I_k, -I_{n-k}).
 
     h is the block algebra so(k) + so(n-k), m the off-diagonal block of
@@ -194,14 +167,7 @@ def grassmann_like_geometry(n: int, k: int) -> SpaceBundle:
     return SpaceBundle(algebra=alg, dec=dec, metric=metric, name=f"grassmann({n},{k})")
 
 
-def grassmann_like(n: int, k: int) -> SpaceBundle:
-    """:func:`grassmann_like_geometry` suggesting both canonical alphas."""
-    space = grassmann_like_geometry(n, k)
-    space.suggested_alphas = [canonical_first(space.dec), canonical_second(space.dec)]
-    return space
-
-
-def group_geometry(algebra: StructuredLieAlgebra, gram=None, name: str = "") -> SpaceBundle:
+def group_as_space(algebra: StructuredLieAlgebra, gram=None, name: str = "") -> SpaceBundle:
     """A Lie group viewed as the quotient by the trivial subgroup.
 
     h = {0}, m = g, every projection is the identity, and any scalar
@@ -213,31 +179,25 @@ def group_geometry(algebra: StructuredLieAlgebra, gram=None, name: str = "") -> 
                        name=name or f"{algebra.name}/{{e}}")
 
 
-def group_as_space(algebra: StructuredLieAlgebra, gram=None,
-                   name: str = "") -> SpaceBundle:
-    """:func:`group_geometry` suggesting the first canonical alpha, and the
-    Levi-Civita alpha when a gram is given."""
-    space = group_geometry(algebra, gram, name)
-    space.suggested_alphas = [canonical_first(space.dec)]
-    if space.metric is not None:
-        space.suggested_alphas.append(levi_civita_alpha(space.dec, space.metric))
-    return space
-
-
 # -- diagnostic battery -------------------------------------------------------------
 
 
-def diagnostic_battery(bundle: SpaceBundle, tolerances=None) -> list[CheckReport]:
-    """Collect the construction-level checks of a bundle and return the reports.
+def diagnostic_battery(bundle: SpaceBundle, alpha: AlphaMap,
+                       tolerances=None) -> list[CheckReport]:
+    """Collect the construction-level checks of a bundle and one alpha on it.
 
     Residuals the constructors measured (algebra, decomposition, metric
-    and alpha invariance) are only collected and judged here against
-    ``resolve_tolerances(tolerances)``.  Only tensor assembly,
-    torsion-freeness and the informational checks (natural reductivity,
-    is_metric) are computed.
+    and alpha invariance, and the decomposition's ``curvature_h_leak``,
+    which decides whether the curvature tensor assembles) are only
+    collected and judged here against ``resolve_tolerances(tolerances)``;
+    no curvature tensor is assembled.  Only torsion-freeness and the
+    informational checks (natural reductivity, is_metric) are computed.
+    ``alpha`` must be built on ``bundle.dec``.
     """
-    tols = resolve_tolerances(tolerances)
     dec = bundle.dec
+    if alpha.dec is not dec:
+        raise ValueError("alpha and bundle use different decompositions")
+    tols = resolve_tolerances(tolerances)
     reports = [r.judged(tols) for r in (*bundle.algebra.reports, *dec.reports)]
 
     if bundle.metric is not None:
@@ -245,28 +205,23 @@ def diagnostic_battery(bundle: SpaceBundle, tolerances=None) -> list[CheckReport
         reports.append(naturally_reductive_check(dec, bundle.metric,
                                                  tol=tols["naturally_reductive"]))
 
-    for a in bundle.suggested_alphas:
-        rep = a.invariance.judged(tols)
-        rep.check = f"alpha_invariance[{a.label}]"
-        rep.tainted = not a.checked
-        reports.append(rep)
-        # tensor assembly must go through; the curvature h-leak assert lives inside
-        try:
-            curvature(a, tol=tols["curvature_h_leak"])
-            assembled, note = 0.0, ""
-        except ValueError as exc:
-            assembled, note = float("inf"), str(exc)
+    rep = alpha.invariance.judged(tols)
+    rep.check = f"alpha_invariance[{alpha.label}]"
+    rep.tainted = not alpha.checked
+    reports.append(rep)
+    # the curvature tensor assembles exactly when the decomposition's h-leak passes
+    note = curvature_h_leak_note(dec, tols["curvature_h_leak"])
+    reports.append(CheckReport.from_residual(
+        f"tensor_assembly[{alpha.label}]", float("inf") if note else 0.0,
+        tols["curvature_h_leak"], note=note))
+    if alpha.label == "canonical_first":
+        tor = torsion(alpha).coeffs
+        # the torsion of (1/2)[X, Y]_m is the antisymmetry defect of the m-bracket table
         reports.append(CheckReport.from_residual(
-            f"tensor_assembly[{a.label}]", assembled, tols["curvature_h_leak"], note=note))
-        if a.label == "canonical_first":
-            tor = torsion(a).coeffs
-            # the torsion of (1/2)[X, Y]_m is the antisymmetry defect of the m-bracket table
-            reports.append(CheckReport.from_residual(
-                "torsion_free[canonical_first]",
-                float(np.max(np.abs(tor))) if tor.size else 0.0, tols["antisymmetry"],
-                key="antisymmetry"))
-        if bundle.metric is not None:
-            reports.append(is_metric(a, bundle.metric, tol=tols["is_metric"]))
+            "torsion_free[canonical_first]",
+            float(np.max(np.abs(tor))) if tor.size else 0.0, tols["antisymmetry"],
+            key="antisymmetry"))
+    if bundle.metric is not None:
+        reports.append(is_metric(alpha, bundle.metric, tol=tols["is_metric"]))
 
     return reports
-

@@ -9,12 +9,12 @@ is taken);
 2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
 non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
 ``--z0`` or a ``one_parameter:`` curve, a ``group_file:`` or
-``velocity_file:`` sample file with a non-finite cell (the error names the
-file and the first such data row), and an algebra or a requested alpha
-failing its gate at the ``--tol`` values (``--force`` builds such an alpha
-anyway, tainted).  The ``group_drift`` gate covers every algebra whose
-matrix basis is skew, from the catalog or a definition file, since its
-group lies in O(d).  Output files are written atomically and
+``velocity_file:`` sample file that holds no data rows or a non-finite cell
+(the error names the file, and the first such data row), and an algebra or a
+requested alpha failing its gate at the ``--tol`` values (``--force``
+builds such an alpha anyway, tainted).  The ``group_drift`` gate covers
+every algebra whose matrix basis is skew, from the catalog or a definition
+file, since its group lies in O(d).  Output files are written atomically and
 deterministically.  Every float in them, CSV and JSON alike, is the text
 ``json.dumps`` gives it: the shortest repr that reads back exactly, and
 ``NaN``, ``Infinity`` or ``-Infinity`` when not finite.
@@ -32,6 +32,7 @@ import argparse
 import math
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -109,15 +110,13 @@ def _build(args):
     tols = resolve_tolerances(dict(args.tol or ()))
     bundle, alpha = build_space(_read_definition(args.file), force=args.force,
                                 tolerances=tols)
-    reports, passed = check_space(bundle, tols)
+    reports, passed = check_space(bundle, alpha, tols)
     return bundle, alpha, tols, reports, passed
 
 
 def _prepare(args):
-    """Parse, build and gate on the check battery (unless --force).
-
-    ``alpha`` is the bundle's one suggested alpha, so ``reports`` are its own.
-    """
+    """Parse, build and gate on the check battery (unless --force); ``reports``
+    cover the returned ``alpha``."""
     bundle, alpha, tols, reports, passed = _build(args)
     tainted = any(r.tainted for r in reports) or (not passed and args.force)
     if not passed and not args.force:
@@ -125,7 +124,7 @@ def _prepare(args):
         print("mandatory checks failed; rerun with --force to integrate anyway",
               file=sys.stderr)
         return None
-    return bundle, alpha or bundle.suggested_alphas[0], tols, tainted, reports
+    return bundle, alpha, tols, tainted, reports
 
 
 def _emit_report(args, bundle, reports, passed, extra=None):
@@ -202,11 +201,16 @@ def _parse_curve(args, dec) -> CurveSpec:
 
 def _read_samples(path: str):
     try:
-        raw = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is refused below, by name
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            raw = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except OSError as exc:
         raise DefFileError(f"cannot read samples from {path}: {exc}") from exc
     except ValueError as exc:
         raise DefFileError(f"malformed sample file {path}: {exc}") from exc
+    if not raw.size:
+        raise DefFileError(f"sample file {path} holds no data rows")
     bad = ~np.isfinite(raw).all(axis=1)
     if bad.any():
         raise DefFileError(f"sample file {path}: data row {int(np.argmax(bad)) + 1} holds a "
@@ -220,11 +224,10 @@ def cmd_transport(args) -> int:
         return 1
     bundle, alpha, _tols, tainted, reports = prep
     dec = bundle.dec
-    curve = _parse_curve(args, dec)
-    base = realize_curve(dec, curve, step=args.step)
     seeds = args.z0
     if any(z.shape != (dec.N,) for z in seeds):
         raise ValueError(f"each --z0 must hold {dec.N} coordinates")
+    base = realize_curve(dec, _parse_curve(args, dec), step=args.step)
     batch = parallel_transport(alpha, base, np.array(seeds))
     batch.meta["tainted"] = batch.meta.get("tainted", False) or tainted
 
@@ -267,8 +270,7 @@ def cmd_tensors(args) -> int:
         for i in range(bundle.dec.N):
             for j in range(i + 1, bundle.dec.N):
                 try:
-                    val = sectional_curvature(alpha, bundle.metric, eye[i], eye[j],
-                                              riem=curv)
+                    val = sectional_curvature(curv, bundle.metric, eye[i], eye[j])
                 except ValueError:
                     val = None
                 entries.append((i, j, val))

@@ -33,6 +33,7 @@ __all__ = [
     "levi_civita_alpha",
     "torsion",
     "curvature",
+    "curvature_h_leak_note",
     "naturally_reductive_check",
     "is_metric",
     "sectional_curvature",
@@ -165,33 +166,42 @@ def torsion(alpha: AlphaMap) -> TensorAtOrigin:
     return TensorAtOrigin("torsion", t, tainted=not alpha.checked)
 
 
+def curvature_h_leak_note(dec: ReductiveDecomposition, tol: float) -> str:
+    """Why the curvature tensor on ``dec`` does not assemble at ``tol``, or ``""``.
+
+    It does not when ``dec.curvature_h_leak``, the h-part of [[X, Y]_h, Z],
+    exceeds ``tol`` (a NaN leak exceeds every tolerance).
+    """
+    leak = dec.curvature_h_leak
+    if leak <= tol:
+        return ""
+    return f"[[X, Y]_h, Z] leaves m by {leak:.3e}; decomposition is inconsistent"
+
+
 def curvature(alpha: AlphaMap,
               tol: float = DEFAULT_TOLERANCES["curvature_h_leak"]) -> TensorAtOrigin:
     """Curvature tensor R[l, i, j, k] = coords of R(A_i, A_j) A_k.
 
     The term [[X, Y]_h, Z] is a full-algebra bracket; reductivity guarantees
-    it lands in m, and this is asserted (h-leak <= ``tol``) rather than
-    silently projected away.
+    it lands in m.  That is asserted rather than silently projected away:
+    the decomposition's ``curvature_h_leak`` must be at most ``tol``, else
+    ValueError (see :func:`curvature_h_leak_note`).
     """
     dec = alpha.dec
     a = alpha.coeffs
-    q = dec.q
+    note = curvature_h_leak_note(dec, tol)
+    if note:
+        raise ValueError(note)
 
     # alpha(A_i, alpha(A_j, A_k)); its (i, j) swap is alpha(A_j, alpha(A_i, A_k))
     term1 = np.tensordot(a, a, 1)
     term4 = term1.swapaxes(1, 2)
     # alpha([A_i, A_j]_m, A_k); the product has axes (l, k, i, j)
     term3 = np.tensordot(a, dec.m_bracket_tensor, (1, 0)).transpose(0, 2, 3, 1)
-
-    # [[A_i, A_j]_h, A_k] = sum_r ([A_i, A_j]_h)^r [eta_r, A_k] in full-algebra
-    # coordinates; the product has axes (s, k, i, j)
-    coords = np.tensordot(dec._h_m_bracket, dec._m_pair_bracket_h, (1, 0))
-    leak = float(np.max(np.abs(coords[:q]), initial=0.0))
-    if leak > tol:
-        raise ValueError(
-            f"[[X, Y]_h, Z] leaves m by {leak:.3e}; decomposition is inconsistent"
-        )
-    term2 = coords[q:].transpose(0, 2, 3, 1)
+    # m-coordinates of [[A_i, A_j]_h, A_k] = sum_r ([A_i, A_j]_h)^r [eta_r, A_k];
+    # the product has axes (l, k, i, j)
+    term2 = np.tensordot(dec._h_m_bracket[dec.q:], dec._m_pair_bracket_h,
+                         (1, 0)).transpose(0, 2, 3, 1)
 
     r = term1 - term2 - term3 - term4
     return TensorAtOrigin("curvature", r, tainted=not alpha.checked)
@@ -236,9 +246,9 @@ def is_metric(alpha: AlphaMap, metric: MetricOnM,
     )
 
 
-def sectional_curvature(alpha: AlphaMap, metric: MetricOnM, x, y,
-                        riem: TensorAtOrigin | None = None) -> float:
-    """<R(X, Y)Y, X> normalized by the gram area of the (X, Y) plane.
+def sectional_curvature(riem: TensorAtOrigin, metric: MetricOnM, x, y) -> float:
+    """<R(X, Y)Y, X> of the curvature tensor ``riem``, normalized by the gram area
+    of the (X, Y) plane.
 
     Indefinite metrics make some planes null; a denominator below 1e-12 is
     refused instead of divided by.
@@ -250,6 +260,5 @@ def sectional_curvature(alpha: AlphaMap, metric: MetricOnM, x, y,
     # no registry key: a singularity cut on the division below, not a tolerance
     if abs(denom) < 1e-12:
         raise ValueError(f"degenerate plane: gram area {denom:.3e} below 1e-12")
-    r = riem if riem is not None else curvature(alpha)
-    num = r(x, y, y) @ g @ x
+    num = riem(x, y, y) @ g @ x
     return float(num / denom)

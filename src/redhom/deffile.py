@@ -33,11 +33,11 @@ from .algebra import StructuredLieAlgebra, expand_in_matrix_basis
 from .catalog import (
     SpaceBundle,
     diagnostic_battery,
-    grassmann_like_geometry,
-    group_geometry,
+    grassmann_like,
+    group_as_space,
     so_n,
-    sphere2_geometry,
-    stiefel_geometry,
+    sphere2,
+    stiefel,
 )
 from .connection import AlphaMap, canonical_first, canonical_second, levi_civita_alpha
 from .reductive import (
@@ -211,7 +211,7 @@ _SPACE_RE = re.compile(
 
 
 def _named_space(name: str, lineno: int) -> SpaceBundle:
-    """The catalog geometry of a named space: no alpha is built here."""
+    """The catalog space of a name."""
     m = _SPACE_RE.match(name.replace(" ", "")) or _SPACE_RE.match(name)
     if not m:
         raise DefFileError(
@@ -223,12 +223,12 @@ def _named_space(name: str, lineno: int) -> SpaceBundle:
                            f"above the largest supported dim {MAX_DIM}", lineno)
     try:
         if m.group(1) == "sphere2":
-            return sphere2_geometry()
+            return sphere2()
         if m.group(2):
-            return group_geometry(so_n(int(m.group(2))), name=f"so({m.group(2)})/{{e}}")
+            return group_as_space(so_n(int(m.group(2))), name=f"so({m.group(2)})/{{e}}")
         if m.group(3):
-            return stiefel_geometry(int(m.group(3)), int(m.group(4)))
-        return grassmann_like_geometry(int(m.group(5)), int(m.group(6)))
+            return stiefel(int(m.group(3)), int(m.group(4)))
+        return grassmann_like(int(m.group(5)), int(m.group(6)))
     except ValueError as exc:
         raise DefFileError(f"invalid named space {name!r}: {exc}", lineno) from exc
 
@@ -364,14 +364,14 @@ def _gated_alpha(build, force: bool, lineno):
 
 
 def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
-    """Turn a parsed definition into (bundle, alpha).
+    """Turn a parsed definition into ``(bundle, alpha)``.
 
-    ``alpha`` is None when the file has no connection block.  The bundle's
-    one suggested alpha is ``alpha``, or ``canonical_first`` when none is
-    asked for; a named space contributes its catalog geometry only, so that
-    alpha is the only one built, once, through its gate.  With
-    ``force=True`` a requested alpha that fails its gate is constructed
-    anyway and marked tainted.  Every gate reads ``resolve_tolerances(tolerances)``.
+    ``alpha`` is the one alpha the check report covers: the one the
+    connection block asks for, built through its gate, or ``canonical_first``
+    when there is no connection block.  With ``force=True`` a requested alpha
+    that fails its gate is constructed anyway and marked tainted; the
+    implicit ``canonical_first`` always is, so its failure is reported, not
+    raised.  Every gate reads ``resolve_tolerances(tolerances)``.
     """
     tols = resolve_tolerances(tolerances)
     if defn.space is not None and (defn.algebra or defn.decomposition):
@@ -395,13 +395,14 @@ def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
         except ValueError as exc:
             raise DefFileError(f"invalid metric: {exc}", lineno) from exc
 
-    alpha = None
+    # canonical_first unless the connection block asks for another alpha; built
+    # implicitly, it is kept tainted when it fails its gate, so the report says so
+    build = lambda unchecked: canonical_first(dec, unchecked, tols)
+    lineno = None
     if defn.connection:
         lineno = defn.lines.get(("connection", "alpha"), 0)
         specifier = defn.connection["alpha"].strip()
-        if specifier == "canonical_first":
-            build = lambda unchecked: canonical_first(dec, unchecked, tols)
-        elif specifier == "canonical_second":
+        if specifier == "canonical_second":
             build = lambda unchecked: canonical_second(dec)
         elif specifier == "levi_civita":
             if metric is None:
@@ -420,24 +421,16 @@ def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
                 coeffs[k - 1, i - 1, j - 1] = v
             build = lambda unchecked: AlphaMap(dec, coeffs, label="explicit",
                                                unchecked=unchecked, tolerances=tols)
-        else:
+        elif specifier != "canonical_first":
             raise DefFileError(
                 f"alpha must be one of {_ALPHA_KEYWORDS} or a coefficient list", lineno)
-        alpha = _gated_alpha(build, force, lineno)
-
-    # with no alpha asked for, the report covers canonical_first, gate failure included
-    reported = alpha or _gated_alpha(lambda unchecked: canonical_first(dec, unchecked, tols),
-                                     force=True, lineno=None)
-    bundle = SpaceBundle(
-        algebra=algebra, dec=dec, metric=metric,
-        suggested_alphas=[reported],
-        name=name,
-    )
-    return bundle, alpha
+    alpha = _gated_alpha(build, force or not defn.connection, lineno)
+    return SpaceBundle(algebra=algebra, dec=dec, metric=metric, name=name), alpha
 
 
-def check_space(bundle: SpaceBundle, tolerances=None):
-    """Battery reports plus the global pass flag (conjunction of mandatory checks)."""
-    reports = diagnostic_battery(bundle, tolerances)
+def check_space(bundle: SpaceBundle, alpha: AlphaMap, tolerances=None):
+    """Battery reports of ``bundle`` and ``alpha`` plus the global pass flag
+    (conjunction of mandatory checks)."""
+    reports = diagnostic_battery(bundle, alpha, tolerances)
     passed = all(r.passed for r in reports if r.mandatory)
     return reports, passed

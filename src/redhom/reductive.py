@@ -214,6 +214,17 @@ class ReductiveDecomposition:
                     for k, op in enumerate(self._generator_actions)]
         return tuple(samples)
 
+    @cached_property
+    def curvature_h_leak(self) -> float:
+        """Largest h-coordinate of [[A_i, A_j]_h, A_k] over basis triples.
+
+        Reductivity puts these brackets in m, so this is round-off on a valid
+        decomposition; it depends on the decomposition alone, and
+        :func:`~redhom.connection.curvature` gates on it for every alpha.
+        """
+        leak = np.tensordot(self._h_m_bracket[: self.q], self._m_pair_bracket_h, (1, 0))
+        return float(np.max(np.abs(leak), initial=0.0))
+
     def symmetric_pair_residual(self) -> float:
         """Largest m-component of [m, m]; zero characterizes symmetric pairs."""
         if self.N == 0:
@@ -431,15 +442,6 @@ def normal_decomposition(algebra: StructuredLieAlgebra, biinvariant_gram, h_basi
 # -- invariance checks ------------------------------------------------------------
 
 
-def _alpha_coeffs(alpha, dec) -> np.ndarray:
-    coeffs = getattr(alpha, "coeffs", alpha)
-    coeffs = np.asarray(coeffs, dtype=float)
-    N = dec.N
-    if coeffs.shape != (N, N, N):
-        raise ValueError(f"alpha coefficients must have shape ({N}, {N}, {N})")
-    return coeffs
-
-
 def _bilinear_equivariance_residual(coeffs, op) -> float:
     """max | R a(X, Y) - a(R X, R Y) | over basis pairs for a linear map R on m."""
     lhs = np.tensordot(op, coeffs, 1)
@@ -479,17 +481,21 @@ def _isotropy_report(check: str, key: str, dec: ReductiveDecomposition, tol: flo
                                      key=key)
 
 
-def check_ad_H_invariance_bilinear(dec: ReductiveDecomposition, alpha,
+def check_ad_H_invariance_bilinear(dec: ReductiveDecomposition, coeffs,
                                    tol: float = DEFAULT_TOLERANCES["invariance"]
                                    ) -> CheckReport:
     """Verify that a bilinear map m x m -> m commutes with the isotropy action.
 
-    Checks the infinitesimal condition for every h-basis direction, the
-    finite condition along exp(t eta) at a few sample times, and the finite
+    ``coeffs`` is its (N, N, N) coefficient array ``a[k, i, j]``.  Checks the
+    infinitesimal condition for every h-basis direction, the finite
+    condition along exp(t eta) at a few sample times, and the finite
     condition for any supplied discrete generators.  Failures are reported,
     never raised.
     """
-    coeffs = _alpha_coeffs(alpha, dec)
+    coeffs = np.asarray(coeffs, dtype=float)
+    N = dec.N
+    if coeffs.shape != (N, N, N):
+        raise ValueError(f"alpha coefficients must have shape ({N}, {N}, {N})")
     return _isotropy_report(
         "ad_H_invariance_bilinear", "invariance", dec, tol,
         lambda act: _bilinear_derivation_residual(coeffs, act),

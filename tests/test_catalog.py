@@ -44,69 +44,95 @@ def _alpha_rows(label, residual, metric=True):
 
 _NORMAL_METRIC = [("metric_invariance", True, 1e-8, 5.551115123125783e-16),
                   ("naturally_reductive", True, 1e-10, 0.0)]
+_RIGID_METRIC = [("metric_invariance", True, 1e-8, 0.0),
+                 ("naturally_reductive", False, 1e-10, 2.0)]
+_EPS = 2.220446049250313e-16
 
+ALPHAS = {
+    "canonical_first": lambda space: rh.canonical_first(space.dec),
+    "canonical_second": lambda space: rh.canonical_second(space.dec),
+    "levi_civita": lambda space: rh.levi_civita_alpha(space.dec, space.metric),
+}
+
+# one battery per (space, alpha) pair
 GOLDEN = {
-    "sphere2": _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0),
-    "stiefel(4,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 2.220446049250313e-16)
-    + _alpha_rows("levi_civita", 2.220446049250313e-16),
-    "stiefel(5,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 2.220446049250313e-16)
-    + _alpha_rows("levi_civita", 2.220446049250313e-16),
-    "grassmann_like(4,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0)
-    + _alpha_rows("canonical_second", 0.0),
-    "grassmann_like(5,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0)
-    + _alpha_rows("canonical_second", 0.0),
-    "stiefel(10,2)": _NORMAL_METRIC + _alpha_rows("canonical_first", 2.220446049250313e-16)
-    + _alpha_rows("levi_civita", 2.220446049250313e-16),
-    "grassmann_like(8,4)": _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0)
-    + _alpha_rows("canonical_second", 0.0),
-    "so(4)/{e}": _alpha_rows("canonical_first", 0.0, metric=False),
-    "rigid-body": [
-        ("metric_invariance", True, 1e-8, 0.0),
-        ("naturally_reductive", False, 1e-10, 2.0),
+    ("sphere2", "canonical_first"): _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0),
+    ("stiefel(4,2)", "canonical_first"): _NORMAL_METRIC + _alpha_rows("canonical_first", _EPS),
+    ("stiefel(4,2)", "levi_civita"): _NORMAL_METRIC + _alpha_rows("levi_civita", _EPS),
+    ("stiefel(5,2)", "canonical_first"): _NORMAL_METRIC + _alpha_rows("canonical_first", _EPS),
+    ("stiefel(5,2)", "levi_civita"): _NORMAL_METRIC + _alpha_rows("levi_civita", _EPS),
+    ("grassmann_like(4,2)", "canonical_first"):
+        _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0),
+    ("grassmann_like(4,2)", "canonical_second"):
+        _NORMAL_METRIC + _alpha_rows("canonical_second", 0.0),
+    ("grassmann_like(5,2)", "canonical_first"):
+        _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0),
+    ("grassmann_like(5,2)", "canonical_second"):
+        _NORMAL_METRIC + _alpha_rows("canonical_second", 0.0),
+    ("stiefel(10,2)", "canonical_first"):
+        _NORMAL_METRIC + _alpha_rows("canonical_first", _EPS),
+    ("stiefel(10,2)", "levi_civita"): _NORMAL_METRIC + _alpha_rows("levi_civita", _EPS),
+    ("grassmann_like(8,4)", "canonical_first"):
+        _NORMAL_METRIC + _alpha_rows("canonical_first", 0.0),
+    ("grassmann_like(8,4)", "canonical_second"):
+        _NORMAL_METRIC + _alpha_rows("canonical_second", 0.0),
+    ("so(4)/{e}", "canonical_first"): _alpha_rows("canonical_first", 0.0, metric=False),
+    ("rigid-body", "canonical_first"): _RIGID_METRIC + [
         ("alpha_invariance[canonical_first]", True, 1e-8, 0.0),
         ("tensor_assembly[canonical_first]", True, 1e-10, 0.0),
         ("torsion_free[canonical_first]", True, 1e-12, 0.0),
         ("is_metric", False, 1e-10, 1.0),
-    ] + _alpha_rows("levi_civita", 0.0),
+    ],
+    ("rigid-body", "levi_civita"): _RIGID_METRIC + _alpha_rows("levi_civita", 0.0),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(SPACES))
 def battery(request):
-    return request.param, rh.diagnostic_battery(SPACES[request.param]())
+    """The space's name and, per alpha of its ``GOLDEN`` pairs, (label, reports)."""
+    space = SPACES[request.param]()
+    labels = [label for name, label in GOLDEN if name == request.param]
+    return request.param, [(label, rh.diagnostic_battery(space, ALPHAS[label](space)))
+                           for label in labels]
 
 
 class TestCatalogBattery:
     def test_every_mandatory_check_passes(self, battery):
-        _, reports = battery
-        failed = [r.check for r in reports if r.mandatory and not r.passed]
-        assert failed == []
+        _, batteries = battery
+        for label, reports in batteries:
+            failed = [r.check for r in reports if r.mandatory and not r.passed]
+            assert failed == [], label
 
     def test_reports_match_the_recorded_golden_values(self, battery):
-        name, reports = battery
-        golden = ALGEBRA_AND_SPLIT + GOLDEN[name]
-        assert [(r.check, r.passed, r.tolerance) for r in reports] == \
-            [row[:3] for row in golden]
-        for report, row in zip(reports, golden):
-            assert report.max_residual == pytest.approx(row[3], abs=1e-14), report.check
+        name, batteries = battery
+        assert batteries
+        for label, reports in batteries:
+            golden = ALGEBRA_AND_SPLIT + GOLDEN[name, label]
+            assert [(r.check, r.passed, r.tolerance) for r in reports] == \
+                [row[:3] for row in golden]
+            for report, row in zip(reports, golden):
+                assert report.max_residual == pytest.approx(row[3], abs=1e-14), report.check
 
     def test_override_rejudges_stored_residuals(self):
         bundle = rh.stiefel(4, 2)
-        reports = rh.diagnostic_battery(bundle, {"invariance": 1e-20, "jacobi": 0.5})
+        alpha = rh.canonical_first(bundle.dec)
+        reports = rh.diagnostic_battery(bundle, alpha, {"invariance": 1e-20, "jacobi": 0.5})
         by_name = {r.check: r for r in reports}
         assert by_name["jacobi"].tolerance == 0.5
         inv = by_name["alpha_invariance[canonical_first]"]
         assert inv.tolerance == 1e-20 and not inv.passed
         # the stored report keeps the verdict of the tolerance it was built with
-        assert bundle.alpha("canonical_first").invariance.passed
+        assert alpha.invariance.passed
 
     def test_each_stored_report_is_judged_by_the_key_its_constructor_recorded(self):
         bundle = rh.stiefel(4, 2)
+        alpha = rh.canonical_first(bundle.dec)
         keys = {r.check: r.key for r in (*bundle.algebra.reports, *bundle.dec.reports)}
         assert keys["projection_identities"] == "projection"
         assert keys["h_subalgebra"] == "subalgebra"
-        assert bundle.alpha("canonical_first").invariance.key == "invariance"
-        reports = rh.diagnostic_battery(bundle, {"projection": 0.25, "subalgebra": 0.5})
+        assert alpha.invariance.key == "invariance"
+        reports = rh.diagnostic_battery(bundle, alpha,
+                                        {"projection": 0.25, "subalgebra": 0.5})
         by_name = {r.check: r for r in reports}
         assert by_name["projection_identities"].tolerance == 0.25
         assert by_name["h_subalgebra"].tolerance == 0.5
@@ -121,26 +147,54 @@ def _open_isotropy():
     # sigma = identity fixes all of so(3): h = g and m = {0}
     with pytest.warns(UserWarning, match=r"m = \{0\}"):
         dec = rh.symmetric_decomposition(rh.so3(), np.eye(3))
-    return rh.SpaceBundle(dec.algebra, dec, rh.MetricOnM(dec, np.zeros((0, 0))),
-                          [rh.canonical_first(dec), rh.canonical_second(dec)])
+    return (rh.SpaceBundle(dec.algebra, dec, rh.MetricOnM(dec, np.zeros((0, 0)))),
+            [rh.canonical_first(dec), rh.canonical_second(dec)])
+
+
+def _group_with_metric(algebra, gram):
+    space = rh.group_as_space(algebra, gram)
+    return space, [rh.canonical_first(space.dec),
+                   rh.levi_civita_alpha(space.dec, space.metric)]
 
 
 EMPTY_SHAPES = {
-    "dim-1 algebra": lambda: rh.group_as_space(_so2(), np.eye(1)),
+    "dim-1 algebra": lambda: _group_with_metric(_so2(), np.eye(1)),
     "m = {0}": _open_isotropy,
-    "h = {0}": lambda: rh.group_as_space(rh.so3(), np.diag([1.0, 2.0, 3.0])),
+    "h = {0}": lambda: _group_with_metric(rh.so3(), np.diag([1.0, 2.0, 3.0])),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EMPTY_SHAPES))
 def test_empty_and_unit_shapes_go_through_curvature_and_the_battery(case):
-    bundle = EMPTY_SHAPES[case]()
+    bundle, alphas = EMPTY_SHAPES[case]()
     n = bundle.dec.N
-    for alpha in bundle.suggested_alphas:
+    for alpha in alphas:
         assert rh.curvature(alpha).coeffs.shape == (n,) * 4
-    reports = rh.diagnostic_battery(bundle)
-    assert [r.check for r in reports if r.mandatory and not r.passed] == []
-    assert "metric_invariance" in [r.check for r in reports]
+        reports = rh.diagnostic_battery(bundle, alpha)
+        assert [r.check for r in reports if r.mandatory and not r.passed] == []
+        assert "metric_invariance" in [r.check for r in reports]
+
+
+def test_tensor_assembly_reads_the_h_leak_curvature_gates_on(so3):
+    # m = span(L1, L2 + L3) is not ad(L3)-stable, so [[X, Y]_h, Z] leaves m by 2;
+    # a loosened reductivity gate lets the split through
+    dec = rh.build_decomposition(so3, [[0, 0, 1]], [[1, 0, 0], [0, 1, 1]],
+                                 tolerances={"reductivity": 2.0})
+    assert dec.curvature_h_leak == pytest.approx(2.0)
+    bundle, alpha = rh.SpaceBundle(so3, dec, None), rh.canonical_second(dec)
+    with pytest.raises(ValueError, match="leaves m by 2.000e"):
+        rh.curvature(alpha)
+    row = rh.diagnostic_battery(bundle, alpha)[-1]
+    assert row.check == "tensor_assembly[canonical_second]" and not row.passed
+    assert row.max_residual == np.inf and "leaves m by 2.000e+00" in row.note
+    row = rh.diagnostic_battery(bundle, alpha, {"curvature_h_leak": 2.5})[-1]
+    assert row.passed and row.max_residual == 0.0 and row.note == ""
+    assert rh.curvature(alpha, tol=2.5).coeffs.shape == (2,) * 4
+
+
+def test_battery_refuses_an_alpha_of_another_decomposition(sphere2):
+    with pytest.raises(ValueError, match="different decompositions"):
+        rh.diagnostic_battery(sphere2, rh.canonical_first(rh.sphere2().dec))
 
 
 class TestConstructorReports:

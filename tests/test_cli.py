@@ -1,10 +1,11 @@
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from redhom import catalog, connection, deffile, reductive
+from redhom import catalog, cli, connection, deffile, reductive
 from redhom.algebra import expm
 from redhom.cli import main
 
@@ -106,7 +107,7 @@ def test_levi_civita_gate_judges_a_catalog_metric_like_a_given_one(tmp_path, cap
     # the stiefel(4,2) metric has an invariance residual of about 6e-16
     text = "space = stiefel(4,2)\n"
     if source == "[metric]":
-        text += f"\n[metric]\ngram = {matrix_text(catalog.stiefel_geometry(4, 2).metric.gram)}\n"
+        text += f"\n[metric]\ngram = {matrix_text(catalog.stiefel(4, 2).metric.gram)}\n"
     path = write(tmp_path, text + "\n[connection]\nalpha = levi_civita\n")
     args = ["geodesic", path, "--x0=0.4,0.1,-0.3,0.2,0.5", "--t1=1", "--step=0.1",
             f"--out={tmp_path / 'o'}", "--tol", "metric_invariance=0"]
@@ -167,7 +168,7 @@ def test_conflicting_duplicate_alpha_quadruples_are_rejected(tmp_path, capsys):
 def test_algebra_dim_above_the_cap_is_a_definition_error(tmp_path, capsys, monkeypatch, text,
                                                          line):
     # so(100000) must be refused from its name: building it would exhaust memory
-    monkeypatch.setattr(deffile, "stiefel_geometry", lambda n, k: pytest.fail("stiefel was built"))
+    monkeypatch.setattr(deffile, "stiefel", lambda n, k: pytest.fail("stiefel was built"))
     assert main(["check", write(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert f"line {line}" in err and f"largest supported dim {deffile.MAX_DIM}" in err
@@ -268,6 +269,30 @@ def test_curve_file_with_a_non_finite_cell_is_a_definition_error(tmp_path, capsy
     assert not list(tmp_path.glob("o*"))
 
 
+@pytest.mark.parametrize("kind", ["group_file", "velocity_file"])
+@pytest.mark.parametrize("text", ["", "# t, sample\n\n"], ids=["empty", "comments-only"])
+def test_curve_file_without_data_rows_is_a_definition_error(tmp_path, capsys, kind, text):
+    samples = tmp_path / "curve.csv"
+    samples.write_text(text)
+    path = write(tmp_path, "space = stiefel(4,2)\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["transport", path, f"--curve={kind}:{samples}", "--z0=1,0,0,0,0",
+                     f"--out={tmp_path / 'o'}"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"definition error: sample file {samples} holds no data rows\n"
+    assert not list(tmp_path.glob("o*"))
+
+
+def test_seed_lengths_are_checked_before_the_curve_is_read(tmp_path, capsys):
+    path = write(tmp_path, "space = sphere2\n")
+    missing = tmp_path / "missing.csv"
+    assert main(["transport", path, f"--curve=group_file:{missing}", "--z0=1,0,0",
+                 f"--out={tmp_path / 'o'}"]) == 1
+    assert capsys.readouterr().err == "error: each --z0 must hold 2 coordinates\n"
+
+
 class TestNegativeVectorValue:
     def test_separate_geodesic_x0_parses_like_the_attached_form(self, tmp_path):
         path = write(tmp_path, "space = sphere2\n")
@@ -310,28 +335,35 @@ def test_tensors_gate_on_the_battery_once(tmp_path, capsys):
 def test_check_on_a_named_space_computes_each_residual_once(tmp_path, capsys, monkeypatch):
     calls = Counter()
 
-    def count(module, name):
-        original = getattr(module, name)
+    def count(name):
+        """Count the calls of ``name`` through every package module that imports it."""
+        for module in (catalog, cli, connection, deffile, reductive):
+            original = getattr(module, name, None)
+            if original is None:
+                continue
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+            def wrapper(*args, _original=original, **kwargs):
+                calls[name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
 
-    count(catalog, "diagnostic_battery")
-    count(deffile, "diagnostic_battery")
-    count(connection, "check_ad_H_invariance_bilinear")
-    count(reductive, "check_metric_invariance")
-    count(catalog, "curvature")
+    for name in ("diagnostic_battery", "check_ad_H_invariance_bilinear",
+                 "check_metric_invariance", "curvature"):
+        count(name)
     named = write(tmp_path, "space = stiefel(4,2)\n", "named.def")
     lc = write(tmp_path, "space = stiefel(4,2)\n\n[connection]\nalpha = levi_civita\n", "lc.def")
     x0, out = "0.4,0.1,-0.3,0.2,0.5", f"--out={tmp_path / 'o'}"
-    # only the reported alpha is built: canonical_first for check, levi_civita otherwise
-    for argv in (["check", named],
-                 ["geodesic", lc, f"--x0={x0}", "--t1=1", "--step=0.1", out],
-                 ["transport", lc, f"--curve=one_parameter:{x0}", "--z0=1,0,0,0,0", "--t1=1",
-                  "--step=0.1", out]):
+    # only the reported alpha is built: canonical_first for check, levi_civita otherwise;
+    # the curvature tensor is assembled by tensors alone, once
+    for argv, curvatures in (
+            (["check", named], 0),
+            (["geodesic", lc, f"--x0={x0}", "--t1=1", "--step=0.1", out], 0),
+            (["transport", lc, f"--curve=one_parameter:{x0}", "--z0=1,0,0,0,0", "--t1=1",
+              "--step=0.1", out], 0),
+            (["tensors", lc, out], 1)):
         calls.clear()
         assert main(argv) == 0, argv[0]
-        assert calls == {"diagnostic_battery": 1, "check_ad_H_invariance_bilinear": 1,
-                         "check_metric_invariance": 1, "curvature": 1}, argv[0]
+        # a Counter compares a missing name as 0
+        assert calls == Counter({"diagnostic_battery": 1, "check_ad_H_invariance_bilinear": 1,
+                                 "check_metric_invariance": 1, "curvature": curvatures}), \
+            argv[0]

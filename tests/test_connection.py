@@ -68,7 +68,7 @@ class TestLeviCivita:
 
     def test_rigid_body_matches_euler_equations(self, rigid_body, rng):
         # oracle: omega' = I^-1 (I omega x omega), hand-coded cross product
-        lc = rigid_body.alpha("levi_civita")
+        lc = rh.levi_civita_alpha(rigid_body.dec, rigid_body.metric)
         inertia = np.diag([1.0, 2.0, 3.0])
         for _ in range(20):
             x = rng.standard_normal(3)
@@ -89,7 +89,7 @@ class TestLeviCivita:
             rh.levi_civita_alpha(sphere2.dec, other.metric)
 
     def test_u_part_symmetric(self, rigid_body):
-        lc = rigid_body.alpha("levi_civita")
+        lc = rh.levi_civita_alpha(rigid_body.dec, rigid_body.metric)
         u = lc.coeffs - 0.5 * rigid_body.dec.m_bracket_tensor
         assert np.max(np.abs(u - np.swapaxes(u, 1, 2))) <= 1e-13
 
@@ -107,11 +107,11 @@ class TestTorsion:
         assert np.allclose(t(x, y), -free_so3.bracket_m(x, y), atol=1e-14)
 
     def test_levi_civita_torsion_free(self, rigid_body):
-        t = rh.torsion(rigid_body.alpha("levi_civita"))
+        t = rh.torsion(rh.levi_civita_alpha(rigid_body.dec, rigid_body.metric))
         assert np.max(np.abs(t.coeffs)) <= 1e-10
 
     def test_exactly_antisymmetric(self, rigid_body, rng):
-        t = rh.torsion(rigid_body.alpha("levi_civita"))
+        t = rh.torsion(rh.levi_civita_alpha(rigid_body.dec, rigid_body.metric))
         x, y = rng.standard_normal((2, 3))
         assert np.array_equal(t(x, y), -t(y, x))
 
@@ -119,10 +119,9 @@ class TestTorsion:
 class TestCurvature:
     def test_sphere_spot_value(self, sphere2):
         # hand evaluation: alpha = 0, so R(A1, A2)A2 = -[[A1, A2]_h, A2] = A1
-        r = rh.curvature(sphere2.alpha("canonical_first"))
+        r = rh.curvature(rh.canonical_first(sphere2.dec))
         assert np.allclose(r(X1, X2, X2), X1, atol=1e-13)
-        assert rh.sectional_curvature(sphere2.alpha("canonical_first"),
-                                      sphere2.metric, X1, X2) == pytest.approx(1.0, abs=1e-12)
+        assert rh.sectional_curvature(r, sphere2.metric, X1, X2) == pytest.approx(1.0, abs=1e-12)
 
     def test_abelian_algebra_flat(self):
         abelian = rh.StructuredLieAlgebra(np.zeros((2, 2, 2)), name="r2")
@@ -136,7 +135,7 @@ class TestCurvature:
 
     def test_antisymmetry_in_first_slots(self, stiefel42, grassmann42, rng):
         for bundle in (stiefel42, grassmann42):
-            r = rh.curvature(bundle.alpha("canonical_first"))
+            r = rh.curvature(rh.canonical_first(bundle.dec))
             assert np.max(np.abs(r.coeffs + np.swapaxes(r.coeffs, 1, 2))) <= 1e-12
             x, y, z = rng.standard_normal((3, bundle.dec.N))
             assert np.max(np.abs(r(x, y, z) + r(y, x, z))) <= 1e-12
@@ -145,7 +144,7 @@ class TestCurvature:
         # [eta, R(X,Y)Z]_m = R([eta,X]_m,Y)Z + R(X,[eta,Y]_m)Z + R(X,Y)[eta,Z]_m
         for bundle in (sphere2, stiefel42, grassmann42):
             dec = bundle.dec
-            r = rh.curvature(bundle.alpha("canonical_first")).coeffs
+            r = rh.curvature(rh.canonical_first(dec)).coeffs
             for idx in range(dec.q):
                 act = dec.h_action[idx]
                 lhs = np.einsum("kl,lijm->kijm", act, r)
@@ -160,8 +159,9 @@ class TestCurvature:
         # on grassmann(4,2) alpha = 0, on stiefel(5,2) Levi-Civita alpha != 0, and on
         # so(3)/{e} (h = {0}, so every bilinear map is invariant) a random alpha
         free = rh.build_decomposition(rh.so3(), [], np.eye(3))
-        alphas = [grassmann42.alpha("canonical_first"),
-                  rh.stiefel(5, 2).alpha("levi_civita"),
+        stiefel52 = rh.stiefel(5, 2)
+        alphas = [rh.canonical_first(grassmann42.dec),
+                  rh.levi_civita_alpha(stiefel52.dec, stiefel52.metric),
                   rh.AlphaMap(free, np.random.default_rng(11).standard_normal((3, 3, 3)))]
         for alpha in alphas:
             dec, alg = alpha.dec, alpha.dec.algebra
@@ -233,7 +233,7 @@ class TestSectionalCurvature:
         a = rh.canonical_second(dec)
         # (1, 1, 0) is a null direction orthogonal to (0, 0, 1)
         with pytest.raises(ValueError, match="degenerate plane"):
-            rh.sectional_curvature(a, metric, [1.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+            rh.sectional_curvature(rh.curvature(a), metric, [1.0, 1.0, 0.0], [0.0, 0.0, 1.0])
 
     def test_tainted_flag_propagates(self, sphere2):
         coeffs = np.zeros((2, 2, 2))

@@ -128,8 +128,8 @@ def test_any_definition_ends_in_reports_or_a_located_error(text):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)       # m = {0} is allowed
-            bundle, _alpha = build_space(parse_definition(text))
-            reports, _passed = check_space(bundle)
+            bundle, alpha = build_space(parse_definition(text))
+            reports, _passed = check_space(bundle, alpha)
     except DefFileError as exc:
         assert exc.line, f"{exc}\n{text}"
     except DecompositionError:

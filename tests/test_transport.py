@@ -170,7 +170,7 @@ def orthogonality_defect(frames):
 
 def test_canonical_first_geodesic_is_the_one_parameter_curve(stiefel42, rng):
     dec = stiefel42.dec
-    alpha = stiefel42.suggested_alphas[0]
+    alpha = rh.canonical_first(dec)
     assert alpha.label == "canonical_first"
     x0 = rng.standard_normal(dec.N)
     geo = geodesic(alpha, x0, (0.0, 2.0), 0.05)
@@ -345,7 +345,7 @@ def test_blow_up_ends_where_a_per_step_guard_ends_it(first_over):
 
 @pytest.mark.parametrize("make_alpha", [
     pytest.param(riccati_alpha, id="rk4"),
-    pytest.param(lambda: rh.sphere2().suggested_alphas[0], id="no-symmetric-part"),
+    pytest.param(lambda: rh.canonical_first(rh.sphere2().dec), id="no-symmetric-part"),
 ])
 def test_x0_over_the_blow_up_norm_is_rejected_before_any_step(make_alpha):
     alpha = make_alpha()
@@ -390,7 +390,7 @@ def test_blow_up_on_the_command_line_writes_the_partial_trajectory(tmp_path, cap
 
 
 def test_geodesic_frames_stay_orthogonal(sphere2):
-    geo = geodesic(sphere2.suggested_alphas[0], [1.0, 0.5], (0.0, 10.0), 0.1)
+    geo = geodesic(rh.canonical_first(sphere2.dec), [1.0, 0.5], (0.0, 10.0), 0.1)
     assert len(geo) == 101
     assert orthogonality_defect(geo.frames) <= 1e-13
     assert geo.meta["group_drift"] <= 1e-13
