@@ -15,6 +15,7 @@ from .catalog import (
 from .connection import (
     AlphaMap,
     TensorAtOrigin,
+    basis_sectional_curvatures,
     canonical_first,
     canonical_second,
     curvature,

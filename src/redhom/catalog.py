@@ -56,9 +56,8 @@ __all__ = [
 
 @dataclass
 class SpaceBundle:
-    """An algebra, a validated decomposition and an optional metric on m."""
+    """A validated decomposition and an optional metric on m; the algebra is ``dec.algebra``."""
 
-    algebra: StructuredLieAlgebra
     dec: ReductiveDecomposition
     metric: MetricOnM | None
     name: str = ""
@@ -121,7 +120,7 @@ def sphere2() -> SpaceBundle:
     alg = so3()
     dec = build_decomposition(alg, h_basis=[[0.0, 0.0, 1.0]],
                               m_basis=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    return SpaceBundle(algebra=alg, dec=dec, metric=MetricOnM(dec, np.eye(2)), name="sphere2")
+    return SpaceBundle(dec=dec, metric=MetricOnM(dec, np.eye(2)), name="sphere2")
 
 
 def biinvariant_gram(algebra: StructuredLieAlgebra) -> np.ndarray:
@@ -145,7 +144,7 @@ def stiefel(n: int, k: int) -> SpaceBundle:
     h_rows = [i for i, (a, b) in enumerate(pairs) if a >= k and b >= k]
     h_basis = np.eye(alg.dim)[h_rows]
     dec, metric = normal_decomposition(alg, biinvariant_gram(alg), h_basis)
-    return SpaceBundle(algebra=alg, dec=dec, metric=metric, name=f"stiefel({n},{k})")
+    return SpaceBundle(dec=dec, metric=metric, name=f"stiefel({n},{k})")
 
 
 def grassmann_like(n: int, k: int) -> SpaceBundle:
@@ -164,7 +163,7 @@ def grassmann_like(n: int, k: int) -> SpaceBundle:
     sigma = np.diag(signs)
     dec = symmetric_decomposition(alg, sigma)
     metric = MetricOnM(dec, dec.m_basis @ biinvariant_gram(alg) @ dec.m_basis.T)
-    return SpaceBundle(algebra=alg, dec=dec, metric=metric, name=f"grassmann({n},{k})")
+    return SpaceBundle(dec=dec, metric=metric, name=f"grassmann({n},{k})")
 
 
 def group_as_space(algebra: StructuredLieAlgebra, gram=None, name: str = "") -> SpaceBundle:
@@ -174,8 +173,7 @@ def group_as_space(algebra: StructuredLieAlgebra, gram=None, name: str = "") -> 
     product is invariant since there is no isotropy to respect.
     """
     dec = build_decomposition(algebra, h_basis=[], m_basis=np.eye(algebra.dim))
-    return SpaceBundle(algebra=algebra, dec=dec,
-                       metric=MetricOnM(dec, gram) if gram is not None else None,
+    return SpaceBundle(dec=dec, metric=MetricOnM(dec, gram) if gram is not None else None,
                        name=name or f"{algebra.name}/{{e}}")
 
 
@@ -198,7 +196,7 @@ def diagnostic_battery(bundle: SpaceBundle, alpha: AlphaMap,
     if alpha.dec is not dec:
         raise ValueError("alpha and bundle use different decompositions")
     tols = resolve_tolerances(tolerances)
-    reports = [r.judged(tols) for r in (*bundle.algebra.reports, *dec.reports)]
+    reports = [r.judged(tols) for r in (*dec.algebra.reports, *dec.reports)]
 
     if bundle.metric is not None:
         reports.append(bundle.metric.invariance.judged(tols))

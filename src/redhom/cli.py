@@ -3,9 +3,10 @@
 Exit codes: 0 all mandatory checks pass and the computation finished;
 1 check failures (a failed decomposition gate too), aborted dynamics, or a
 geodesic drifting past ``group_drift`` (its artifacts are still written),
-finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows, and
-an ``--x0`` with a coordinate of magnitude over the blow-up norm (no step
-is taken);
+finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows, an
+``--x0`` with a coordinate of magnitude over the blow-up norm (no step is
+taken), and an ``--x0``, ``--z0`` or ``one_parameter:`` vector whose length
+is not dim m;
 2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
 non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
 ``--z0`` or a ``one_parameter:`` curve, a ``group_file:`` or
@@ -33,12 +34,11 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
 from . import serialize
-from .connection import curvature, sectional_curvature, torsion
+from .connection import basis_sectional_curvatures, curvature, torsion
 from .deffile import DefFileError, build_space, check_space, parse_definition
 from .reductive import DecompositionError
 from .reporting import DEFAULT_TOLERANCES, resolve_tolerances
@@ -230,12 +230,7 @@ def cmd_transport(args) -> int:
     base = realize_curve(dec, _parse_curve(args, dec), step=args.step)
     batch = parallel_transport(alpha, base, np.array(seeds))
     batch.meta["tainted"] = batch.meta.get("tainted", False) or tainted
-
-    shared = serialize.BaseText(batch)
-    suffixes = [""] if len(seeds) == 1 else [f"_seed{i}" for i in range(len(seeds))]
-    for i, suffix in enumerate(suffixes):
-        traj = replace(batch, transported=batch.transported[:, i])
-        serialize.write_trajectory(args.out + suffix, traj, bundle.name, alpha.label, shared)
+    serialize.write_trajectory(args.out, batch, bundle.name, alpha.label)
 
     # the battery judged is_metric for this alpha and metric at tols["is_metric"]
     if any(r.check == "is_metric" and r.passed for r in reports):
@@ -265,17 +260,8 @@ def cmd_tensors(args) -> int:
     serialize.atomic_write_text(args.out + "_curvature.json",
                                 serialize.tensor_json(curv, meta))
     if bundle.metric is not None:
-        entries = []
-        eye = np.eye(bundle.dec.N)
-        for i in range(bundle.dec.N):
-            for j in range(i + 1, bundle.dec.N):
-                try:
-                    val = sectional_curvature(curv, bundle.metric, eye[i], eye[j])
-                except ValueError:
-                    val = None
-                entries.append((i, j, val))
-        serialize.atomic_write_text(args.out + "_sectional.csv",
-                                    serialize.sectional_csv(entries))
+        serialize.atomic_write_text(args.out + "_sectional.csv", serialize.sectional_csv(
+            basis_sectional_curvatures(curv, bundle.metric)))
     print(f"tensors: wrote torsion/curvature for {bundle.name} "
           f"(curvature antisymmetry {anti:.3e})")
     return 0

@@ -16,6 +16,9 @@ Conventions, with all vectors in m-coordinates:
 * metric compatibility:      ``alpha(X, .)`` skew-adjoint for every X
 * Levi-Civita:               ``alpha = 1/2 [X, Y]_m + U`` with
   ``2 <U(X,Y), Z> = <[Z,X]_m, Y> + <X, [Z,Y]_m>``
+
+``basis_sectional_curvatures`` reads the sectional curvature of every basis
+plane off the curvature array; ``sectional_curvature`` takes any one plane.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "naturally_reductive_check",
     "is_metric",
     "sectional_curvature",
+    "basis_sectional_curvatures",
 ]
 
 LABELS = ("explicit", "canonical_first", "canonical_second", "levi_civita")
@@ -262,3 +266,20 @@ def sectional_curvature(riem: TensorAtOrigin, metric: MetricOnM, x, y) -> float:
         raise ValueError(f"degenerate plane: gram area {denom:.3e} below 1e-12")
     num = riem(x, y, y) @ g @ x
     return float(num / denom)
+
+
+def basis_sectional_curvatures(riem: TensorAtOrigin, metric: MetricOnM) -> list:
+    """``(i, j, K)`` for each basis plane (A_i, A_j), i < j, in row-major order.
+
+    K is ``sectional_curvature(riem, metric, A_i, A_j)`` to the bit, or None where
+    that refuses a degenerate plane.  The numerators <R(A_i, A_j)A_j, A_i> come
+    from one matmul of the stacked rows ``R[:, i, j, j]`` by the gram, each row a
+    vector of its own: one matrix product would sum in another order.
+    """
+    g = metric.gram
+    i, j = np.triu_indices(len(g), 1)
+    num = (riem.coeffs[:, i, j, j].T[:, None] @ g)[np.arange(len(i)), 0, i]
+    denom = g[i, i] * g[j, j] - g[i, j] ** 2
+    # no registry key: the singularity cut of sectional_curvature
+    return [(a, b, None if abs(d) < 1e-12 else float(n / d))
+            for a, b, n, d in zip(i.tolist(), j.tolist(), num, denom)]

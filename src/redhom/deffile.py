@@ -379,7 +379,7 @@ def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
                            defn.lines.get((None, "space")))
     if defn.space is not None:
         space = _named_space(defn.space, defn.lines.get((None, "space"), 1))
-        algebra, dec, metric, name = space.algebra, space.dec, space.metric, space.name
+        dec, metric, name = space.dec, space.metric, space.name
     else:
         if not defn.algebra:
             raise DefFileError("definition needs either 'space = ...' or an [algebra] block")
@@ -425,7 +425,7 @@ def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
             raise DefFileError(
                 f"alpha must be one of {_ALPHA_KEYWORDS} or a coefficient list", lineno)
     alpha = _gated_alpha(build, force or not defn.connection, lineno)
-    return SpaceBundle(algebra=algebra, dec=dec, metric=metric, name=name), alpha
+    return SpaceBundle(dec=dec, metric=metric, name=name), alpha
 
 
 def check_space(bundle: SpaceBundle, alpha: AlphaMap, tolerances=None):

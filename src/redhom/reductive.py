@@ -48,7 +48,7 @@ class MetricOnM:
     gates on that report.
     """
 
-    def __init__(self, dec: ReductiveDecomposition, gram, signature=None):
+    def __init__(self, dec: ReductiveDecomposition, gram):
         g = np.array(gram, dtype=float)
         if g.shape != (dec.N, dec.N):
             raise ValueError(f"gram matrix must be {dec.N}x{dec.N} (dim m), got shape {g.shape}")
@@ -69,8 +69,6 @@ class MetricOnM:
             sig = (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)))
         else:
             sig = (0, 0)
-        if signature is not None and tuple(signature) != sig:
-            raise ValueError(f"declared signature {tuple(signature)} but eigenvalues give {sig}")
         g.setflags(write=False)
         self.dec = dec
         self.gram = g

@@ -13,10 +13,10 @@ block of rows at a time, and builds both the CSV rows and the pieces of the
 JSON arrays from those texts.  The pieces give the text
 ``json.dumps(..., indent=1)`` would, without its value-by-value pure-Python
 encoder.  The CSV is written block by block and the JSON from its pieces,
-so neither file is ever held as one string.  A ``BaseText`` holds the
-columns a base curve shares with every field transported along it (t, the
-frame entries and the velocities), so each seed's files convert only its
-own ``z`` columns.
+so neither file is ever held as one string.  A batch of seeds transported
+along one curve is written as one file pair per seed, and the columns they
+share (t, the frame entries and the velocities) are converted once for all
+of them, so each seed's files convert only its own ``z`` columns.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "fmt",
     "json_array",
     "atomic_write_text",
-    "BaseText",
     "write_trajectory",
     "trajectory_csv",
     "trajectory_json",
@@ -127,8 +126,7 @@ def _jsonable(value):
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if np.isfinite(v) else str(v)
+        return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, np.ndarray):
@@ -203,19 +201,6 @@ def _json_object(fields: dict, arrays: dict) -> list:
     return parts
 
 
-class BaseText:
-    """The t, frame and velocity columns of a trajectory, converted to text once.
-
-    It holds, per block of rows, their CSV cells and their JSON pieces.
-    These columns are the same in every file written along one base curve;
-    pass one ``BaseText`` to ``write_trajectory`` for each seed and only
-    the ``z`` columns are converted per seed.
-    """
-
-    def __init__(self, traj):
-        self.blocks = list(_base_blocks(traj))
-
-
 def _base_blocks(traj):
     """``(start, lines, pieces)`` per block of rows of the t, frame and velocity columns.
 
@@ -231,15 +216,15 @@ def _base_blocks(traj):
                {key: _json_piece(cells[key], b.shape, 1) for key, b in blocks.items()})
 
 
-def _emit_trajectory(csv, traj, space: str, alpha: str, base: BaseText | None) -> list:
-    """Write a trajectory's CSV text to the handle ``csv``; return the parts of its JSON."""
-    z = traj.transported
+def _emit_trajectory(csv, traj, space: str, alpha: str, base, z) -> list:
+    """Write a trajectory's CSV text, with ``z`` as its transported columns, to the handle
+    ``csv``; return the parts of its JSON.  ``base`` holds its ``_base_blocks``."""
     arrays = {"times": [], "frames": [], "velocities": []}
     if z is not None:
         arrays["transported"] = []
     csv.write(_meta_header(traj, space, alpha) + "\n" + ",".join(trajectory_columns(traj))
               + "\n")
-    for start, lines, pieces in (base.blocks if base is not None else _base_blocks(traj)):
+    for start, lines, pieces in base:
         for key, piece in pieces.items():
             arrays[key].append(piece)
         if z is not None:
@@ -257,27 +242,37 @@ def _emit_trajectory(csv, traj, space: str, alpha: str, base: BaseText | None) -
     return _json_object(fields, {key: _json_parts(p, 1) for key, p in arrays.items()})
 
 
-def write_trajectory(prefix: str, traj, space: str, alpha: str, base: BaseText | None = None):
-    """Write ``prefix.csv`` and ``prefix.json`` of a trajectory, each value converted once.
+def write_trajectory(prefix: str, traj, space: str, alpha: str):
+    """Write the ``.csv`` and ``.json`` files of a trajectory, each value converted once.
 
-    ``base`` holds its t, frame and velocity columns as text.
+    ``traj.transported`` may be absent, one field of shape (M, N), or the
+    batch of shape (M, S, N) that ``parallel_transport`` returns for S
+    seeds.  A batch writes one file pair per seed, ``prefix_seed<i>``, or
+    ``prefix`` when S = 1; its t, frame and velocity columns are converted
+    to text once for all of them.
     """
-    with _atomic_file(prefix + ".csv") as handle:
-        json_parts = _emit_trajectory(handle, traj, space, alpha, base)
-    with _atomic_file(prefix + ".json") as handle:
-        handle.writelines(json_parts)
+    z = traj.transported
+    seeds = [z] if z is None or z.ndim == 2 else list(np.moveaxis(z, 1, 0))
+    base = _base_blocks(traj) if len(seeds) == 1 else list(_base_blocks(traj))
+    for i, seed in enumerate(seeds):
+        path = prefix if len(seeds) == 1 else f"{prefix}_seed{i}"
+        with _atomic_file(path + ".csv") as handle:
+            json_parts = _emit_trajectory(handle, traj, space, alpha, base, seed)
+        with _atomic_file(path + ".json") as handle:
+            handle.writelines(json_parts)
 
 
-def trajectory_csv(traj, space: str = "", alpha: str = "", base: BaseText | None = None) -> str:
-    """The text ``write_trajectory`` writes to ``prefix.csv``."""
+def trajectory_csv(traj, space: str = "", alpha: str = "") -> str:
+    """The text ``write_trajectory`` writes to ``prefix.csv`` for one seed or none."""
     text = io.StringIO()
-    _emit_trajectory(text, traj, space, alpha, base)
+    _emit_trajectory(text, traj, space, alpha, _base_blocks(traj), traj.transported)
     return text.getvalue()
 
 
-def trajectory_json(traj, space: str = "", alpha: str = "", base: BaseText | None = None) -> str:
-    """The text ``write_trajectory`` writes to ``prefix.json``."""
-    return "".join(_emit_trajectory(io.StringIO(), traj, space, alpha, base))
+def trajectory_json(traj, space: str = "", alpha: str = "") -> str:
+    """The text ``write_trajectory`` writes to ``prefix.json`` for one seed or none."""
+    return "".join(_emit_trajectory(io.StringIO(), traj, space, alpha, _base_blocks(traj),
+                                    traj.transported))
 
 
 def tensor_json(tensor, extra_meta=None) -> str:

@@ -160,17 +160,14 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def diagnostics(self) -> dict:
-        """Finite-difference horizontality and drift measurements.
-
-        The velocity residual and h-leak are estimated from derivatives of
-        the stored frames, so they carry an O(spacing^fd_order) noise floor
-        on top of the true integration error.
-        """
-        return frame_diagnostics(self.dec, self.times, self.frames, self.velocities)
-
 
 def frame_diagnostics(dec, times, frames, velocities) -> dict:
+    """Finite-difference horizontality and drift measurements.
+
+    The velocity residual and h-leak are estimated from derivatives of
+    the stored frames, so they carry an O(spacing^fd_order) noise floor
+    on top of the true integration error.
+    """
     alg = dec.algebra
     out = {"group_drift": None, "horizontality_leak": None,
            "velocity_residual": None, "fd_order": None}
@@ -187,6 +184,13 @@ def frame_diagnostics(dec, times, frames, velocities) -> dict:
     out["horizontality_leak"] = float(np.max(np.abs(h_part))) if dec.q else 0.0
     out["velocity_residual"] = float(np.max(np.abs(m_part - velocities)))
     return out
+
+
+def _diagnosed(dec, times, frames, velocities, meta) -> Trajectory:
+    """The trajectory of a curve, with its ``frame_diagnostics`` merged into ``meta``."""
+    traj = Trajectory(dec, times, frames, velocities, meta=meta)
+    meta.update(frame_diagnostics(dec, times, frames, velocities))
+    return traj
 
 
 # -- curve specifications ----------------------------------------------------------
@@ -318,9 +322,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
         "body_expansion_residual": worst_resid,
         "isotropy_conjugation_leak": ad_leak,
     }
-    traj = Trajectory(dec, np.array(times), frames, np.ascontiguousarray(xs), meta=meta)
-    meta.update(traj.diagnostics())
-    return traj
+    return _diagnosed(dec, np.array(times), frames, np.ascontiguousarray(xs), meta)
 
 
 # -- geodesics ---------------------------------------------------------------------
@@ -384,9 +386,7 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
         "blow_up": aborted_at is not None,
         "aborted_at": aborted_at,
     }
-    traj = Trajectory(dec, times, frames, xs, meta=meta)
-    meta.update(traj.diagnostics())
-    return traj
+    return _diagnosed(dec, times, frames, xs, meta)
 
 
 def _symmetric_part(alpha: AlphaMap):
@@ -618,9 +618,7 @@ def _one_parameter_trajectory(dec, spec, step):
     frames = _one_parameter_frames(dec, x0, h, len(times) - 1)
     xs = np.tile(x0, (len(times), 1))
     meta = {"integrator": "exp", "step": h, "curve": "one_parameter"}
-    traj = Trajectory(dec, times, frames, xs, meta=meta)
-    meta.update(traj.diagnostics())
-    return traj
+    return _diagnosed(dec, times, frames, xs, meta)
 
 
 def _velocity_trajectory(dec, spec):
@@ -634,6 +632,4 @@ def _velocity_trajectory(dec, spec):
     frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs, x_mid, dt)
     meta = {"integrator": "magnus4", "step": float(np.max(dt)), "curve": "piecewise_velocity",
             "warnings": [] if _fd4_step(times) is not None else [FD_UNESTIMATED]}
-    traj = Trajectory(dec, np.array(times), frames, xs.copy(), meta=meta)
-    meta.update(traj.diagnostics())
-    return traj
+    return _diagnosed(dec, np.array(times), frames, xs.copy(), meta)

@@ -250,7 +250,7 @@ class TestGroupElement:
     def test_orthogonality_drift_guard(self, so3):
         # orthogonal is derived from the basis, so a definition-file so(3) is gated too
         rigid_body, _ = build_space(parse_definition(RIGID_BODY_ALGEBRA))
-        for alg in (so3, rigid_body.algebra):
+        for alg in (so3, rigid_body.dec.algebra):
             assert alg.orthogonal is True
             for diagonal in ([1.0 + 1e-5, 1.0, 1.0], [np.nan, 1.0, 1.0]):
                 with pytest.raises(ValueError, match="drift"), np.errstate(invalid="ignore"):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import re
 
@@ -127,7 +128,7 @@ class TestCatalogBattery:
     def test_each_stored_report_is_judged_by_the_key_its_constructor_recorded(self):
         bundle = rh.stiefel(4, 2)
         alpha = rh.canonical_first(bundle.dec)
-        keys = {r.check: r.key for r in (*bundle.algebra.reports, *bundle.dec.reports)}
+        keys = {r.check: r.key for r in (*bundle.dec.algebra.reports, *bundle.dec.reports)}
         assert keys["projection_identities"] == "projection"
         assert keys["h_subalgebra"] == "subalgebra"
         assert alpha.invariance.key == "invariance"
@@ -147,7 +148,7 @@ def _open_isotropy():
     # sigma = identity fixes all of so(3): h = g and m = {0}
     with pytest.warns(UserWarning, match=r"m = \{0\}"):
         dec = rh.symmetric_decomposition(rh.so3(), np.eye(3))
-    return (rh.SpaceBundle(dec.algebra, dec, rh.MetricOnM(dec, np.zeros((0, 0)))),
+    return (rh.SpaceBundle(dec, rh.MetricOnM(dec, np.zeros((0, 0)))),
             [rh.canonical_first(dec), rh.canonical_second(dec)])
 
 
@@ -181,7 +182,7 @@ def test_tensor_assembly_reads_the_h_leak_curvature_gates_on(so3):
     dec = rh.build_decomposition(so3, [[0, 0, 1]], [[1, 0, 0], [0, 1, 1]],
                                  tolerances={"reductivity": 2.0})
     assert dec.curvature_h_leak == pytest.approx(2.0)
-    bundle, alpha = rh.SpaceBundle(so3, dec, None), rh.canonical_second(dec)
+    bundle, alpha = rh.SpaceBundle(dec, None), rh.canonical_second(dec)
     with pytest.raises(ValueError, match="leaves m by 2.000e"):
         rh.curvature(alpha)
     row = rh.diagnostic_battery(bundle, alpha)[-1]
@@ -240,6 +241,44 @@ def test_no_module_but_reporting_defines_a_tolerance_constant():
             offenders += [f"{filename}:{t.id}" for t in targets
                           if isinstance(t, ast.Name) and t.id.endswith("_TOL")]
     assert offenders == []
+
+
+# so(3) with no isotropy under two more grams: one not diagonal, one with null planes
+SECTIONAL_SPACES = {
+    **SPACES,
+    "so(3) non-diagonal gram": lambda: rh.group_as_space(
+        rh.so3(), np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.1]])),
+    "so(3) null planes": lambda: rh.group_as_space(
+        rh.so3(), np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])),
+}
+
+
+def float_bits(entries):
+    """``(i, j, value)`` entries with each value as its float bits, or None."""
+    return [(i, j, None if v is None else np.float64(v).view(np.uint64)) for i, j, v in entries]
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONAL_SPACES))
+def test_basis_sectional_table_is_sectional_curvature_to_the_bit(name, rng):
+    space = SECTIONAL_SPACES[name]()
+    dec, n = space.dec, space.dec.N
+    noise = 0.1 * rng.standard_normal((n, n))
+    metric = space.metric or rh.MetricOnM(dec, np.eye(n) + noise + noise.T)
+    alphas = [rh.canonical_first(dec), rh.levi_civita_alpha(dec, metric)]
+    if not dec.q:
+        # no isotropy, so a random alpha is invariant: a curvature with no zero pattern
+        alphas.append(rh.AlphaMap(dec, rng.standard_normal((n, n, n))))
+    eye = np.eye(n)
+    for alpha in alphas:
+        riem = rh.curvature(alpha)
+        expected = []
+        for i, j in itertools.combinations(range(n), 2):
+            try:
+                expected.append((i, j, rh.sectional_curvature(riem, metric, eye[i], eye[j])))
+            except ValueError:
+                expected.append((i, j, None))
+        table = rh.basis_sectional_curvatures(riem, metric)
+        assert float_bits(table) == float_bits(expected), alpha.label
 
 
 # a printf-style float conversion, or a format spec asking for round-trip precision
@@ -330,12 +369,9 @@ def test_only_the_decomposition_reads_its_change_of_basis():
     assert offenders == []
 
 
-def test_only_the_constructors_measure_invariance():
-    """Each invariance residual is measured once, by the constructor that keeps it:
-    ``MetricOnM`` for a metric and ``AlphaMap`` for an alpha.  Everything else,
-    the battery and the Levi-Civita gate included, judges the stored report."""
-    checks = {"check_metric_invariance", "check_ad_H_invariance_bilinear"}
-    owners = {"reductive.py:MetricOnM.__init__", "connection.py:AlphaMap.__init__"}
+def calls_outside(callees, owners):
+    """``file:line`` of each call to a name in ``callees`` made outside the
+    ``file:scope`` functions in ``owners``."""
     offenders = []
 
     def visit(node, filename, scope):
@@ -345,10 +381,35 @@ def test_only_the_constructors_measure_invariance():
                 inner = f"{scope}.{child.name}" if scope else child.name
             elif isinstance(child, ast.Call) and f"{filename}:{scope}" not in owners:
                 callee = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-                if callee in checks:
+                if callee in callees:
                     offenders.append(f"{filename}:{child.lineno}")
             visit(child, filename, inner)
 
     for filename, tree in package_trees():
         visit(tree, filename, "")
+    return offenders
+
+
+def test_only_the_constructors_measure_invariance():
+    """Each invariance residual is measured once, by the constructor that keeps it:
+    ``MetricOnM`` for a metric and ``AlphaMap`` for an alpha.  Everything else,
+    the battery and the Levi-Civita gate included, judges the stored report."""
+    assert calls_outside({"check_metric_invariance", "check_ad_H_invariance_bilinear"},
+                         {"reductive.py:MetricOnM.__init__",
+                          "connection.py:AlphaMap.__init__"}) == []
+
+
+def test_only_the_trajectory_builder_measures_frame_diagnostics():
+    """Every curve gets its ``frame_diagnostics`` from ``transport._diagnosed``,
+    the one builder of a measured trajectory."""
+    assert calls_outside({"frame_diagnostics"}, {"transport.py:_diagnosed"}) == []
+
+
+def test_no_module_but_serialize_names_seed_files():
+    """``serialize.write_trajectory`` owns a seed batch's file names; no other module
+    spells a ``_seed`` suffix."""
+    offenders = [f"{filename}:{node.lineno}" for filename, tree in package_trees()
+                 if filename != "serialize.py" for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 and "_seed" in node.value]
     assert offenders == []

@@ -22,12 +22,12 @@ RIGID_BODY_LC = (
 
 def explicit_blocks(bundle):
     """[algebra] and [decomposition] blocks spelling out a catalog space."""
-    c = bundle.algebra.structure_constants
+    c = bundle.dec.algebra.structure_constants
     quads = " ".join(f"({k + 1},{i + 1},{j + 1},{float(c[k, i, j])!r})"
                      for k, i, j in zip(*np.nonzero(c)) if i < j)
     vecs = lambda rows: " ".join("(" + ",".join(repr(float(x)) for x in r) + ")"
                                  for r in rows)
-    return (f"[algebra]\ndim = {bundle.algebra.dim}\nstructure_constants = {quads}\n\n"
+    return (f"[algebra]\ndim = {bundle.dec.algebra.dim}\nstructure_constants = {quads}\n\n"
             f"[decomposition]\nh_basis = {vecs(bundle.dec.h_basis)}\n"
             f"m_basis = {vecs(bundle.dec.m_basis)}\n")
 
@@ -367,3 +367,12 @@ def test_check_on_a_named_space_computes_each_residual_once(tmp_path, capsys, mo
         assert calls == Counter({"diagnostic_battery": 1, "check_ad_H_invariance_bilinear": 1,
                                  "check_metric_invariance": 1, "curvature": curvatures}), \
             argv[0]
+
+
+def test_tensors_write_null_planes_as_degenerate(tmp_path):
+    # an indefinite gram on so(3) with no isotropy: the planes (1, 3) and (2, 3) are null
+    text = RIGID_BODY_LC.split("[connection]")[0].replace("[1 0 0; 0 2 0; 0 0 3]",
+                                                         "[0 1 0; 1 0 0; 0 0 1]")
+    assert main(["tensors", write(tmp_path, text), f"--out={tmp_path / 't'}"]) == 0
+    assert (tmp_path / "t_sectional.csv").read_text() == \
+        "i,j,sectional\n1,2,-0.0\n1,3,degenerate\n2,3,degenerate\n"

@@ -97,10 +97,16 @@ def special_trajectory():
                       transported=transported, meta=meta)
 
 
-def write(tmp_path, traj, name="t", base=None):
+def write(tmp_path, traj, name="t"):
     """Write a trajectory's two files; return their texts."""
     prefix = str(tmp_path / name)
-    serialize.write_trajectory(prefix, traj, "s", "a", base)
+    serialize.write_trajectory(prefix, traj, "s", "a")
+    return read(tmp_path, name)
+
+
+def read(tmp_path, name):
+    """The texts of the two files of ``name``."""
+    prefix = str(tmp_path / name)
     return Path(prefix + ".csv").read_text(), Path(prefix + ".json").read_text()
 
 
@@ -115,7 +121,7 @@ def same_bits(a, b):
 def test_trajectory_json_matches_json_dumps_of_its_payload(tmp_path):
     traj = special_trajectory()
     payload = {
-        "meta": {**traj.meta, "fd_order": 4, "drift": "nan", "space": "s", "alpha": "a"},
+        "meta": {**traj.meta, "fd_order": 4, "drift": math.nan, "space": "s", "alpha": "a"},
         "columns": serialize.trajectory_columns(traj),
         "times": traj.times.tolist(),
         "frames": traj.frames.tolist(),
@@ -125,6 +131,7 @@ def test_trajectory_json_matches_json_dumps_of_its_payload(tmp_path):
     reference = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     assert write(tmp_path, traj)[1] == reference
     assert '"tainted": true' in reference and '"blow_up": false' in reference
+    assert '"drift": NaN' in reference
 
 
 def test_trajectory_csv_matches_cell_by_cell_formatting(tmp_path):
@@ -137,15 +144,24 @@ def test_trajectory_csv_matches_cell_by_cell_formatting(tmp_path):
     assert write(tmp_path, traj)[0] == "\n".join(lines) + "\n"
 
 
-def test_shared_base_text_gives_the_same_files(tmp_path):
+def test_shared_base_text_gives_the_same_files(tmp_path, monkeypatch):
+    # two rows per block: the shared base text spans two blocks
+    monkeypatch.setattr(serialize, "_BLOCK_VALUES", 2 * 8)
     traj = special_trajectory()
-    other = replace(traj, transported=traj.transported[::-1].copy())
-    text = serialize.BaseText(traj)
-    for seed in (traj, other):
-        files = write(tmp_path, seed, "own")
-        assert write(tmp_path, seed, "shared", text) == files
-        assert (serialize.trajectory_csv(seed, "s", "a", text),
+    seeds = [traj, replace(traj, transported=traj.transported[::-1].copy())]
+    batch = replace(traj, transported=np.stack([s.transported for s in seeds], axis=1))
+    serialize.write_trajectory(str(tmp_path / "batch"), batch, "s", "a")
+    for i, seed in enumerate(seeds):
+        files = write(tmp_path, seed, f"own{i}")
+        assert read(tmp_path, f"batch_seed{i}") == files
+        assert (serialize.trajectory_csv(seed, "s", "a"),
                 serialize.trajectory_json(seed, "s", "a")) == files
+    assert sorted(p.name for p in tmp_path.glob("batch*")) == [
+        f"batch_seed{i}.{ext}" for i in range(2) for ext in ("csv", "json")]
+    # a batch of one seed writes plain ``prefix``
+    write(tmp_path, replace(traj, transported=batch.transported[:, 1:]), "one")
+    assert read(tmp_path, "one") == read(tmp_path, "own1")
+    assert not list(tmp_path.glob("one_seed*"))
 
 
 def test_csv_and_json_read_back_the_same_float_bits(tmp_path, monkeypatch):
