@@ -4,7 +4,10 @@ A Lie algebra is stored through its structure constants ``c[k, i, j]``,
 meaning ``[xi_i, xi_j] = sum_k c[k, i, j] xi_k`` in a fixed basis
 ``xi_1, ..., xi_n``.  Optionally the basis carries a matrix realization,
 which unlocks the group-level operations: the matrix exponential and the
-adjoint representation ``Ad_g``.
+adjoint representation ``Ad_g``.  A realized algebra caches the Frobenius
+dual of its basis, and that dual basis is the one place where matrices
+become coordinates: the structure constants when only matrices are given,
+Ad_g, and every expansion through :func:`expand_in_matrix_basis`.
 
 All objects are immutable after construction; every operation is a pure
 function, so instances can be shared freely across threads.
@@ -53,45 +56,22 @@ def expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def expand_in_matrix_basis(
-    basis: np.ndarray,
-    targets: np.ndarray,
-    residual_tol: float = DEFAULT_TOLERANCES["basis_residual"],
-    what: str = "matrix",
-    strict: bool = True,
-):
-    """Express matrices as linear combinations of a matrix basis.
+def expand_in_matrix_basis(algebra: "StructuredLieAlgebra", targets: np.ndarray):
+    """Coordinates of matrices in the realized basis of ``algebra``.
 
-    ``basis`` has shape (n, d, d) and ``targets`` (m, d, d) or (d, d).
-    Returns the coefficient array of shape (m, n) (or (n,)).  In strict
-    mode the least squares residual of each expansion must stay below
-    ``residual_tol`` relative to the target scale, otherwise the target
-    does not lie in the span and a ValueError is raised.  With
-    ``strict=False`` the per-target relative residuals are returned
-    alongside the coefficients instead.
+    ``targets`` is one (d, d) matrix or a (..., d, d) stack.  The
+    coordinates are the Frobenius products with the algebra's cached dual
+    basis, which recover the coordinates of any matrix in the span.
+    Returns ``(coeffs (..., n), residual (...))``, where ``residual`` is the
+    largest entry of target minus its expansion over ``max(1, largest
+    |target| entry)``: a matrix off the span is reported, not rejected.
     """
-    basis = np.asarray(basis, dtype=float)
+    algebra._require_matrices()
     targets = np.asarray(targets, dtype=float)
-    single = targets.ndim == 2
-    if single:
-        targets = targets[None]
-    n = basis.shape[0]
-    mat = basis.reshape(n, -1).T          # (d*d, n)
-    rhs = targets.reshape(targets.shape[0], -1).T
-    coeffs, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    resid = mat @ coeffs - rhs
-    scale = np.maximum(1.0, np.max(np.abs(rhs), axis=0))
-    worst = np.max(np.abs(resid), axis=0) / scale
-    out = coeffs.T
-    if not strict:
-        return (out[0], worst[0]) if single else (out, worst)
-    if np.any(worst > residual_tol):
-        k = int(np.argmax(worst))
-        raise ValueError(
-            f"{what} #{k} is not in the span of the algebra basis "
-            f"(residual {worst[k]:.3e} > {residual_tol:.1e})"
-        )
-    return out[0] if single else out
+    coeffs = np.tensordot(targets, algebra.dual_basis, ((-2, -1), (1, 2)))
+    resid = np.tensordot(coeffs, algebra.matrix_basis, 1) - targets
+    scale = np.maximum(1.0, np.max(np.abs(targets), axis=(-2, -1)))
+    return coeffs, np.max(np.abs(resid), axis=(-2, -1)) / scale
 
 
 def _check_vector(coords, dim: int) -> np.ndarray:
@@ -104,23 +84,46 @@ def _check_vector(coords, dim: int) -> np.ndarray:
 class StructuredLieAlgebra:
     """A Lie algebra given by structure constants, optionally matrix-realized.
 
-    Construction validates antisymmetry (violations within the
-    ``antisymmetry`` tolerance are canonicalized exactly, larger ones
-    rejected), the Jacobi identity, and, when a matrix basis is supplied,
-    that matrix commutators match the structure constants and that the
-    basis matrices are linearly independent, at ``resolve_tolerances(tolerances)``.
-    ``reports`` keeps the residuals (antisymmetry measured before the repair).
-    ``orthogonal`` holds when every basis matrix is exactly skew, so the
-    group lies in O(d): group elements and frames are then gated on their
-    orthogonality drift.
+    With a matrix basis the structure constants may be omitted
+    (``None``): they are then read off the basis commutators through the
+    Frobenius dual basis ``(B B^T)^-1 B``, which the algebra caches as
+    ``dual_basis`` and :func:`expand_in_matrix_basis` uses for every
+    matrix-to-coordinates expansion.  Construction validates antisymmetry
+    (violations within the ``antisymmetry`` tolerance are canonicalized
+    exactly, larger ones rejected), when a matrix basis is supplied that
+    the basis matrices are linearly independent and that their commutators
+    match the structure constants (for derived constants: that the
+    commutators stay in the span), and the Jacobi identity, at
+    ``resolve_tolerances(tolerances)``.  ``reports`` keeps the residuals
+    (antisymmetry measured before the repair).  ``orthogonal`` holds when
+    every basis matrix is exactly skew, so the group lies in O(d): group
+    elements and frames are then gated on their orthogonality drift.
     """
 
     def __init__(self, structure_constants, matrix_basis=None, name: str = "",
                  tolerances=None):
         tols = resolve_tolerances(tolerances)
-        c = np.array(structure_constants, dtype=float)
-        if c.ndim != 3 or len(set(c.shape)) != 1:
+        derived = structure_constants is None
+        if derived and matrix_basis is None:
+            raise ValueError("an algebra needs structure constants or a matrix basis")
+        c = None if derived else np.array(structure_constants, dtype=float)
+        if not derived and (c.ndim != 3 or len(set(c.shape)) != 1):
             raise ValueError(f"structure constants must be a cubic array, got shape {c.shape}")
+        basis = dual = None
+        if matrix_basis is not None:
+            basis = np.array(matrix_basis, dtype=float)
+            if basis.ndim != 3 or basis.shape[1] != basis.shape[2] or (
+                    not derived and len(basis) != len(c)):
+                raise ValueError(f"matrix basis must have shape "
+                                 f"({'n' if derived else len(c)}, d, d), got {basis.shape}")
+            flat = basis.reshape(len(basis), -1)
+            if np.linalg.matrix_rank(flat) < len(basis):
+                raise ValueError("matrix basis is linearly dependent")
+            dual = np.linalg.solve(flat @ flat.T, flat).reshape(basis.shape)
+            prod = basis[:, None] @ basis          # prod[i, j] = xi_i xi_j
+            comm = prod - np.swapaxes(prod, 0, 1)
+            if derived:                            # c[k, i, j]: xi_k-coordinate of comm[i, j]
+                c = np.tensordot(dual, comm, ((1, 2), (2, 3)))
         n = c.shape[0]
 
         asym = float(np.max(np.abs(c + np.swapaxes(c, 1, 2)))) if n else 0.0
@@ -130,6 +133,13 @@ class StructuredLieAlgebra:
                 f"(> {tols['antisymmetry']:.1e}); refusing to repair"
             )
         c = 0.5 * (c - np.swapaxes(c, 1, 2))
+        reports = [CheckReport.from_residual("antisymmetry", asym, tols["antisymmetry"])]
+        if basis is not None:      # before Jacobi: constants read off a non-closed basis fail here
+            err = float(np.max(np.abs(comm - np.tensordot(c, basis, (0, 0)))))
+            if not err <= tols["commutator_consistency"]:
+                what = "leave the span of the basis" if derived else \
+                    "disagree with structure constants"
+                raise ValueError(f"matrix commutators {what} by {err:.3e}")
 
         # per output index l: t[k, i, j] = sum_m c[l, m, k] c[m, i, j], the l-coordinate
         # of [[xi_i, xi_j], xi_k]; the Jacobi sum is t plus its two cyclic shifts
@@ -141,41 +151,23 @@ class StructuredLieAlgebra:
             jac_max = float(np.maximum(jac_max, np.max(np.abs(jac))))
         if not jac_max <= tols["jacobi"]:
             raise ValueError(f"Jacobi identity violated: max residual {jac_max:.3e}")
-        reports = [CheckReport.from_residual("antisymmetry", asym, tols["antisymmetry"]),
-                   CheckReport.from_residual("jacobi", jac_max, tols["jacobi"])]
+        reports.append(CheckReport.from_residual("jacobi", jac_max, tols["jacobi"]))
 
         self.dim = n
         self.structure_constants = c
         self.name = name or f"lie-algebra(dim={n})"
         self.orthogonal = False
-        self.matrix_basis = None
+        self.matrix_basis = basis
+        self.dual_basis = dual
         self.matrix_dim = None
-
-        if matrix_basis is not None:
-            basis = np.array(matrix_basis, dtype=float)
-            if basis.ndim != 3 or basis.shape[0] != n or basis.shape[1] != basis.shape[2]:
-                raise ValueError(
-                    f"matrix basis must have shape ({n}, d, d), got {basis.shape}"
-                )
-            rank = np.linalg.matrix_rank(basis.reshape(n, -1))
-            if rank < n:
-                raise ValueError("matrix basis is linearly dependent")
-            prod = basis[:, None] @ basis          # prod[i, j] = xi_i xi_j
-            comm = prod - np.swapaxes(prod, 0, 1)
-            model = np.tensordot(c, basis, (0, 0))
-            err = float(np.max(np.abs(comm - model)))
-            if not err <= tols["commutator_consistency"]:
-                raise ValueError(
-                    f"matrix commutators disagree with structure constants by {err:.3e}"
-                )
+        if basis is not None:
             reports.append(CheckReport.from_residual(
                 "commutator_consistency", err, tols["commutator_consistency"]))
-            self.matrix_basis = basis
             self.matrix_dim = basis.shape[1]
             self.orthogonal = np.array_equal(basis, -basis.swapaxes(1, 2))
         self.reports = tuple(reports)
 
-        for arr in (self.structure_constants, self.matrix_basis):
+        for arr in (self.structure_constants, self.matrix_basis, self.dual_basis):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -215,11 +207,13 @@ class StructuredLieAlgebra:
         """
         self._require_matrices()
         mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
-        ginv = np.linalg.inv(mat)
-        conj = mat @ self.matrix_basis @ ginv
-        coeffs = expand_in_matrix_basis(
-            self.matrix_basis, conj, residual_tol, what="Ad-conjugated basis matrix"
-        )
+        coeffs, resid = expand_in_matrix_basis(self, mat @ self.matrix_basis @ np.linalg.inv(mat))
+        if not np.all(resid <= residual_tol):      # a NaN fails too
+            k = int(np.argmax(resid))
+            raise ValueError(
+                f"Ad-conjugated basis matrix #{k} is not in the span of the algebra basis "
+                f"(residual {resid[k]:.3e} > {residual_tol:.1e})"
+            )
         return coeffs.T  # column i = coords of g xi_i g^-1
 
     def _require_matrices(self):

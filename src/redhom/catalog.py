@@ -5,7 +5,10 @@ skew basis ``E_ab = e_a e_b^T - e_b e_a^T`` (a < b), which scales to any n
 and is orthonormal for the bi-invariant product <X, Y> = tr(X^T Y)/2.
 ``so3()`` carries the familiar rotation generators L1, L2, L3 about the
 coordinate axes with the cyclic table [L1, L2] = L3 etc., matching the
-cross-product picture used in the rigid-body example.
+cross-product picture used in the rigid-body example.  Both give only the
+matrices: the algebra reads the structure constants off their commutators
+through its dual basis, exactly, since each commutator is a signed basis
+matrix and the basis is orthogonal under the Frobenius product.
 
 Each constructor returns a space's geometry: algebra, decomposition,
 metric and name.  An alpha, which fixes the invariant covariant derivative,
@@ -72,29 +75,11 @@ def so_n(n: int) -> StructuredLieAlgebra:
     if n < 2:
         raise ValueError("so(n) needs n >= 2")
     pairs = _pair_index(n)
-    dim = len(pairs)
-    basis = np.zeros((dim, n, n))
+    basis = np.zeros((len(pairs), n, n))
     for idx, (a, b) in enumerate(pairs):
         basis[idx, a, b] = 1.0
         basis[idx, b, a] = -1.0
-    pos = {p: i for i, p in enumerate(pairs)}
-
-    def coeff(a, b):
-        # signed index of E_ab for arbitrary a != b
-        if a < b:
-            return pos[(a, b)], 1.0
-        return pos[(b, a)], -1.0
-
-    c = np.zeros((dim, dim, dim))
-    # [E_ab, E_cd] = delta_bc E_ad + delta_ad E_bc - delta_bd E_ac - delta_ac E_bd
-    for i, (a, b) in enumerate(pairs):
-        for j, (cc, dd) in enumerate(pairs):
-            for (p, q, s) in (((a, dd), b == cc, 1.0), ((b, cc), a == dd, 1.0),
-                              ((a, cc), b == dd, -1.0), ((b, dd), a == cc, -1.0)):
-                if q and p[0] != p[1]:
-                    k, sign = coeff(*p)
-                    c[k, i, j] += s * sign
-    return StructuredLieAlgebra(c, basis, name=f"so({n})")
+    return StructuredLieAlgebra(None, basis, name=f"so({n})")
 
 
 def so3() -> StructuredLieAlgebra:
@@ -102,11 +87,7 @@ def so3() -> StructuredLieAlgebra:
     l1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     l2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     l3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    c = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[k, i, j] = 1.0
-        c[k, j, i] = -1.0
-    return StructuredLieAlgebra(c, np.array([l1, l2, l3]), name="so(3)")
+    return StructuredLieAlgebra(None, np.array([l1, l2, l3]), name="so(3)")
 
 
 def sphere2() -> SpaceBundle:

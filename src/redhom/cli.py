@@ -3,10 +3,10 @@
 Exit codes: 0 all mandatory checks pass and the computation finished;
 1 check failures (a failed decomposition gate too), aborted dynamics, or a
 geodesic drifting past ``group_drift`` (its artifacts are still written),
-finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows, an
-``--x0`` with a coordinate of magnitude over the blow-up norm (no step is
-taken), and an ``--x0``, ``--z0`` or ``one_parameter:`` vector whose length
-is not dim m;
+finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows or
+whose time grid is too large to allocate, an ``--x0`` with a coordinate of
+magnitude over the blow-up norm (no step is taken), and an ``--x0``,
+``--z0`` or ``one_parameter:`` vector whose length is not dim m;
 2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
 non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
 ``--z0`` or a ``one_parameter:`` curve, a ``group_file:`` or
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     except DecompositionError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

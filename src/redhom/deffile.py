@@ -17,8 +17,12 @@ separated by semicolons), lists thereof separated by whitespace, index
 quadruples ``(k, i, j, value)`` with 1-based indices, or bare words.
 Structure constants given as quadruples are completed antisymmetrically;
 conflicting duplicates are rejected there and in explicit alpha
-coefficients.  Unknown keys or blocks, non-finite literals and an algebra
-dim above ``MAX_DIM`` (a named space's too) are schema errors.
+coefficients.  An ``[algebra]`` with a ``matrix_basis`` but no
+``structure_constants`` takes the constants the algebra reads off the basis
+commutators; a basis whose commutators leave its span fails the
+``commutator_consistency`` gate, located at the ``matrix_basis`` line.
+Unknown keys or blocks, non-finite literals and an algebra dim above
+``MAX_DIM`` (a named space's too) are schema errors.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import StructuredLieAlgebra, expand_in_matrix_basis
+from .algebra import StructuredLieAlgebra
 from .catalog import (
     SpaceBundle,
     diagnostic_battery,
@@ -283,28 +287,19 @@ def _build_algebra(defn: SpaceDefinition, tols: dict) -> StructuredLieAlgebra:
                                line("matrix_basis"))
         basis = np.array(mats)
 
+    c = None
     if "structure_constants" in block:
         quads = _quadruples(block["structure_constants"], line("structure_constants"))
         c = _constants_from_quadruples(dim, quads, line("structure_constants"))
-    elif basis is not None:
-        comms = np.array([
-            [basis[i] @ basis[j] - basis[j] @ basis[i] for j in range(dim)]
-            for i in range(dim)
-        ])
-        try:
-            coeffs = expand_in_matrix_basis(basis, comms.reshape(dim * dim, *basis.shape[1:]),
-                                            residual_tol=tols["basis_residual"],
-                                            what="commutator")
-        except ValueError as exc:
-            raise DefFileError(f"invalid algebra: {exc}", line("matrix_basis")) from exc
-        c = coeffs.reshape(dim, dim, dim).transpose(2, 0, 1)
-    else:
+    elif basis is None:
         raise DefFileError("[algebra] needs structure_constants or matrix_basis",
                            line("dim"))
     try:
         return StructuredLieAlgebra(c, basis, name=name, tolerances=tols)
     except ValueError as exc:
-        raise DefFileError(f"invalid algebra: {exc}", line("dim")) from exc
+        # constants read off the basis fail where the basis is written
+        raise DefFileError(f"invalid algebra: {exc}",
+                           line("dim" if c is not None else "matrix_basis")) from exc
 
 
 def _build_decomposition(defn: SpaceDefinition, algebra: StructuredLieAlgebra, tols: dict):

@@ -151,10 +151,11 @@ class ReductiveDecomposition:
         """h- and m-coordinates of a stack of (M, d, d) algebra matrices.
 
         Returns ``(h (M, q), m (M, N), residual (M,))``, where ``residual``
-        is each least-squares expansion's relative residual, so a matrix
-        off the algebra is reported, not rejected.
+        is each dual-basis expansion's relative residual
+        (:func:`~redhom.algebra.expand_in_matrix_basis`), so a matrix off
+        the algebra is reported, not rejected.
         """
-        coords, resid = expand_in_matrix_basis(self.algebra.matrix_basis, mats, strict=False)
+        coords, resid = expand_in_matrix_basis(self.algebra, mats)
         split = self._cob_inv @ coords.T
         return split[: self.q].T, split[self.q:].T, resid
 

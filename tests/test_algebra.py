@@ -233,6 +233,22 @@ class TestConstructionValidation:
         assert jacobi.max_residual > 1.0
         assert jacobi.max_residual == pytest.approx(np.max(np.abs(jac)), rel=1e-13)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_so_n_constants_read_off_the_basis_are_exact(self, n):
+        alg = rh.so_n(n)
+        assert set(np.unique(alg.structure_constants)) <= {-1.0, 0.0, 1.0}
+        report = next(r for r in alg.reports if r.check == "commutator_consistency")
+        assert report.max_residual == 0.0
+
+    def test_so3_constants_are_the_levi_civita_symbol(self, so3):
+        i, j, k = np.indices((3, 3, 3))
+        eps = (i - j) * (j - k) * (k - i) / 2.0
+        assert np.array_equal(so3.structure_constants, np.moveaxis(eps, 2, 0))
+
+    def test_constants_or_a_basis_are_required(self):
+        with pytest.raises(ValueError, match="structure constants or a matrix basis"):
+            rh.StructuredLieAlgebra(None)
+
     def test_jacobi_passes_for_catalog(self, so3, so4):
         for alg in (so3, so4):
             c = alg.structure_constants
@@ -267,13 +283,20 @@ class TestGroupElement:
 class TestExpandInBasis:
     def test_residual_gate(self, so3):
         sym = np.eye(3)  # symmetric matrix is not in the skew span
-        with pytest.raises(ValueError, match="span"):
-            expand_in_matrix_basis(so3.matrix_basis, sym)
-        coeffs, resid = expand_in_matrix_basis(so3.matrix_basis, sym, strict=False)
-        assert resid > 1e-2
+        coeffs, resid = expand_in_matrix_basis(so3, sym)
+        assert coeffs.shape == (3,) and resid > 1e-2
+        g = np.diag([2.0, 1.0, 1.0])
+        _, resid = expand_in_matrix_basis(so3, g @ so3.matrix_basis @ np.linalg.inv(g))
+        with pytest.raises(ValueError, match=f"not in the span .*{np.max(resid):.3e}"):
+            so3.adjoint_Ad(g)
+        so3.adjoint_Ad(g, residual_tol=np.max(resid))
+        with pytest.raises(ValueError, match="residual nan"):
+            so3.adjoint_Ad(np.diag([np.nan, 1.0, 1.0]))
 
     def test_roundtrip(self, so4, rng):
-        v = rng.standard_normal(6)
-        mat = np.einsum("i,iab->ab", v, so4.matrix_basis)
-        back = expand_in_matrix_basis(so4.matrix_basis, mat)
-        assert np.max(np.abs(back - v)) <= 1e-12
+        v = rng.standard_normal((2, 6))
+        mats = np.einsum("ri,iab->rab", v, so4.matrix_basis)
+        back, resid = expand_in_matrix_basis(so4, mats)
+        assert np.max(np.abs(back - v)) <= 1e-12 and np.all(resid <= 1e-15)
+        single, _ = expand_in_matrix_basis(so4, mats[0])
+        assert np.array_equal(single, back[0])

@@ -399,6 +399,12 @@ def test_only_the_constructors_measure_invariance():
                           "connection.py:AlphaMap.__init__"}) == []
 
 
+def test_no_module_solves_least_squares():
+    """Matrices become algebra coordinates only through the algebra's cached dual
+    basis (``algebra.expand_in_matrix_basis``); no module calls ``lstsq``."""
+    assert calls_outside({"lstsq"}, set()) == []
+
+
 def test_only_the_trajectory_builder_measures_frame_diagnostics():
     """Every curve gets its ``frame_diagnostics`` from ``transport._diagnosed``,
     the one builder of a measured trajectory."""

@@ -236,6 +236,12 @@ class TestGeodesicDrift:
     # finite numbers, but the step count overflows
     pytest.param("geodesic", ["--x0=1,0.5", "--t0=-1e308", "--t1=1e308", "--step=1"], 1,
                  "error: t_span (-1e+308, 1e+308) holds too many steps", id="span-overflow"),
+    # a count numpy refuses at once, so nothing is allocated
+    pytest.param("geodesic", ["--x0=1,0.5", "--t1=1e18", "--step=1"], 1,
+                 "error: Unable to allocate", id="grid-too-large"),
+    pytest.param("transport", ["--curve=one_parameter:1,0", "--z0=1,0", "--t1=1e18",
+                               "--step=1"], 1, "error: Unable to allocate",
+                 id="transport-grid-too-large"),
     # finite, but over the blow-up norm before the first step
     pytest.param("geodesic", ["--x0=1e7,0.5", "--t1=1", "--step=0.1"], 1,
                  "error: x0 has a coordinate of magnitude over the blow-up norm 1e+06",
@@ -367,6 +373,37 @@ def test_check_on_a_named_space_computes_each_residual_once(tmp_path, capsys, mo
         assert calls == Counter({"diagnostic_battery": 1, "check_ad_H_invariance_bilinear": 1,
                                  "check_metric_invariance": 1, "curvature": curvatures}), \
             argv[0]
+
+
+NON_CLOSED_BASES = [  # (dim, matrix_basis, how far its commutators leave its span)
+    # [L1, L2] = L3 leaves span(L1, L2): the constants read off the basis are 0, off by |L3|
+    (2, "[0 0 0; 0 0 -1; 0 1 0] [0 0 1; 0 0 0; -1 0 0]", "1.000e+00"),
+    # constants read off this basis also break Jacobi; the commutator gate is named first
+    (3, "[0 0; 1 1] [-1 -1; 1 1] [-1 -1; 1 0]", "5.000e-01"),
+]
+
+
+def test_non_closed_matrix_basis_is_a_located_commutator_consistency_error(tmp_path, capsys):
+    for dim, basis, residual in NON_CLOSED_BASES:
+        path = write(tmp_path, f"[algebra]\ndim = {dim}\nmatrix_basis = {basis}\n")
+        for tol in ([], ["--tol", "basis_residual=1"]):
+            assert main(["check", path, *tol]) == 2
+            assert capsys.readouterr().err == (
+                "definition error: line 3: invalid algebra: matrix commutators leave the span "
+                f"of the basis by {residual}\n")
+    path = write(tmp_path, f"[algebra]\ndim = 2\nmatrix_basis = {NON_CLOSED_BASES[0][1]}\n")
+    assert main(["check", path, "--tol", "commutator_consistency=2"]) == 0
+    assert "[PASS] commutator_consistency: residual 1.000e+00 tol 2.0e+00" in \
+        capsys.readouterr().out
+
+
+def test_tensors_of_a_matrix_basis_so3_read_exact_constants(tmp_path):
+    # the constants read off the rotation generators are so3()'s integers, so the
+    # Levi-Civita sectional curvature of the (1, 2) plane is exactly -1/4
+    text = RIGID_BODY_LC.replace("[1 0 0; 0 2 0; 0 0 3]", "[0 1 0; 1 0 0; 0 0 1]")
+    assert main(["tensors", write(tmp_path, text), f"--out={tmp_path / 't'}"]) == 0
+    assert (tmp_path / "t_sectional.csv").read_text() == \
+        "i,j,sectional\n1,2,-0.25\n1,3,degenerate\n2,3,degenerate\n"
 
 
 def test_tensors_write_null_planes_as_degenerate(tmp_path):
