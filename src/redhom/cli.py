@@ -1,8 +1,10 @@
 """Batch front-end: validate space files, integrate, and emit CSV/JSON artifacts.
 
 Exit codes: 0 all mandatory checks pass and the computation finished;
-1 check failures (a failed decomposition gate too), aborted dynamics, or a
-geodesic drifting past ``group_drift`` (its artifacts are still written),
+1 check failures (a failed decomposition gate too), aborted dynamics (in
+``convergence`` too, by any run or its reference: the error names that
+run's step and abort time), or a geodesic drifting past ``group_drift``
+(its artifacts are still written),
 finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows or
 whose time grid is too large to allocate, an ``--x0`` with a coordinate of
 magnitude over the blow-up norm (no step is taken), and an ``--x0``,

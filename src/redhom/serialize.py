@@ -13,10 +13,12 @@ block of rows at a time, and builds both the CSV rows and the pieces of the
 JSON arrays from those texts.  The pieces give the text
 ``json.dumps(..., indent=1)`` would, without its value-by-value pure-Python
 encoder.  The CSV is written block by block and the JSON from its pieces,
-so neither file is ever held as one string.  A batch of seeds transported
-along one curve is written as one file pair per seed, and the columns they
-share (t, the frame entries and the velocities) are converted once for all
-of them, so each seed's files convert only its own ``z`` columns.
+so neither file is ever held as one string.  A constant velocity row, as
+on a ``one_parameter`` curve, is converted once for every block.  A batch
+of seeds transported along one curve is written as one file pair per seed,
+and the columns they share (t, the frame entries and the velocities) are
+converted once for all of them, so each seed's files convert only its own
+``z`` columns.
 """
 
 from __future__ import annotations
@@ -209,9 +211,13 @@ def _base_blocks(traj):
     """
     arrays = {"times": traj.times, "frames": traj.frames, "velocities": traj.velocities}
     rows = _block_rows(sum(a[0].size for a in arrays.values()) if len(traj) else 0)
+    bits = np.asarray(traj.velocities, dtype=float).view(np.int64)
+    # a constant row is converted once; equal bits, not ==, since 0.0 == -0.0
+    row = _cells(traj.velocities[0]) if len(bits) and (bits == bits[0]).all() else None
     for start in range(0, len(traj), rows):
         blocks = {key: a[start:start + rows] for key, a in arrays.items()}
-        cells = {key: _cells(b) for key, b in blocks.items()}
+        cells = {key: row * len(b) if key == "velocities" and row else _cells(b)
+                 for key, b in blocks.items()}
         yield (start, _csv_rows(list(cells.values()), len(blocks["times"])),
                {key: _json_piece(cells[key], b.shape, 1) for key, b in blocks.items()})
 

@@ -164,6 +164,36 @@ def test_shared_base_text_gives_the_same_files(tmp_path, monkeypatch):
     assert not list(tmp_path.glob("one_seed*"))
 
 
+@pytest.mark.parametrize("nan_column", [False, True], ids=["finite", "nan-column"])
+@pytest.mark.parametrize("last_row", [
+    pytest.param(None, id="constant"),
+    pytest.param(lambda x: x.__setitem__(0, np.nextafter(x[0], math.inf)), id="one-ulp"),
+    pytest.param(lambda x: x.__setitem__(1, -0.0), id="negative-zero"),
+])
+def test_a_constant_velocity_row_keeps_each_value_text(tmp_path, monkeypatch, last_row,
+                                                        nan_column):
+    # two rows per block: six rows span three blocks, all sharing one velocity row's text
+    monkeypatch.setattr(serialize, "_BLOCK_VALUES", 2 * 9)
+    velocities = np.tile([0.1 + 0.2, 0.0, math.nan if nan_column else 2.5, -1e-310], (6, 1))
+    if last_row is not None:
+        last_row(velocities[-1])
+    traj = Trajectory(None, np.linspace(0.0, 1.0, 6), np.arange(24.0).reshape(6, 2, 2) / 7.0,
+                      velocities, meta={"step": 0.2})
+    csv, text = write(tmp_path, traj)
+    table = [line.split(",") for line in csv.splitlines()[2:]]
+    for i, cells in enumerate(table):
+        row = [traj.times[i], *traj.frames[i].ravel(), *traj.velocities[i]]
+        assert cells == [json.dumps(float(v)) for v in row]
+        assert (cells[-2] == "NaN") == nan_column
+    if last_row is not None:                    # the moved value shows its own text
+        assert table[-1][5:] != table[0][5:]
+    payload = {"meta": {**traj.meta, "space": "s", "alpha": "a"},
+               "columns": serialize.trajectory_columns(traj), "times": traj.times.tolist(),
+               "frames": traj.frames.tolist(), "velocities": traj.velocities.tolist(),
+               "transported": None}
+    assert text == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
 def test_csv_and_json_read_back_the_same_float_bits(tmp_path, monkeypatch):
     # three rows of t, frame and velocity cells per block: the four rows span two blocks
     monkeypatch.setattr(serialize, "_BLOCK_VALUES", 3 * 8)

@@ -10,7 +10,10 @@ on the group and meet the closed form exp(t X) where one exists; a
 geodesic's velocity must be parallel along it; lifted frames must differ
 from the sampled curve by an isotropy element; the metric adjoint field
 must give the Levi-Civita geodesic equation; and the convergence probe
-must fit its order against the steps the runs take.  Where alpha's
+must fit its order against the steps the runs take, against a reference
+that meets a long-double solution of the joint (x, g) system to 2e-4 of
+the finest run's error, in 950 RK4 steps on the command line, and must
+end in exit 1 when one of its runs blows up.  Where alpha's
 symmetric part vanishes a geodesic's velocity must stay x0 bit for bit;
 elsewhere the block-guarded RK4 must match a per-step einsum RK4 kept
 here, keep the rigid body's energy and momentum norm, and end a blow-up
@@ -414,6 +417,74 @@ def test_convergence_order_is_fitted_against_the_steps_taken(rigid_body):
                                   [0.2, 0.1, 0.05, 0.025])
     assert result.steps == [0.5 / 3, 0.1, 0.05, 0.025]
     assert abs(result.slope - 4.0) <= 0.05
+
+
+def long_double_frame(alpha, x0, t1, nsteps):
+    """g(t1) by RK4 in long double on the joint system x' = -alpha(x, x), g' = g mat(x)."""
+    coeffs = alpha.coeffs.astype(np.longdouble).reshape(alpha.dec.N, -1)
+    basis = alpha.dec.m_matrices.astype(np.longdouble)
+    d = basis.shape[1]
+    basis = basis.reshape(alpha.dec.N, -1).T
+
+    def field(x, g):
+        return -coeffs @ np.outer(x, x).ravel(), g @ (basis @ x).reshape(d, d)
+
+    h = np.longdouble(t1) / nsteps
+    x, g = np.array(x0, dtype=np.longdouble), np.eye(d, dtype=np.longdouble)
+    for _ in range(nsteps):
+        k1 = field(x, g)
+        k2 = field(x + h / 2 * k1[0], g + h / 2 * k1[1])
+        k3 = field(x + h / 2 * k2[0], g + h / 2 * k2[1])
+        k4 = field(x + h * k3[0], g + h * k3[1])
+        x = x + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        g = g + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return g
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is double here")
+def test_convergence_reference_is_accurate_beyond_the_finest_run(rigid_body):
+    # an independent solution of the joint (x, g) system; 4000 steps meet 16000 to 1.4e-15
+    alpha = levi_civita_alpha(rigid_body.dec, rigid_body.metric)
+    x0, t_span = [0.3, -0.5, 0.8], (0.0, 2.0)
+    truth = long_double_frame(alpha, x0, 2.0, 4000)
+    result = geodesic_convergence(alpha, x0, t_span, [0.2, 0.1, 0.05, 0.025])
+    ref = geodesic(alpha, x0, t_span, min(result.steps) / transport.FINE_FACTOR).frames[-1]
+    # an order-4 reference at a tenth of the finest step errs by 1e-4 of that run's
+    # error (1.5e-13 of 1.5e-9 here); at a fifth of it, by 1.6e-3
+    finest = min(result.errors)
+    assert float(np.max(np.abs(ref - truth))) <= 2e-4 * finest
+    for step, error in zip(result.steps, result.errors):
+        exact = float(np.max(np.abs(geodesic(alpha, x0, t_span, step).frames[-1] - truth)))
+        assert abs(error - exact) <= 2e-4 * finest, step
+
+
+def test_convergence_takes_950_rk4_steps(tmp_path, monkeypatch):
+    # four runs of 10 + 20 + 40 + 80 steps and a reference of 800 (8150 at a hundredth)
+    taken = []
+    rk4 = transport._rk4_velocities
+
+    def counted(neg_sym, x0, h, nsteps):
+        taken.append(nsteps)
+        return rk4(neg_sym, x0, h, nsteps)
+
+    monkeypatch.setattr(transport, "_rk4_velocities", counted)
+    space = tmp_path / "rigid.def"
+    space.write_text(RIGID_BODY.format(alpha="levi_civita"))
+    assert main(["convergence", str(space), "--x0=0.3,-0.5,0.8", "--t1=2"]) == 0
+    assert sorted(taken) == [10, 20, 40, 80, 800]
+
+
+def test_convergence_of_a_blow_up_exits_1_naming_the_run(tmp_path, capsys):
+    # every run of x_1' = x_1^2 from x_1 = 1 aborts near t = 1, each at its own time
+    space = tmp_path / "riccati.def"
+    space.write_text(RICCATI)
+    out = tmp_path / "conv"
+    assert main(["convergence", str(space), "--x0=1,0,0", "--t1=2", f"--out={out}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the geodesic at step 0.0025 blows up at t = 1.0025; "
+                            "no order can be measured\n")
+    assert "measured order" not in captured.out
+    assert not out.with_suffix(".json").exists()
 
 
 @pytest.mark.parametrize("space, tol", [("stiefel42", 1e-13), ("rigid_body", 1e-10)])
