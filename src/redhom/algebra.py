@@ -15,6 +15,8 @@ function, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .reporting import CheckReport, DEFAULT_TOLERANCES, resolve_tolerances
@@ -33,17 +35,32 @@ DET_FLOOR = 1e-12
 # then evaluate a Taylor block of this order.  Remainder < 0.5^13/13! ~ 2e-14.
 _EXPM_SERIES_ORDER = 12
 _EXPM_NORM_CAP = 0.5
+# Largest block of a stack exponentiated at once, in float64 values (64 KiB).
+_EXPM_BLOCK_VALUES = 2 ** 13
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a truncated series.
 
     ``a`` is one square matrix or a (..., d, d) stack; each matrix of a
-    stack is scaled and squared by its own 1-norm.
+    stack is scaled and squared by its own 1-norm, a block of at most
+    ``_EXPM_BLOCK_VALUES`` values at a time, so that the five or so
+    temporaries of one block stay small however large the stack.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expm expects a square matrix, got shape {a.shape}")
+    d = a.shape[-1]
+    stack = a.reshape(math.prod(a.shape[:-2]), d, d)
+    out = np.empty_like(stack)
+    size = max(1, _EXPM_BLOCK_VALUES // max(d * d, 1))
+    for i in range(0, len(stack), size):
+        out[i:i + size] = _expm_block(stack[i:i + size])
+    return out.reshape(a.shape)
+
+
+def _expm_block(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a (B, d, d) stack, each scaled by its own 1-norm."""
     norm1 = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
     squarings = np.ceil(np.log2(np.maximum(norm1 / _EXPM_NORM_CAP, 1.0))).astype(int)
     b = a / (2.0 ** squarings)[..., None, None]

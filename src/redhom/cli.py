@@ -3,8 +3,10 @@
 Exit codes: 0 all mandatory checks pass and the computation finished;
 1 check failures (a failed decomposition gate too), aborted dynamics (in
 ``convergence`` too, by any run or its reference: the error names that
-run's step and abort time), or a geodesic drifting past ``group_drift``
-(its artifacts are still written),
+run's step and abort time), a ``convergence`` whose ``--steps`` take fewer
+than three distinct steps or whose errors do not decrease as the step
+shrinks (round-off dominates them; both errors name the steps taken),
+or a geodesic drifting past ``group_drift`` (its artifacts are still written),
 finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows or
 whose time grid is too large to allocate, an ``--x0`` with a coordinate of
 magnitude over the blow-up norm (no step is taken), and an ``--x0``,
@@ -305,55 +307,65 @@ def _common(sub):
     sub.add_argument("--out", default=None, help="output path prefix")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (handler, help, arguments beyond ``_common``), in the order of the usage text
+_COMMANDS = {
+    "check": (cmd_check, "run the diagnostic battery", ()),
+    "geodesic": (cmd_geodesic, "integrate a geodesic", (
+        ("--x0", dict(type=_finite_floats, required=True,
+                      help="initial velocity coordinates, comma separated")),
+        ("--t0", dict(type=_finite_float, default=0.0)),
+        ("--t1", dict(type=_finite_float, required=True)),
+        ("--step", dict(type=_finite_float, required=True)),
+    )),
+    "transport": (cmd_transport, "parallel-transport seeds along a curve", (
+        ("--curve", dict(required=True, help="one_parameter:<coords> | "
+                         "velocity_file:<csv> | group_file:<csv>")),
+        ("--z0", dict(type=_finite_floats, action="append", required=True,
+                      help="seed coordinates, comma separated (repeatable)")),
+        ("--t0", dict(type=_finite_float, default=0.0)),
+        ("--t1", dict(type=_finite_float, default=1.0)),
+        ("--step", dict(type=_finite_float, default=1e-3)),
+    )),
+    "tensors": (cmd_tensors, "emit torsion/curvature/sectional tables", ()),
+    "convergence": (cmd_convergence, "estimate the integrator order", (
+        ("--x0", dict(type=_finite_floats, required=True)),
+        ("--t0", dict(type=_finite_float, default=0.0)),
+        ("--t1", dict(type=_finite_float, default=1.0)),
+        ("--steps", dict(type=_finite_floats, default="0.2,0.1,0.05,0.025")),
+    )),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``redhom`` parser, with only ``command``'s subparser when it names one.
+
+    Building one subparser instead of five is most of the parser's cost.
+    A one-command parser spells out the full command list in its usage, so
+    every help, usage and error text is the one the parser with all five
+    subparsers gives for the same arguments.  ``main`` passes its first
+    argument.
+    """
     parser = argparse.ArgumentParser(
         prog="redhom",
         description="diagnostics and transport on reductive homogeneous spaces",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("check", help="run the diagnostic battery")
-    _common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = subs.add_parser("geodesic", help="integrate a geodesic")
-    _common(p)
-    p.add_argument("--x0", type=_finite_floats, required=True,
-                   help="initial velocity coordinates, comma separated")
-    p.add_argument("--t0", type=_finite_float, default=0.0)
-    p.add_argument("--t1", type=_finite_float, required=True)
-    p.add_argument("--step", type=_finite_float, required=True)
-    p.set_defaults(func=cmd_geodesic)
-
-    p = subs.add_parser("transport", help="parallel-transport seeds along a curve")
-    _common(p)
-    p.add_argument("--curve", required=True,
-                   help="one_parameter:<coords> | velocity_file:<csv> | group_file:<csv>")
-    p.add_argument("--z0", type=_finite_floats, action="append", required=True,
-                   help="seed coordinates, comma separated (repeatable)")
-    p.add_argument("--t0", type=_finite_float, default=0.0)
-    p.add_argument("--t1", type=_finite_float, default=1.0)
-    p.add_argument("--step", type=_finite_float, default=1e-3)
-    p.set_defaults(func=cmd_transport)
-
-    p = subs.add_parser("tensors", help="emit torsion/curvature/sectional tables")
-    _common(p)
-    p.set_defaults(func=cmd_tensors)
-
-    p = subs.add_parser("convergence", help="estimate the integrator order")
-    _common(p)
-    p.add_argument("--x0", type=_finite_floats, required=True)
-    p.add_argument("--t0", type=_finite_float, default=0.0)
-    p.add_argument("--t1", type=_finite_float, default=1.0)
-    p.add_argument("--steps", type=_finite_floats, default="0.2,0.1,0.05,0.025")
-    p.set_defaults(func=cmd_convergence)
-
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # a partial parser spells out the full command list its usage would show
+    subs = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None))
+    for name in names:
+        func, help_text, arguments = _COMMANDS[name]
+        p = subs.add_parser(name, help=help_text)
+        _common(p)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(
-        _attach_vector_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_vector_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     if getattr(args, "out", None) is None and args.command in (
             "geodesic", "transport", "tensors"):
         args.out = "redhom_out"

@@ -7,6 +7,14 @@ infinitesimal form of stability of m under the isotropy action).  Stability
 under disconnected parts of the isotropy group cannot be certified from h
 alone; callers may supply discrete generators, which are then spot-checked,
 and reports state that otherwise only the identity component was verified.
+
+The isotropy checks act with stacks of endomorphisms of m: the action L of
+each h-basis direction (the derivation condition) and the sampled group
+action R (the pull-back condition).  The samples exp(t ad eta) come from one
+batched exponential, and each residual is a stacked contraction evaluated a
+block of operators at a time, so no temporary exceeds ``_STACK_VALUES``
+values.  Every stacked matrix product has the shape of the per-operator one,
+so the residuals equal a per-operator loop bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ __all__ = [
 # Parameters at which the finite (group-level) invariance condition is
 # sampled along exp(t eta) for each identity-component direction eta.
 _FINITE_SAMPLE_TIMES = (0.3, 0.7, 1.1)
+# Largest temporary of a stacked invariance residual, in float64 values (128 KiB).
+_STACK_VALUES = 2 ** 14
 
 
 class DecompositionError(ValueError):
@@ -201,17 +211,24 @@ class ReductiveDecomposition:
 
     @cached_property
     def isotropy_samples(self) -> tuple:
-        """``(witness, operator)`` pairs of the sampled isotropy action on m:
-        exp(t ad eta) per h-basis direction and sample time, then each generator."""
-        samples = []
-        for r in range(self.q):
-            ad_eta = self.algebra.ad(self.h_basis[r])
-            samples += [({"kind": "finite", "h_index": r, "t": t},
-                         self.restrict_to_m(expm(t * ad_eta))[0])
-                        for t in _FINITE_SAMPLE_TIMES]
-        samples += [({"kind": "generator", "index": k}, op)
-                    for k, op in enumerate(self._generator_actions)]
-        return tuple(samples)
+        """``(witnesses, operators)`` of the sampled isotropy action on m.
+
+        ``operators`` is an (S, N, N) stack: exp(t ad eta) restricted to m per
+        h-basis direction and sample time, all from one batched
+        :func:`~redhom.algebra.expm`, then each generator's action;
+        ``witnesses`` names each operator in the same order.
+        """
+        q, N = self.q, self.N
+        witnesses = tuple({"kind": "finite", "h_index": r, "t": t}
+                          for r in range(q) for t in _FINITE_SAMPLE_TIMES)
+        ops = np.zeros((0, N, N))
+        if q:
+            ads = np.array([self.algebra.ad(eta) for eta in self.h_basis])
+            flows = expm(np.array(_FINITE_SAMPLE_TIMES)[:, None, None] * ads[:, None])
+            ops = (self._cob_inv @ flows @ self._cob)[..., q:, q:].reshape(len(witnesses), N, N)
+        witnesses += tuple({"kind": "generator", "index": k}
+                           for k in range(len(self._generator_actions)))
+        return witnesses, np.concatenate([ops, *(a[None] for a in self._generator_actions)])
 
     @cached_property
     def curvature_h_leak(self) -> float:
@@ -441,42 +458,45 @@ def normal_decomposition(algebra: StructuredLieAlgebra, biinvariant_gram, h_basi
 # -- invariance checks ------------------------------------------------------------
 
 
-def _bilinear_equivariance_residual(coeffs, op) -> float:
-    """max | R a(X, Y) - a(R X, R Y) | over basis pairs for a linear map R on m."""
-    lhs = np.tensordot(op, coeffs, 1)
-    rhs = op.T @ (coeffs @ op)            # rhs[k] = R^T a[k] R
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+def _stacked_residuals(residual, ops, per_op: int) -> np.ndarray:
+    """max |residual(block)| per operator of the (S, N, N) stack ``ops``.
 
-
-def _bilinear_derivation_residual(coeffs, act) -> float:
-    """max | L a(X, Y) - a(L X, Y) - a(X, L Y) | for the infinitesimal action L."""
-    lhs = np.tensordot(act, coeffs, 1)
-    rhs = act.T @ coeffs + coeffs @ act
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    ``residual`` maps a block of operators to a (B, ...) array of ``per_op``
+    values each; blocks hold at most ``_STACK_VALUES`` values.
+    """
+    size = max(1, _STACK_VALUES // max(per_op, 1))
+    maxima = [np.zeros(0)]
+    for i in range(0, len(ops), size):
+        block = np.abs(residual(ops[i:i + size]))
+        maxima.append(np.max(block, axis=tuple(range(1, block.ndim)), initial=0.0))
+    return np.concatenate(maxima)
 
 
 def _isotropy_report(check: str, key: str, dec: ReductiveDecomposition, tol: float,
-                     infinitesimal, finite) -> CheckReport:
+                     derivation, pullback, per_op: int) -> CheckReport:
     """Worst residual of an invariance condition under the isotropy action.
 
-    ``infinitesimal(L)`` is evaluated for the action L of every h-basis
-    direction on m, ``finite(R)`` for every operator of
-    ``dec.isotropy_samples``.
+    ``derivation(L)`` is evaluated on the stack of actions L of the h-basis
+    directions on m (``dec.h_action``), ``pullback(R)`` on the stack of
+    ``dec.isotropy_samples``, each a block of at most ``_STACK_VALUES``
+    values at a time (``per_op`` values per operator).  The witness is the
+    first NaN residual, otherwise the first largest one; there is none when
+    every residual is 0.
     """
-    worst, witnesses = 0.0, []
-    cases = [({"kind": "infinitesimal", "h_index": r}, infinitesimal, act)
-             for r, act in enumerate(dec.h_action)]
-    cases += [(witness, finite, op) for witness, op in dec.isotropy_samples]
-    for witness, residual, op in cases:
-        res = residual(op)
-        if not res <= worst:        # a NaN never compares, so it is taken and kept
-            worst, witnesses = res, [{**witness, "residual": res}]
-            if np.isnan(res):
-                break
+    witnesses, ops = dec.isotropy_samples
+    cases = [{"kind": "infinitesimal", "h_index": r} for r in range(dec.q)] + list(witnesses)
+    res = np.concatenate([_stacked_residuals(derivation, dec.h_action, per_op),
+                          _stacked_residuals(pullback, ops, per_op)])
+    nan = np.isnan(res)
+    worst, witness = 0.0, []
+    if nan.any() or (res > 0.0).any():
+        i = int(np.argmax(nan if nan.any() else res))
+        worst = float(res[i])
+        witness = [{**cases[i], "residual": worst}]
     note = "identity-component verified"
     if dec.h_generators:
         note += f" plus {len(dec.h_generators)} discrete generator(s)"
-    return CheckReport.from_residual(check, worst, tol, witnesses=witnesses, note=note,
+    return CheckReport.from_residual(check, worst, tol, witnesses=witness, note=note,
                                      key=key)
 
 
@@ -486,19 +506,27 @@ def check_ad_H_invariance_bilinear(dec: ReductiveDecomposition, coeffs,
     """Verify that a bilinear map m x m -> m commutes with the isotropy action.
 
     ``coeffs`` is its (N, N, N) coefficient array ``a[k, i, j]``.  Checks the
-    infinitesimal condition for every h-basis direction, the finite
-    condition along exp(t eta) at a few sample times, and the finite
-    condition for any supplied discrete generators.  Failures are reported,
-    never raised.
+    infinitesimal condition L a(X, Y) = a(L X, Y) + a(X, L Y) for every
+    h-basis direction, the finite condition R a(X, Y) = a(R X, R Y) along
+    exp(t eta) at a few sample times, and the finite condition for any
+    supplied discrete generators.  Failures are reported, never raised.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     N = dec.N
     if coeffs.shape != (N, N, N):
         raise ValueError(f"alpha coefficients must have shape ({N}, {N}, {N})")
-    return _isotropy_report(
-        "ad_H_invariance_bilinear", "invariance", dec, tol,
-        lambda act: _bilinear_derivation_residual(coeffs, act),
-        lambda op: _bilinear_equivariance_residual(coeffs, op))
+    flat = coeffs.reshape(N, N * N)
+
+    def derivation(acts):
+        lhs = (acts @ flat).reshape(len(acts), N, N, N)
+        return lhs - (acts.swapaxes(1, 2)[:, None] @ coeffs + coeffs @ acts[:, None])
+
+    def pullback(ops):
+        lhs = (ops @ flat).reshape(len(ops), N, N, N)
+        return lhs - ops.swapaxes(1, 2)[:, None] @ (coeffs @ ops[:, None])   # R^T a[k] R
+
+    return _isotropy_report("ad_H_invariance_bilinear", "invariance", dec, tol,
+                            derivation, pullback, N ** 3)
 
 
 def check_metric_invariance(dec: ReductiveDecomposition, metric: MetricOnM,
@@ -508,5 +536,5 @@ def check_metric_invariance(dec: ReductiveDecomposition, metric: MetricOnM,
     g = metric.gram
     return _isotropy_report(
         "metric_invariance", "metric_invariance", dec, tol,
-        lambda act: float(np.max(np.abs(act.T @ g + g @ act), initial=0.0)),
-        lambda op: float(np.max(np.abs(op.T @ g @ op - g), initial=0.0)))
+        lambda acts: acts.swapaxes(1, 2) @ g + g @ acts,
+        lambda ops: ops.swapaxes(1, 2) @ g @ ops - g, dec.N ** 2)

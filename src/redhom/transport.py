@@ -548,21 +548,36 @@ class ConvergenceResult:
         return f"ConvergenceResult(slope={self.slope:.3f})"
 
 
+def _order_steps(steps) -> list:
+    """The steps taken, as floats; an order estimate needs three distinct ones."""
+    steps = [float(s) for s in steps]
+    if len(set(steps)) < 3:
+        raise ValueError("an order estimate needs three distinct steps; the steps taken are "
+                         + ", ".join(f"{s:.6g}" for s in steps))
+    return steps
+
+
 def convergence_probe(error_at_step, steps) -> ConvergenceResult:
     """Least-squares order estimate from errors at several step sizes.
 
     ``error_at_step`` maps a step size to a scalar error against a reference
     solution.  Errors at machine precision short-circuit to the ``exact``
-    sentinel instead of fitting noise.
+    sentinel instead of fitting noise.  ``ValueError`` is raised when fewer
+    than three of the steps are distinct, and when the errors do not
+    strictly decrease as the step shrinks: round-off then dominates them.
     """
-    steps = [float(s) for s in steps]
-    if len(steps) < 3:
-        raise ValueError("need at least three step sizes for an order estimate")
+    steps = _order_steps(steps)
     errors = [float(error_at_step(s)) for s in steps]
     # no registry key: the round-off floor below which a slope would fit noise; it
     # picks the exact sentinel and judges no result
     if max(errors) <= 1e-13:
         return ConvergenceResult(steps, errors, None, True)
+    by_step = sorted(zip(steps, errors))
+    if not all(e < e_next for (_, e), (_, e_next) in zip(by_step, by_step[1:])):
+        raise ValueError(
+            "the errors " + ", ".join(f"{e:.2e}" for _, e in by_step) + " at the steps "
+            + ", ".join(f"{s:.6g}" for s, _ in by_step) + " do not decrease as the step "
+            "shrinks; round-off dominates them, so no order can be measured")
     safe = [max(e, 1e-300) for e in errors]
     slope = float(np.polyfit(np.log(steps), np.log(safe), 1)[0])
     return ConvergenceResult(steps, errors, slope, False)
@@ -576,13 +591,15 @@ def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResul
     ``min(steps) / FINE_FACTOR`` is, whose fourth-order error is 1e-4 of the
     finest run's.  The order is fitted against the steps the runs take,
     which are shorter than the requested ones when those do not divide the
-    interval.  A run that blows up, the reference too, raises ``ValueError``.
+    interval; three of them must be distinct, which is checked before any
+    run.  A run that blows up, the reference too, raises ``ValueError``, as
+    :func:`convergence_probe` does for errors that round-off dominates.
     """
     dec = alpha.dec
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dec.N,):
         raise ValueError(f"x0 must have length {dec.N}")
-    steps = [_time_grid(t_span, float(s))[1] for s in steps]
+    steps = _order_steps(_time_grid(t_span, float(s))[1] for s in steps)
 
     def end_frame(step):
         run = geodesic(alpha, x0, t_span, step)

@@ -413,3 +413,22 @@ def test_tensors_write_null_planes_as_degenerate(tmp_path):
     assert main(["tensors", write(tmp_path, text), f"--out={tmp_path / 't'}"]) == 0
     assert (tmp_path / "t_sectional.csv").read_text() == \
         "i,j,sectional\n1,2,-0.0\n1,3,degenerate\n2,3,degenerate\n"
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--help"] for command in ("check", "geodesic", "transport", "tensors",
+                                          "convergence")),
+    ["--help"], [], ["bogus"],
+    ["geodesic", "space.def", "--t1=1", "--step=0.1"],
+    ["convergence", "space.def"],
+    ["check", "space.def", "--bogus"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_the_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+    def run(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        return (exc.value.code, *capsys.readouterr())
+
+    full = run(lambda: cli.build_parser().parse_args(argv))
+    assert run(lambda: main(argv)) == full
+    assert full[0] in (0, 2) and "".join(full[1:])

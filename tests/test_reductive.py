@@ -1,8 +1,15 @@
+import functools
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 import redhom as rh
-from redhom.reductive import DecompositionError
+from redhom import reductive
+from redhom.algebra import expm
+from redhom.reductive import _FINITE_SAMPLE_TIMES, DecompositionError
+from test_catalog import SPACES
 
 E1, E2, E3 = np.eye(3)
 
@@ -128,7 +135,7 @@ class TestBilinearInvarianceCheck:
         worst, witness = 0.0, None
         cases = [({"kind": "infinitesimal", "h_index": r}, act, False)
                  for r, act in enumerate(dec.h_action)]
-        cases += [(w, op, True) for w, op in dec.isotropy_samples]
+        cases += [(w, op, True) for w, op in zip(*dec.isotropy_samples)]
         for case, op, finite in cases:
             lhs = np.einsum("kl,lij->kij", op, coeffs)
             if finite:
@@ -144,6 +151,39 @@ class TestBilinearInvarianceCheck:
         assert rep.max_residual == pytest.approx(worst, rel=1e-13)
         assert [{k: v for k, v in w.items() if k != "residual"}
                 for w in rep.witnesses] == [witness]
+        # and bit for bit with one matrix product per operator
+        assert bits(rep) == bits(per_case_report(dec, alpha=coeffs)[:2])
+
+    @pytest.mark.parametrize("case", sorted(SPACES) + [
+        "h_generators", "generators_only", "nan_coefficient", "all_zero", "m_zero"])
+    def test_stacked_reports_equal_the_per_case_loop(self, case, monkeypatch):
+        dec, alphas, grams = isotropy_case(case)
+        stacked = []                    # every residual, as each block stack returns it
+        real = reductive._stacked_residuals
+        monkeypatch.setattr(reductive, "_stacked_residuals",
+                            lambda *args: stacked.append(real(*args)) or stacked[-1])
+        reports = [(rh.check_ad_H_invariance_bilinear(dec, a), {"alpha": a}) for a in alphas]
+        reports += [(rh.MetricOnM(dec, g).invariance, {"gram": g}) for g in grams]
+        assert len(stacked) == 2 * len(reports)     # the derivation, then the pull-back
+        for k, (rep, operand) in enumerate(reports):
+            worst, witnesses, residuals = per_case_report(dec, **operand)
+            assert np.array_equal(np.concatenate(stacked[2 * k:2 * k + 2]), residuals,
+                                  equal_nan=True)
+            assert bits(rep) == bits((worst, witnesses))
+
+    def test_the_cases_reach_every_witness_rule(self):
+        def reports(case):
+            dec, alphas, grams = isotropy_case(case)
+            return ([rh.check_ad_H_invariance_bilinear(dec, a) for a in alphas]
+                    + [rh.MetricOnM(dec, g).invariance for g in grams])
+
+        kinds = {(w["kind"], bool(np.isnan(w["residual"])))
+                 for case in ("stiefel(4,2)", "generators_only", "nan_coefficient")
+                 for r in reports(case) for w in r.witnesses}
+        assert kinds == {("infinitesimal", False), ("finite", False), ("generator", False),
+                         ("infinitesimal", True)}
+        for case in ("all_zero", "m_zero"):
+            assert all(r.max_residual == 0.0 and not r.witnesses for r in reports(case))
 
     def test_note_mentions_identity_component(self, s2dec):
         rep = rh.check_ad_H_invariance_bilinear(s2dec, np.zeros((2, 2, 2)))
@@ -261,3 +301,88 @@ class TestMetricOnM:
     def test_signature(self):
         assert rh.MetricOnM(flat(3), np.diag([2.0, -1.0, 1.0])).signature == (2, 1)
         assert rh.MetricOnM(flat(4), np.eye(4)).signature == (4, 0)
+
+
+# -- per-case oracle of the isotropy reports ------------------------------------
+
+
+def bits(report):
+    """Residual and witnesses as text: equal texts mean equal float bits, NaN included."""
+    if isinstance(report, rh.CheckReport):
+        report = (report.max_residual, list(report.witnesses))
+    return json.dumps(report, sort_keys=True)
+
+
+def per_case_report(dec, alpha=None, gram=None):
+    """``(worst, witnesses, residuals)`` from one operator at a time.
+
+    Each exponential is formed on its own and each residual is a product of
+    2-d matrices.  The witness is the first NaN, otherwise the first strict
+    maximum, as a loop that keeps the worst so far finds it.
+    """
+    if alpha is not None:
+        def derivation(act):
+            return np.tensordot(act, alpha, 1) - (act.T @ alpha + alpha @ act)
+
+        def pullback(op):
+            return np.tensordot(op, alpha, 1) - op.T @ (alpha @ op)
+    else:
+        def derivation(act):
+            return act.T @ gram + gram @ act
+
+        def pullback(op):
+            return op.T @ gram @ op - gram
+    cases = [({"kind": "infinitesimal", "h_index": r}, derivation, act)
+             for r, act in enumerate(dec.h_action)]
+    cases += [({"kind": "finite", "h_index": r, "t": t}, pullback,
+               dec.restrict_to_m(expm(t * dec.algebra.ad(eta)))[0])
+              for r, eta in enumerate(dec.h_basis) for t in _FINITE_SAMPLE_TIMES]
+    cases += [({"kind": "generator", "index": k}, pullback, op)
+              for k, op in enumerate(dec._generator_actions)]
+    residuals = [float(np.max(np.abs(residual(op)), initial=0.0)) for _, residual, op in cases]
+    worst, witnesses = 0.0, []
+    for (witness, _, _), res in zip(cases, residuals):
+        if not res <= worst:
+            worst, witnesses = res, [{**witness, "residual": res}]
+            if np.isnan(res):
+                break
+    return worst, witnesses, np.array(residuals)
+
+
+@functools.cache
+def isotropy_case(name):
+    """``(decomposition, alpha coefficient arrays, gram matrices)`` of a named case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name in SPACES:
+        space = SPACES[name]()
+        dec, N = space.dec, space.dec.N
+        alphas = [rh.canonical_first(dec).coeffs, rng.standard_normal((N,) * 3)]
+        a = rng.standard_normal((N, N))
+        grams = [a @ a.T + N * np.eye(N)]
+        if space.metric is not None:
+            alphas.append(rh.levi_civita_alpha(dec, space.metric).coeffs)
+            grams.append(space.metric.gram)
+        return dec, alphas, grams
+    so3 = rh.so3()
+    flip = np.diag([1.0, -1.0, -1.0])       # Ad(flip) keeps E1 and negates E2, E3
+    if name == "h_generators":
+        dec = rh.build_decomposition(so3, [E1], [E2, E3], h_generators=[flip])
+        return dec, [rng.standard_normal((2, 2, 2))], [np.diag([1.0, 2.0])]
+    if name == "generators_only":            # q = 0: only the generator can fail
+        dec = rh.build_decomposition(so3, [], np.eye(3), h_generators=[flip])
+        return dec, [rng.standard_normal((3, 3, 3))], [np.array(
+            [[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 1.0]])]
+    if name == "nan_coefficient":
+        dec = rh.stiefel(4, 2).dec
+        coeffs = rng.standard_normal((dec.N,) * 3)
+        coeffs[2, 1, 3] = np.nan
+        return dec, [coeffs], []
+    if name == "all_zero":
+        dec = rh.stiefel(5, 2).dec
+        return dec, [np.zeros((dec.N,) * 3)], []
+    if name == "m_zero":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dec = rh.symmetric_decomposition(so3, np.eye(3))
+        return dec, [np.zeros((0, 0, 0))], [np.zeros((0, 0))]
+    raise KeyError(name)

@@ -27,6 +27,7 @@ reaches the command line.
 
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -517,3 +518,38 @@ def test_adjoint_field_is_minus_the_levi_civita_alpha(space, request, rng):
     for x in rng.standard_normal((5, dec.N)):
         adjoint = np.linalg.solve(gram, dec.ad_m_matrix(x).T @ (gram @ x))
         assert np.max(np.abs(adjoint + alpha(x, x))) <= 1e-13
+
+
+@pytest.mark.parametrize("steps, taken", [("0.1,0.1,0.1", "0.1, 0.1, 0.1"),
+                                          ("3,2,1", "2, 2, 1")])
+def test_convergence_needs_three_distinct_steps_taken(tmp_path, capsys, steps, taken):
+    # 3 does not fit in [0, 2]: that run takes one step of 2, as the run at 2 does
+    space = tmp_path / "rigid.def"
+    space.write_text(RIGID_BODY.format(alpha="levi_civita"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["convergence", str(space), "--x0=0.3,-0.5,0.8", "--t1=2",
+                     f"--steps={steps}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("error: an order estimate needs three distinct steps; "
+                            f"the steps taken are {taken}\n")
+    assert "measured order" not in captured.out
+
+
+@pytest.mark.parametrize("errors", [
+    {1e-3: 6.0e-14, 2e-3: 5.3e-14, 4e-3: 1.4e-13},     # smallest step not the smallest error
+    {1e-3: 2e-12, 2e-3: 2e-12, 4e-3: 3e-11},           # a tie is no decrease
+    {1e-3: 1e-11, 2e-3: float("nan"), 4e-3: 1e-9},
+])
+def test_convergence_probe_refuses_errors_that_do_not_decrease(errors):
+    with pytest.raises(ValueError, match="do not decrease as the step shrinks; round-off"):
+        convergence_probe(errors.__getitem__, [4e-3, 1e-3, 2e-3])
+
+
+def test_convergence_probe_keeps_the_exact_sentinel_and_fits_decreasing_errors():
+    noise = convergence_probe({1e-3: 6e-14, 2e-3: 1e-14, 4e-3: 9e-14}.__getitem__,
+                              [1e-3, 2e-3, 4e-3])
+    assert noise.exact and noise.slope is None
+    result = convergence_probe(lambda step: 3.0 * step ** 4, [4e-3, 1e-3, 2e-3])
+    assert not result.exact and result.slope == pytest.approx(4.0, abs=1e-12)
