@@ -9,8 +9,10 @@ shrinks (round-off dominates them; both errors name the steps taken),
 or a geodesic drifting past ``group_drift`` (its artifacts are still written),
 finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows or
 whose time grid is too large to allocate, an ``--x0`` with a coordinate of
-magnitude over the blow-up norm (no step is taken), and an ``--x0``,
-``--z0`` or ``one_parameter:`` vector whose length is not dim m;
+magnitude over the blow-up norm (no step is taken), an ``--x0``,
+``--z0`` or ``one_parameter:`` vector whose length is not dim m, and an
+``--out`` file that cannot be written, as in a missing directory (the
+error names the path; no temporary file is left behind);
 2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
 non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
 ``--z0`` or a ``one_parameter:`` curve, a ``group_file:`` or
@@ -377,7 +379,7 @@ def main(argv=None) -> int:
     except DecompositionError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,19 +6,29 @@ Python's shortest round-trip ``repr``, and ``NaN``, ``Infinity`` or
 the same text, every value reads back exactly (``json.load``, ``float``
 and ``np.loadtxt`` alike), and identical inputs give byte-identical files.
 Writes go to a temporary file in the target directory followed by an
-atomic rename, so no partial file survives an error.
+atomic rename, so no partial file survives an error.  The file gets the
+mode a plain ``open(path, "w")`` would give it: 0o666 less the umask.
+
+The texts of an array's values come from ``orjson``, whose Ryu kernel
+(Adams, PLDI 2018) finds the same shortest round-trip digits as ``repr``
+several times faster.  Its text equals ``repr``'s wherever both write
+positional notation, 1e-4 <= |x| < 1e16, and for 0.0 and -0.0.  Outside
+that range it writes ``1.5e-7`` for ``1.5e-07``, ``5.4e16`` for
+``5.4e+16`` and ``0.00001`` for ``1e-05``, and ``null`` for a value that
+is not finite, so those cells, found with one mask per block, keep the
+single-value text ``fmt`` gives.  ``orjson`` is imported on the first
+array converted: its import pulls in ``uuid`` and ``zoneinfo``, and a
+command that writes no array (``check``) does not pay for it.
 
 ``write_trajectory`` converts each value of a trajectory to text once, a
 block of rows at a time, and builds both the CSV rows and the pieces of the
 JSON arrays from those texts.  The pieces give the text
 ``json.dumps(..., indent=1)`` would, without its value-by-value pure-Python
 encoder.  The CSV is written block by block and the JSON from its pieces,
-so neither file is ever held as one string.  A constant velocity row, as
-on a ``one_parameter`` curve, is converted once for every block.  A batch
-of seeds transported along one curve is written as one file pair per seed,
-and the columns they share (t, the frame entries and the velocities) are
-converted once for all of them, so each seed's files convert only its own
-``z`` columns.
+so neither file is ever held as one string.  A batch of seeds transported
+along one curve is written as one file pair per seed, and the columns they
+share (t, the frame entries and the velocities) are converted once for all
+of them, so each seed's files convert only its own ``z`` columns.
 """
 
 from __future__ import annotations
@@ -64,9 +74,25 @@ def fmt(x: float) -> str:
 
 
 def _cells(values) -> list:
-    """Texts of an array's values in row-major order, each as ``fmt`` writes it."""
+    """Texts of an array's values in row-major order, each as ``fmt`` writes it.
+
+    One ``orjson.dumps`` of the block, split on commas, gives the texts;
+    the cells outside 1e-4 <= |x| < 1e16, other than zeros, and the cells
+    that are not finite, where its text is not ``repr``'s, are redone by
+    ``_json_float``.
+    """
+    import orjson  # lazy: see the module docstring
+
     flat = np.asarray(values, dtype=float).ravel()
-    return list(map(float.__repr__ if np.isfinite(flat).all() else _json_float, flat.tolist()))
+    if not flat.size:
+        return []
+    floats = flat.tolist()
+    cells = orjson.dumps(floats)[1:-1].decode().split(",")
+    size = np.abs(flat)
+    redo = ~(((size >= 1e-4) & (size < 1e16)) | (size == 0))
+    for i in np.flatnonzero(redo).tolist():
+        cells[i] = _json_float(floats[i])
+    return cells
 
 
 def _block_rows(width: int) -> int:
@@ -74,13 +100,27 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_VALUES // max(1, width))
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
 def _atomic_file(path: str):
-    """A text handle on a temporary file that replaces ``path`` when the block ends."""
+    """A text handle on a temporary file that replaces ``path`` when the block ends.
+
+    A directory that cannot hold the file raises ``OSError`` naming ``path``.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".redhom-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".redhom-")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp makes the file 0o600
+            os.chmod(tmp, 0o666 & ~_umask())
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -211,13 +251,9 @@ def _base_blocks(traj):
     """
     arrays = {"times": traj.times, "frames": traj.frames, "velocities": traj.velocities}
     rows = _block_rows(sum(a[0].size for a in arrays.values()) if len(traj) else 0)
-    bits = np.asarray(traj.velocities, dtype=float).view(np.int64)
-    # a constant row is converted once; equal bits, not ==, since 0.0 == -0.0
-    row = _cells(traj.velocities[0]) if len(bits) and (bits == bits[0]).all() else None
     for start in range(0, len(traj), rows):
         blocks = {key: a[start:start + rows] for key, a in arrays.items()}
-        cells = {key: row * len(b) if key == "velocities" and row else _cells(b)
-                 for key, b in blocks.items()}
+        cells = {key: _cells(b) for key, b in blocks.items()}
         yield (start, _csv_rows(list(cells.values()), len(blocks["times"])),
                {key: _json_piece(cells[key], b.shape, 1) for key, b in blocks.items()})
 

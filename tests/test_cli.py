@@ -319,6 +319,26 @@ class TestNegativeVectorValue:
         assert first == [-0.5, 1.0]
 
 
+@pytest.mark.parametrize("blocker", ["missing-directory", "directory-at-the-path"])
+@pytest.mark.parametrize("argv, first_file", [
+    (["geodesic", "--x0=1,0,0,0,0", "--t1=1", "--step=0.1"], "o.csv"),
+    (["transport", "--curve=one_parameter:1,0,0,0,0", "--z0=1,0,0,0,0", "--t1=0.1",
+      "--step=0.05"], "o.csv"),
+    (["tensors"], "o_torsion.json"),
+    (["check", "--json"], "o.report.json"),
+], ids=["geodesic", "transport", "tensors", "check"])
+def test_an_unwritable_out_exits_1_naming_the_path(tmp_path, capsys, argv, first_file, blocker):
+    space = write(tmp_path, "space = stiefel(4,2)\n\n[connection]\nalpha = levi_civita\n")
+    out = tmp_path / "missing" / "o" if blocker == "missing-directory" else tmp_path / "o"
+    target = out.parent / first_file
+    if blocker == "directory-at-the-path":
+        target.mkdir()
+    assert main([argv[0], space, *argv[1:], f"--out={out}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(str(target)) in err
+    assert not list(tmp_path.rglob(".redhom-*"))
+
+
 def test_torsion_check_reads_the_antisymmetry_tolerance(tmp_path, capsys):
     path = write(tmp_path, "space = stiefel(4,2)\n")
     for args, tol in (([], 1e-12), (["--tol", "antisymmetry=1e-6"], 1e-6)):

@@ -8,6 +8,10 @@ file and its JSON twin must read back to the same float bits.
 
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -81,6 +85,58 @@ def test_json_array_matches_json_dumps(array):
     assert serialize.json_array(array) == reference
     nested = json.dumps({"a": array.tolist(), "b": [1]}, sort_keys=True, indent=1)
     assert '{\n "a": ' + serialize.json_array(array, level=1) + ',' in nested
+
+
+def range_edges():
+    """Each of +-1e-4 and +-1e16, where orjson's text stops matching repr's, with
+    three neighbours on either side."""
+    edges = []
+    for edge in (1e-4, -1e-4, 1e16, -1e16):
+        below = above = edge
+        for _ in range(3):
+            below = np.nextafter(below, 0.0)
+            above = np.nextafter(above, math.copysign(math.inf, edge))
+            edges += [below, above]
+        edges.append(edge)
+    return np.array(edges).reshape(2, -1)
+
+
+def short_decimals(values):
+    """``values`` with the neighbours one ulp away on either side."""
+    return np.stack([np.nextafter(values, -math.inf), values, np.nextafter(values, math.inf)])
+
+
+CELL_RNG = np.random.default_rng(1990)
+CELL_ARRAYS = {
+    "bit-patterns": CELL_RNG.integers(-2**63, 2**63 - 1, 20000, dtype=np.int64,
+                                      endpoint=True).view(float),
+    "binades": np.ldexp(CELL_RNG.uniform(-1.0, 1.0, 20000), CELL_RNG.integers(-1074, 1025, 20000)),
+    "positional-binades": np.ldexp(CELL_RNG.uniform(-1.0, 1.0, (100, 200)),
+                                   CELL_RNG.integers(-15, 55, (100, 200))),
+    "short-decimals": short_decimals(np.round(CELL_RNG.standard_normal(10000) * 1e6)
+                                     / 10.0 ** CELL_RNG.integers(0, 14, 10000)),
+    "zeros-and-subnormals": np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072e-308,
+                                      2.2250738585072014e-308, 1.0]),
+    "not-finite": np.array([[math.nan, 1.5, math.inf], [-math.inf, -math.nan, 0.0]]),
+    "range-edges": range_edges(),
+    "empty": np.empty(0),
+    "empty-rows": np.empty((0, 3)),
+    "empty-columns": np.empty((2, 0)),
+}
+
+
+@pytest.mark.parametrize("array", CELL_ARRAYS.values(), ids=CELL_ARRAYS.keys())
+def test_cells_give_the_fmt_text_of_each_value(array):
+    assert serialize._cells(array) == [serialize.fmt(v) for v in array.ravel()]
+
+
+def test_importing_the_cli_leaves_orjson_unloaded():
+    # orjson is imported by the first array converted; ``check`` converts none
+    source = str(Path(serialize.__file__).parents[1])
+    probe = "import sys, redhom.cli; print('orjson' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": source}, check=True)
+    assert run.stdout == "False\n"
 
 
 def special_trajectory():
@@ -230,3 +286,17 @@ def test_golden_csv_holds_the_float_bits_of_its_json_twin(pair):
         arrays.append(np.asarray(data["transported"], dtype=float))
     joined = np.hstack([a.reshape(len(a), -1) for a in arrays])
     assert same_bits(table, joined)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
+def test_an_artifact_gets_the_mode_a_plain_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        serialize.atomic_write_text(str(tmp_path / "artifact.json"), "{}\n")
+        with open(tmp_path / "plain.json", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("artifact.json", "plain.json")]
+    assert modes == [0o666 & ~umask] * 2
