@@ -12,7 +12,8 @@ whose time grid is too large to allocate, an ``--x0`` with a coordinate of
 magnitude over the blow-up norm (no step is taken), an ``--x0``,
 ``--z0`` or ``one_parameter:`` vector whose length is not dim m, and an
 ``--out`` file that cannot be written, as in a missing directory (the
-error names the path; no temporary file is left behind);
+error names the path; no temporary file is left behind; a ``transport``
+batch with one such file writes none of its seeds' files);
 2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
 non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
 ``--z0`` or a ``one_parameter:`` curve, a ``group_file:`` or

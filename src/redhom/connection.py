@@ -17,6 +17,8 @@ Conventions, with all vectors in m-coordinates:
 * Levi-Civita:               ``alpha = 1/2 [X, Y]_m + U`` with
   ``2 <U(X,Y), Z> = <[Z,X]_m, Y> + <X, [Z,Y]_m>``
 
+Metric compatibility, natural reductivity and metric invariance each ask a
+stack of maps L to be g-skew; :func:`~redhom.reductive.skewness` measures all three.
 ``basis_sectional_curvatures`` reads the sectional curvature of every basis
 plane off the curvature array; ``sectional_curvature`` takes any one plane.
 """
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .reductive import MetricOnM, ReductiveDecomposition, check_ad_H_invariance_bilinear
+from .reductive import (MetricOnM, ReductiveDecomposition, check_ad_H_invariance_bilinear,
+                        skewness)
 from .reporting import CheckReport, DEFAULT_TOLERANCES, resolve_tolerances
 
 __all__ = [
@@ -225,12 +228,9 @@ def _worst_triple(diff, tol):
 def naturally_reductive_check(dec: ReductiveDecomposition, metric: MetricOnM,
                               tol: float = DEFAULT_TOLERANCES["naturally_reductive"]
                               ) -> CheckReport:
-    """Residual of <[X, Y]_m, Z> = <X, [Y, Z]_m> over all basis triples."""
-    g = metric.gram
-    b = dec.m_bracket_tensor
-    lhs = np.einsum("lij,lk->ijk", b, g)
-    rhs = np.einsum("il,ljk->ijk", g, b)
-    worst, witnesses = _worst_triple(np.abs(lhs - rhs), tol)
+    """Residual of <[X, Y]_m, Z> = <X, [Y, Z]_m>: ad_m(A_j) g-skew, at each (i, j, k)."""
+    res = skewness(dec.m_bracket_tensor.transpose(1, 0, 2), metric.gram)
+    worst, witnesses = _worst_triple(np.abs(res).transpose(1, 0, 2), tol)
     return CheckReport.from_residual(
         "naturally_reductive", worst, tol, witnesses=witnesses, mandatory=False
     )
@@ -238,12 +238,9 @@ def naturally_reductive_check(dec: ReductiveDecomposition, metric: MetricOnM,
 
 def is_metric(alpha: AlphaMap, metric: MetricOnM,
               tol: float = DEFAULT_TOLERANCES["is_metric"]) -> CheckReport:
-    """Residual of skew-adjointness <alpha(X, Y), Z> = -<Y, alpha(X, Z)>."""
-    g = metric.gram
-    a = alpha.coeffs
-    lhs = np.einsum("kij,kl->ijl", a, g)   # <alpha(A_i, A_j), A_l>
-    rhs = np.einsum("kil,kj->ijl", a, g)   # <A_j, alpha(A_i, A_l)>
-    worst, witnesses = _worst_triple(np.abs(lhs + rhs), tol)
+    """Residual of <alpha(X, Y), Z> = -<Y, alpha(X, Z)>: alpha(A_i, .) g-skew, at (i, j, l)."""
+    res = skewness(alpha.coeffs.transpose(1, 0, 2), metric.gram)
+    worst, witnesses = _worst_triple(np.abs(res), tol)
     return CheckReport.from_residual(
         "is_metric", worst, tol, witnesses=witnesses, mandatory=False,
         tainted=not alpha.checked,

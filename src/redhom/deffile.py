@@ -209,14 +209,14 @@ def _quadruples(text: str, lineno: int):
     return out
 
 
-_SPACE_RE = re.compile(
-    r"^(sphere2|so\((\d+)\)|stiefel\((\d+)\s*,\s*(\d+)\)|grassmann\((\d+)\s*,\s*(\d+)\))$"
-)
+# whitespace may separate tokens, never the digits of one number
+_SPACE_RE = re.compile(r"(sphere2|so\s*\(\s*(\d+)\s*\)|stiefel\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)"
+                       r"|grassmann\s*\(\s*(\d+)\s*,\s*(\d+)\s*\))")
 
 
 def _named_space(name: str, lineno: int) -> SpaceBundle:
     """The catalog space of a name."""
-    m = _SPACE_RE.match(name.replace(" ", "")) or _SPACE_RE.match(name)
+    m = _SPACE_RE.fullmatch(name)
     if not m:
         raise DefFileError(
             f"unknown named space {name!r} "
@@ -249,11 +249,9 @@ def _constants_from_quadruples(dim: int, quads, lineno: int) -> np.ndarray:
                 f"entry {(k, i, j)} with equal bracket slots must vanish", lineno)
         key = (k - 1, i - 1, j - 1)
         mirror = (k - 1, j - 1, i - 1)
+        # each entry records its mirror too, so this also catches a conflicting mirror
         if key in seen and seen[key] != v:
             raise DefFileError(f"conflicting duplicate entry for {(k, i, j)}", lineno)
-        if mirror in seen and seen[mirror] != -v:
-            raise DefFileError(
-                f"entry {(k, i, j)} conflicts with its antisymmetric mirror", lineno)
         seen[key] = v
         seen[mirror] = -v
         c[key] = v

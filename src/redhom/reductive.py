@@ -10,11 +10,12 @@ and reports state that otherwise only the identity component was verified.
 
 The isotropy checks act with stacks of endomorphisms of m: the action L of
 each h-basis direction (the derivation condition) and the sampled group
-action R (the pull-back condition).  The samples exp(t ad eta) come from one
-batched exponential, and each residual is a stacked contraction evaluated a
-block of operators at a time, so no temporary exceeds ``_STACK_VALUES``
-values.  Every stacked matrix product has the shape of the per-operator one,
-so the residuals equal a per-operator loop bit for bit.
+action R (the pull-back condition).  As [h, m] lies in m, Ad(exp t eta) on m
+is exp(t L), so the samples are one batched exponential of N x N matrices.
+Each residual is a stacked contraction evaluated a block of operators at a
+time, so no temporary exceeds ``_STACK_VALUES`` values.  Every stacked matrix
+product has the shape of the per-operator one, so the residuals equal a
+per-operator loop bit for bit.  ``skewness`` is the one form of "L is g-skew".
 """
 
 from __future__ import annotations
@@ -67,22 +68,19 @@ class MetricOnM:
         if asym > 1e-12:
             raise ValueError(f"gram matrix is asymmetric by {asym:.3e}")
         g = 0.5 * (g + g.T)
-        if g.size:
-            svals = np.linalg.svd(g, compute_uv=False)
-            # no registry key: a numerical-rank cut (inverse condition number), not a tolerance
-            if svals[-1] < 1e-10 * svals[0]:
-                raise ValueError(
-                    f"gram matrix is numerically degenerate "
-                    f"(condition {svals[0] / max(svals[-1], 1e-300):.3e})"
-                )
-            eigs = np.linalg.eigvalsh(g)
-            sig = (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)))
-        else:
-            sig = (0, 0)
+        eigs = np.linalg.eigvalsh(g)
+        svals = np.abs(eigs)                # the singular values of a symmetric matrix
+        # no registry key: a numerical-rank cut (inverse condition number), not a tolerance;
+        # written so that a NaN entry, which makes every eigenvalue NaN, fails it too
+        if svals.size and not svals.min() >= 1e-10 * svals.max():
+            raise ValueError(
+                f"gram matrix is numerically degenerate "
+                f"(condition {svals.max() / max(svals.min(), 1e-300):.3e})"
+            )
         g.setflags(write=False)
         self.dec = dec
         self.gram = g
-        self.signature = sig
+        self.signature = (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)))
         self.invariance = check_metric_invariance(dec, self)
 
     def __repr__(self):
@@ -213,19 +211,16 @@ class ReductiveDecomposition:
     def isotropy_samples(self) -> tuple:
         """``(witnesses, operators)`` of the sampled isotropy action on m.
 
-        ``operators`` is an (S, N, N) stack: exp(t ad eta) restricted to m per
-        h-basis direction and sample time, all from one batched
-        :func:`~redhom.algebra.expm`, then each generator's action;
-        ``witnesses`` names each operator in the same order.
+        ``operators`` is an (S, N, N) stack: exp(t L) for the action L of
+        each h-basis direction on m (``h_action``) and each sample time, in
+        (h_index, t) order, all from one batched :func:`~redhom.algebra.expm`,
+        then each generator's action; ``witnesses`` names each operator in
+        the same order.
         """
-        q, N = self.q, self.N
         witnesses = tuple({"kind": "finite", "h_index": r, "t": t}
-                          for r in range(q) for t in _FINITE_SAMPLE_TIMES)
-        ops = np.zeros((0, N, N))
-        if q:
-            ads = np.array([self.algebra.ad(eta) for eta in self.h_basis])
-            flows = expm(np.array(_FINITE_SAMPLE_TIMES)[:, None, None] * ads[:, None])
-            ops = (self._cob_inv @ flows @ self._cob)[..., q:, q:].reshape(len(witnesses), N, N)
+                          for r in range(self.q) for t in _FINITE_SAMPLE_TIMES)
+        ops = expm(np.array(_FINITE_SAMPLE_TIMES)[:, None, None] * self.h_action[:, None])
+        ops = ops.reshape(len(witnesses), self.N, self.N)
         witnesses += tuple({"kind": "generator", "index": k}
                            for k in range(len(self._generator_actions)))
         return witnesses, np.concatenate([ops, *(a[None] for a in self._generator_actions)])
@@ -529,12 +524,14 @@ def check_ad_H_invariance_bilinear(dec: ReductiveDecomposition, coeffs,
                             derivation, pullback, N ** 3)
 
 
-def check_metric_invariance(dec: ReductiveDecomposition, metric: MetricOnM,
-                            tol: float = DEFAULT_TOLERANCES["metric_invariance"]
-                            ) -> CheckReport:
+def skewness(acts, gram) -> np.ndarray:
+    """L^T G + G L for each L of the (S, N, N) stack ``acts``: zero where L is G-skew."""
+    return acts.swapaxes(1, 2) @ gram + gram @ acts
+
+
+def check_metric_invariance(dec: ReductiveDecomposition, metric: MetricOnM) -> CheckReport:
     """Verify isotropy invariance of a scalar product on m (report, never raise)."""
     g = metric.gram
     return _isotropy_report(
-        "metric_invariance", "metric_invariance", dec, tol,
-        lambda acts: acts.swapaxes(1, 2) @ g + g @ acts,
-        lambda ops: ops.swapaxes(1, 2) @ g @ ops - g, dec.N ** 2)
+        "metric_invariance", "metric_invariance", dec, DEFAULT_TOLERANCES["metric_invariance"],
+        lambda acts: skewness(acts, g), lambda ops: ops.swapaxes(1, 2) @ g @ ops - g, dec.N ** 2)

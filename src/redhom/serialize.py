@@ -22,17 +22,24 @@ command that writes no array (``check``) does not pay for it.
 
 ``write_trajectory`` converts each value of a trajectory to text once, a
 block of rows at a time, and builds both the CSV rows and the pieces of the
-JSON arrays from those texts.  The pieces give the text
-``json.dumps(..., indent=1)`` would, without its value-by-value pure-Python
-encoder.  The CSV is written block by block and the JSON from its pieces,
-so neither file is ever held as one string.  A batch of seeds transported
-along one curve is written as one file pair per seed, and the columns they
-share (t, the frame entries and the velocities) are converted once for all
-of them, so each seed's files convert only its own ``z`` columns.
+JSON arrays from those texts.  A piece is one ``%`` of a row template, the
+``json.dumps(..., indent=1)`` text of a zero-filled row with ``%s`` for
+each value, cached per row shape and nesting level, so the pieces give the
+text ``json.dumps`` would without its value-by-value pure-Python encoder.
+The CSV is written block by block and the JSON from its pieces, so neither
+file is ever held as one string.  A batch of seeds transported along one
+curve is written as one file pair per seed, and the columns they share (t,
+the frame entries and the velocities) are converted once for all of them,
+so each seed's files convert only its own ``z`` columns.  The batch is
+written whole or not at all: every file is staged in a temporary file, one
+at a time, and the staged files replace their paths only once all of them
+are written.
 """
 
 from __future__ import annotations
 
+import errno
+import functools
 import io
 import json
 import math
@@ -86,12 +93,11 @@ def _cells(values) -> list:
     flat = np.asarray(values, dtype=float).ravel()
     if not flat.size:
         return []
-    floats = flat.tolist()
-    cells = orjson.dumps(floats)[1:-1].decode().split(",")
+    cells = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     size = np.abs(flat)
     redo = ~(((size >= 1e-4) & (size < 1e16)) | (size == 0))
     for i in np.flatnonzero(redo).tolist():
-        cells[i] = _json_float(floats[i])
+        cells[i] = _json_float(float(flat[i]))
     return cells
 
 
@@ -107,30 +113,41 @@ def _umask() -> int:
 
 
 @contextmanager
-def _atomic_file(path: str):
-    """A text handle on a temporary file that replaces ``path`` when the block ends.
+def _atomic_files():
+    """``stage(path)``, a context giving a text handle on a temporary file for ``path``.
 
-    A directory that cannot hold the file raises ``OSError`` naming ``path``.
+    When the block ends every staged file replaces its path; when it raises,
+    no path is replaced and no temporary file is left.  A directory that
+    cannot hold a file raises ``OSError`` naming the path.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".redhom-")
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
+    staged = []
+
+    @contextmanager
+    def stage(path: str):
+        directory = os.path.dirname(os.path.abspath(path)) or "."
+        try:
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".redhom-")
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+        staged.append((tmp, path))
         with os.fdopen(fd, "w") as handle:
             # mkstemp makes the file 0o600
             os.chmod(tmp, 0o666 & ~_umask())
             yield handle
-        os.replace(tmp, path)
+
+    try:
+        yield stage
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
 def atomic_write_text(path: str, text: str):
-    with _atomic_file(path) as handle:
+    with _atomic_files() as stage, stage(path) as handle:
         handle.write(text)
 
 
@@ -180,24 +197,18 @@ def _jsonable(value):
     return value
 
 
-def _items(cells: list, shape: tuple, level: int) -> list:
-    """Texts of the items of the outermost list of ``shape``, from its flat cell texts."""
-    for depth in range(len(shape) - 1, 0, -1):
-        n = shape[depth]
-        inner = " " * (level + depth + 1)
-        sep, close = ",\n" + inner, "\n" + " " * (level + depth) + "]"
-        groups = math.prod(shape[:depth])
-        if n == 0:
-            cells = ["[]"] * groups
-        else:
-            cells = ["[\n" + inner + sep.join(cells[i:i + n]) + close
-                     for i in range(0, groups * n, n)]
-    return cells
+@functools.lru_cache(maxsize=64)
+def _row_template(shape: tuple, level: int) -> str:
+    """``%`` template of one item of shape ``shape`` as ``json_array`` nests it at ``level``:
+    the ``json.dumps(..., indent=1)`` text of a zero-filled item with ``%s`` per value."""
+    text = json.dumps(np.zeros(shape).tolist(), indent=1).replace("0.0", "%s")
+    return text.replace("\n", "\n" + " " * (level + 1))
 
 
 def _json_piece(cells: list, shape: tuple, level: int) -> str:
     """The items of a block of leading rows as ``json_array`` writes them, without brackets."""
-    return (",\n" + " " * (level + 1)).join(_items(cells, shape, level))
+    items = (",\n" + " " * (level + 1)).join([_row_template(shape[1:], level)] * shape[0])
+    return items % tuple(cells)
 
 
 def _json_parts(pieces: list, level: int) -> list:
@@ -291,17 +302,23 @@ def write_trajectory(prefix: str, traj, space: str, alpha: str):
     batch of shape (M, S, N) that ``parallel_transport`` returns for S
     seeds.  A batch writes one file pair per seed, ``prefix_seed<i>``, or
     ``prefix`` when S = 1; its t, frame and velocity columns are converted
-    to text once for all of them.
+    to text once for all of them.  The batch is written whole or not at all:
+    a target that is a directory refuses it before anything is written, and
+    the files replace their paths only once all of them are written.
     """
     z = traj.transported
     seeds = [z] if z is None or z.ndim == 2 else list(np.moveaxis(z, 1, 0))
+    paths = [prefix] if len(seeds) == 1 else [f"{prefix}_seed{i}" for i in range(len(seeds))]
+    for target in (path + ext for path in paths for ext in (".csv", ".json")):
+        if os.path.isdir(target):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     base = _base_blocks(traj) if len(seeds) == 1 else list(_base_blocks(traj))
-    for i, seed in enumerate(seeds):
-        path = prefix if len(seeds) == 1 else f"{prefix}_seed{i}"
-        with _atomic_file(path + ".csv") as handle:
-            json_parts = _emit_trajectory(handle, traj, space, alpha, base, seed)
-        with _atomic_file(path + ".json") as handle:
-            handle.writelines(json_parts)
+    with _atomic_files() as stage:
+        for path, seed in zip(paths, seeds):
+            with stage(path + ".csv") as handle:
+                json_parts = _emit_trajectory(handle, traj, space, alpha, base, seed)
+            with stage(path + ".json") as handle:
+                handle.writelines(json_parts)
 
 
 def trajectory_csv(traj, space: str = "", alpha: str = "") -> str:

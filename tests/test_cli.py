@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from collections import Counter
 
@@ -339,6 +340,18 @@ def test_an_unwritable_out_exits_1_naming_the_path(tmp_path, capsys, argv, first
     assert not list(tmp_path.rglob(".redhom-*"))
 
 
+def test_a_batch_with_a_directory_target_writes_nothing(tmp_path, capsys):
+    space = write(tmp_path, "space = stiefel(4,2)\n\n[connection]\nalpha = levi_civita\n")
+    blocker = tmp_path / "b" / "o_seed1.csv"
+    blocker.mkdir(parents=True)
+    assert main(["transport", space, "--curve=one_parameter:1,0,0,0,0", "--z0=1,0,0,0,0",
+                 "--z0=0,1,0,0,0", "--t1=0.1", "--step=0.05",
+                 f"--out={tmp_path / 'b' / 'o'}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(str(blocker)) in err
+    assert list((tmp_path / "b").iterdir()) == [blocker]
+
+
 def test_torsion_check_reads_the_antisymmetry_tolerance(tmp_path, capsys):
     path = write(tmp_path, "space = stiefel(4,2)\n")
     for args, tol in (([], 1e-12), (["--tol", "antisymmetry=1e-6"], 1e-6)):
@@ -452,3 +465,126 @@ def test_the_one_command_parser_prints_what_the_full_parser_prints(capsys, argv)
     full = run(lambda: cli.build_parser().parse_args(argv))
     assert run(lambda: main(argv)) == full
     assert full[0] in (0, 2) and "".join(full[1:])
+
+
+SO3_CONSTANTS = "[algebra]\ndim = 3\nstructure_constants = (1,2,3,1) (2,3,1,1) (3,1,2,1)\n"
+SO3_MATRICES = RIGID_BODY_LC.split("\n\n")[0] + "\n"
+SO3_SIGMA = "sigma = [1 0 0; 0 -1 0; 0 0 -1]\n"
+SO3_GRAM = "biinvariant_gram = [1 0 0; 0 1 0; 0 0 1]\n"
+TRANSPORT = ["transport", "--z0=1,0", "--t1=0.1", "--step=0.05"]
+
+# (id, definition text or None for a missing file, argv after the file or None for
+# ``check``, the line the message names or None, a fragment of the message)
+LOCATED_ERRORS = [
+    ("unterminated-block-header", "space = sphere2\n[metric\n", None, 2,
+     "unterminated block header"),
+    ("unknown-block", "space = sphere2\n[frobnicate]\n", None, 2, "unknown block [frobnicate]"),
+    ("missing-equals", "space sphere2\n", None, 1, "expected 'key = value'"),
+    ("unknown-key", "space = sphere2\n[metric]\nfoo = 1\n", None, 3,
+     "unknown key 'foo' in block [metric]"),
+    ("duplicate-space", "space = sphere2\nspace = sphere2\n", None, 2, "duplicate 'space' key"),
+    ("duplicate-key", "space = sphere2\n[metric]\ngram = [1 0; 0 1]\ngram = [1 0; 0 1]\n",
+     None, 4, "duplicate key 'gram'"),
+    ("not-a-number", "space = sphere2\n[metric]\ngram = [1 x; 0 1]\n", None, 3,
+     "not a number: 'x'"),
+    ("non-finite-literal", "space = sphere2\n[metric]\ngram = [1 inf; 0 1]\n", None, 3,
+     "non-finite literal 'inf'"),
+    ("malformed-bracketed-value", "space = sphere2\n[metric]\ngram = [1 0; 0 1] junk\n", None,
+     3, "malformed value near 'junk'"),
+    ("no-bracketed-group", "space = sphere2\n[metric]\ngram =\n", None, 3,
+     "expected at least one bracketed group"),
+    ("unequal-matrix-rows", "space = sphere2\n[metric]\ngram = [1 0; 1]\n", None, 3,
+     "matrix rows have unequal lengths"),
+    ("non-quadruple", "[algebra]\ndim = 3\nstructure_constants = (1,2,3)\n", None, 3,
+     "expected (k, i, j, value) quadruples"),
+    ("non-integer-index", "[algebra]\ndim = 3\nstructure_constants = (1,2.5,3,1)\n", None, 3,
+     "indices must be integers"),
+    ("constant-index-out-of-range", "[algebra]\ndim = 3\nstructure_constants = (4,2,3,1)\n",
+     None, 3, "index k=4 out of range 1..3"),
+    ("non-zero-equal-slots", "[algebra]\ndim = 3\nstructure_constants = (1,2,2,1)\n", None, 3,
+     "entry (1, 2, 2) with equal bracket slots must vanish"),
+    ("conflicting-mirror", "[algebra]\ndim = 3\nstructure_constants = (1,2,3,1) (1,3,2,1)\n",
+     None, 3, "conflicting duplicate entry for (1, 3, 2)"),
+    ("missing-dim", "[algebra]\nname = a\nstructure_constants = (1,2,3,1)\n", None, 2,
+     "[algebra] needs a 'dim' key"),
+    ("non-integer-dim", "[algebra]\ndim = 2.5\nstructure_constants = (1,2,3,1)\n", None, 2,
+     "'dim' must be a positive integer"),
+    ("neither-constants-nor-basis", "[algebra]\ndim = 3\n", None, 2,
+     "[algebra] needs structure_constants or matrix_basis"),
+    ("sigma-with-m-basis", SO3_CONSTANTS + "[decomposition]\n" + SO3_SIGMA
+     + "m_basis = (0,1,0) (0,0,1)\n", None, 5, "sigma excludes m_basis/biinvariant_gram"),
+    ("sigma-shape", SO3_CONSTANTS + "[decomposition]\nsigma = [1 0; 0 -1]\n", None, 5,
+     "sigma must be one 3x3 matrix, got 2x2"),
+    ("gram-with-m-basis", SO3_CONSTANTS + "[decomposition]\nh_basis = (1,0,0)\n" + SO3_GRAM
+     + "m_basis = (0,1,0) (0,0,1)\n", None, 6, "biinvariant_gram excludes m_basis"),
+    ("gram-without-h-basis", SO3_CONSTANTS + "[decomposition]\n" + SO3_GRAM, None, 5,
+     "biinvariant_gram needs h_basis"),
+    ("gram-shape", SO3_CONSTANTS + "[decomposition]\nh_basis = (1,0,0)\n"
+     "biinvariant_gram = [1 0; 0 1]\n", None, 6, "biinvariant_gram must be one 3x3 matrix"),
+    ("h-basis-length", SO3_CONSTANTS + "[decomposition]\nh_basis = (1,0)\n" + SO3_GRAM, None, 5,
+     "each h_basis vector needs dim = 3 coordinates"),
+    ("generators-without-m-basis", SO3_MATRICES + "[decomposition]\n" + SO3_SIGMA
+     + "h_generators = [1 0 0; 0 -1 0; 0 0 -1]\n", None, 7,
+     "h_generators only combine with explicit bases"),
+    ("generators-without-matrix-basis", SO3_CONSTANTS + "[decomposition]\nh_basis = (1,0,0)\n"
+     "m_basis = (0,1,0) (0,0,1)\nh_generators = [1 0 0; 0 -1 0; 0 0 -1]\n", None, 7,
+     "h_generators need a matrix_basis"),
+    ("generator-shape", SO3_MATRICES + "[decomposition]\nh_basis = (1,0,0)\n"
+     "m_basis = (0,1,0) (0,0,1)\nh_generators = [1 0; 0 -1]\n", None, 8,
+     "h_generators must be 3x3 matrices"),
+    ("decomposition-without-bases", SO3_CONSTANTS + "[decomposition]\nh_basis = (1,0,0)\n",
+     None, 5, "[decomposition] needs m_basis, sigma or biinvariant_gram"),
+    ("named-space-with-algebra", "space = sphere2\n" + SO3_CONSTANTS, None, 1,
+     "a named space excludes [algebra]/[decomposition] blocks"),
+    ("no-space", "[metric]\ngram = [1 0; 0 1]\n", None, None,
+     "definition needs either 'space = ...' or an [algebra] block"),
+    ("alpha-index-out-of-range", "space = sphere2\n[connection]\nalpha = (3,1,1,0.5)\n", None,
+     3, "alpha index 3 out of range 1..2"),
+    ("unknown-alpha-word", "space = sphere2\n[connection]\nalpha = bogus\n", None, 3,
+     "alpha must be one of"),
+    # whitespace separates tokens, never the digits of one number
+    ("digits-apart-stiefel", "space = stiefel(1 2,3)\n", None, 1,
+     "unknown named space 'stiefel(1 2,3)'"),
+    ("digits-apart-so", "space = so(1 0)\n", None, 1, "unknown named space 'so(1 0)'"),
+    ("unreadable-definition", None, None, None, "cannot read"),
+    ("unknown-curve-prefix", "space = sphere2\n", [*TRANSPORT, "--curve=spline:1,0"], None,
+     "--curve must be one_parameter:<coords>, velocity_file:<path> or group_file:<path>"),
+    ("group-rows-of-wrong-width", "space = sphere2\n",
+     [*TRANSPORT, "--curve=group_file:{dir}/wide.csv"], None,
+     "group sample rows must hold 9 matrix entries, got 2"),
+    ("unreadable-sample-file", "space = sphere2\n",
+     [*TRANSPORT, "--curve=velocity_file:{dir}/absent.csv"], None, "cannot read samples from"),
+    ("malformed-sample-file", "space = sphere2\n",
+     [*TRANSPORT, "--curve=velocity_file:{dir}/malformed.csv"], None, "malformed sample file"),
+]
+
+
+@pytest.mark.parametrize("text, argv, line, words", [row[1:] for row in LOCATED_ERRORS],
+                         ids=[row[0] for row in LOCATED_ERRORS])
+def test_malformed_input_ends_in_a_located_definition_error(tmp_path, capsys, text, argv, line,
+                                                             words):
+    path = write(tmp_path, text) if text is not None else str(tmp_path / "absent.def")
+    (tmp_path / "wide.csv").write_text("0,1,0\n0.1,1,0\n")
+    (tmp_path / "malformed.csv").write_text("0,1,0\n0.1,oops,0\n")
+    command, *rest = argv or ["check"]
+    assert main([command, path, *(a.format(dir=tmp_path) for a in rest),
+                 f"--out={tmp_path / 'o'}"]) == 2
+    err = capsys.readouterr().err
+    located = re.match(r"definition error: line (\d+)[,:]", err)
+    assert (int(located.group(1)) if located else None) == line
+    assert words in err
+    assert not list(tmp_path.glob("o*"))
+
+
+def test_convergence_out_writes_its_result(tmp_path, capsys):
+    out = tmp_path / "conv"
+    assert main(["convergence", write(tmp_path, RIGID_BODY_LC), "--x0=0.3,-0.5,0.8", "--t1=0.5",
+                 "--steps=0.1,0.05,0.025", f"--out={out}"]) == 0
+    printed = capsys.readouterr().out
+    result = json.loads(out.with_suffix(".json").read_text())
+    assert sorted(result) == ["errors", "exact", "slope", "space", "steps"]
+    assert result["steps"] == [0.1, 0.05, 0.025] and result["space"] == "rigid-body"
+    assert result["exact"] is False and f"measured order {result['slope']:.3f}" in printed
+    assert len(result["errors"]) == 3 and result["errors"][0] > result["errors"][1] > \
+        result["errors"][2] > 0
+    assert 3.5 < result["slope"] < 4.5

@@ -177,6 +177,16 @@ class TestCurvature:
                 assert np.max(np.abs(r(x, y, z) - want)) <= 1e-12
 
 
+def assert_witness_is_a_worst_triple(rep, residual, n):
+    """``rep``'s residual is the largest ``residual(i, j, k)`` and its witness reaches it;
+    ``residual`` is evaluated one basis triple at a time."""
+    res = np.array([[[residual(*np.eye(n)[[i, j, k]]) for k in range(n)] for j in range(n)]
+                    for i in range(n)])
+    ((i, j, k),) = [w["triple"] for w in rep.witnesses]
+    assert rep.max_residual == pytest.approx(res.max(), rel=1e-12)
+    assert res[i, j, k] == pytest.approx(res.max(), rel=1e-12)
+
+
 class TestNaturallyReductive:
     def test_normal_and_symmetric_spaces_pass(self, sphere2, stiefel42, grassmann42):
         for bundle in (sphere2, stiefel42, grassmann42):
@@ -187,6 +197,14 @@ class TestNaturallyReductive:
         assert not rep.passed
         assert rep.witnesses and "triple" in rep.witnesses[0]
         assert not rep.mandatory
+
+    def test_witness_is_a_worst_triple(self, stiefel42, rng):
+        dec, n = stiefel42.dec, stiefel42.dec.N
+        a = rng.standard_normal((n, n))
+        g = a @ a.T + n * np.eye(n)
+        rep = rh.naturally_reductive_check(dec, rh.MetricOnM(dec, g))
+        assert_witness_is_a_worst_triple(rep, lambda x, y, z: abs(
+            dec.bracket_m(x, y) @ g @ z - x @ g @ dec.bracket_m(y, z)), n)
 
 
 class TestIsMetric:
@@ -205,6 +223,13 @@ class TestIsMetric:
         assert rh.is_metric(rh.canonical_first(stiefel42.dec), stiefel42.metric).passed
         rep = rh.is_metric(rh.canonical_first(rigid_body.dec), rigid_body.metric)
         assert not rep.passed
+
+    def test_witness_is_a_worst_triple(self, free_so3, rng):
+        g = np.diag([1.0, 2.0, 3.0])
+        alpha = rh.AlphaMap(free_so3, rng.standard_normal((3, 3, 3)))
+        rep = rh.is_metric(alpha, rh.MetricOnM(free_so3, g))
+        assert_witness_is_a_worst_triple(rep, lambda x, y, z: abs(
+            alpha(x, y) @ g @ z + y @ g @ alpha(x, z)), 3)
 
     def test_equivalence_with_skewness_on_20_random_maps(self, free_so3, rng):
         # exact-skew constructions pass, symmetric perturbations fail

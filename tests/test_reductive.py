@@ -185,6 +185,18 @@ class TestBilinearInvarianceCheck:
         for case in ("all_zero", "m_zero"):
             assert all(r.max_residual == 0.0 and not r.witnesses for r in reports(case))
 
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_samples_are_the_full_ad_flow_restricted_to_m(self, name):
+        """exp(t L) on m is the m-block of exp(t ad eta), since [h, m] lies in m."""
+        dec = isotropy_case(name)[0]
+        witnesses, ops = dec.isotropy_samples
+        assert len(ops) == len(witnesses) == dec.q * len(_FINITE_SAMPLE_TIMES)
+        for w, op in zip(witnesses, ops):
+            ad = dec.algebra.ad(dec.h_basis[w["h_index"]])
+            full, leak = dec.restrict_to_m(expm(w["t"] * ad))
+            assert leak <= 1e-14
+            assert np.max(np.abs(op - full), initial=0.0) <= 1e-14
+
     def test_note_mentions_identity_component(self, s2dec):
         rep = rh.check_ad_H_invariance_bilinear(s2dec, np.zeros((2, 2, 2)))
         assert "identity-component" in rep.note
@@ -293,6 +305,10 @@ class TestMetricOnM:
         with pytest.raises(ValueError, match="degenerate"):
             rh.MetricOnM(flat(2), [[1.0, 1.0], [1.0, 1.0]])
 
+    def test_nan_gram_rejected(self):
+        with pytest.raises(ValueError):
+            rh.MetricOnM(flat(2), [[1.0, np.nan], [np.nan, 1.0]])
+
     def test_gram_of_the_wrong_size_rejected(self, s2dec):
         for gram in (np.eye(3), np.ones(2), np.eye(2)[:, :1]):
             with pytest.raises(ValueError, match=r"must be 2x2 \(dim m\)"):
@@ -334,9 +350,8 @@ def per_case_report(dec, alpha=None, gram=None):
             return op.T @ gram @ op - gram
     cases = [({"kind": "infinitesimal", "h_index": r}, derivation, act)
              for r, act in enumerate(dec.h_action)]
-    cases += [({"kind": "finite", "h_index": r, "t": t}, pullback,
-               dec.restrict_to_m(expm(t * dec.algebra.ad(eta)))[0])
-              for r, eta in enumerate(dec.h_basis) for t in _FINITE_SAMPLE_TIMES]
+    cases += [({"kind": "finite", "h_index": r, "t": t}, pullback, expm(t * act))
+              for r, act in enumerate(dec.h_action) for t in _FINITE_SAMPLE_TIMES]
     cases += [({"kind": "generator", "index": k}, pullback, op)
               for k, op in enumerate(dec._generator_actions)]
     residuals = [float(np.max(np.abs(residual(op)), initial=0.0)) for _, residual, op in cases]

@@ -85,6 +85,8 @@ def test_json_array_matches_json_dumps(array):
     assert serialize.json_array(array) == reference
     nested = json.dumps({"a": array.tolist(), "b": [1]}, sort_keys=True, indent=1)
     assert '{\n "a": ' + serialize.json_array(array, level=1) + ',' in nested
+    deep = json.dumps({"a": {"b": {"c": array.tolist()}}}, indent=1)
+    assert '"c": ' + serialize.json_array(array, level=3) + "\n  }" in deep
 
 
 def range_edges():
@@ -218,6 +220,27 @@ def test_shared_base_text_gives_the_same_files(tmp_path, monkeypatch):
     write(tmp_path, replace(traj, transported=batch.transported[:, 1:]), "one")
     assert read(tmp_path, "one") == read(tmp_path, "own1")
     assert not list(tmp_path.glob("one_seed*"))
+
+
+def test_a_batch_failing_midway_replaces_no_file(tmp_path, monkeypatch):
+    traj = special_trajectory()
+    batch = replace(traj, transported=np.stack([traj.transported] * 3, axis=1))
+    (tmp_path / "b_seed0.csv").write_text("kept")
+    emitted = []
+    real = serialize._emit_trajectory
+
+    def emit(*args):
+        emitted.append(args)
+        if len(emitted) == 3:
+            raise OSError("no space left")
+        return real(*args)
+
+    monkeypatch.setattr(serialize, "_emit_trajectory", emit)
+    with pytest.raises(OSError, match="no space left"):
+        serialize.write_trajectory(str(tmp_path / "b"), batch, "s", "a")
+    # the two seeds staged before the failure replace nothing and leave no temporary
+    assert [p.name for p in tmp_path.iterdir()] == ["b_seed0.csv"]
+    assert (tmp_path / "b_seed0.csv").read_text() == "kept"
 
 
 @pytest.mark.parametrize("nan_column", [False, True], ids=["finite", "nan-column"])
