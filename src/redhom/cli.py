@@ -261,14 +261,13 @@ def cmd_tensors(args) -> int:
         if curv.coeffs.size else 0.0
     meta = {"space": bundle.name, "alpha": alpha.label,
             "curvature_antisymmetry_residual": anti, "tainted": tainted}
-    serialize.atomic_write_text(args.out + "_torsion.json",
-                                serialize.tensor_json(tor, meta))
-    serialize.atomic_write_text(args.out + "_torsion.csv", serialize.tensor_csv(tor))
-    serialize.atomic_write_text(args.out + "_curvature.json",
-                                serialize.tensor_json(curv, meta))
+    files = {"_torsion.json": serialize.tensor_json(tor, meta),
+             "_torsion.csv": serialize.tensor_csv(tor),
+             "_curvature.json": serialize.tensor_json(curv, meta)}
     if bundle.metric is not None:
-        serialize.atomic_write_text(args.out + "_sectional.csv", serialize.sectional_csv(
-            basis_sectional_curvatures(curv, bundle.metric)))
+        files["_sectional.csv"] = serialize.sectional_csv(
+            basis_sectional_curvatures(curv, bundle.metric))
+    serialize.atomic_write_texts({args.out + suffix: text for suffix, text in files.items()})
     print(f"tensors: wrote torsion/curvature for {bundle.name} "
           f"(curvature antisymmetry {anti:.3e})")
     return 0

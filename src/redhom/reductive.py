@@ -63,6 +63,9 @@ class MetricOnM:
         g = np.array(gram, dtype=float)
         if g.shape != (dec.N, dec.N):
             raise ValueError(f"gram matrix must be {dec.N}x{dec.N} (dim m), got shape {g.shape}")
+        # before the asymmetry check, where inf - inf would make a NaN with a warning
+        if not np.isfinite(g).all():
+            raise ValueError("gram matrix has a non-finite entry")
         asym = float(np.max(np.abs(g - g.T))) if g.size else 0.0
         # no registry key: validates an input matrix, which is then symmetrized exactly
         if asym > 1e-12:
@@ -70,9 +73,8 @@ class MetricOnM:
         g = 0.5 * (g + g.T)
         eigs = np.linalg.eigvalsh(g)
         svals = np.abs(eigs)                # the singular values of a symmetric matrix
-        # no registry key: a numerical-rank cut (inverse condition number), not a tolerance;
-        # written so that a NaN entry, which makes every eigenvalue NaN, fails it too
-        if svals.size and not svals.min() >= 1e-10 * svals.max():
+        # no registry key: a numerical-rank cut (inverse condition number), not a tolerance
+        if svals.size and svals.min() < 1e-10 * svals.max():
             raise ValueError(
                 f"gram matrix is numerically degenerate "
                 f"(condition {svals.max() / max(svals.min(), 1e-300):.3e})"

@@ -30,10 +30,10 @@ The CSV is written block by block and the JSON from its pieces, so neither
 file is ever held as one string.  A batch of seeds transported along one
 curve is written as one file pair per seed, and the columns they share (t,
 the frame entries and the velocities) are converted once for all of them,
-so each seed's files convert only its own ``z`` columns.  The batch is
-written whole or not at all: every file is staged in a temporary file, one
-at a time, and the staged files replace their paths only once all of them
-are written.
+so each seed's files convert only its own ``z`` columns.  A batch, like
+the file set of ``tensors`` (``atomic_write_texts``), is written whole or
+not at all: every file is staged in a temporary file, one at a time, and
+the staged files replace their paths only once all of them are written.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ __all__ = [
     "fmt",
     "json_array",
     "atomic_write_text",
+    "atomic_write_texts",
     "write_trajectory",
     "trajectory_csv",
     "trajectory_json",
@@ -118,7 +119,8 @@ def _atomic_files():
 
     When the block ends every staged file replaces its path; when it raises,
     no path is replaced and no temporary file is left.  A directory that
-    cannot hold a file raises ``OSError`` naming the path.
+    cannot hold a file raises ``OSError`` naming the path, and a path that is
+    a directory raises ``IsADirectoryError`` before any path is replaced.
     """
     staged = []
 
@@ -137,6 +139,9 @@ def _atomic_files():
 
     try:
         yield stage
+        for _, path in staged:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
@@ -146,9 +151,16 @@ def _atomic_files():
         raise
 
 
+def atomic_write_texts(files: dict):
+    """Write each ``path: text`` of ``files``: all of them, or none when one fails."""
+    with _atomic_files() as stage:
+        for path, text in files.items():
+            with stage(path) as handle:
+                handle.write(text)
+
+
 def atomic_write_text(path: str, text: str):
-    with _atomic_files() as stage, stage(path) as handle:
-        handle.write(text)
+    atomic_write_texts({path: text})
 
 
 def _meta_header(traj, space: str, alpha: str) -> str:
@@ -303,15 +315,12 @@ def write_trajectory(prefix: str, traj, space: str, alpha: str):
     seeds.  A batch writes one file pair per seed, ``prefix_seed<i>``, or
     ``prefix`` when S = 1; its t, frame and velocity columns are converted
     to text once for all of them.  The batch is written whole or not at all:
-    a target that is a directory refuses it before anything is written, and
-    the files replace their paths only once all of them are written.
+    the files replace their paths only once all of them are written, and a
+    target that is a directory refuses the batch before any is replaced.
     """
     z = traj.transported
     seeds = [z] if z is None or z.ndim == 2 else list(np.moveaxis(z, 1, 0))
     paths = [prefix] if len(seeds) == 1 else [f"{prefix}_seed{i}" for i in range(len(seeds))]
-    for target in (path + ext for path in paths for ext in (".csv", ".json")):
-        if os.path.isdir(target):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
     base = _base_blocks(traj) if len(seeds) == 1 else list(_base_blocks(traj))
     with _atomic_files() as stage:
         for path, seed in zip(paths, seeds):

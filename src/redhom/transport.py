@@ -26,9 +26,13 @@ lie in a Lie algebra, so each solution stays on its group up to
 round-off: g in G, h in H and, for a metric alpha, the transport
 propagator in O(g).  Every parallel field along one curve solves the same
 linear ODE, so all seeds transported in one call share one propagator
-sequence.  ``geodesic_convergence`` measures the RK4 order against a run at
-a tenth of the finest step: its truncation error, 1e-4 of the finest run's
-and often below its round-off, is too small to move the order.
+sequence.  Each per-step loop writes into rows allocated once, operation
+by operation in the order of the plain expressions, such as
+``x + h/6 (k1 + 2 k2 + 2 k3 + k4)`` and ``g = g @ inc``.
+``geodesic_convergence`` measures the RK4 order against a run at a tenth
+of the finest step: its truncation error, 1e-4 of the finest run's and
+often below its round-off, is too small to move the order.  It reads only
+each run's end frame, so its runs skip the frame diagnostics.
 
 Every trajectory starts at the identity frame, and a lift at its first
 sample; no initial frame is taken, since it would add nothing.  The
@@ -355,6 +359,22 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     and ``meta["aborted_at"]`` is the time of the first one beyond it.  An
     x0 already beyond the norm raises ``ValueError`` before any step.
     """
+    times, frames, xs, h, aborted_at = _geodesic_run(alpha, x0, t_span, step)
+    meta = {
+        "integrator": "rk4-magnus4",
+        "step": h,
+        "requested_step": step,
+        "alpha": alpha.label,
+        "tainted": not alpha.checked,
+        "blow_up": aborted_at is not None,
+        "aborted_at": aborted_at,
+    }
+    return _diagnosed(alpha.dec, times, frames, xs, meta)
+
+
+def _geodesic_run(alpha, x0, t_span, step):
+    """The undiagnosed core of :func:`geodesic`: (times, frames, xs, step taken,
+    aborted_at), the last None unless the run blew up."""
     times, h = _time_grid(t_span, step)
     dec = alpha.dec
     dec.algebra._require_matrices()
@@ -369,26 +389,14 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     sym = _symmetric_part(alpha)
     if sym is None:
         xs = np.tile(x0, (len(times), 1))
-        frames = _one_parameter_frames(dec, x0, h, len(times) - 1)
-        aborted_at = None
-    else:
-        xs, dxs = _rk4_velocities(-sym, x0, h, len(times) - 1)
-        aborted_at = float(times[len(xs)]) if len(xs) < len(times) else None
-        times = times[: len(xs)]
-        dt = np.full(len(xs) - 1, h)
-        frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs,
-                                _hermite_midpoints(xs, dxs, dt), dt)
-        del dxs                     # not held while the diagnostics run
-    meta = {
-        "integrator": "rk4-magnus4",
-        "step": h,
-        "requested_step": step,
-        "alpha": alpha.label,
-        "tainted": not alpha.checked,
-        "blow_up": aborted_at is not None,
-        "aborted_at": aborted_at,
-    }
-    return _diagnosed(dec, times, frames, xs, meta)
+        return times, _one_parameter_frames(dec, x0, h, len(times) - 1), xs, h, None
+    xs, dxs = _rk4_velocities(-sym, x0, h, len(times) - 1)
+    aborted_at = float(times[len(xs)]) if len(xs) < len(times) else None
+    times = times[: len(xs)]
+    dt = np.full(len(xs) - 1, h)
+    frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs,
+                            _hermite_midpoints(xs, dxs, dt), dt)
+    return times, frames, xs, h, aborted_at
 
 
 def _symmetric_part(alpha: AlphaMap):
@@ -411,29 +419,54 @@ def _rk4_velocities(neg_sym, x0, h, nsteps):
     ``GUARD_BLOCK`` new samples at once, so the steps run past a blow-up to
     the end of its block, where they may overflow; their results are
     dropped with their floating-point warnings.
+
+    On vectors this short the cost of a numpy call is its overhead, so each
+    step writes into buffers allocated once.  The field is two ``np.dot``
+    products, the first with neg_sym flattened to (n*n, n); the stages and
+    the update ``x + h/6 (k1 + 2 k2 + 2 k3 + k4)`` are written operation by
+    operation in the order of those expressions.  At some sizes, n = 9 and
+    15 among those tried, BLAS sums the flattened product in another order
+    than n slabs of n rows, and the field differs from ``neg_sym @ v @ v``
+    in its last bits.
     """
-    xs = np.empty((nsteps + 1, len(x0)))
+    n = len(x0)
+    xs = np.empty((nsteps + 1, n))
     dxs = np.empty_like(xs)
-    half, sixth = 0.5 * h, h / 6.0
-    x = xs[0] = x0
+    flat = neg_sym.reshape(n * n, n)
+    lin = np.empty(n * n)
+    lin2 = lin.reshape(n, n)
+    k2, k3, k4, v, acc = np.empty((5, n))
+    # 0-d arrays: a ufunc converts a Python float operand on every call
+    half, full, two, sixth = (np.array(c) for c in (0.5 * h, h, 2.0, h / 6.0))
+    dot, add, mul = np.dot, np.add, np.multiply
+    xs[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, nsteps, GUARD_BLOCK):
             stop = min(start + GUARD_BLOCK, nsteps)
             for i in range(start, stop):
-                dxs[i] = k1 = neg_sym @ x @ x
-                v = x + half * k1
-                k2 = neg_sym @ v @ v
-                v = x + half * k2
-                k3 = neg_sym @ v @ v
-                v = x + h * k3
-                k4 = neg_sym @ v @ v
-                x = xs[i + 1] = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x, k1 = xs[i], dxs[i]
+                dot(flat, x, lin)
+                dot(lin2, x, k1)
+                add(x, mul(half, k1, v), v)
+                dot(flat, v, lin)
+                dot(lin2, v, k2)
+                add(x, mul(half, k2, v), v)
+                dot(flat, v, lin)
+                dot(lin2, v, k3)
+                add(x, mul(full, k3, v), v)
+                dot(flat, v, lin)
+                dot(lin2, v, k4)
+                add(k1, mul(two, k2, acc), acc)
+                add(acc, mul(two, k3, v), acc)
+                add(acc, k4, acc)
+                add(x, mul(sixth, acc, acc), xs[i + 1])
             # "not <=" also catches a sample that overflowed to nan
             over = ~(np.max(np.abs(xs[start + 1:stop + 1]), axis=1) <= BLOWUP_NORM)
             if over.any():
                 first = start + 1 + int(np.argmax(over))
                 return xs[:first], dxs[:first]
-    dxs[nsteps] = neg_sym @ x @ x
+    dot(flat, xs[nsteps], lin)
+    dot(lin2, xs[nsteps], dxs[nsteps])
     return xs, dxs
 
 
@@ -453,7 +486,7 @@ def _magnus_frames(g0, basis, xs, x_mid, dt):
     transpose the frames back.  Lift and transport are solved this way.
     """
     frames = np.empty((len(xs),) + g0.shape)
-    frames[0] = g = g0
+    frames[0] = g0
     for start in range(0, len(dt), MAGNUS_BLOCK):
         stop = min(start + MAGNUS_BLOCK, len(dt))
         a = np.einsum("sk,kab->sab", xs[start:stop + 1], basis)
@@ -462,8 +495,7 @@ def _magnus_frames(g0, basis, xs, x_mid, dt):
         a0, a1 = a[:-1], a[1:]
         omega = d / 6.0 * (a0 + 4.0 * a_mid + a1) + d * d / 12.0 * (a0 @ a1 - a1 @ a0)
         for i, inc in enumerate(expm(omega), start + 1):
-            g = g @ inc
-            frames[i] = g
+            np.dot(frames[i - 1], inc, frames[i])
     return frames
 
 
@@ -472,9 +504,9 @@ def _one_parameter_frames(dec, x0, h, nsteps):
     d = dec.algebra.matrix_dim
     inc = expm(h * dec.m_matrix(x0))
     frames = np.empty((nsteps + 1, d, d))
-    frames[0] = g = np.eye(d)
+    frames[0] = np.eye(d)
     for i in range(1, nsteps + 1):
-        frames[i] = g = g @ inc
+        np.dot(frames[i - 1], inc, frames[i])
     return frames
 
 
@@ -602,11 +634,11 @@ def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResul
     steps = _order_steps(_time_grid(t_span, float(s))[1] for s in steps)
 
     def end_frame(step):
-        run = geodesic(alpha, x0, t_span, step)
-        if run.meta["blow_up"]:
+        _, frames, _, _, aborted_at = _geodesic_run(alpha, x0, t_span, step)
+        if aborted_at is not None:
             raise ValueError(f"the geodesic at step {step:.6g} blows up at t = "
-                             f"{run.meta['aborted_at']:.6g}; no order can be measured")
-        return run.frames[-1]
+                             f"{aborted_at:.6g}; no order can be measured")
+        return frames[-1]
 
     if _symmetric_part(alpha) is None:
         ref = expm((float(t_span[1]) - float(t_span[0])) * dec.m_matrix(x0))

@@ -352,6 +352,16 @@ def test_a_batch_with_a_directory_target_writes_nothing(tmp_path, capsys):
     assert list((tmp_path / "b").iterdir()) == [blocker]
 
 
+def test_a_tensors_set_with_a_directory_target_writes_nothing(tmp_path, capsys):
+    space = write(tmp_path, "space = stiefel(4,2)\n\n[connection]\nalpha = levi_civita\n")
+    blocker = tmp_path / "t" / "o_curvature.json"
+    blocker.mkdir(parents=True)
+    assert main(["tensors", space, f"--out={tmp_path / 't' / 'o'}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(str(blocker)) in err
+    assert list((tmp_path / "t").iterdir()) == [blocker]
+
+
 def test_torsion_check_reads_the_antisymmetry_tolerance(tmp_path, capsys):
     path = write(tmp_path, "space = stiefel(4,2)\n")
     for args, tol in (([], 1e-12), (["--tol", "antisymmetry=1e-6"], 1e-6)):

@@ -306,8 +306,15 @@ class TestMetricOnM:
             rh.MetricOnM(flat(2), [[1.0, 1.0], [1.0, 1.0]])
 
     def test_nan_gram_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="gram matrix has a non-finite entry"):
             rh.MetricOnM(flat(2), [[1.0, np.nan], [np.nan, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_gram_rejected(self, bad):
+        # inf - inf in an asymmetry check would raise the RuntimeWarning the test
+        # configuration turns into an error, not this ValueError
+        with pytest.raises(ValueError, match="gram matrix has a non-finite entry"):
+            rh.MetricOnM(flat(2), [[1.0, bad], [bad, 1.0]])
 
     def test_gram_of_the_wrong_size_rejected(self, s2dec):
         for gram in (np.eye(3), np.ones(2), np.eye(2)[:, :1]):

@@ -26,12 +26,21 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 
 STIEFEL42_LC = "space = stiefel(4,2)\n\n[connection]\nalpha = levi_civita\n"
+RIGID_BODY_LC = (
+    "[algebra]\nname = rigid-body\ndim = 3\n"
+    "matrix_basis = [0 0 0; 0 0 -1; 0 1 0] [0 0 1; 0 0 0; -1 0 0] [0 -1 0; 1 0 0; 0 0 0]\n\n"
+    "[metric]\ngram = [1 0 0; 0 2 0; 0 0 3]\n\n[connection]\nalpha = levi_civita\n"
+)
 SEEDS = ["--z0=1,0,0,0,0", "--z0=0.2,-0.5,0.3,0.1,-0.4"]
 
 # case -> (definition text, argv with {space}, {out} and {data} filled in per run)
 CASES = {
     "geodesic": (STIEFEL42_LC, [
         "geodesic", "{space}", "--x0=0.3,-0.2,0.5,0.1,0.4", "--t1=0.2", "--step=0.02",
+        "--out={out}/geo"]),
+    # the rigid body's Levi-Civita alpha has a symmetric part, so x takes RK4 steps
+    "geodesic_rk4": (RIGID_BODY_LC, [
+        "geodesic", "{space}", "--x0=0.3,-0.5,0.8", "--t1=0.2", "--step=0.01",
         "--out={out}/geo"]),
     "transport_one_parameter": (STIEFEL42_LC, [
         "transport", "{space}", "--curve=one_parameter:0.4,0.1,-0.3,0.2,0.5", *SEEDS,

@@ -16,8 +16,11 @@ the finest run's error, in 950 RK4 steps on the command line, and must
 end in exit 1 when one of its runs blows up.  Where alpha's
 symmetric part vanishes a geodesic's velocity must stay x0 bit for bit;
 elsewhere the block-guarded RK4 must match a per-step einsum RK4 kept
-here, keep the rigid body's energy and momentum norm, and end a blow-up
-at the sample the per-step guard ends it, with frames still on the group;
+here, on the rigid body and on seeded symmetric forms at n = 5, 6 and 9,
+keep the rigid body's energy and momentum norm, and end a blow-up at the
+sample the per-step guard ends it, with frames still on the group;
+frames written in place must equal the per-step ``g @ inc`` loop bit for
+bit, and convergence runs must skip the frame diagnostics;
 an x0 already over the blow-up norm and non-finite curve samples are
 rejected before any step.  Each quantity is derived once: a constant-velocity
 geodesic is the one-parameter curve bit for bit, built from one exponential;
@@ -319,6 +322,75 @@ def test_rigid_body_geodesic_matches_the_per_step_rk4(rigid_body):
     assert np.max(np.abs(momentum - momentum[0])) <= 3e-11
 
 
+def symmetric_form(n, seed):
+    """A seeded symmetric form on R^n, s[k, i, j] = s[k, j, i], and a direction."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((n, n, n))
+    return 0.5 * (c + np.swapaxes(c, 1, 2)), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n, seed, scale, nsteps, aborted", [
+    (5, 5, 0.1, 100, None),
+    (6, 6, 0.1, 100, None),
+    (9, 9, 0.1, 100, None),
+    (6, 1, 0.3, 400, 297),                          # a blow-up past the fourth guard block
+], ids=["n5", "n6", "n9", "n6-blow-up"])
+def test_rk4_matches_the_per_step_reference_on_symmetric_forms(n, seed, scale, nsteps, aborted):
+    # the field is two flattened products; from n = 9 BLAS blocks them differently from
+    # the per-slab products, so the samples agree to round-off, not bit for bit
+    sym, direction = symmetric_form(n, seed)
+    x0 = scale * direction
+    ref, ref_aborted = rk4_reference(sym, x0, 0.01, nsteps)
+    assert ref_aborted == aborted                   # the case covers what its id says
+    xs, dxs = transport._rk4_velocities(-sym, x0, 0.01, nsteps)
+    assert len(xs) == len(dxs) == len(ref)
+    scale_of_row = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.max(np.abs(xs - ref) / scale_of_row) <= 1e-13
+    field = -np.einsum("kij,mi,mj->mk", sym, xs, xs)
+    assert np.max(np.abs(dxs - field) / np.max(np.abs(field), axis=1, keepdims=True)) <= 1e-13
+
+
+def frames_by_products(g0, incs):
+    """The per-step ``g = g @ inc`` loop that the frame propagators write in place."""
+    frames = [g0]
+    g = g0
+    for inc in incs:
+        g = g @ inc
+        frames.append(g)
+    return np.array(frames)
+
+
+def test_frame_products_match_the_per_step_matmul_loop(stiefel42, rigid_body, monkeypatch,
+                                                       rng):
+    increments = []
+
+    def recorded(a):
+        out = expm(a)
+        increments.append(out)
+        return out
+
+    monkeypatch.setattr(transport, "expm", recorded)
+    nsteps = 2 * transport.MAGNUS_BLOCK + 17        # three blocks of exponentials
+    for dec, basis in ((stiefel42.dec, stiefel42.dec.m_matrices),
+                       (rigid_body.dec, rigid_body.dec.m_matrices),
+                       (stiefel42.dec, np.transpose(
+                           levi_civita_alpha(stiefel42.dec, stiefel42.metric).coeffs,
+                           (1, 2, 0)))):
+        times = np.linspace(0.0, 1.0, nsteps + 1)
+        xs = np.sin(np.outer(times, rng.uniform(1.0, 3.0, dec.N)) + rng.uniform(0, 1, dec.N))
+        g0 = np.eye(basis.shape[1])
+        increments.clear()
+        frames = transport._magnus_frames(g0, basis, xs, 0.5 * (xs[:-1] + xs[1:]),
+                                          np.diff(times))
+        assert np.array_equal(frames, frames_by_products(g0, np.concatenate(increments)))
+
+        increments.clear()
+        frames = transport._one_parameter_frames(dec, xs[0], 0.01, nsteps)
+        assert len(increments) == 1
+        assert np.array_equal(frames, frames_by_products(np.eye(dec.algebra.matrix_dim),
+                                                         [increments[0]] * nsteps))
+
+
 def riccati_alpha():
     """x_1' = x_1^2 on so(3) as a group: x_1 = a / (1 - a t) blows up at t = 1/a."""
     coeffs = np.zeros((3, 3, 3))
@@ -457,6 +529,17 @@ def test_convergence_reference_is_accurate_beyond_the_finest_run(rigid_body):
     for step, error in zip(result.steps, result.errors):
         exact = float(np.max(np.abs(geodesic(alpha, x0, t_span, step).frames[-1] - truth)))
         assert abs(error - exact) <= 2e-4 * finest, step
+
+
+def test_convergence_runs_are_the_geodesic_runs_undiagnosed(rigid_body, monkeypatch):
+    alpha = levi_civita_alpha(rigid_body.dec, rigid_body.metric)
+    x0, t_span, steps = [0.3, -0.5, 0.8], (0.0, 0.5), [0.1, 0.05, 0.025]
+    ref = geodesic(alpha, x0, t_span, 0.025 / transport.FINE_FACTOR).frames[-1]
+    errors = [float(np.max(np.abs(geodesic(alpha, x0, t_span, s).frames[-1] - ref)))
+              for s in steps]
+    diagnosed = count_calls(monkeypatch, transport, "frame_diagnostics")
+    assert geodesic_convergence(alpha, x0, t_span, steps).errors == errors
+    assert diagnosed == []
 
 
 def test_convergence_takes_950_rk4_steps(tmp_path, monkeypatch):
