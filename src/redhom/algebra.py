@@ -3,11 +3,11 @@
 A Lie algebra is stored through its structure constants ``c[k, i, j]``,
 meaning ``[xi_i, xi_j] = sum_k c[k, i, j] xi_k`` in a fixed basis
 ``xi_1, ..., xi_n``.  Optionally the basis carries a matrix realization,
-which unlocks the group-level operations: the matrix exponential and the
-adjoint representation ``Ad_g``.  A realized algebra caches the Frobenius
-dual of its basis, and that dual basis is the one place where matrices
-become coordinates: the structure constants when only matrices are given,
-Ad_g, and every expansion through :func:`expand_in_matrix_basis`.
+which unlocks the adjoint representation ``Ad_g`` of group elements.  A
+realized algebra caches the Frobenius dual of its basis, and that dual
+basis is the one place where matrices become coordinates: the structure
+constants when only matrices are given, Ad_g, and every expansion through
+:func:`expand_in_matrix_basis`.
 
 All objects are immutable after construction; every operation is a pure
 function, so instances can be shared freely across threads.
@@ -91,17 +91,12 @@ def expand_in_matrix_basis(algebra: "StructuredLieAlgebra", targets: np.ndarray)
     return coeffs, np.max(np.abs(resid), axis=(-2, -1)) / scale
 
 
-def _check_vector(coords, dim: int) -> np.ndarray:
-    v = np.asarray(coords, dtype=float)
-    if v.shape != (dim,):
-        raise ValueError(f"expected coefficient vector of length {dim}, got shape {v.shape}")
-    return v
-
-
 class StructuredLieAlgebra:
     """A Lie algebra given by structure constants, optionally matrix-realized.
 
-    With a matrix basis the structure constants may be omitted
+    It holds validated tables, not per-vector operations: callers contract
+    ``structure_constants`` for brackets, and ``adjoint_Ad`` needs the
+    realization.  With a matrix basis the structure constants may be omitted
     (``None``): they are then read off the basis commutators through the
     Frobenius dual basis ``(B B^T)^-1 B``, which the algebra caches as
     ``dual_basis`` and :func:`expand_in_matrix_basis` uses for every
@@ -187,32 +182,6 @@ class StructuredLieAlgebra:
         for arr in (self.structure_constants, self.matrix_basis, self.dual_basis):
             if arr is not None:
                 arr.setflags(write=False)
-
-    # -- algebra-level operations -------------------------------------------------
-
-    def bracket(self, a, b) -> np.ndarray:
-        """Lie bracket [a, b] in basis coordinates."""
-        a = _check_vector(a, self.dim)
-        b = _check_vector(b, self.dim)
-        return np.einsum("kij,i,j->k", self.structure_constants, a, b)
-
-    def ad(self, a) -> np.ndarray:
-        """Matrix of ad_a = [a, .] acting on coordinate vectors."""
-        a = _check_vector(a, self.dim)
-        return np.einsum("kij,i->kj", self.structure_constants, a)
-
-    def matrix(self, a) -> np.ndarray:
-        """Matrix realization of a coordinate vector."""
-        self._require_matrices()
-        a = _check_vector(a, self.dim)
-        return np.einsum("i,iab->ab", a, self.matrix_basis)
-
-    # -- group-level operations ---------------------------------------------------
-
-    def group_exp(self, a, t: float = 1.0) -> "GroupElement":
-        """Group element exp(t a) from the matrix exponential."""
-        self._require_matrices()
-        return GroupElement(expm(float(t) * self.matrix(a)), self)
 
     def adjoint_Ad(self, g: "GroupElement",
                    residual_tol: float = DEFAULT_TOLERANCES["basis_residual"]) -> np.ndarray:

@@ -17,8 +17,9 @@ batch with one such file writes none of its seeds' files);
 2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
 non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
 ``--z0`` or a ``one_parameter:`` curve, a ``group_file:`` or
-``velocity_file:`` sample file that holds no data rows or a non-finite cell
-(the error names the file, and the first such data row), and an algebra or a
+``velocity_file:`` sample file that holds fewer than two data rows, a
+non-finite cell or a time that does not exceed the previous row's (the
+error names the file, and the first such data row), and an algebra or a
 requested alpha failing its gate at the ``--tol`` values (``--force``
 builds such an alpha anyway, tainted).  The ``group_drift`` gate covers
 every algebra whose matrix basis is skew, from the catalog or a definition
@@ -222,6 +223,14 @@ def _read_samples(path: str):
     if bad.any():
         raise DefFileError(f"sample file {path}: data row {int(np.argmax(bad)) + 1} holds a "
                            "non-finite value")
+    if len(raw) < 2:
+        raise DefFileError(f"sample file {path}: data row 1 is the only one; "
+                           "a curve needs at least two")
+    stalled = np.diff(raw[:, 0]) <= 0
+    if stalled.any():
+        k = int(np.argmax(stalled)) + 2
+        raise DefFileError(f"sample file {path}: data row {k} has time {float(raw[k - 1, 0])}, "
+                           f"not after row {k - 1}'s {float(raw[k - 2, 0])}")
     return raw[:, 0], raw[:, 1:]
 
 

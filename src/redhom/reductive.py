@@ -1,4 +1,4 @@
-"""Reductive decompositions g = h (+) m with projections and invariance checks.
+"""Reductive decompositions g = h (+) m, their bracket tables and invariance checks.
 
 The decomposition is encoded by coefficient bases of the subalgebra h and
 the complement m inside an ambient :class:`~redhom.algebra.StructuredLieAlgebra`.
@@ -7,6 +7,8 @@ infinitesimal form of stability of m under the isotropy action).  Stability
 under disconnected parts of the isotropy group cannot be certified from h
 alone; callers may supply discrete generators, which are then spot-checked,
 and reports state that otherwise only the identity component was verified.
+The projections onto h and m exist only inside :func:`build_decomposition`,
+for its gates; a decomposition keeps the bracket tables every computation reads.
 
 The isotropy checks act with stacks of endomorphisms of m: the action L of
 each h-basis direction (the derivation condition) and the sampled group
@@ -90,25 +92,23 @@ class MetricOnM:
 
 
 class ReductiveDecomposition:
-    """Validated splitting g = h (+) m with projections and cached contractions.
+    """Validated splitting g = h (+) m with its cached bracket tables.
 
     Not constructed directly; use :func:`build_decomposition`,
     :func:`symmetric_decomposition` or :func:`normal_decomposition`.
+    Its tables are ``m_bracket_tensor`` ([m, m]_m) and ``h_action`` (h on m).
     ``reports`` holds the residuals :func:`build_decomposition` gated on.
     """
 
-    def __init__(self, algebra, h_basis, m_basis, pr_h, pr_m, h_generators,
-                 generator_actions, cob, cob_inv, reports):
+    def __init__(self, algebra, h_basis, m_basis, h_generators, generator_actions,
+                 cob_inv, reports):
         self.algebra = algebra
         self.h_basis = h_basis            # (q, n) rows = coordinate vectors
         self.m_basis = m_basis            # (N, n)
-        self.pr_h = pr_h                  # (n, n)
-        self.pr_m = pr_m
         self.h_generators = h_generators  # tuple of GroupElement or ()
         self._generator_actions = generator_actions   # Ad of each generator restricted to m
         self.reports = tuple(reports)
-        self._cob = cob                   # columns: h basis then m basis
-        self._cob_inv = cob_inv
+        self._cob_inv = cob_inv           # inverse of the matrix with columns h basis, m basis
         self.q = h_basis.shape[0]
         self.N = m_basis.shape[0]
 
@@ -140,22 +140,10 @@ class ReductiveDecomposition:
             self.m_matrices = None
             self.h_matrices = None
 
-        for arr in (self.h_basis, self.m_basis, self.pr_h, self.pr_m,
-                    self.m_bracket_tensor):
+        for arr in (self.h_basis, self.m_basis, self.m_bracket_tensor):
             arr.setflags(write=False)
 
     # -- coordinate plumbing ------------------------------------------------------
-
-    def m_coords(self, v) -> np.ndarray:
-        """m-coordinates (w.r.t. the A-basis) of an ambient coordinate vector."""
-        return (self._cob_inv @ np.asarray(v, dtype=float))[self.q:]
-
-    def m_embed(self, x) -> np.ndarray:
-        """Ambient coordinates of an m-vector given in the A-basis."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.N,):
-            raise ValueError(f"expected m-coordinates of length {self.N}, got shape {x.shape}")
-        return self.m_basis.T @ x
 
     def split_matrices(self, mats):
         """h- and m-coordinates of a stack of (M, d, d) algebra matrices.
@@ -169,45 +157,11 @@ class ReductiveDecomposition:
         split = self._cob_inv @ coords.T
         return split[: self.q].T, split[self.q:].T, resid
 
-    def project_m(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.algebra.dim,):
-            raise ValueError(f"expected ambient vector of length {self.algebra.dim}")
-        return self.pr_m @ v
-
-    def project_h(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.algebra.dim,):
-            raise ValueError(f"expected ambient vector of length {self.algebra.dim}")
-        return self.pr_h @ v
-
-    def bracket_m(self, x, y) -> np.ndarray:
-        """[X, Y]_m in m-coordinates for X, Y given in m-coordinates."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.einsum("kij,i,j->k", self.m_bracket_tensor, x, y)
-
-    def ad_m_matrix(self, x) -> np.ndarray:
-        """Matrix of Y -> [X, Y]_m on m-coordinates."""
-        x = np.asarray(x, dtype=float)
-        return np.einsum("kij,i->kj", self.m_bracket_tensor, x)
-
     def m_matrix(self, x) -> np.ndarray:
         """Matrix realization of an m-vector (requires a realized algebra)."""
         if self.m_matrices is None:
             self.algebra._require_matrices()
         return np.einsum("i,ibc->bc", np.asarray(x, dtype=float), self.m_matrices)
-
-    def restrict_to_m(self, op: np.ndarray):
-        """Restrict an ambient-coordinates linear map to m.
-
-        Returns the (N, N) block in the A-basis together with the leak, the
-        largest h-component the map produces out of m.
-        """
-        s = self._cob_inv @ np.asarray(op, dtype=float) @ self._cob
-        block = s[self.q:, self.q:]
-        leak = float(np.max(np.abs(s[: self.q, self.q:]))) if self.q and self.N else 0.0
-        return block, leak
 
     @cached_property
     def isotropy_samples(self) -> tuple:
@@ -238,12 +192,6 @@ class ReductiveDecomposition:
         leak = np.tensordot(self._h_m_bracket[: self.q], self._m_pair_bracket_h, (1, 0))
         return float(np.max(np.abs(leak), initial=0.0))
 
-    def symmetric_pair_residual(self) -> float:
-        """Largest m-component of [m, m]; zero characterizes symmetric pairs."""
-        if self.N == 0:
-            return 0.0
-        return float(np.max(np.abs(self.m_bracket_tensor)))
-
     def __repr__(self):
         return (
             f"ReductiveDecomposition({self.algebra.name!r}, "
@@ -253,7 +201,7 @@ class ReductiveDecomposition:
 
 def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
                         h_generators=None, tolerances=None) -> ReductiveDecomposition:
-    """Validate bases of h and m and assemble the projections.
+    """Validate bases of h and m and assemble the decomposition.
 
     Raises :class:`DecompositionError` when the sum is not direct, h is not
     a subalgebra, or some [eta, X] leaks out of m (the worst pair and its
@@ -336,8 +284,8 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
         reports.append(CheckReport.from_residual(
             "generator_stability", worst, tols["generator_stability"]))
 
-    return ReductiveDecomposition(algebra, h, m, pr_h, pr_m, tuple(gens), tuple(actions),
-                                  cob, cob_inv, reports)
+    return ReductiveDecomposition(algebra, h, m, tuple(gens), tuple(actions), cob_inv,
+                                  reports)
 
 
 def _worst_leak(projector, brackets, upper=False):
@@ -396,7 +344,8 @@ def symmetric_decomposition(algebra: StructuredLieAlgebra, sigma,
         )
     tols = resolve_tolerances(tolerances)
     dec = build_decomposition(algebra, h, m, tolerances=tols)
-    resid = dec.symmetric_pair_residual()
+    # largest m-component of [m, m]; zero characterizes symmetric pairs
+    resid = float(np.max(np.abs(dec.m_bracket_tensor), initial=0.0))
     if resid > tols["subalgebra"]:
         raise DecompositionError(
             f"eigenspace split fails [m, m] in h by {resid:.3e}"

@@ -276,6 +276,24 @@ def test_curve_file_with_a_non_finite_cell_is_a_definition_error(tmp_path, capsy
     assert not list(tmp_path.glob("o*"))
 
 
+@pytest.mark.parametrize("kind, width", [("group_file", 9), ("velocity_file", 2)])
+@pytest.mark.parametrize("times, message", [
+    ([0.0], "data row 1 is the only one; a curve needs at least two"),
+    ([0.0, 0.1, 0.1, 0.3], "data row 3 has time 0.1, not after row 2's 0.1"),
+    ([0.0, 0.2, 0.1], "data row 3 has time 0.1, not after row 2's 0.2")],
+    ids=["one-row", "repeated", "decreasing"])
+def test_curve_file_whose_times_do_not_increase_is_a_definition_error(
+        tmp_path, capsys, kind, width, times, message):
+    samples = tmp_path / "curve.csv"
+    samples.write_text("# t, sample\n" + "".join(
+        ",".join(map(str, [t, *np.eye(3).ravel()][:1 + width])) + "\n" for t in times))
+    path = write(tmp_path, "space = sphere2\n\n[connection]\nalpha = levi_civita\n")
+    assert main(["transport", path, f"--curve={kind}:{samples}", "--z0=1,0",
+                 f"--out={tmp_path / 'o'}"]) == 2
+    assert capsys.readouterr().err == f"definition error: sample file {samples}: {message}\n"
+    assert not list(tmp_path.glob("o*"))
+
+
 @pytest.mark.parametrize("kind", ["group_file", "velocity_file"])
 @pytest.mark.parametrize("text", ["", "# t, sample\n\n"], ids=["empty", "comments-only"])
 def test_curve_file_without_data_rows_is_a_definition_error(tmp_path, capsys, kind, text):
@@ -371,14 +389,29 @@ def test_torsion_check_reads_the_antisymmetry_tolerance(tmp_path, capsys):
         assert entry["tolerance"] == tol and entry["max_residual"] == 0.0
 
 
-def test_tensors_gate_on_the_battery_once(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["geodesic", "--x0=0.4,0.1,-0.3,0.2,0.5", "--t1=1", "--step=0.1"],
+    ["transport", "--curve=one_parameter:0.4,0.1,-0.3,0.2,0.5", "--z0=1,0,0,0,0", "--t1=1",
+     "--step=0.1"],
+    ["tensors"],
+    ["convergence", "--x0=0.4,0.1,-0.3,0.2,0.5", "--t1=0.5", "--steps=0.1,0.05,0.025"]],
+    ids=lambda argv: argv[0])
+def test_commands_gate_on_the_battery_once(tmp_path, capsys, argv):
     path = write(tmp_path, "space = stiefel(4,2)\n")
-    out = str(tmp_path / "t")
-    assert main(["tensors", path, f"--out={out}", "--tol", "metric_invariance=1e-20"]) == 1
+    command = [argv[0], path, f"--out={tmp_path / 't'}", *argv[1:]]
+    assert main(command + ["--tol", "metric_invariance=1e-20"]) == 1
     assert "mandatory checks failed" in capsys.readouterr().err
-    assert not (tmp_path / "t_curvature.json").exists()
-    assert main(["tensors", path, f"--out={out}"]) == 0
-    assert (tmp_path / "t_curvature.json").exists()
+    # the failed battery is reported, and nothing is integrated or written beside it
+    assert [p.name for p in tmp_path.glob("t*")] == ["t.report.json"]
+    assert main(command) == 0
+    assert len(list(tmp_path.glob("t*"))) > 1
+
+
+def test_out_defaults_to_redhom_out(tmp_path, monkeypatch):
+    path = write(tmp_path, "space = stiefel(4,2)\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["tensors", path]) == 0
+    assert (tmp_path / "redhom_out_torsion.json").exists()
 
 
 def test_check_on_a_named_space_computes_each_residual_once(tmp_path, capsys, monkeypatch):
@@ -586,15 +619,24 @@ def test_malformed_input_ends_in_a_located_definition_error(tmp_path, capsys, te
     assert not list(tmp_path.glob("o*"))
 
 
-def test_convergence_out_writes_its_result(tmp_path, capsys):
+@pytest.mark.parametrize("space, text, x0", [
+    ("rigid-body", RIGID_BODY_LC, "0.3,-0.5,0.8"),
+    ("stiefel(4,2)", "space = stiefel(4,2)\n\n[connection]\nalpha = levi_civita\n",
+     "0.4,0.1,-0.3,0.2,0.5")], ids=["rigid-body", "stiefel(4,2)"])
+def test_convergence_out_writes_its_result(tmp_path, capsys, space, text, x0):
     out = tmp_path / "conv"
-    assert main(["convergence", write(tmp_path, RIGID_BODY_LC), "--x0=0.3,-0.5,0.8", "--t1=0.5",
+    assert main(["convergence", write(tmp_path, text), f"--x0={x0}", "--t1=0.5",
                  "--steps=0.1,0.05,0.025", f"--out={out}"]) == 0
     printed = capsys.readouterr().out
     result = json.loads(out.with_suffix(".json").read_text())
     assert sorted(result) == ["errors", "exact", "slope", "space", "steps"]
-    assert result["steps"] == [0.1, 0.05, 0.025] and result["space"] == "rigid-body"
+    assert result["steps"] == [0.1, 0.05, 0.025] and result["space"] == space
+    assert len(result["errors"]) == 3
+    if space == "stiefel(4,2)":
+        # a Levi-Civita alpha with no symmetric part: the reference is expm(T mat(x0))
+        assert result["exact"] is True and result["slope"] is None
+        assert "convergence: exact" in printed
+        return
     assert result["exact"] is False and f"measured order {result['slope']:.3f}" in printed
-    assert len(result["errors"]) == 3 and result["errors"][0] > result["errors"][1] > \
-        result["errors"][2] > 0
+    assert result["errors"][0] > result["errors"][1] > result["errors"][2] > 0
     assert 3.5 < result["slope"] < 4.5

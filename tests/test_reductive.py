@@ -9,6 +9,7 @@ import redhom as rh
 from redhom import reductive
 from redhom.algebra import expm
 from redhom.reductive import _FINITE_SAMPLE_TIMES, DecompositionError
+from conftest import ad_matrix, commutator_coords, group_exp, hm_coords, m_bracket, restrict_to_m
 from test_catalog import SPACES
 
 E1, E2, E3 = np.eye(3)
@@ -28,8 +29,8 @@ class TestBuildDecomposition:
     def test_sphere_split_is_valid(self, so3):
         dec = rh.build_decomposition(so3, [E3], [E1, E2])
         # bracket-table oracle: [E3, E1] = E2 and [E3, E2] = -E1 stay in m
-        assert np.allclose(so3.bracket(E3, E1), E2, atol=1e-14)
-        assert np.allclose(so3.bracket(E3, E2), -E1, atol=1e-14)
+        assert np.allclose(commutator_coords(so3, E3, E1), E2, atol=1e-14)
+        assert np.allclose(commutator_coords(so3, E3, E2), -E1, atol=1e-14)
         assert dec.q == 1 and dec.N == 2
 
     def test_reductivity_violation_reported_with_leak(self, so3):
@@ -50,8 +51,9 @@ class TestBuildDecomposition:
 
     def test_trivial_subgroup(self, so3):
         dec = rh.build_decomposition(so3, [], np.eye(3))
-        assert np.array_equal(dec.pr_m, np.eye(3))
         assert dec.q == 0
+        assert dec.reports[0].check == "projection_identities"
+        assert dec.reports[0].max_residual == 0.0
 
     def test_generator_stability(self, so3):
         flip = np.diag([-1.0, -1.0, 1.0])  # stabilizes span(E1, E2)
@@ -62,47 +64,46 @@ class TestBuildDecomposition:
             rh.build_decomposition(so3, [E3], [E1, E2], h_generators=[swap])
 
 
-class TestProjections:
-    def test_basis_split(self, s2dec):
-        assert np.allclose(s2dec.project_m(E1 + 2 * E3), E1, atol=1e-14)
-        assert np.allclose(s2dec.project_h(E1 + 2 * E3), 2 * E3, atol=1e-14)
+class TestSplitMatrices:
+    def test_basis_split(self, s2dec, so3):
+        h, m, resid = s2dec.split_matrices(np.tensordot(E1 + 2 * E3, so3.matrix_basis, 1)[None])
+        assert np.allclose(h, [[2.0]], atol=1e-14) and np.allclose(m, [[1.0, 0.0]], atol=1e-14)
+        assert resid[0] <= 1e-15
 
-    def test_h_after_m_is_zero(self, s2dec, rng):
-        v = rng.standard_normal(3)
-        assert np.allclose(s2dec.project_h(s2dec.project_m(v)), 0.0, atol=1e-14)
-
-    def test_sum_reconstructs_50_random_vectors(self, s2dec, rng):
-        for _ in range(50):
-            v = rng.standard_normal(3)
-            err = np.max(np.abs(s2dec.project_m(v) + s2dec.project_h(v) - v))
-            assert err <= 1e-14
-
-    def test_dimension_mismatch(self, s2dec):
-        with pytest.raises(ValueError):
-            s2dec.project_m([1.0, 0.0])
+    def test_sum_reconstructs_50_random_vectors(self, s2dec, so3, rng):
+        v = rng.standard_normal((50, 3))
+        h, m, _ = s2dec.split_matrices(np.tensordot(v, so3.matrix_basis, 1))
+        assert np.max(np.abs(h @ s2dec.h_basis + m @ s2dec.m_basis - v)) <= 1e-14
+        assert np.max(np.abs(np.concatenate([h, m], 1) - hm_coords(s2dec, v.T).T)) <= 1e-14
 
     def test_coordinate_roundtrip(self, s2dec, rng):
         x = rng.standard_normal(2)
-        assert np.allclose(s2dec.m_coords(s2dec.m_embed(x)), x, atol=1e-14)
+        h, m, _ = s2dec.split_matrices(s2dec.m_matrix(x)[None])
+        assert np.allclose(h, 0.0, atol=1e-14) and np.allclose(m[0], x, atol=1e-14)
 
 
 class TestBracketM:
-    def test_sphere_pair_lands_in_h(self, s2dec, so3):
-        # oracle: project the full bracket, then read m-coordinates
-        full = so3.bracket(E1, E2)
-        want = s2dec.m_coords(s2dec.project_m(full))
-        got = s2dec.bracket_m([1.0, 0.0], [0.0, 1.0])
-        assert np.allclose(got, want, atol=1e-14)
+    def test_sphere_pair_lands_in_h(self, s2dec):
+        got = s2dec.m_bracket_tensor[:, 0, 1]
+        assert np.allclose(got, m_bracket(s2dec, *np.eye(2)), atol=1e-14)
         assert np.allclose(got, 0.0, atol=1e-14)
 
-    def test_self_bracket_zero(self, s2dec, rng):
-        x = rng.standard_normal(2)
-        assert np.allclose(s2dec.bracket_m(x, x), 0.0, atol=1e-14)
-
-    def test_trivial_subgroup_gives_full_bracket(self, so3, rng):
+    def test_trivial_subgroup_gives_full_bracket(self, so3):
         dec = rh.build_decomposition(so3, [], np.eye(3))
-        a, b = rng.standard_normal((2, 3))
-        assert np.allclose(dec.bracket_m(a, b), so3.bracket(a, b), atol=1e-13)
+        assert np.allclose(dec.m_bracket_tensor, so3.structure_constants, atol=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_tables_are_the_commutators_in_the_h_m_basis(self, name):
+        """[A_i, A_j]_m and the action [eta_r, A_l] of h on m, against the
+        commutator oracle expanded in the public bases."""
+        dec = SPACES[name]().dec
+        eye = np.eye(dec.N)
+        brackets = np.array([[m_bracket(dec, x, y) for y in eye] for x in eye])
+        assert np.max(np.abs(dec.m_bracket_tensor - brackets.transpose(2, 0, 1)),
+                      initial=0.0) <= 1e-13
+        for eta, act in zip(dec.h_basis, dec.h_action):
+            full = [hm_coords(dec, commutator_coords(dec.algebra, eta, a)) for a in dec.m_basis]
+            assert np.max(np.abs(act - np.transpose(full)[dec.q:]), initial=0.0) <= 1e-13
 
     def test_m_bracket_tensor_exactly_antisymmetric(self, stiefel42, grassmann42):
         for bundle in (stiefel42, grassmann42):
@@ -192,8 +193,8 @@ class TestBilinearInvarianceCheck:
         witnesses, ops = dec.isotropy_samples
         assert len(ops) == len(witnesses) == dec.q * len(_FINITE_SAMPLE_TIMES)
         for w, op in zip(witnesses, ops):
-            ad = dec.algebra.ad(dec.h_basis[w["h_index"]])
-            full, leak = dec.restrict_to_m(expm(w["t"] * ad))
+            ad = ad_matrix(dec.algebra, dec.h_basis[w["h_index"]])
+            full, leak = restrict_to_m(dec, expm(w["t"] * ad))
             assert leak <= 1e-14
             assert np.max(np.abs(op - full), initial=0.0) <= 1e-14
 
@@ -232,11 +233,11 @@ class TestSymmetricDecomposition:
     def test_three_bracket_inclusions(self, so3, grassmann42):
         dec = rh.symmetric_decomposition(so3, np.diag([1.0, -1.0, -1.0]))
         for d in (dec, grassmann42.dec):
-            assert d.symmetric_pair_residual() <= 1e-10
+            assert np.max(np.abs(d.m_bracket_tensor)) <= 1e-10
             for r in range(d.q):
                 for i in range(d.N):
-                    br = d.algebra.bracket(d.h_basis[r], d.m_basis[i])
-                    assert np.max(np.abs(d.project_h(br))) <= 1e-10
+                    br = commutator_coords(d.algebra, d.h_basis[r], d.m_basis[i])
+                    assert np.max(np.abs(hm_coords(d, br)[: d.q])) <= 1e-10
 
     def test_identity_involution_degenerate(self, so3):
         with pytest.warns(UserWarning, match="m = \\{0\\}"):
@@ -286,8 +287,8 @@ class TestIsotropyRestriction:
             dec, alg = bundle.dec, bundle.dec.algebra
             for r in range(dec.q):
                 for t in (0.3, 0.9):
-                    g = alg.group_exp(dec.h_basis[r], t)
-                    _, leak = dec.restrict_to_m(alg.adjoint_Ad(g))
+                    g = group_exp(alg, dec.h_basis[r], t)
+                    _, leak = restrict_to_m(dec, alg.adjoint_Ad(g))
                     assert leak <= 1e-9
 
 
