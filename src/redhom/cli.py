@@ -10,17 +10,19 @@ or a geodesic drifting past ``group_drift`` (its artifacts are still written),
 finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows or
 whose time grid is too large to allocate, an ``--x0`` with a coordinate of
 magnitude over the blow-up norm (no step is taken), an ``--x0``,
-``--z0`` or ``one_parameter:`` vector whose length is not dim m, and an
-``--out`` file that cannot be written, as in a missing directory (the
-error names the path; no temporary file is left behind; a ``transport``
-batch with one such file writes none of its seeds' files);
+``--z0`` or ``one_parameter:`` vector whose length is not dim m, a
+``group_file:`` or ``velocity_file:`` curve on an algebra without a matrix
+basis, and an ``--out`` file that cannot be written, as in a missing
+directory (the error names the path; no temporary file is left behind; a
+``transport`` batch with one such file writes none of its seeds' files);
 2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
 non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
 ``--z0`` or a ``one_parameter:`` curve, a ``group_file:`` or
-``velocity_file:`` sample file that holds fewer than two data rows, a
-non-finite cell or a time that does not exceed the previous row's (the
-error names the file, and the first such data row), and an algebra or a
-requested alpha failing its gate at the ``--tol`` values (``--force``
+``velocity_file:`` sample file that holds fewer than two data rows, rows
+not 1 + d*d (group) or 1 + dim m (velocity) values wide, a non-finite cell
+or a time that does not exceed the previous row's (the error names the
+file, and the first such data row), and an algebra or a requested alpha
+failing its gate at the ``--tol`` values (``--force``
 builds such an alpha anyway, tainted).  The ``group_drift`` gate covers
 every algebra whose matrix basis is skew, from the catalog or a definition
 file, since its group lies in O(d).  Output files are written atomically and
@@ -194,20 +196,19 @@ def _parse_curve(args, dec) -> CurveSpec:
             raise DefFileError(f"--curve one_parameter: {exc}") from None
         return CurveSpec.one_parameter(x0, (args.t0, args.t1))
     if spec.startswith("velocity_file:"):
-        times, rows = _read_samples(spec.split(":", 1)[1])
+        times, rows = _read_samples(spec.split(":", 1)[1], "velocity", dec.N, "coordinates")
         return CurveSpec.velocity_samples(times, rows)
     if spec.startswith("group_file:"):
-        times, rows = _read_samples(spec.split(":", 1)[1])
+        dec.algebra._require_matrices()
         d = dec.algebra.matrix_dim
-        if rows.shape[1] != d * d:
-            raise DefFileError(
-                f"group sample rows must hold {d * d} matrix entries, got {rows.shape[1]}")
+        times, rows = _read_samples(spec.split(":", 1)[1], "group", d * d, "matrix entries")
         return CurveSpec.group_samples(times, rows.reshape(-1, d, d))
     raise DefFileError(
         "--curve must be one_parameter:<coords>, velocity_file:<path> or group_file:<path>")
 
 
-def _read_samples(path: str):
+def _read_samples(path: str, kind: str, width: int, entries: str):
+    """Times and rows of a ``kind`` sample file: each row a time and ``width`` ``entries``."""
     try:
         with warnings.catch_warnings():
             # an empty file is refused below, by name
@@ -219,6 +220,9 @@ def _read_samples(path: str):
         raise DefFileError(f"malformed sample file {path}: {exc}") from exc
     if not raw.size:
         raise DefFileError(f"sample file {path} holds no data rows")
+    if raw.shape[1] != 1 + width:
+        raise DefFileError(f"sample file {path}: {kind} sample rows must hold {width} {entries}, "
+                           f"got {raw.shape[1] - 1}")
     bad = ~np.isfinite(raw).all(axis=1)
     if bad.any():
         raise DefFileError(f"sample file {path}: data row {int(np.argmax(bad)) + 1} holds a "

@@ -7,8 +7,9 @@ infinitesimal form of stability of m under the isotropy action).  Stability
 under disconnected parts of the isotropy group cannot be certified from h
 alone; callers may supply discrete generators, which are then spot-checked,
 and reports state that otherwise only the identity component was verified.
-The projections onto h and m exist only inside :func:`build_decomposition`,
-for its gates; a decomposition keeps the bracket tables every computation reads.
+No projector is formed: :func:`build_decomposition` contracts the structure
+constants with the (h, m) change of basis once, and every gate and table is
+a slice of that one array, so all leaks are measured in (h, m)-coordinates.
 
 The isotropy checks act with stacks of endomorphisms of m: the action L of
 each h-basis direction (the derivation condition) and the sampled group
@@ -96,12 +97,14 @@ class ReductiveDecomposition:
 
     Not constructed directly; use :func:`build_decomposition`,
     :func:`symmetric_decomposition` or :func:`normal_decomposition`.
-    Its tables are ``m_bracket_tensor`` ([m, m]_m) and ``h_action`` (h on m).
-    ``reports`` holds the residuals :func:`build_decomposition` gated on.
+    Its tables are ``m_bracket_tensor`` ([m, m]_m) and ``h_action`` (h on m),
+    with ``_m_pair_bracket_h`` ([m, m]_h) and ``_h_m_bracket`` ([h, m]), all
+    read-only and in (h, m)-coordinates.  ``reports`` holds the residuals
+    :func:`build_decomposition` gated on.
     """
 
     def __init__(self, algebra, h_basis, m_basis, h_generators, generator_actions,
-                 cob_inv, reports):
+                 cob_inv, h_m_bracket, m_pair_bracket, reports):
         self.algebra = algebra
         self.h_basis = h_basis            # (q, n) rows = coordinate vectors
         self.m_basis = m_basis            # (N, n)
@@ -112,26 +115,18 @@ class ReductiveDecomposition:
         self.q = h_basis.shape[0]
         self.N = m_basis.shape[0]
 
-        # c_m[k, a, j]: ambient coordinates of [xi_a, A_j]
-        c_m = algebra.structure_constants @ m_basis.T
-        # ambient coordinates of [A_i, A_j] for the m-basis
-        coords = cob_inv @ (m_basis @ c_m).reshape(algebra.dim, -1)
-        coords = coords.reshape(algebra.dim, self.N, self.N)
-        bm = coords[self.q:]
+        self._h_m_bracket = h_m_bracket                # (q+N, q, N): coords of [eta_r, A_l]
+        self._m_pair_bracket_h = m_pair_bracket[: self.q]   # (q, N, N): [A_i, A_j]_h
         # enforce exact antisymmetry of the m-bracket table: i<j entries are
         # authoritative, the mirror is their exact negation
+        bm = m_pair_bracket[self.q:]
         iu = np.triu_indices(self.N, 1)
         exact = np.zeros_like(bm)
         exact[:, iu[0], iu[1]] = bm[:, iu[0], iu[1]]
         exact[:, iu[1], iu[0]] = -bm[:, iu[0], iu[1]]
         self.m_bracket_tensor = exact     # (N, N, N): coords of [A_i, A_j]_m
-        self._m_pair_bracket_h = coords[: self.q]
-
         # action of each h-basis vector on m: L[r][k, l] = m-coords of [eta_r, A_l]
-        act = h_basis @ c_m
-        act = (cob_inv @ act.reshape(algebra.dim, -1)).reshape(algebra.dim, self.q, self.N)
-        self._h_m_bracket = act           # (q+N, q, N): coords of [eta_r, A_l]
-        self.h_action = np.ascontiguousarray(np.swapaxes(act[self.q:], 0, 1))  # (q, N, N)
+        self.h_action = np.ascontiguousarray(np.swapaxes(h_m_bracket[self.q:], 0, 1))
 
         if algebra.matrix_basis is not None:
             self.m_matrices = np.tensordot(m_basis, algebra.matrix_basis, 1)
@@ -140,7 +135,7 @@ class ReductiveDecomposition:
             self.m_matrices = None
             self.h_matrices = None
 
-        for arr in (self.h_basis, self.m_basis, self.m_bracket_tensor):
+        for arr in (self.h_basis, self.m_basis, self.m_bracket_tensor, self.h_action, cob_inv):
             arr.setflags(write=False)
 
     # -- coordinate plumbing ------------------------------------------------------
@@ -205,56 +200,50 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
 
     Raises :class:`DecompositionError` when the sum is not direct, h is not
     a subalgebra, or some [eta, X] leaks out of m (the worst pair and its
-    leak norm are reported).  Gates read ``resolve_tolerances(tolerances)``.
+    largest leaking (h, m)-coordinate are reported), and ValueError when a
+    basis row does not hold dim g coordinates.  Gates read
+    ``resolve_tolerances(tolerances)``.
     """
     tols = resolve_tolerances(tolerances)
     n = algebra.dim
-    h = np.array(h_basis, dtype=float).reshape(-1, n) if len(h_basis) else np.zeros((0, n))
-    m = np.array(m_basis, dtype=float).reshape(-1, n) if len(m_basis) else np.zeros((0, n))
+    h = _basis_rows(h_basis, n, "h_basis")
+    m = _basis_rows(m_basis, n, "m_basis")
     q, N = h.shape[0], m.shape[0]
     if q + N != n:
         raise DecompositionError(f"dim h + dim m = {q}+{N} != {n} = dim g")
 
-    cob = np.vstack([h, m]).T if n else np.zeros((0, 0))
-    if N + q:
+    cob = np.vstack([h, m]).T
+    if n:
         svals = np.linalg.svd(cob, compute_uv=False)
         # no registry key: a numerical-rank cut guarding the inverse below, not a tolerance
-        if svals.size and svals[-1] < 1e-12 * max(svals[0], 1.0):
+        if svals[-1] < 1e-12 * max(svals[0], 1.0):
             raise DecompositionError("h-basis and m-basis do not form a direct sum")
-    cob_inv = np.linalg.inv(cob) if n else cob.copy()
-
-    sel_h = np.zeros((n, n))
-    sel_h[: q, : q] = np.eye(q)
-    pr_h = cob @ sel_h @ cob_inv
-    pr_m = np.eye(n) - pr_h
-    # projector identities are structural; verify they hold to tolerance
-    resid = max(
-        float(np.max(np.abs(pr_h + pr_m - np.eye(n)))),
-        float(np.max(np.abs(pr_h @ pr_h - pr_h))),
-        float(np.max(np.abs(pr_m @ pr_m - pr_m))),
-        float(np.max(np.abs(pr_m @ pr_h))),
-    ) if n else 0.0
+    cob_inv = np.linalg.inv(cob)
+    # the projections onto h and m are complementary idempotents exactly when this vanishes
+    resid = float(np.max(np.abs(cob_inv @ cob - np.eye(n)), initial=0.0))
     if resid > tols["projection"]:
         raise DecompositionError(f"projection identities violated by {resid:.3e}")
 
-    c = algebra.structure_constants
+    # the one contraction of the structure constants with the bases: (h, m)-coordinates
+    # of [eta_r, b] for every basis vector b, (n, q, n), and of [A_i, A_j], (n, N, N),
+    # as two read-only views of one array; every gate and table reads a slice of them
+    cc = algebra.structure_constants @ cob      # cc[k, a, b]: coords of [xi_a, b]
+    flat = cob_inv @ np.concatenate([(h @ cc).reshape(n, q * n),
+                                     (m @ cc[:, :, q:]).reshape(n, N * N)], axis=1)
+    flat.setflags(write=False)
+    h_brackets = flat[:, : q * n].reshape(n, q, n)
+    m_brackets = flat[:, q * n:].reshape(n, N, N)
+
     # h must close under the bracket: m-part of [h[r], h[s]] for r < s
-    sub, pair = 0.0, (0, 0)
-    if N:
-        sub, pair = _worst_leak(pr_m, np.einsum("kij,ri,sj->krs", c, h, h, optimize=True),
-                                upper=True)
+    sub, pair = _worst_leak(h_brackets[q:, :, :q], upper=True)
     if sub > tols["subalgebra"]:
-        raise DecompositionError(
-            f"h is not a subalgebra: [h[{pair[0]}], h[{pair[1]}]] leaks into m "
-            f"with norm {sub:.3e}"
-        )
+        raise DecompositionError(f"h is not a subalgebra: [h[{pair[0]}], h[{pair[1]}]] "
+                                 f"leaks into m by {sub:.3e}")
     # [h, m] must stay in m: h-part of [h[r], m[i]]
-    red, pair = _worst_leak(pr_h, np.einsum("kij,ri,lj->krl", c, h, m, optimize=True))
+    red, pair = _worst_leak(h_brackets[:q, :, q:])
     if red > tols["reductivity"]:
-        raise DecompositionError(
-            f"not reductive: [h[{pair[0]}], m[{pair[1]}]] has h-leak {red:.3e} "
-            f"(> {tols['reductivity']:.1e})"
-        )
+        raise DecompositionError(f"not reductive: [h[{pair[0]}], m[{pair[1]}]] has h-leak "
+                                 f"{red:.3e} (> {tols['reductivity']:.1e})")
     reports = [CheckReport.from_residual(check, value, tols[key], key=key)
                for check, value, key in (("projection_identities", resid, "projection"),
                                          ("h_subalgebra", sub, "subalgebra"),
@@ -285,18 +274,22 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
             "generator_stability", worst, tols["generator_stability"]))
 
     return ReductiveDecomposition(algebra, h, m, tuple(gens), tuple(actions), cob_inv,
-                                  reports)
+                                  h_brackets[:, :, q:], m_brackets, reports)
 
 
-def _worst_leak(projector, brackets, upper=False):
-    """Largest entry of ``projector`` applied to each bracket column.
+def _basis_rows(basis, n: int, name: str) -> np.ndarray:
+    """``basis`` as a (k, n) array of coordinate rows; rows of another width are refused."""
+    rows = np.array(basis, dtype=float) if len(basis) else np.zeros((0, n))
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"{name} rows must hold dim g = {n} coordinates, "
+                         f"got shape {rows.shape}")
+    return rows
 
-    ``brackets`` has shape (n, a, b); returns the maximum over all columns
-    (over a < b when ``upper``) and the (a, b) index of the worst one.
-    """
-    n, rows, cols = brackets.shape
-    leaks = np.max(np.abs(projector @ brackets.reshape(n, rows * cols)), axis=0, initial=0.0)
-    leaks = leaks.reshape(rows, cols)
+
+def _worst_leak(coords, upper=False):
+    """Largest |coordinate| in ``coords`` (k, a, b) over all columns (a, b), over
+    a < b when ``upper``, and the (a, b) of the worst column."""
+    leaks = np.max(np.abs(coords), axis=0, initial=0.0)
     if upper:
         leaks = np.triu(leaks, 1)
     if not leaks.size:
@@ -381,7 +374,7 @@ def normal_decomposition(algebra: StructuredLieAlgebra, biinvariant_gram, h_basi
     if adres > 1e-10:
         raise DecompositionError(f"gram is not ad-invariant (residual {adres:.3e})")
 
-    h = np.array(h_basis, dtype=float).reshape(-1, n) if len(h_basis) else np.zeros((0, n))
+    h = _basis_rows(h_basis, n, "h_basis")
     q = h.shape[0]
     if q:
         gh = h @ g @ h.T

@@ -294,6 +294,34 @@ def test_curve_file_whose_times_do_not_increase_is_a_definition_error(
     assert not list(tmp_path.glob("o*"))
 
 
+@pytest.mark.parametrize("kind, width, message", [
+    ("group_file", 8, "group sample rows must hold 9 matrix entries, got 8"),
+    ("group_file", 10, "group sample rows must hold 9 matrix entries, got 10"),
+    ("velocity_file", 1, "velocity sample rows must hold 2 coordinates, got 1"),
+    ("velocity_file", 9, "velocity sample rows must hold 2 coordinates, got 9")],
+    ids=["group-narrow", "group-wide", "velocity-narrow", "velocity-wide"])
+def test_curve_file_whose_rows_have_another_width_is_a_definition_error(
+        tmp_path, capsys, kind, width, message):
+    samples = tmp_path / "curve.csv"
+    samples.write_text("# t, sample\n" + "".join(
+        ",".join(map(str, [t, *np.eye(4).ravel()][:1 + width])) + "\n" for t in (0.0, 0.1)))
+    path = write(tmp_path, "space = sphere2\n\n[connection]\nalpha = levi_civita\n")
+    assert main(["transport", path, f"--curve={kind}:{samples}", "--z0=1,0",
+                 f"--out={tmp_path / 'o'}"]) == 2
+    assert capsys.readouterr().err == f"definition error: sample file {samples}: {message}\n"
+    assert not list(tmp_path.glob("o*"))
+
+
+def test_group_file_on_an_algebra_without_matrices_is_refused(tmp_path, capsys):
+    samples = tmp_path / "curve.csv"
+    samples.write_text("0,1,0,0,0,1,0,0,0,1\n0.1,1,0,0,0,1,0,0,0,1\n")
+    path = write(tmp_path, SO3_CONSTANTS + "\n[connection]\nalpha = canonical_first\n")
+    assert main(["transport", path, f"--curve=group_file:{samples}", "--z0=1,0,0",
+                 f"--out={tmp_path / 'o'}"]) == 1
+    assert capsys.readouterr().err == "error: user-algebra has no matrix realization\n"
+    assert not list(tmp_path.glob("o*"))
+
+
 @pytest.mark.parametrize("kind", ["group_file", "velocity_file"])
 @pytest.mark.parametrize("text", ["", "# t, sample\n\n"], ids=["empty", "comments-only"])
 def test_curve_file_without_data_rows_is_a_definition_error(tmp_path, capsys, kind, text):

@@ -1,6 +1,7 @@
 import functools
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,6 +64,68 @@ class TestBuildDecomposition:
             swap = rh.expm(np.pi / 2 * so3.matrix_basis[0])  # rotates E2 into E3
             rh.build_decomposition(so3, [E3], [E1, E2], h_generators=[swap])
 
+    def test_basis_rows_of_another_width_are_refused(self, so4):
+        # three rows of width 2 hold 6 numbers, but no vector of the 6-dimensional so(4)
+        with pytest.raises(ValueError, match=r"h_basis rows must hold dim g = 6 coordinates, "
+                                             r"got shape \(3, 2\)"):
+            rh.build_decomposition(so4, [[1, 0], [0, 0], [0, 0]], np.eye(6)[1:])
+        with pytest.raises(ValueError, match=r"m_basis rows .* got shape \(5, 7\)"):
+            rh.build_decomposition(so4, np.eye(6)[:1], np.eye(7)[1:6])
+
+    def test_every_kept_table_is_read_only(self):
+        dec = rh.stiefel(4, 2).dec          # not the session fixture: a write must not leak
+        for name in ("h_basis", "m_basis", "m_bracket_tensor", "h_action", "_h_m_bracket",
+                     "_m_pair_bracket_h", "_cob_inv"):
+            table = getattr(dec, name)
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1.0
+
+
+REBASED = {"sphere2": rh.sphere2, "stiefel(5,2)": lambda: rh.stiefel(5, 2),
+           "grassmann_like(5,2)": lambda: rh.grassmann_like(5, 2)}
+
+
+def rebased_bases(name, seed=7):
+    """Q.h and P.m for seeded, well-conditioned random Q and P: the same split
+    in bases that are not orthonormal."""
+    dec = REBASED[name]().dec
+    rng = np.random.default_rng(seed)
+    q_mat = np.eye(dec.q) + 0.3 * rng.standard_normal((dec.q, dec.q))
+    p_mat = np.eye(dec.N) + 0.3 * rng.standard_normal((dec.N, dec.N))
+    return dec.algebra, q_mat @ dec.h_basis, p_mat @ dec.m_basis
+
+
+def oracle_worst_pair(alg, h, m, rows, cols, part, upper=False):
+    """Worst (r, s) of ``part`` (a slice of the h-then-m coordinates) of the
+    commutator oracle of ``rows[r]`` and ``cols[s]``, and its value."""
+    bases = SimpleNamespace(h_basis=h, m_basis=m)
+    leaks = {(r, s): np.max(np.abs(hm_coords(bases, commutator_coords(alg, x, y))[part]))
+             for r, x in enumerate(rows) for s, y in enumerate(cols) if not upper or r < s}
+    pair = max(leaks, key=leaks.get)
+    return pair, leaks[pair]
+
+
+class TestRebasedBases:
+    """Gates on bases that are not orthonormal name the pair the oracle finds worst."""
+
+    @pytest.mark.parametrize("name", ["stiefel(5,2)", "grassmann_like(5,2)"])
+    def test_broken_reductivity_names_the_oracle_worst_pair(self, name):
+        alg, h, m = rebased_bases(name)
+        m[0] += 0.5 * h[0]                   # still g = h + m, but m is not ad(h)-stable
+        (r, s), leak = oracle_worst_pair(alg, h, m, h, m, slice(0, len(h)))
+        with pytest.raises(DecompositionError, match=rf"\[h\[{r}\], m\[{s}\]\] has h-leak "
+                                                     rf"{leak:.3e} "):
+            rh.build_decomposition(alg, h, m)
+
+    @pytest.mark.parametrize("name", ["stiefel(5,2)", "grassmann_like(5,2)"])
+    def test_broken_subalgebra_names_the_oracle_worst_pair(self, name):
+        alg, h, m = rebased_bases(name)
+        h[0] += 0.5 * m[0]                   # still g = h + m, but h does not close
+        (r, s), leak = oracle_worst_pair(alg, h, m, h, h, slice(len(h), None), upper=True)
+        with pytest.raises(DecompositionError, match=rf"\[h\[{r}\], h\[{s}\]\] leaks into m "
+                                                     rf"by {leak:.3e}$"):
+            rh.build_decomposition(alg, h, m)
+
 
 class TestSplitMatrices:
     def test_basis_split(self, s2dec, so3):
@@ -92,18 +155,24 @@ class TestBracketM:
         dec = rh.build_decomposition(so3, [], np.eye(3))
         assert np.allclose(dec.m_bracket_tensor, so3.structure_constants, atol=1e-13)
 
-    @pytest.mark.parametrize("name", sorted(SPACES))
+    @pytest.mark.parametrize("name", sorted(SPACES) + [f"rebased {n}" for n in sorted(REBASED)])
     def test_tables_are_the_commutators_in_the_h_m_basis(self, name):
-        """[A_i, A_j]_m and the action [eta_r, A_l] of h on m, against the
-        commutator oracle expanded in the public bases."""
-        dec = SPACES[name]().dec
-        eye = np.eye(dec.N)
-        brackets = np.array([[m_bracket(dec, x, y) for y in eye] for x in eye])
-        assert np.max(np.abs(dec.m_bracket_tensor - brackets.transpose(2, 0, 1)),
-                      initial=0.0) <= 1e-13
-        for eta, act in zip(dec.h_basis, dec.h_action):
-            full = [hm_coords(dec, commutator_coords(dec.algebra, eta, a)) for a in dec.m_basis]
-            assert np.max(np.abs(act - np.transpose(full)[dec.q:]), initial=0.0) <= 1e-13
+        """[A_i, A_j] split into its m- and h-parts, and [eta_r, A_l], against the
+        commutator oracle expanded in the public bases, also in rebased ones."""
+        rebased = name.startswith("rebased ")
+        dec = (rh.build_decomposition(*rebased_bases(name.split(" ", 1)[1])) if rebased
+               else SPACES[name]().dec)
+        alg, q = dec.algebra, dec.q
+        pairs = np.array([[hm_coords(dec, commutator_coords(alg, x, y)) for y in dec.m_basis]
+                          for x in dec.m_basis]).transpose(2, 0, 1)
+        acts = np.array([[hm_coords(dec, commutator_coords(alg, eta, a)) for a in dec.m_basis]
+                         for eta in dec.h_basis]).reshape(q, dec.N, alg.dim)
+        for table, oracle in ((dec.m_bracket_tensor, pairs[q:]),
+                              (dec._m_pair_bracket_h, pairs[:q]),
+                              (dec.h_action, acts[:, :, q:].transpose(0, 2, 1)),
+                              (dec._h_m_bracket, acts.transpose(2, 0, 1))):
+            assert np.max(np.abs(table - oracle), initial=0.0) <= 1e-13
+        assert dec.reports[0].max_residual <= 1e-15
 
     def test_m_bracket_tensor_exactly_antisymmetric(self, stiefel42, grassmann42):
         for bundle in (stiefel42, grassmann42):
@@ -275,6 +344,11 @@ class TestNormalDecomposition:
         gram = np.diag([1.0, -1.0])
         with pytest.raises(DecompositionError, match="degenerate"):
             rh.normal_decomposition(abelian, gram, [[1.0, 1.0]])  # null direction
+
+    def test_basis_rows_of_another_width_are_refused(self, so4):
+        with pytest.raises(ValueError, match=r"h_basis rows must hold dim g = 6 coordinates, "
+                                             r"got shape \(3, 2\)"):
+            rh.normal_decomposition(so4, np.eye(6), [[1, 0], [0, 0], [0, 0]])
 
     def test_non_ad_invariant_gram_rejected(self, so3):
         with pytest.raises(ValueError, match="ad-invariant"):
