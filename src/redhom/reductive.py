@@ -368,8 +368,8 @@ def normal_decomposition(algebra: StructuredLieAlgebra, biinvariant_gram, h_basi
     if svals[-1] < 1e-10 * svals[0]:
         raise DecompositionError("bi-invariant gram is numerically degenerate")
     c = algebra.structure_constants
-    t1 = np.einsum("kab,kc->abc", c, g)      # <[xi_a, xi_b], xi_c>
-    t2 = np.einsum("bk,kac->abc", g, c)      # <xi_b, [xi_a, xi_c]>
+    t1 = np.tensordot(c, g, (0, 0))                                  # <[xi_a, xi_b], xi_c>
+    t2 = (g @ c.reshape(n, -1)).reshape(n, n, n).transpose(1, 0, 2)  # <xi_b, [xi_a, xi_c]>
     adres = float(np.max(np.abs(t1 + t2)))
     if adres > 1e-10:
         raise DecompositionError(f"gram is not ad-invariant (residual {adres:.3e})")

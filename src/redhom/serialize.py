@@ -9,31 +9,32 @@ Writes go to a temporary file in the target directory followed by an
 atomic rename, so no partial file survives an error.  The file gets the
 mode a plain ``open(path, "w")`` would give it: 0o666 less the umask.
 
-The texts of an array's values come from ``orjson``, whose Ryu kernel
-(Adams, PLDI 2018) finds the same shortest round-trip digits as ``repr``
-several times faster.  Its text equals ``repr``'s wherever both write
-positional notation, 1e-4 <= |x| < 1e16, and for 0.0 and -0.0.  Outside
-that range it writes ``1.5e-7`` for ``1.5e-07``, ``5.4e16`` for
-``5.4e+16`` and ``0.00001`` for ``1e-05``, and ``null`` for a value that
-is not finite, so those cells, found with one mask per block, keep the
-single-value text ``fmt`` gives.  ``orjson`` is imported on the first
-array converted: its import pulls in ``uuid`` and ``zoneinfo``, and a
-command that writes no array (``check``) does not pay for it.
+Array text comes from one kernel, ``_rows``: one ``orjson.dumps`` of a
+block's C-contiguous 2-D view, split into row texts ``b"v,v,..."``, so
+Python handles rows, not values.  orjson's Ryu kernel (Adams, PLDI 2018)
+finds ``repr``'s shortest round-trip digits, and its text is ``repr``'s
+wherever both write positional notation, 1e-4 <= |x| < 1e16, and for 0.0
+and -0.0.  Outside that range it writes ``1.5e-7`` for ``1.5e-07``,
+``5.4e16`` for ``5.4e+16`` and ``0.00001`` for ``1e-05``, and ``null`` for
+a value that is not finite: those cells, found with one mask per block,
+are rewritten with ``fmt``'s text, and only the rows holding one are split.
+``orjson`` is imported on the first array converted: its import pulls in
+``uuid`` and ``zoneinfo``, and a command that writes no array (``check``)
+does not pay for it.
 
-``write_trajectory`` converts each value of a trajectory to text once, a
-block of rows at a time, and builds both the CSV rows and the pieces of the
-JSON arrays from those texts.  A piece is one ``%`` of a row template, the
-``json.dumps(..., indent=1)`` text of a zero-filled row with ``%s`` for
-each value, cached per row shape and nesting level, so the pieces give the
-text ``json.dumps`` would without its value-by-value pure-Python encoder.
-The CSV is written block by block and the JSON from its pieces, so neither
-file is ever held as one string.  A batch of seeds transported along one
-curve is written as one file pair per seed, and the columns they share (t,
-the frame entries and the velocities) are converted once for all of them,
-so each seed's files convert only its own ``z`` columns.  A batch, like
-the file set of ``tensors`` (``atomic_write_texts``), is written whole or
-not at all: every file is staged in a temporary file, one at a time, and
-the staged files replace their paths only once all of them are written.
+A CSV line is one ``b",".join`` of a row's texts from each array.  A JSON
+array, in the ``json.dumps(..., indent=1)`` layout, is a block's innermost
+rows joined with control bytes marking the row and item boundaries, whose
+commas and control bytes are then replaced by the indented separators; a
+1-D array is one row per block.  The text stays bytes up to the binary
+handle it is written through.  ``write_trajectory`` builds a block's CSV
+lines and JSON pieces from the same row texts, and neither file is held as
+one string.  A batch of seeds transported along one curve is one file pair
+per seed, and the columns they share (t, frames, velocities) are converted
+once for all of them.  A batch, like the file set of ``tensors``
+(``atomic_write_texts``), is written whole or not at all: each file is
+staged in a temporary file, and the staged files replace their paths only
+once all of them are written.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ __all__ = [
 ]
 
 
-# values converted per block of rows: bounds the per-value texts alive at once
+# values converted per block of rows: bounds the texts alive at once
 _BLOCK_VALUES = 4096
 
 
@@ -81,30 +82,23 @@ def fmt(x: float) -> str:
     return _json_float(float(x))
 
 
-def _cells(values) -> list:
-    """Texts of an array's values in row-major order, each as ``fmt`` writes it.
-
-    One ``orjson.dumps`` of the block, split on commas, gives the texts;
-    the cells outside 1e-4 <= |x| < 1e16, other than zeros, and the cells
-    that are not finite, where its text is not ``repr``'s, are redone by
-    ``_json_float``.
-    """
+def _rows(values) -> list:
+    """The texts ``b"v,v,..."`` of the rows of a 2-D block, each value as ``fmt`` writes it:
+    one ``orjson.dumps``, with the cells the module docstring names redone by ``_json_float``."""
     import orjson  # lazy: see the module docstring
 
-    flat = np.asarray(values, dtype=float).ravel()
-    if not flat.size:
+    a = np.ascontiguousarray(values, dtype=float)
+    if not len(a):
         return []
-    cells = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    size = np.abs(flat)
+    rows = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    size = np.abs(a)
     redo = ~(((size >= 1e-4) & (size < 1e16)) | (size == 0))
-    for i in np.flatnonzero(redo).tolist():
-        cells[i] = _json_float(float(flat[i]))
-    return cells
-
-
-def _block_rows(width: int) -> int:
-    """Rows per block for rows of ``width`` values."""
-    return max(1, _BLOCK_VALUES // max(1, width))
+    for r in np.flatnonzero(redo.any(axis=1)).tolist():
+        cells = rows[r].split(b",")
+        for c in np.flatnonzero(redo[r]).tolist():
+            cells[c] = _json_float(float(a[r, c])).encode()
+        rows[r] = b",".join(cells)
+    return rows
 
 
 def _umask() -> int:
@@ -115,7 +109,7 @@ def _umask() -> int:
 
 @contextmanager
 def _atomic_files():
-    """``stage(path)``, a context giving a text handle on a temporary file for ``path``.
+    """``stage(path)``, a context giving a binary handle on a temporary file for ``path``.
 
     When the block ends every staged file replaces its path; when it raises,
     no path is replaced and no temporary file is left.  A directory that
@@ -132,7 +126,7 @@ def _atomic_files():
         except OSError as exc:
             raise type(exc)(exc.errno, exc.strerror, path) from None
         staged.append((tmp, path))
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             # mkstemp makes the file 0o600
             os.chmod(tmp, 0o666 & ~_umask())
             yield handle
@@ -152,24 +146,15 @@ def _atomic_files():
 
 
 def atomic_write_texts(files: dict):
-    """Write each ``path: text`` of ``files``: all of them, or none when one fails."""
+    """Write each ``path: text`` of ``files`` as UTF-8: all of them, or none when one fails."""
     with _atomic_files() as stage:
         for path, text in files.items():
             with stage(path) as handle:
-                handle.write(text)
+                handle.write(text.encode())
 
 
 def atomic_write_text(path: str, text: str):
     atomic_write_texts({path: text})
-
-
-def _meta_header(traj, space: str, alpha: str) -> str:
-    step = traj.meta.get("step")
-    integ = traj.meta.get("integrator", "")
-    return (
-        f"# space={space} alpha={alpha} "
-        f"step={fmt(step) if step is not None else 'n/a'} integrator={integ}"
-    )
 
 
 def trajectory_columns(traj):
@@ -181,16 +166,6 @@ def trajectory_columns(traj):
     if traj.transported is not None:
         cols += [f"z_{k + 1}" for k in range(n)]
     return cols
-
-
-def _csv_rows(cells: list, rows: int) -> list:
-    """CSV lines of ``rows`` rows from the cell texts of several arrays.
-
-    Each entry of ``cells`` holds the row-major texts of one array with
-    ``rows`` leading rows; a line is a row's cells of each array in turn.
-    """
-    parts = [(c, len(c) // rows) for c in cells if c]
-    return [",".join([",".join(c[k * w:(k + 1) * w]) for c, w in parts]) for k in range(rows)]
 
 
 def _jsonable(value):
@@ -210,28 +185,40 @@ def _jsonable(value):
 
 
 @functools.lru_cache(maxsize=64)
-def _row_template(shape: tuple, level: int) -> str:
-    """``%`` template of one item of shape ``shape`` as ``json_array`` nests it at ``level``:
-    the ``json.dumps(..., indent=1)`` text of a zero-filled item with ``%s`` per value."""
-    text = json.dumps(np.zeros(shape).tolist(), indent=1).replace("0.0", "%s")
-    return text.replace("\n", "\n" + " " * (level + 1))
+def _separators(ndim: int, level: int) -> tuple:
+    """The texts ``json.dumps(..., indent=1)`` puts between neighbouring values of an
+    array of ``ndim`` axes nested ``level`` deep: item ``e`` where their indices first
+    differ on axis ``e``, the last one between the values of an innermost row."""
+    pad = [b"\n" + b" " * (level + c) for c in range(ndim + 1)]
+    return tuple(b"".join([*(pad[c] + b"]" for c in range(ndim - 1, e, -1)), b",",
+                           *(pad[c] + b"[" for c in range(e + 1, ndim)), pad[ndim]])
+                 for e in range(ndim))
 
 
-def _json_piece(cells: list, shape: tuple, level: int) -> str:
-    """The items of a block of leading rows as ``json_array`` writes them, without brackets."""
-    items = (",\n" + " " * (level + 1)).join([_row_template(shape[1:], level)] * shape[0])
-    return items % tuple(cells)
+def _json_piece(rows: list, shape: tuple, level: int) -> bytes:
+    """The items of a block of shape ``shape`` as ``json_array`` writes them, without
+    brackets, from its innermost rows (one row if it has one axis), joined with byte
+    ``e + 1`` where neighbours first differ on axis ``e``, which ``_separators`` replace."""
+    seps = _separators(len(shape), level)
+    for axis in range(len(shape) - 2, 0, -1):
+        n = shape[axis]
+        rows = list(map(bytes([axis + 1]).join, zip(*[rows[i::n] for i in range(n)])))
+    text = b"\x01".join(rows).replace(b",", seps[-1])
+    for axis in range(len(shape) - 1):
+        text = text.replace(bytes([axis + 1]), seps[axis])
+    return text
 
 
-def _json_parts(pieces: list, level: int) -> list:
-    """Texts that concatenate to the JSON array whose blocks of rows are ``pieces``."""
+def _json_parts(pieces: list, ndim: int, level: int) -> list:
+    """Texts that concatenate to the JSON array of ``ndim`` axes whose blocks of
+    leading rows are ``pieces``."""
     if not pieces:
-        return ["[]"]
-    indent = " " * (level + 1)
-    parts = ["[\n" + indent]
-    for piece in pieces:
-        parts += [piece, ",\n" + indent]
-    parts[-1] = "\n" + " " * level + "]"
+        return [b"[]"]
+    sep = _separators(ndim, level)[0]
+    closing, opening = sep.split(b",")
+    parts = [sep] * (2 * len(pieces) + 1)
+    parts[1::2] = pieces
+    parts[0], parts[-1] = b"[" + opening, closing + b"\n" + b" " * level + b"]"
     return parts
 
 
@@ -240,29 +227,32 @@ def json_array(values, level: int = 0) -> str:
 
     With ``level > 0`` the text is the array as a value nested ``level``
     containers deep: continuation lines are indented ``level`` more spaces.
-    Leading rows are converted a block at a time, so the per-value texts of
-    only one block are alive at once.
+    Leading rows are converted a block at a time, so the texts of only one
+    block are alive at once.
     """
     a = np.asarray(values, dtype=float)
-    rows = _block_rows(a.size // len(a)) if len(a) else 1
-    blocks = (a[i:i + rows] for i in range(0, len(a), rows))
-    return "".join(_json_parts([_json_piece(_cells(b), b.shape, level) for b in blocks], level))
+    if not a.size:          # no value to convert; an inner axis of length 0 gives ``[]`` items
+        return json.dumps(a.tolist(), indent=1).replace("\n", "\n" + " " * level)
+    rows = max(1, _BLOCK_VALUES // (a.size // len(a)))
+    pieces = [_json_piece(_rows(b.reshape(-1, a.shape[-1]) if a.ndim > 1 else b[None]),
+                          b.shape, level) for b in (a[i:i + rows] for i in range(0, len(a), rows))]
+    return b"".join(_json_parts(pieces, a.ndim, level)).decode()
 
 
 def _json_object(fields: dict, arrays: dict) -> list:
     """Texts that concatenate to ``json.dumps({**fields, **arrays}, sort_keys=True,
-    indent=1) + "\\n"``.
+    indent=1) + "\\n"``, encoded.
 
     ``arrays`` maps keys to the texts of values nested one level deep, as
     ``_json_parts(..., 1)`` gives them.
     """
-    texts = {key: [json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ")]
+    texts = {key: [json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n ").encode()]
              for key, value in fields.items()}
     texts.update(arrays)
-    parts = ["{"]
+    parts = [b"{"]
     for key in sorted(texts):
-        parts += ["\n ", json.dumps(key), ": ", *texts[key], ","]
-    parts[-1] = "\n}\n"
+        parts += [b"\n ", json.dumps(key).encode(), b": ", *texts[key], b","]
+    parts[-1] = b"\n}\n"
     return parts
 
 
@@ -272,39 +262,45 @@ def _base_blocks(traj):
     ``lines`` are the block's CSV lines of those columns and ``pieces`` maps
     each JSON key to the block's piece of its array.
     """
-    arrays = {"times": traj.times, "frames": traj.frames, "velocities": traj.velocities}
-    rows = _block_rows(sum(a[0].size for a in arrays.values()) if len(traj) else 0)
+    frames, velocities = traj.frames, traj.velocities
+    p = frames.shape[1]             # innermost frame rows per trajectory row
+    rows = max(1, _BLOCK_VALUES // (1 + math.prod(frames.shape[1:]) + velocities.shape[1]))
     for start in range(0, len(traj), rows):
-        blocks = {key: a[start:start + rows] for key, a in arrays.items()}
-        cells = {key: _cells(b) for key, b in blocks.items()}
-        yield (start, _csv_rows(list(cells.values()), len(blocks["times"])),
-               {key: _json_piece(cells[key], b.shape, 1) for key, b in blocks.items()})
+        t = _rows(traj.times[start:start + rows, None])
+        g, x = frames[start:start + rows], velocities[start:start + rows]
+        g_rows, x_rows = _rows(g.reshape(-1, g.shape[-1])), _rows(x)
+        lines = list(map(b",".join, zip(t, *[g_rows[i::p] for i in range(p)], x_rows)))
+        yield start, lines, {"times": _json_piece([b",".join(t)], (len(t),), 1),
+                             "frames": _json_piece(g_rows, g.shape, 1),
+                             "velocities": _json_piece(x_rows, x.shape, 1)}
 
 
 def _emit_trajectory(csv, traj, space: str, alpha: str, base, z) -> list:
-    """Write a trajectory's CSV text, with ``z`` as its transported columns, to the handle
-    ``csv``; return the parts of its JSON.  ``base`` holds its ``_base_blocks``."""
-    arrays = {"times": [], "frames": [], "velocities": []}
+    """Write a trajectory's CSV text, with ``z`` as its transported columns, to the binary
+    handle ``csv``; return the parts of its JSON.  ``base`` holds its ``_base_blocks``."""
+    arrays = {"times": traj.times, "frames": traj.frames, "velocities": traj.velocities}
     if z is not None:
-        arrays["transported"] = []
-    csv.write(_meta_header(traj, space, alpha) + "\n" + ",".join(trajectory_columns(traj))
-              + "\n")
-    for start, lines, pieces in base:
-        for key, piece in pieces.items():
-            arrays[key].append(piece)
+        arrays["transported"] = z
+    pieces = {key: [] for key in arrays}
+    step = traj.meta.get("step")
+    csv.write((f"# space={space} alpha={alpha} step={'n/a' if step is None else fmt(step)} "
+               f"integrator={traj.meta.get('integrator', '')}\n"
+               + ",".join(trajectory_columns(traj)) + "\n").encode())
+    for start, lines, base_pieces in base:
+        for key, piece in base_pieces.items():
+            pieces[key].append(piece)
         if z is not None:
             block = z[start:start + len(lines)]
-            cells = _cells(block)
-            arrays["transported"].append(_json_piece(cells, block.shape, 1))
-            lines = _csv_rows([lines, cells], len(lines))
-        csv.write("\n".join(lines) + "\n")
-    fields = {
-        "meta": _jsonable({**traj.meta, "space": space, "alpha": alpha}),
-        "columns": trajectory_columns(traj),
-    }
+            z_rows = _rows(block)
+            pieces["transported"].append(_json_piece(z_rows, block.shape, 1))
+            lines = map(b",".join, zip(lines, z_rows))
+        csv.write(b"\n".join(lines) + b"\n")
+    fields = {"meta": _jsonable({**traj.meta, "space": space, "alpha": alpha}),
+              "columns": trajectory_columns(traj)}
     if z is None:
         fields["transported"] = None
-    return _json_object(fields, {key: _json_parts(p, 1) for key, p in arrays.items()})
+    return _json_object(fields, {key: _json_parts(pieces[key], a.ndim, 1)
+                                 for key, a in arrays.items()})
 
 
 def write_trajectory(prefix: str, traj, space: str, alpha: str):
@@ -332,26 +328,23 @@ def write_trajectory(prefix: str, traj, space: str, alpha: str):
 
 def trajectory_csv(traj, space: str = "", alpha: str = "") -> str:
     """The text ``write_trajectory`` writes to ``prefix.csv`` for one seed or none."""
-    text = io.StringIO()
+    text = io.BytesIO()
     _emit_trajectory(text, traj, space, alpha, _base_blocks(traj), traj.transported)
-    return text.getvalue()
+    return text.getvalue().decode()
 
 
 def trajectory_json(traj, space: str = "", alpha: str = "") -> str:
     """The text ``write_trajectory`` writes to ``prefix.json`` for one seed or none."""
-    return "".join(_emit_trajectory(io.StringIO(), traj, space, alpha, _base_blocks(traj),
-                                    traj.transported))
+    return b"".join(_emit_trajectory(io.BytesIO(), traj, space, alpha, _base_blocks(traj),
+                                     traj.transported)).decode()
 
 
 def tensor_json(tensor, extra_meta=None) -> str:
-    fields = {
-        "kind": tensor.kind,
-        "shape": list(tensor.coeffs.shape),
-        "layout": "row-major",
-        "tainted": tensor.tainted,
-    }
+    fields = {"kind": tensor.kind, "shape": list(tensor.coeffs.shape), "layout": "row-major",
+              "tainted": tensor.tainted}
     fields.update(_jsonable(extra_meta or {}))
-    return "".join(_json_object(fields, {"coefficients": [json_array(tensor.coeffs.ravel(), 1)]}))
+    coefficients = [json_array(tensor.coeffs.ravel(), 1).encode()]
+    return b"".join(_json_object(fields, {"coefficients": coefficients})).decode()
 
 
 def tensor_csv(tensor) -> str:
@@ -359,8 +352,12 @@ def tensor_csv(tensor) -> str:
     coeffs = tensor.coeffs
     if coeffs.ndim != 3:
         raise ValueError("CSV output is defined for rank-3 tensors only")
-    indices = list(map(str, (np.indices(coeffs.shape).reshape(3, -1).T + 1).ravel().tolist()))
-    return "\n".join(["k,i,j,value", *_csv_rows([indices, _cells(coeffs)], coeffs.size)]) + "\n"
+    import orjson  # lazy: see the module docstring
+
+    index = np.indices(coeffs.shape).reshape(3, -1).T.copy() + 1
+    index = orjson.dumps(index, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    lines = map(b",".join, zip(index, _rows(coeffs.reshape(-1, 1))))
+    return b"\n".join([b"k,i,j,value", *lines]).decode() + "\n"
 
 
 def sectional_csv(entries) -> str:
@@ -372,9 +369,6 @@ def sectional_csv(entries) -> str:
 
 
 def report_json(reports, passed: bool, extra=None) -> str:
-    payload = {
-        "pass": bool(passed),
-        "checks": [r.to_json_dict() for r in reports],
-    }
+    payload = {"pass": bool(passed), "checks": [r.to_json_dict() for r in reports]}
     payload.update(_jsonable(extra or {}))
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"

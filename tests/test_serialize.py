@@ -1,4 +1,5 @@
-"""Golden-file tests of the CLI artifacts, and the JSON array encoder against ``json.dumps``.
+"""Golden-file tests of the CLI artifacts, and the row kernel and JSON array encoder
+against ``fmt`` and ``json.dumps``.
 
 The files under ``tests/data/golden`` hold the exact bytes each case must
 write.  They change only when the output format changes on purpose.  Every
@@ -78,6 +79,8 @@ ARRAYS = [
     np.array([1.5, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e-310, 0.1 + 0.2]),
     np.array([[math.nan, 2.0, -math.inf], [3.0, -0.0, 1e300]]),
     np.arange(24.0).reshape(2, 3, 4) / 7.0,
+    np.where(np.arange(120) % 7 == 3, math.nan,
+             np.arange(-60.0, 60.0) ** 3 / 7e4).reshape(2, 3, 4, 5),
     np.empty(0),
     np.empty((0, 3)),
     np.empty((2, 0)),
@@ -136,9 +139,103 @@ CELL_ARRAYS = {
 }
 
 
+# the layouts of a block the kernel sees: a 1-D array (one row), rows of
+# values, frames of d x d matrices, and the family's own shape
+BLOCK_LAYOUTS = {
+    "1-D": lambda a: a.ravel(),
+    "rows": lambda a: a.ravel()[:a.size - a.size % 3].reshape(-1, 3),
+    "frames": lambda a: a.ravel()[:a.size - a.size % 4].reshape(-1, 2, 2),
+    "own": lambda a: a,
+}
+
+
+def same_text(text, reference):
+    """``text == reference``; a failure shows where they first differ, not a full diff."""
+    at = next((i for i, (a, b) in enumerate(zip(text, reference)) if a != b),
+              min(len(text), len(reference)))
+    assert len(text) == len(reference) == at, (text[at - 40:at + 40], reference[at - 40:at + 40])
+
+
+@pytest.mark.parametrize("layout", BLOCK_LAYOUTS.values(), ids=BLOCK_LAYOUTS.keys())
 @pytest.mark.parametrize("array", CELL_ARRAYS.values(), ids=CELL_ARRAYS.keys())
-def test_cells_give_the_fmt_text_of_each_value(array):
-    assert serialize._cells(array) == [serialize.fmt(v) for v in array.ravel()]
+def test_kernel_rows_give_the_fmt_text_of_each_value(array, layout):
+    block = layout(array)
+    # json_array's 2-D view: one row for a 1-D block, else the innermost rows
+    view = block.reshape(1, -1) if block.ndim == 1 else block.reshape(
+        math.prod(block.shape[:-1]), block.shape[-1])
+    rows = [",".join(serialize.fmt(v) for v in row) for row in view]
+    same_text("\n".join(r.decode() for r in serialize._rows(view)), "\n".join(rows))
+    reference = json.dumps(block.tolist(), indent=1)
+    same_text(serialize.json_array(block), reference)
+    same_text(serialize.json_array(block, level=2), reference.replace("\n", "\n  "))
+
+
+@pytest.mark.parametrize("bad", [1e-7, 1e17, math.nan, -math.inf])
+@pytest.mark.parametrize("shape", [(30,), (10, 3), (6, 3, 2), (4, 3, 2, 5)],
+                         ids=["1-D", "2-D", "3-D", "4-D"])
+def test_json_array_redoes_the_first_and_last_value_of_each_block(monkeypatch, shape, bad):
+    # blocks of 6 values for 1-D, of two leading rows otherwise
+    monkeypatch.setattr(serialize, "_BLOCK_VALUES", 6 if len(shape) == 1 else
+                        2 * math.prod(shape[1:]))
+    array = np.arange(1.0, math.prod(shape) + 1.0).reshape(shape) / 7.0
+    flat = array.reshape(-1, 6 if len(shape) == 1 else 2 * math.prod(shape[1:]))
+    flat[:, 0] = flat[:, -1] = bad
+    reference = json.dumps(array.tolist(), indent=1)
+    same_text(serialize.json_array(array), reference)
+    same_text(serialize.json_array(array, level=1), reference.replace("\n", "\n "))
+
+
+def test_orjson_writes_the_text_the_kernel_splits():
+    # ``_rows`` splits rows on ``],[`` and cells on ``,``, and redoes null and
+    # exponent-form cells; an orjson that writes otherwise must fail here, not
+    # write wrong artifacts
+    import orjson
+
+    def dumps(values):
+        return orjson.dumps(np.array(values), option=orjson.OPT_SERIALIZE_NUMPY)
+
+    assert dumps([[0.25, -1.5], [3.0, -0.0]]) == b"[[0.25,-1.5],[3.0,-0.0]]"
+    assert dumps([[1, 2, 3], [4, 5, 6]]) == b"[[1,2,3],[4,5,6]]"
+    assert dumps([[math.nan, math.inf], [-math.inf, 1.0]]) == b"[[null,null],[null,1.0]]"
+    assert dumps([1e-7, 1e16, -1e-7, -1e16]) == b"[1e-7,1e16,-1e-7,-1e16]"
+    assert dumps([1e-4, 9999999999999998.0]) == b"[0.0001,9999999999999998.0]"
+
+
+def in_range_trajectory(rows):
+    """A trajectory with a transported field whose every value orjson writes as ``repr``
+    does, and no step: the header's step is written by ``fmt``, not by the kernel."""
+    rng = np.random.default_rng(11)
+
+    def values(*shape):
+        return rng.uniform(0.001, 1000.0, shape) * rng.choice([-1.0, 1.0], shape)
+
+    return Trajectory(None, np.linspace(0.0, 1.0, rows), values(rows, 3, 3), values(rows, 4),
+                      transported=values(rows, 4), meta={"integrator": "rk4"})
+
+
+@pytest.mark.parametrize("bad", [1e-7, 1e17, math.nan])
+def test_only_cells_out_of_range_are_redone(tmp_path, monkeypatch, bad):
+    calls = []
+    real = serialize._json_float
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(serialize, "_json_float", counted)
+    # 14 values a row: blocks of 100 rows
+    monkeypatch.setattr(serialize, "_BLOCK_VALUES", 14 * 100)
+    traj = in_range_trajectory(5000)
+    write(tmp_path, traj, "in_range")
+    assert calls == []
+    # the first and last cell written, both sides of a block boundary, each array
+    cells = [(traj.times, (0,)), (traj.transported, (4999, 3)), (traj.frames, (999, 2, 2)),
+             (traj.frames, (1000, 0, 0)), (traj.velocities, (2500, 1))]
+    for array, index in cells:
+        array[index] = bad
+    csv, _ = write(tmp_path, traj, "redone")
+    assert len(calls) == len(cells)
+    assert csv.splitlines()[2].startswith(serialize.fmt(bad) + ",")
 
 
 def test_importing_the_cli_leaves_orjson_unloaded():
