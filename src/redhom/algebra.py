@@ -9,6 +9,17 @@ basis is the one place where matrices become coordinates: the structure
 constants when only matrices are given, Ad_g, and every expansion through
 :func:`expand_in_matrix_basis`.
 
+Construction never holds the whole (n, n, d, d) table of basis
+commutators: it reads the constants off the commutators, and measures how
+far the commutators are from the constants, a block of basis rows at a
+time.  The Jacobi identity is checked exactly, by one of two paths that
+differ only in the order of their sums.  The dense loop costs about n^5
+multiply-adds, zero or not; the support path sums only the nonzero
+products of the constants, which for so(8) are 4032 of the 28^5 = 17.2
+million.  The constructor picks the path it estimates cheaper from n and
+the number of nonzero products, so so(n) takes the support path and dense
+constants the dense loop.
+
 All objects are immutable after construction; every operation is a pure
 function, so instances can be shared freely across threads.
 """
@@ -37,6 +48,15 @@ _EXPM_SERIES_ORDER = 12
 _EXPM_NORM_CAP = 0.5
 # Largest block of a stack exponentiated at once, in float64 values (64 KiB).
 _EXPM_BLOCK_VALUES = 2 ** 13
+# Largest block of basis commutators, or of Jacobi slot values, formed at once (128 KiB).
+_BLOCK_VALUES = 2 ** 14
+# Cost model that picks the Jacobi path, in µs, fitted with one BLAS thread on a
+# 2-vCPU x86_64 host: the dense loop costs about this per output index l and per
+# multiply-add (n^5 in all), the support path about this per call and per nonzero
+# product.  so(3) (12 products) and dense 3-dimensional constants (108) fall on either
+# side; at that size both paths take 50-70 µs.
+_DENSE_SLICE_US, _DENSE_MADD_US = 22.0, 9e-5
+_SUPPORT_CALL_US, _SUPPORT_TERM_US = 60.0, 0.15
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -91,6 +111,110 @@ def expand_in_matrix_basis(algebra: "StructuredLieAlgebra", targets: np.ndarray)
     return coeffs, np.max(np.abs(resid), axis=(-2, -1)) / scale
 
 
+def _commutator_residual(basis, c, dual=None):
+    """Largest |[xi_i, xi_j] - sum_k c[k, i, j] xi_k|, formed a block of rows i at a time.
+
+    Each block holds at most ``_BLOCK_VALUES`` commutator values (one row if
+    a row is larger), never the whole (n, n, d, d) table.  With ``dual``, the
+    rows of ``c`` are first written with the dual-basis coordinates of the
+    block's commutators, and the residual is how far those leave the span.
+    Every commutator keeps its bits.  The contractions are those of the
+    full table split by rows, and BLAS may sum a split product in another
+    order: the constants and residual keep their bits when the table fits
+    one block (n d <= 128) or every sum is exact, as for so(n).
+    """
+    n, d = len(basis), basis.shape[1]
+    rows = max(1, _BLOCK_VALUES // max(n * d * d, 1))
+    err = 0.0
+    for i in range(0, n, rows):
+        block = basis[i:i + rows, None]
+        comm = block @ basis                     # comm[r, j] = [xi_{i+r}, xi_j]
+        comm -= basis @ block
+        if dual is not None:
+            c[:, i:i + rows] = np.tensordot(dual, comm, ((1, 2), (2, 3)))
+        comm -= np.tensordot(c[:, i:i + rows], basis, (0, 0))
+        err = np.maximum(err, np.abs(comm, out=comm).max())
+    return float(err)
+
+
+def _support_is_cheaper(n, terms_per_l):
+    """Whether ``_jacobi_support`` is estimated faster than ``_jacobi_dense``.
+
+    It also needs every l's terms to fit one block.  Pure in (n, counts): the
+    same constants always take the same path.
+    """
+    terms = int(terms_per_l.sum())
+    if terms and terms_per_l.max() > _BLOCK_VALUES // 3:
+        return False
+    support_us = _SUPPORT_CALL_US + terms * _SUPPORT_TERM_US if terms else 0.0
+    return support_us < n * _DENSE_SLICE_US + n ** 5 * _DENSE_MADD_US
+
+
+def _jacobi_dense(c):
+    """Largest |Jacobi sum| over all indices, one output index l at a time.
+
+    For each l, ``t[k, i, j] = sum_m c[l, m, k] c[m, i, j]`` is the
+    l-coordinate of [[xi_i, xi_j], xi_k], and the Jacobi sum is t plus its
+    two cyclic shifts: about n^5 multiply-adds, nonzero or not.
+    """
+    jac_max = 0.0
+    for c_l in np.swapaxes(c, 1, 2):
+        t = np.tensordot(c_l, c, 1)
+        jac = t + t.transpose(2, 0, 1)
+        jac += t.transpose(1, 2, 0)
+        jac_max = float(np.maximum(jac_max, np.max(np.abs(jac))))
+    return jac_max
+
+
+def _jacobi_support(c, terms_per_l):
+    """The same residual as ``_jacobi_dense``, summed over the nonzero products only.
+
+    The nonzeros of c, in (l, m, k) order, serve both as the factors
+    c[l, m, k] and, grouped by their first index, as the factors c[m, i, j].
+    Each product c[l, m, k] c[m, i, j] is added to its three cyclic slots
+    (l; k, i, j), (l; j, k, i) and (l; i, j, k); the slot sums are found by
+    sorting the slot keys.  A block of whole output indices l is formed at a
+    time, at most ``_BLOCK_VALUES`` slot values, and since every slot keeps
+    its term's l, no sum crosses a block.  On integer constants, such as
+    so(n)'s, every sum is exact; elsewhere the sums run in another order than
+    the dense loop's, and the residual may differ in its last bits.
+    """
+    n = len(c)
+    l, m, k = np.nonzero(c)
+    val = c[l, m, k]
+    start = np.zeros(n + 1, dtype=np.intp)       # the nonzeros of c[m] are start[m]:start[m + 1]
+    np.cumsum(np.bincount(l, minlength=n), out=start[1:])
+    partners = start[m + 1] - start[m]           # terms of each nonzero as the factor c[l, m, k]
+    counts, cap = terms_per_l.tolist(), _BLOCK_VALUES // 3      # a term fills three slots
+    jac_max = 0.0
+    l0 = 0
+    while l0 < n:
+        l1, count = l0 + 1, counts[l0]
+        while l1 < n and count + counts[l1] <= cap:
+            count += counts[l1]
+            l1 += 1
+        e0, e1 = start[l0], start[l1]
+        l0 = l1
+        if not count:
+            continue
+        reps = partners[e0:e1]
+        # per term, the nonzero a is its factor c[l, m, k] and the nonzero b its c[m, i, j]
+        a = np.repeat(np.arange(e0, e1), reps)
+        b = np.arange(count) + np.repeat(start[m[e0:e1]] - (np.cumsum(reps) - reps), reps)
+        terms = val[a] * val[b]
+        ll, kk, ii, jj = l[a] * n, k[a], m[b], k[b]
+        keys = np.empty((3, count), dtype=np.int64)
+        keys[0] = ((ll + kk) * n + ii) * n + jj
+        keys[1] = ((ll + jj) * n + kk) * n + ii
+        keys[2] = ((ll + ii) * n + jj) * n + kk
+        order = keys.ravel().argsort()
+        slots = keys.ravel()[order]
+        first = np.flatnonzero(np.concatenate(([True], slots[1:] != slots[:-1])))
+        sums = np.add.reduceat(terms[order % count], first)
+        jac_max = float(np.maximum(jac_max, np.max(np.abs(sums))))
+    return jac_max
+
+
 class StructuredLieAlgebra:
     """A Lie algebra given by structure constants, optionally matrix-realized.
 
@@ -110,6 +234,13 @@ class StructuredLieAlgebra:
     (antisymmetry measured before the repair).  ``orthogonal`` holds when
     every basis matrix is exactly skew, so the group lies in O(d): group
     elements and frames are then gated on their orthogonality drift.
+
+    The basis commutators are formed a block of rows at a time, and derived
+    constants are measured against them in the same pass, unless the
+    antisymmetry repair changed them.  The Jacobi residual is exact on
+    either path: ``_jacobi_support`` when ``_support_is_cheaper`` says so
+    (every so(n)), else ``_jacobi_dense``, which keeps the residual bits of
+    dense constants.
     """
 
     def __init__(self, structure_constants, matrix_basis=None, name: str = "",
@@ -132,10 +263,9 @@ class StructuredLieAlgebra:
             if np.linalg.matrix_rank(flat) < len(basis):
                 raise ValueError("matrix basis is linearly dependent")
             dual = np.linalg.solve(flat @ flat.T, flat).reshape(basis.shape)
-            prod = basis[:, None] @ basis          # prod[i, j] = xi_i xi_j
-            comm = prod - np.swapaxes(prod, 0, 1)
-            if derived:                            # c[k, i, j]: xi_k-coordinate of comm[i, j]
-                c = np.tensordot(dual, comm, ((1, 2), (2, 3)))
+            if derived:                            # c[k, i, j]: xi_k-coordinate of [xi_i, xi_j]
+                c = np.empty((len(basis),) * 3)
+                err = _commutator_residual(basis, c, dual)
         n = c.shape[0]
 
         asym = float(np.max(np.abs(c + np.swapaxes(c, 1, 2)))) if n else 0.0
@@ -144,23 +274,21 @@ class StructuredLieAlgebra:
                 f"structure constants violate antisymmetry by {asym:.3e} "
                 f"(> {tols['antisymmetry']:.1e}); refusing to repair"
             )
+        raw = c
         c = 0.5 * (c - np.swapaxes(c, 1, 2))
         reports = [CheckReport.from_residual("antisymmetry", asym, tols["antisymmetry"])]
         if basis is not None:      # before Jacobi: constants read off a non-closed basis fail here
-            err = float(np.max(np.abs(comm - np.tensordot(c, basis, (0, 0)))))
+            if not (derived and np.array_equal(c, raw)):      # else measured as read
+                err = _commutator_residual(basis, c)
             if not err <= tols["commutator_consistency"]:
                 what = "leave the span of the basis" if derived else \
                     "disagree with structure constants"
                 raise ValueError(f"matrix commutators {what} by {err:.3e}")
 
-        # per output index l: t[k, i, j] = sum_m c[l, m, k] c[m, i, j], the l-coordinate
-        # of [[xi_i, xi_j], xi_k]; the Jacobi sum is t plus its two cyclic shifts
-        jac_max = 0.0
-        for c_l in np.swapaxes(c, 1, 2):
-            t = np.tensordot(c_l, c, 1)
-            jac = t + t.transpose(2, 0, 1)
-            jac += t.transpose(1, 2, 0)
-            jac_max = float(np.maximum(jac_max, np.max(np.abs(jac))))
+        nz = c != 0                # per output index l, its nonzero products c[l, m, k] c[m, i, j]
+        terms_per_l = nz.sum(axis=2) @ nz.sum(axis=(1, 2))
+        jac_max = (_jacobi_support(c, terms_per_l) if _support_is_cheaper(n, terms_per_l)
+                   else _jacobi_dense(c))
         if not jac_max <= tols["jacobi"]:
             raise ValueError(f"Jacobi identity violated: max residual {jac_max:.3e}")
         reports.append(CheckReport.from_residual("jacobi", jac_max, tols["jacobi"]))

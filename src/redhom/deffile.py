@@ -65,7 +65,7 @@ _KNOWN = {
 _ALPHA_KEYWORDS = ("canonical_first", "canonical_second", "levi_civita")
 # largest algebra dim a definition file may ask for, named spaces included: the
 # structure constants take dim^3 doubles, 134 MB here, and are allocated before any
-# check; so(12), the largest algebra of the stiefel(n,2) size ladder, has dim 66
+# check; so(23), dim 253, is the largest so(n) within it
 MAX_DIM = 256
 
 

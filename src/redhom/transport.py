@@ -421,8 +421,10 @@ def _rk4_velocities(neg_sym, x0, h, nsteps):
     dropped with their floating-point warnings.
 
     On vectors this short the cost of a numpy call is its overhead, so each
-    step writes into buffers allocated once.  The field is two ``np.dot``
-    products, the first with neg_sym flattened to (n*n, n); the stages and
+    step writes into buffers allocated once.  The field is two matrix-vector
+    products, the first with neg_sym flattened to (n*n, n), each through the
+    bound ``ndarray.dot`` of its matrix: the C routine of ``np.dot`` without
+    its Python-level ``__array_function__`` dispatch.  The stages and
     the update ``x + h/6 (k1 + 2 k2 + 2 k3 + k4)`` are written operation by
     operation in the order of those expressions.  At some sizes, n = 9 and
     15 among those tried, BLAS sums the flattened product in another order
@@ -438,24 +440,24 @@ def _rk4_velocities(neg_sym, x0, h, nsteps):
     k2, k3, k4, v, acc = np.empty((5, n))
     # 0-d arrays: a ufunc converts a Python float operand on every call
     half, full, two, sixth = (np.array(c) for c in (0.5 * h, h, 2.0, h / 6.0))
-    dot, add, mul = np.dot, np.add, np.multiply
+    field1, field2, add, mul = flat.dot, lin2.dot, np.add, np.multiply
     xs[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, nsteps, GUARD_BLOCK):
             stop = min(start + GUARD_BLOCK, nsteps)
             for i in range(start, stop):
                 x, k1 = xs[i], dxs[i]
-                dot(flat, x, lin)
-                dot(lin2, x, k1)
+                field1(x, lin)
+                field2(x, k1)
                 add(x, mul(half, k1, v), v)
-                dot(flat, v, lin)
-                dot(lin2, v, k2)
+                field1(v, lin)
+                field2(v, k2)
                 add(x, mul(half, k2, v), v)
-                dot(flat, v, lin)
-                dot(lin2, v, k3)
+                field1(v, lin)
+                field2(v, k3)
                 add(x, mul(full, k3, v), v)
-                dot(flat, v, lin)
-                dot(lin2, v, k4)
+                field1(v, lin)
+                field2(v, k4)
                 add(k1, mul(two, k2, acc), acc)
                 add(acc, mul(two, k3, v), acc)
                 add(acc, k4, acc)
@@ -465,8 +467,8 @@ def _rk4_velocities(neg_sym, x0, h, nsteps):
             if over.any():
                 first = start + 1 + int(np.argmax(over))
                 return xs[:first], dxs[:first]
-    dot(flat, xs[nsteps], lin)
-    dot(lin2, xs[nsteps], dxs[nsteps])
+    field1(xs[nsteps], lin)
+    field2(xs[nsteps], dxs[nsteps])
     return xs, dxs
 
 
@@ -495,7 +497,7 @@ def _magnus_frames(g0, basis, xs, x_mid, dt):
         a0, a1 = a[:-1], a[1:]
         omega = d / 6.0 * (a0 + 4.0 * a_mid + a1) + d * d / 12.0 * (a0 @ a1 - a1 @ a0)
         for i, inc in enumerate(expm(omega), start + 1):
-            np.dot(frames[i - 1], inc, frames[i])
+            frames[i - 1].dot(inc, frames[i])
     return frames
 
 
@@ -506,7 +508,7 @@ def _one_parameter_frames(dec, x0, h, nsteps):
     frames = np.empty((nsteps + 1, d, d))
     frames[0] = np.eye(d)
     for i in range(1, nsteps + 1):
-        np.dot(frames[i - 1], inc, frames[i])
+        frames[i - 1].dot(inc, frames[i])
     return frames
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import redhom as rh
+from redhom import algebra
 
 
 @pytest.fixture(scope="session")
@@ -77,3 +78,41 @@ def restrict_to_m(dec, op):
     h-component it gives an m-vector."""
     s = hm_coords(dec, op @ dec.m_basis.T)
     return s[dec.q:], float(np.max(np.abs(s[: dec.q]), initial=0.0))
+
+
+def dense_jacobi_residual(c):
+    """The Jacobi residual as the dense per-l loop sums it: for each output index l,
+    t[k, i, j] = sum_m c[l, m, k] c[m, i, j], plus its two cyclic shifts."""
+    jac_max = 0.0
+    for c_l in np.swapaxes(c, 1, 2):
+        t = np.tensordot(c_l, c, 1)
+        jac = t + t.transpose(2, 0, 1)
+        jac += t.transpose(1, 2, 0)
+        jac_max = float(np.maximum(jac_max, np.max(np.abs(jac))))
+    return jac_max
+
+
+def commutator_table(basis):
+    """Structure constants read off the whole (n, n, d, d) commutator table at once,
+    and its commutator-consistency residual: the unblocked formula."""
+    flat = basis.reshape(len(basis), -1)
+    dual = np.linalg.solve(flat @ flat.T, flat).reshape(basis.shape)
+    prod = basis[:, None] @ basis
+    comm = prod - np.swapaxes(prod, 0, 1)
+    c = np.tensordot(dual, comm, ((1, 2), (2, 3)))
+    c = 0.5 * (c - np.swapaxes(c, 1, 2))
+    return c, float(np.max(np.abs(comm - np.tensordot(c, basis, (0, 0)))))
+
+
+@pytest.fixture()
+def jacobi_paths(monkeypatch):
+    """Counts the calls of each Jacobi path of the algebra constructor."""
+    calls = {"support": 0, "dense": 0}
+    for path in calls:
+        real = getattr(algebra, f"_jacobi_{path}")
+
+        def counted(*args, _real=real, _path=path):
+            calls[_path] += 1
+            return _real(*args)
+        monkeypatch.setattr(algebra, f"_jacobi_{path}", counted)
+    return calls

@@ -5,13 +5,53 @@ import redhom as rh
 from redhom.algebra import expand_in_matrix_basis
 from redhom.deffile import build_space, parse_definition
 
-from conftest import ad_matrix, commutator_coords, group_exp
+from conftest import (ad_matrix, commutator_coords, commutator_table, dense_jacobi_residual,
+                      group_exp)
 
 E1, E2, E3 = np.eye(3)
 RIGID_BODY_ALGEBRA = (
     "[algebra]\nname = rigid-body\ndim = 3\n"
     "matrix_basis = [0 0 0; 0 0 -1; 0 1 0] [0 0 1; 0 0 0; -1 0 0] [0 -1 0; 1 0 0; 0 0 0]\n"
 )
+
+
+def three_generator_violation():
+    """[e1,e2]=e1, [e2,e3]=e2, [e3,e1]=e3: antisymmetric, and the cyclic sum is -(e1+e2+e3)."""
+    c = np.zeros((3, 3, 3))
+    for (k, i, j, v) in ((0, 0, 1, 1.0), (1, 1, 2, 1.0), (2, 2, 0, 1.0)):
+        c[k, i, j] = v
+        c[k, j, i] = -v
+    return c
+
+
+def direct_sum(a, b):
+    """Structure constants of the direct sum of two algebras."""
+    c = np.zeros((len(a) + len(b),) * 3)
+    c[:len(a), :len(a), :len(a)] = a
+    c[len(a):, len(a):, len(a):] = b
+    return c
+
+
+def so_n_perturbed(n, seed=3):
+    """so(n)'s constants moved by 1e-9 on their support, antisymmetry kept."""
+    c = np.array(rh.so_n(n).structure_constants)
+    c += 1e-9 * np.random.default_rng(seed).standard_normal(c.shape) * (c != 0)
+    return 0.5 * (c - np.swapaxes(c, 1, 2))
+
+
+def random_dense_constants(dim, seed=5):
+    c = np.random.default_rng(seed).standard_normal((dim, dim, dim))
+    return c - np.swapaxes(c, 1, 2)          # antisymmetric, but not a Lie algebra
+
+
+# (constants, the Jacobi path the constructor takes for them, a floor under their residual)
+JACOBI_INPUTS = {
+    **{f"dense({dim})": (lambda dim=dim: random_dense_constants(dim), "dense", 1.0)
+       for dim in range(3, 11)},
+    **{f"so({n})+1e-9": (lambda n=n: so_n_perturbed(n), "support", 1e-10) for n in (5, 8, 12)},
+    "violation+so(6)": (lambda: direct_sum(rh.so_n(6).structure_constants,
+                                           three_generator_violation()), "support", 0.5),
+}
 
 
 def rodrigues(axis, angle):
@@ -160,14 +200,15 @@ class TestConstructionValidation:
         cc = alg.structure_constants
         assert np.array_equal(cc, -np.swapaxes(cc, 1, 2))
 
-    def test_jacobi_violation_rejected(self):
-        c = np.zeros((3, 3, 3))
-        # [e1,e2]=e1, [e2,e3]=e2, [e3,e1]=e3: the cyclic sum is -(e1+e2+e3)
-        for (k, i, j, v) in ((0, 0, 1, 1.0), (1, 1, 2, 1.0), (2, 2, 0, 1.0)):
-            c[k, i, j] = v
-            c[k, j, i] = -v
-        with pytest.raises(ValueError, match="Jacobi"):
+    @pytest.mark.parametrize("embed", [None, 6], ids=["alone", "in so(6)"])
+    def test_jacobi_violation_rejected(self, embed, jacobi_paths):
+        c = three_generator_violation()
+        if embed:
+            c = direct_sum(rh.so_n(embed).structure_constants, c)
+        jacobi_paths.update(support=0, dense=0)     # count the construction below only
+        with pytest.raises(ValueError, match="Jacobi identity violated"):
             rh.StructuredLieAlgebra(c)
+        assert jacobi_paths == {"support": 1, "dense": 0}
 
     def test_nan_structure_constant_rejected(self, so3):
         c = np.array(so3.structure_constants)
@@ -187,18 +228,26 @@ class TestConstructionValidation:
         with pytest.raises(ValueError):
             rh.StructuredLieAlgebra(so3.structure_constants, dep)
 
-    def test_jacobi_residual_matches_the_three_einsum_cyclic_sum(self):
-        rng = np.random.default_rng(5)
-        c = rng.standard_normal((6, 6, 6))
-        c = c - np.swapaxes(c, 1, 2)          # antisymmetric, but not a Lie algebra
+    @pytest.mark.parametrize("case", JACOBI_INPUTS)
+    def test_jacobi_residual_matches_the_three_einsum_cyclic_sum(self, case, jacobi_paths):
+        make, path, floor = JACOBI_INPUTS[case]
+        c = make()
+        jacobi_paths.update(support=0, dense=0)     # count the construction below only
         alg = rh.StructuredLieAlgebra(c, tolerances={"jacobi": np.inf})
+        assert jacobi_paths == {"dense": 0, "support": 0, path: 1}
         c = alg.structure_constants
-        jac = (np.einsum("mij,lmk->lijk", c, c)
-               + np.einsum("mjk,lmi->lijk", c, c)
-               + np.einsum("mki,lmj->lijk", c, c))
-        jacobi = next(r for r in alg.reports if r.check == "jacobi")
-        assert jacobi.max_residual > 1.0
-        assert jacobi.max_residual == pytest.approx(np.max(np.abs(jac)), rel=1e-13)
+        jacobi = next(r for r in alg.reports if r.check == "jacobi").max_residual
+        assert jacobi > floor
+        reference = dense_jacobi_residual(c)
+        if path == "dense":                     # the dense loop keeps its bits
+            assert jacobi == reference
+        else:                                   # the same sums, in another order
+            assert jacobi == pytest.approx(reference, rel=1e-13)
+        if len(c) <= 28:                        # the einsums hold n^4 values each
+            jac = (np.einsum("mij,lmk->lijk", c, c)
+                   + np.einsum("mjk,lmi->lijk", c, c)
+                   + np.einsum("mki,lmj->lijk", c, c))
+            assert jacobi == pytest.approx(np.max(np.abs(jac)), rel=1e-13)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_so_n_constants_read_off_the_basis_are_exact(self, n):
@@ -216,13 +265,33 @@ class TestConstructionValidation:
         with pytest.raises(ValueError, match="structure constants or a matrix basis"):
             rh.StructuredLieAlgebra(None)
 
-    def test_jacobi_passes_for_catalog(self, so3, so4):
-        for alg in (so3, so4):
-            c = alg.structure_constants
+    @pytest.mark.parametrize("make", [rh.so3] + [lambda n=n: rh.so_n(n) for n in range(2, 17)],
+                             ids=["so3"] + [f"so({n})" for n in range(2, 17)])
+    def test_jacobi_passes_for_catalog(self, make, jacobi_paths):
+        alg = make()
+        assert jacobi_paths == {"support": 1, "dense": 0}
+        assert next(r for r in alg.reports if r.check == "jacobi").max_residual == 0.0
+        c = alg.structure_constants
+        if alg.dim <= 28:                       # the einsums hold n^4 values each
             jac = (np.einsum("mij,lmk->lijk", c, c)
                    + np.einsum("mjk,lmi->lijk", c, c)
                    + np.einsum("mki,lmj->lijk", c, c))
             assert np.max(np.abs(jac)) <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        *(lambda n=n: rh.so_n(n).matrix_basis for n in range(2, 13)),
+        lambda: rh.so3().matrix_basis,
+        lambda: build_space(parse_definition(RIGID_BODY_ALGEBRA))[0].dec.algebra.matrix_basis,
+        lambda: np.tensordot(np.random.default_rng(4).standard_normal((6, 6)),
+                             rh.so_n(4).matrix_basis, 1),
+    ], ids=[f"so({n})" for n in range(2, 13)] + ["so3", "rigid-body", "recombined so(4)"])
+    def test_constants_read_a_block_of_rows_at_a_time_keep_their_bits(self, make):
+        basis = make()
+        alg = rh.StructuredLieAlgebra(None, basis)
+        c, err = commutator_table(np.array(basis))
+        assert np.array_equal(alg.structure_constants, c)
+        report = next(r for r in alg.reports if r.check == "commutator_consistency")
+        assert report.max_residual == err
 
 
 class TestGroupElement:

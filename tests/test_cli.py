@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -477,6 +478,21 @@ def test_check_on_a_named_space_computes_each_residual_once(tmp_path, capsys, mo
         assert calls == Counter({"diagnostic_battery": 1, "check_ad_H_invariance_bilinear": 1,
                                  "check_metric_invariance": 1, "curvature": curvatures}), \
             argv[0]
+
+
+def test_check_of_stiefel_16_2_stays_below_96_mib_traced(tmp_path, capsys):
+    # so(16) has dim 120, so its whole (n, n, d, d) commutator table is 29.5 MB; formed
+    # a block of rows at a time, the traced peak stays near 76 MiB
+    path = write(tmp_path, "space = stiefel(16,2)\n")
+    tracemalloc.start()
+    try:
+        code, report = run_json(capsys, ["check", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert report_entry(report, "jacobi")["max_residual"] == 0.0
+    assert peak < 96 * 2 ** 20
 
 
 NON_CLOSED_BASES = [  # (dim, matrix_basis, how far its commutators leave its span)
