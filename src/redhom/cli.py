@@ -8,11 +8,14 @@ than three distinct steps or whose errors do not decrease as the step
 shrinks (round-off dominates them; both errors name the steps taken),
 or a geodesic drifting past ``group_drift`` (its artifacts are still written),
 finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows or
-whose time grid is too large to allocate, an ``--x0`` with a coordinate of
-magnitude over the blow-up norm (no step is taken), an ``--x0``,
-``--z0`` or ``one_parameter:`` vector whose length is not dim m, a
-``group_file:`` or ``velocity_file:`` curve on an algebra without a matrix
-basis, and an ``--out`` file that cannot be written, as in a missing
+whose time grid is too large to allocate, an ``--x0``, ``--z0`` or
+``one_parameter:`` vector with a coordinate of magnitude over the blow-up
+norm (no step is taken, and no curve is lifted for a ``--z0``; the error
+names the vector), a step whose product with the largest velocity
+coordinate is over that norm (its exponential would be round-off; the
+error names the step), an ``--x0``, ``--z0`` or ``one_parameter:`` vector
+whose length is not dim m, a ``group_file:`` or ``velocity_file:`` curve
+on an algebra without a matrix basis, and an ``--out`` file that cannot be written, as in a missing
 directory (the error names the path; no temporary file is left behind; a
 ``transport`` batch with one such file writes none of its seeds' files);
 2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
@@ -29,6 +32,13 @@ file, since its group lies in O(d).  Output files are written atomically and
 deterministically.  Every float in them, CSV and JSON alike, is the text
 ``json.dumps`` gives it: the shortest repr that reads back exactly, and
 ``NaN``, ``Infinity`` or ``-Infinity`` when not finite.
+
+argv is read in one pass over the command's option table when it is
+well formed: one file, and each flag of the command spelled in full as
+``--flag=value`` or ``--flag value``.  Help, abbreviations, unknown flags,
+``--``, separate values starting with ``-`` (but for the vectors below) and
+every malformed value go to argparse, which prints its help, usage and
+error texts and exits 0 (help) or 2.
 
 Geodesic frames stay on the group up to round-off, so ``convergence``
 reports ``exact`` for an alpha whose symmetric part vanishes: its geodesics
@@ -52,7 +62,8 @@ from .connection import basis_sectional_curvatures, curvature, torsion
 from .deffile import DefFileError, build_space, check_space, parse_definition
 from .reductive import DecompositionError
 from .reporting import DEFAULT_TOLERANCES, resolve_tolerances
-from .transport import CurveSpec, geodesic, geodesic_convergence, parallel_transport, realize_curve
+from .transport import (CurveSpec, _refuse_blowup, geodesic, geodesic_convergence,
+                        parallel_transport, realize_curve)
 
 __all__ = ["main"]
 
@@ -244,11 +255,12 @@ def cmd_transport(args) -> int:
         return 1
     bundle, alpha, _tols, tainted, reports = prep
     dec = bundle.dec
-    seeds = args.z0
-    if any(z.shape != (dec.N,) for z in seeds):
+    if any(z.shape != (dec.N,) for z in args.z0):
         raise ValueError(f"each --z0 must hold {dec.N} coordinates")
+    seeds = np.array(args.z0)
+    _refuse_blowup("z0", seeds)   # before the lift, which parallel_transport would follow
     base = realize_curve(dec, _parse_curve(args, dec), step=args.step)
-    batch = parallel_transport(alpha, base, np.array(seeds))
+    batch = parallel_transport(alpha, base, seeds)
     batch.meta["tainted"] = batch.meta.get("tainted", False) or tainted
     serialize.write_trajectory(args.out, batch, bundle.name, alpha.label)
 
@@ -312,17 +324,17 @@ def cmd_convergence(args) -> int:
 # -- argument plumbing --------------------------------------------------------------
 
 
-def _common(sub):
-    sub.add_argument("file", help="space-definition file")
-    sub.add_argument("--json", action="store_true", help="print reports as JSON")
-    sub.add_argument("--tol", action="append", metavar="NAME=VALUE", type=_tol_pair,
-                     help="override a named tolerance (repeatable)")
-    sub.add_argument("--force", action="store_true",
-                     help="proceed despite failed checks; outputs are tainted")
-    sub.add_argument("--out", default=None, help="output path prefix")
+# the options every command takes after its ``file``, in the order of the help text
+_COMMON = (
+    ("--json", dict(action="store_true", help="print reports as JSON")),
+    ("--tol", dict(action="append", metavar="NAME=VALUE", type=_tol_pair,
+                   help="override a named tolerance (repeatable)")),
+    ("--force", dict(action="store_true",
+                     help="proceed despite failed checks; outputs are tainted")),
+    ("--out", dict(default=None, help="output path prefix")),
+)
 
-
-# name -> (handler, help, arguments beyond ``_common``), in the order of the usage text
+# name -> (handler, help, options beyond ``_COMMON``), in the order of the usage text
 _COMMANDS = {
     "check": (cmd_check, "run the diagnostic battery", ()),
     "geodesic": (cmd_geodesic, "integrate a geodesic", (
@@ -351,36 +363,95 @@ _COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The ``redhom`` parser, with only ``command``'s subparser when it names one.
+def build_parser() -> argparse.ArgumentParser:
+    """The ``redhom`` parser, built from ``_COMMON`` and ``_COMMANDS``.
 
-    Building one subparser instead of five is most of the parser's cost.
-    A one-command parser spells out the full command list in its usage, so
-    every help, usage and error text is the one the parser with all five
-    subparsers gives for the same arguments.  ``main`` passes its first
-    argument.
+    ``main`` runs it only on the argv ``_read_argv`` hands over, so every
+    help, usage and error text and every exit code is argparse's.
     """
     parser = argparse.ArgumentParser(
         prog="redhom",
         description="diagnostics and transport on reductive homogeneous spaces",
     )
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    # a partial parser spells out the full command list its usage would show
-    subs = parser.add_subparsers(dest="command", required=True, metavar=(
-        "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None))
-    for name in names:
-        func, help_text, arguments = _COMMANDS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, options) in _COMMANDS.items():
         p = subs.add_parser(name, help=help_text)
-        _common(p)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
+        p.add_argument("file", help="space-definition file")
+        for flag, kwargs in _COMMON + options:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv):
+    """The namespace ``build_parser().parse_args(argv)`` gives, or None.
+
+    Reads only argv that argparse reads one way and accepts: a command,
+    exactly one ``file``, and flags of that command spelled in full, as
+    ``--flag=value`` or as ``--flag value`` with a value not starting with
+    ``-``; every value converted by its ``type`` without error and every
+    required flag given.  Anything else (help, ``--``, an abbreviation, an
+    unknown flag, a converter that raises) returns None, and argparse
+    reads it, so its texts and exit codes need no copy here.  This skips
+    argparse's start-up, about 3 ms of every call.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _help, options = _COMMANDS[argv[0]]
+    table = dict(_COMMON + options)
+    given, files, rest = {}, [], iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            files.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        kwargs = table.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if kwargs.get("action") == "append":
+            given.setdefault(flag, []).append(value)
+        else:
+            given[flag] = value
+    if len(files) != 1:
+        return None
+    values = {"file": files[0]}
+    for flag, kwargs in table.items():
+        if flag in given:
+            values[flag[2:]] = given[flag]
+            continue
+        if kwargs.get("required"):
+            return None
+        default = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        # argparse converts a string default as it converts a given value
+        values[flag[2:]] = kwargs["type"](default) if isinstance(default, str) else default
+    return argparse.Namespace(**values, command=argv[0], func=func)
+
+
 def main(argv=None) -> int:
+    """Run one ``redhom`` command; return its exit code.
+
+    Well-formed argv is read by ``_read_argv``; help, usage errors and any
+    argv it does not take go to ``build_parser``, which prints argparse's
+    texts and exits 0 (help) or 2 (errors).  See the module docstring for
+    the codes the commands return.
+    """
     argv = _attach_vector_values(sys.argv[1:] if argv is None else argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if getattr(args, "out", None) is None and args.command in (
             "geodesic", "transport", "tensors"):
         args.out = "redhom_out"

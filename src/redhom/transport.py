@@ -34,6 +34,11 @@ of the finest step: its truncation error, 1e-4 of the finest run's and
 often below its round-off, is too small to move the order.  It reads only
 each run's end frame, so its runs skip the frame diagnostics.
 
+``ValueError`` refuses, before any step, an x0, a one-parameter direction
+or a transported seed with a coordinate over ``BLOWUP_NORM``, and a step
+whose product with the largest velocity coordinate is over it: the
+exponential of such a step would be round-off, or overflow.
+
 Every trajectory starts at the identity frame, and a lift at its first
 sample; no initial frame is taken, since it would add nothing.  The
 covariant derivatives are invariant under left translation, so the
@@ -381,10 +386,8 @@ def _geodesic_run(alpha, x0, t_span, step):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dec.N,):
         raise ValueError(f"x0 must have length {dec.N}")
-    # "not <=" also catches a nan; checked before the paths split, so both reject it
-    if not np.max(np.abs(x0), initial=0.0) <= BLOWUP_NORM:
-        raise ValueError("x0 has a coordinate of magnitude over the blow-up norm "
-                         f"{BLOWUP_NORM:g}")
+    # checked before the paths split, so both reject it
+    _refuse_blowup("x0", x0)
 
     sym = _symmetric_part(alpha)
     if sym is None:
@@ -397,6 +400,23 @@ def _geodesic_run(alpha, x0, t_span, step):
     frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs,
                             _hermite_midpoints(xs, dxs, dt), dt)
     return times, frames, xs, h, aborted_at
+
+
+def _refuse_blowup(name, values):
+    """Raise ``ValueError`` naming ``name`` when a coordinate of ``values`` is over
+    ``BLOWUP_NORM`` in magnitude; "not <=" also catches a nan."""
+    if not np.max(np.abs(values), initial=0.0) <= BLOWUP_NORM:
+        raise ValueError(f"{name} has a coordinate of magnitude over the blow-up norm "
+                         f"{BLOWUP_NORM:g}")
+
+
+def _refuse_long_step(h, xs):
+    """Raise ``ValueError`` when a step of ``h`` along velocity coordinates ``xs`` moves
+    through more than ``BLOWUP_NORM``: its exponential would be round-off, or overflow."""
+    x = float(np.max(np.abs(xs), initial=0.0))
+    if not float(h) * x <= BLOWUP_NORM:
+        raise ValueError(f"a step of {h:.6g} along a velocity coordinate of magnitude {x:.6g} "
+                         f"is over the blow-up norm {BLOWUP_NORM:g}")
 
 
 def _symmetric_part(alpha: AlphaMap):
@@ -486,7 +506,9 @@ def _magnus_frames(g0, basis, xs, x_mid, dt):
     A left-acting ODE ``Y' = B(t) Y`` is the same problem transposed,
     ``(Y^T)' = Y^T B(t)^T``: pass ``Y(t0)^T`` and the transposed basis, and
     transpose the frames back.  Lift and transport are solved this way.
+    A step of dt along an x over ``BLOWUP_NORM`` in all raises ``ValueError``.
     """
+    _refuse_long_step(np.max(dt, initial=0.0), xs)
     frames = np.empty((len(xs),) + g0.shape)
     frames[0] = g0
     for start in range(0, len(dt), MAGNUS_BLOCK):
@@ -503,6 +525,7 @@ def _magnus_frames(g0, basis, xs, x_mid, dt):
 
 def _one_parameter_frames(dec, x0, h, nsteps):
     """Frames exp(i h mat(x0)), i = 0..nsteps, as powers of one exponential."""
+    _refuse_long_step(h, x0)
     d = dec.algebra.matrix_dim
     inc = expm(h * dec.m_matrix(x0))
     frames = np.empty((nsteps + 1, d, d))
@@ -526,7 +549,8 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     ``_magnus_frames`` builds them once and each seed is one product with
     them; for a metric alpha they lie in O(g) up to round-off.  Returns a
     copy of the base trajectory with the transported coordinates attached,
-    of shape (M, N) for one seed and (M, S, N) for a seed matrix.
+    of shape (M, N) for one seed and (M, S, N) for a seed matrix.  A seed
+    with a coordinate over ``BLOWUP_NORM`` raises ``ValueError``.
     """
     if len(base) < 2:
         raise ValueError("base trajectory has no intervals to integrate over")
@@ -536,6 +560,7 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     seeds = np.array(z0, dtype=float, ndmin=1)
     if seeds.ndim > 2 or seeds.shape[-1] != dec.N:
         raise ValueError(f"z0 must have length {dec.N}")
+    _refuse_blowup("z0", seeds)
 
     times = base.times
     xs = base.velocities
@@ -633,6 +658,7 @@ def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResul
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dec.N,):
         raise ValueError(f"x0 must have length {dec.N}")
+    _refuse_blowup("x0", x0)        # before the closed-form reference, as before any run
     steps = _order_steps(_time_grid(t_span, float(s))[1] for s in steps)
 
     def end_frame(step):
@@ -643,6 +669,7 @@ def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResul
         return frames[-1]
 
     if _symmetric_part(alpha) is None:
+        _refuse_long_step(max(steps), x0)     # as each run would, before the one exponential
         ref = expm((float(t_span[1]) - float(t_span[0])) * dec.m_matrix(x0))
     else:
         ref = end_frame(min(steps) / FINE_FACTOR)
@@ -671,6 +698,7 @@ def _one_parameter_trajectory(dec, spec, step):
     x0 = np.asarray(spec.x0, dtype=float)
     if x0.shape != (dec.N,):
         raise ValueError(f"one-parameter direction must have length {dec.N}")
+    _refuse_blowup("one-parameter direction", x0)
     times, h = _time_grid(spec.t_span, step)
     frames = _one_parameter_frames(dec, x0, h, len(times) - 1)
     xs = np.tile(x0, (len(times), 1))

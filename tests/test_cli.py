@@ -543,7 +543,7 @@ def test_tensors_write_null_planes_as_degenerate(tmp_path):
     ["convergence", "space.def"],
     ["check", "space.def", "--bogus"],
 ], ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_the_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+def test_main_prints_what_the_parser_prints_for_help_and_errors(capsys, argv):
     def run(parse):
         with pytest.raises(SystemExit) as exc:
             parse()

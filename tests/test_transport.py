@@ -21,7 +21,8 @@ keep the rigid body's energy and momentum norm, and end a blow-up at the
 sample the per-step guard ends it, with frames still on the group;
 frames written in place must equal the per-step ``g @ inc`` loop bit for
 bit, and convergence runs must skip the frame diagnostics;
-an x0 already over the blow-up norm and non-finite curve samples are
+an x0, a seed or a one-parameter direction already over the blow-up norm,
+a step whose exponential would overflow, and non-finite curve samples are
 rejected before any step.  Each quantity is derived once: a constant-velocity
 geodesic is the one-parameter curve bit for bit, built from one exponential;
 one transport call judges is_metric once; and each finite-difference warning
@@ -126,6 +127,15 @@ def test_seed_of_wrong_length_is_rejected(stiefel42):
     base = lifted_curve(stiefel42.dec)
     with pytest.raises(ValueError, match="z0 must have length 5"):
         parallel_transport(alpha, base, np.ones((2, 4)))
+
+
+def test_seed_over_the_blow_up_norm_is_rejected(stiefel42):
+    alpha = levi_civita_alpha(stiefel42.dec, stiefel42.metric)
+    base = lifted_curve(stiefel42.dec)
+    seeds = np.zeros((2, 5))
+    seeds[1, :2] = 1e308
+    with pytest.raises(ValueError, match="z0 has a coordinate of magnitude over the blow-up"):
+        parallel_transport(alpha, base, seeds)
 
 
 def run_transport(tmp_path, text, curve, seeds):
@@ -433,6 +443,32 @@ def test_x0_over_the_blow_up_norm_is_rejected_before_any_step(make_alpha):
         x0[0] = over
         with pytest.raises(ValueError, match="over the blow-up norm"):
             geodesic(alpha, x0, (0.0, 1.0), 0.01)
+
+
+def test_one_parameter_direction_over_the_blow_up_norm_is_rejected(stiefel42):
+    spec = CurveSpec.one_parameter([1e300, 0.0, 0.0, 0.0, 0.0], (0.0, 1.0))
+    with pytest.raises(ValueError, match="one-parameter direction has a coordinate of "
+                                         "magnitude over the blow-up norm 1e"):
+        realize_curve(stiefel42.dec, spec, step=0.1)
+
+
+# one step of 1e300 or more along a velocity of order 1, on each path to an exponential
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda body: geodesic(rh.canonical_first(rh.sphere2().dec), [1.0, 0.5],
+                                       (0.0, 1e300), 1e300), id="one-parameter-geodesic"),
+    # a steady rotation about a principal axis: RK4 keeps x, and the Magnus step is refused
+    pytest.param(lambda body: geodesic(levi_civita_alpha(body.dec, body.metric),
+                                       [0.0, 0.5, 0.0], (0.0, 1e308), 1e308), id="rk4-geodesic"),
+    pytest.param(lambda body: realize_curve(rh.sphere2().dec, CurveSpec.one_parameter(
+        [1.0, 0.5], (0.0, 1e300)), step=1e300), id="one-parameter-curve"),
+    pytest.param(lambda body: geodesic_convergence(rh.canonical_first(rh.sphere2().dec),
+                                                   [1.0, 0.5], (0.0, 1e300),
+                                                   [1e300, 5e299, 3e299]), id="exact-reference"),
+])
+def test_a_step_over_the_blow_up_norm_is_rejected_before_its_exponential(rigid_body, run):
+    with pytest.raises(ValueError, match=r"a step of \S+ along a velocity coordinate of "
+                                         r"magnitude \S+ is over the blow-up norm 1e\+06"):
+        run(rigid_body)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
