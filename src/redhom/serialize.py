@@ -29,9 +29,11 @@ commas and control bytes are then replaced by the indented separators; a
 1-D array is one row per block.  The text stays bytes up to the binary
 handle it is written through.  ``write_trajectory`` builds a block's CSV
 lines and JSON pieces from the same row texts, and neither file is held as
-one string.  A batch of seeds transported along one curve is one file pair
-per seed, and the columns they share (t, frames, velocities) are converted
-once for all of them.  A batch, like the file set of ``tensors``
+one string; a block's time column is converted as one row and split into
+its cells.  A batch of seeds transported along one curve is one file pair
+per seed.  The columns they share (t, frames, velocities) are converted
+once for all of them, and their transported columns one block of rows at
+a time, all seeds in one ``_rows`` call.  A batch, like the file set of ``tensors``
 (``atomic_write_texts``), is written whole or not at all: each file is
 staged in a temporary file, and the staged files replace their paths only
 once all of them are written.
@@ -256,51 +258,65 @@ def _json_object(fields: dict, arrays: dict) -> list:
     return parts
 
 
-def _base_blocks(traj):
-    """``(start, lines, pieces)`` per block of rows of the t, frame and velocity columns.
+def _blocks(traj, z):
+    """``(lines, pieces, z_rows)`` per block of rows.
 
-    ``lines`` are the block's CSV lines of those columns and ``pieces`` maps
-    each JSON key to the block's piece of its array.
+    ``lines`` are the block's CSV lines of the t, frame and velocity columns
+    and ``pieces`` maps each JSON key to the block's piece of its array.
+    ``z`` is None or the transported coordinates of shape (M, S, N), and
+    ``z_rows[s]`` the row texts of seed s in the block: one ``_rows`` call
+    converts the block of all seeds, and seed s takes every S-th row text.
     """
     frames, velocities = traj.frames, traj.velocities
     p = frames.shape[1]             # innermost frame rows per trajectory row
     rows = max(1, _BLOCK_VALUES // (1 + math.prod(frames.shape[1:]) + velocities.shape[1]))
     for start in range(0, len(traj), rows):
-        t = _rows(traj.times[start:start + rows, None])
+        t_row = _rows(traj.times[None, start:start + rows])
         g, x = frames[start:start + rows], velocities[start:start + rows]
         g_rows, x_rows = _rows(g.reshape(-1, g.shape[-1])), _rows(x)
-        lines = list(map(b",".join, zip(t, *[g_rows[i::p] for i in range(p)], x_rows)))
-        yield start, lines, {"times": _json_piece([b",".join(t)], (len(t),), 1),
-                             "frames": _json_piece(g_rows, g.shape, 1),
-                             "velocities": _json_piece(x_rows, x.shape, 1)}
+        lines = list(map(b",".join, zip(t_row[0].split(b","), *[g_rows[i::p] for i in range(p)],
+                                        x_rows)))
+        pieces = {"times": _json_piece(t_row, (len(lines),), 1),
+                  "frames": _json_piece(g_rows, g.shape, 1),
+                  "velocities": _json_piece(x_rows, x.shape, 1)}
+        if z is None:
+            yield lines, pieces, None
+        else:
+            z_text = _rows(z[start:start + rows].reshape(-1, z.shape[-1]))
+            yield lines, pieces, [z_text[s::z.shape[1]] for s in range(z.shape[1])]
 
 
-def _emit_trajectory(csv, traj, space: str, alpha: str, base, z) -> list:
-    """Write a trajectory's CSV text, with ``z`` as its transported columns, to the binary
-    handle ``csv``; return the parts of its JSON.  ``base`` holds its ``_base_blocks``."""
-    arrays = {"times": traj.times, "frames": traj.frames, "velocities": traj.velocities}
-    if z is not None:
-        arrays["transported"] = z
-    pieces = {key: [] for key in arrays}
+def _emit_trajectory(csv, traj, space: str, alpha: str, blocks, seed) -> list:
+    """Write a trajectory's CSV text, with seed ``seed`` of its ``_blocks`` as its
+    transported columns (none when ``seed`` is None), to the binary handle ``csv``; return
+    the parts of its JSON."""
+    n = traj.velocities.shape[1]
+    ndims = {"times": 1, "frames": 3, "velocities": 2}
+    if seed is not None:
+        ndims["transported"] = 2
+    pieces = {key: [] for key in ndims}
     step = traj.meta.get("step")
+    columns = trajectory_columns(traj)
     csv.write((f"# space={space} alpha={alpha} step={'n/a' if step is None else fmt(step)} "
                f"integrator={traj.meta.get('integrator', '')}\n"
-               + ",".join(trajectory_columns(traj)) + "\n").encode())
-    for start, lines, base_pieces in base:
+               + ",".join(columns) + "\n").encode())
+    for lines, base_pieces, z_rows in blocks:
         for key, piece in base_pieces.items():
             pieces[key].append(piece)
-        if z is not None:
-            block = z[start:start + len(lines)]
-            z_rows = _rows(block)
-            pieces["transported"].append(_json_piece(z_rows, block.shape, 1))
-            lines = map(b",".join, zip(lines, z_rows))
-        csv.write(b"\n".join(lines) + b"\n")
+        if seed is None:
+            csv.write(b"\n".join(lines) + b"\n")
+            continue
+        z_rows = z_rows[seed]
+        pieces["transported"].append(_json_piece(z_rows, (len(z_rows), n), 1))
+        text = [None, b",", None, b"\n"] * len(lines)
+        text[0::4], text[2::4] = lines, z_rows
+        csv.write(b"".join(text))
     fields = {"meta": _jsonable({**traj.meta, "space": space, "alpha": alpha}),
-              "columns": trajectory_columns(traj)}
-    if z is None:
+              "columns": columns}
+    if seed is None:
         fields["transported"] = None
-    return _json_object(fields, {key: _json_parts(pieces[key], a.ndim, 1)
-                                 for key, a in arrays.items()})
+    return _json_object(fields, {key: _json_parts(pieces[key], ndim, 1)
+                                 for key, ndim in ndims.items()})
 
 
 def write_trajectory(prefix: str, traj, space: str, alpha: str):
@@ -310,33 +326,45 @@ def write_trajectory(prefix: str, traj, space: str, alpha: str):
     batch of shape (M, S, N) that ``parallel_transport`` returns for S
     seeds.  A batch writes one file pair per seed, ``prefix_seed<i>``, or
     ``prefix`` when S = 1; its t, frame and velocity columns are converted
-    to text once for all of them.  The batch is written whole or not at all:
-    the files replace their paths only once all of them are written, and a
+    to text once for all of them, and its transported columns one block of
+    all seeds at a time.  The batch is written whole or not at all: the
+    files replace their paths only once all of them are written, and a
     target that is a directory refuses the batch before any is replaced.
     """
     z = traj.transported
-    seeds = [z] if z is None or z.ndim == 2 else list(np.moveaxis(z, 1, 0))
-    paths = [prefix] if len(seeds) == 1 else [f"{prefix}_seed{i}" for i in range(len(seeds))]
-    base = _base_blocks(traj) if len(seeds) == 1 else list(_base_blocks(traj))
+    if z is not None and z.ndim == 2:
+        z = z[:, None]
+    seeds = [None] if z is None else range(z.shape[1])
+    paths = [prefix] if len(seeds) == 1 else [f"{prefix}_seed{i}" for i in seeds]
+    blocks = _blocks(traj, z)
+    if len(seeds) > 1:
+        blocks = list(blocks)
     with _atomic_files() as stage:
         for path, seed in zip(paths, seeds):
             with stage(path + ".csv") as handle:
-                json_parts = _emit_trajectory(handle, traj, space, alpha, base, seed)
+                json_parts = _emit_trajectory(handle, traj, space, alpha, blocks, seed)
             with stage(path + ".json") as handle:
                 handle.writelines(json_parts)
 
 
+def _one_trajectory(traj, space, alpha):
+    """The CSV text and the JSON parts ``write_trajectory`` writes for one seed or none."""
+    z = traj.transported
+    text = io.BytesIO()
+    json_parts = _emit_trajectory(text, traj, space, alpha,
+                                  _blocks(traj, None if z is None else z[:, None]),
+                                  None if z is None else 0)
+    return text.getvalue(), json_parts
+
+
 def trajectory_csv(traj, space: str = "", alpha: str = "") -> str:
     """The text ``write_trajectory`` writes to ``prefix.csv`` for one seed or none."""
-    text = io.BytesIO()
-    _emit_trajectory(text, traj, space, alpha, _base_blocks(traj), traj.transported)
-    return text.getvalue().decode()
+    return _one_trajectory(traj, space, alpha)[0].decode()
 
 
 def trajectory_json(traj, space: str = "", alpha: str = "") -> str:
     """The text ``write_trajectory`` writes to ``prefix.json`` for one seed or none."""
-    return b"".join(_emit_trajectory(io.BytesIO(), traj, space, alpha, _base_blocks(traj),
-                                     traj.transported)).decode()
+    return b"".join(_one_trajectory(traj, space, alpha)[1]).decode()
 
 
 def tensor_json(tensor, extra_meta=None) -> str:

@@ -24,9 +24,13 @@ expansion (Iserles, Munthe-Kaas, Norsett and Zanna, Acta Numerica 9,
 lift's isotropy factor h, and the transport propagator.  Their generators
 lie in a Lie algebra, so each solution stays on its group up to
 round-off: g in G, h in H and, for a metric alpha, the transport
-propagator in O(g).  Every parallel field along one curve solves the same
-linear ODE, so all seeds transported in one call share one propagator
-sequence.  Each per-step loop writes into rows allocated once, operation
+propagator in O(g).  A constant generator on a uniform grid takes the
+powers of one exponential, with no per-step exponentials: the transport
+generator along a one-parameter curve or a naturally reductive geodesic,
+whose horizontal lift has the constant velocity x0, and the frames of
+constant velocity samples.  Every parallel field along one curve solves
+the same linear ODE, so all seeds transported in one call share one
+propagator sequence.  Each per-step loop writes into rows allocated once, operation
 by operation in the order of the plain expressions, such as
 ``x + h/6 (k1 + 2 k2 + 2 k3 + k4)`` and ``g = g @ inc``.
 ``geodesic_convergence`` measures the RK4 order against a run at a tenth
@@ -37,7 +41,9 @@ each run's end frame, so its runs skip the frame diagnostics.
 ``ValueError`` refuses, before any step, an x0, a one-parameter direction
 or a transported seed with a coordinate over ``BLOWUP_NORM``, and a step
 whose product with the largest velocity coordinate is over it: the
-exponential of such a step would be round-off, or overflow.
+exponential of such a step would be round-off, or overflow.  It also
+refuses a time grid of more samples than one array can hold, naming its
+span and step.
 
 Every trajectory starts at the identity frame, and a lift at its first
 sample; no initial frame is taken, since it would add nothing.  The
@@ -100,16 +106,20 @@ def _fd_derivatives(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.gradient(values, times, axis=0, edge_order=order)
 
 
+def _is_uniform(d: np.ndarray) -> bool:
+    """Whether the steps ``d`` (at least one) of a grid are equal up to rounding in its
+    sample times."""
+    # no registry key: tells a uniform grid from rounding in the sample times; it picks
+    # the finite-difference stencil and the constant-generator propagator and judges no
+    # result
+    return bool(np.max(np.abs(d - d[0])) <= 1e-9 * max(abs(float(d[0])), 1e-300))
+
+
 def _fd4_step(times: np.ndarray):
     """The step of a uniform grid of 5 or more samples, on which fourth-order
     differences and their error estimate apply, else None."""
     d = np.diff(times)
-    if d.size < 4:
-        return None
-    # no registry key: tells a uniform grid from rounding in the sample times; it picks
-    # the finite-difference stencil and judges no result
-    uniform = bool(np.max(np.abs(d - d[0])) <= 1e-9 * max(abs(float(d[0])), 1e-300))
-    return float(d[0]) if uniform else None
+    return float(d[0]) if d.size >= 4 and _is_uniform(d) else None
 
 
 def _best_fd(times: np.ndarray, values: np.ndarray):
@@ -120,8 +130,12 @@ def _best_fd(times: np.ndarray, values: np.ndarray):
     return _fd_derivatives(times, values), 2
 
 
-def _time_grid(t_span, step):
-    """The fewest equal steps over ``t_span`` no longer than ``step``: (times, step taken)."""
+def _grid_steps(t_span, step):
+    """The fewest equal steps over ``t_span`` no longer than ``step``: (count, step taken).
+
+    A count whose time grid is over the largest float array numpy can
+    address raises ``ValueError`` naming the span and the step.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -131,7 +145,16 @@ def _time_grid(t_span, step):
     if not math.isfinite(span):
         raise ValueError(f"t_span ({t0!r}, {t1!r}) holds too many steps of {step!r} to count")
     nsteps = max(1, math.ceil(span - 1e-12))
-    return np.linspace(t0, t1, nsteps + 1), (t1 - t0) / nsteps
+    if nsteps >= np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise ValueError(f"t_span ({t0!r}, {t1!r}) holds {nsteps:.3g} steps of {step!r}: "
+                         f"more samples than one array can hold")
+    return nsteps, (t1 - t0) / nsteps
+
+
+def _time_grid(t_span, step):
+    """The grid of :func:`_grid_steps` over ``t_span``: (times, step taken)."""
+    nsteps, h = _grid_steps(t_span, step)
+    return np.linspace(float(t_span[0]), float(t_span[1]), nsteps + 1), h
 
 
 def _hermite_midpoints(values, derivs, dt):
@@ -312,8 +335,8 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
     h_dot, _ = _best_fd(times, h_coords)
     dt = np.diff(times)
     h_mid = _hermite_midpoints(h_coords, h_dot, dt)
-    hs = _magnus_frames(np.eye(d), np.swapaxes(dec.h_matrices, 1, 2), -h_coords, -h_mid,
-                        dt).swapaxes(1, 2)
+    hs = _magnus_frames(np.eye(d), np.swapaxes(dec.h_matrices, 1, 2), times, -h_coords,
+                        -h_mid, dt).swapaxes(1, 2)
 
     frames = np.einsum("mab,mbc->mac", mats, hs)
 
@@ -397,7 +420,7 @@ def _geodesic_run(alpha, x0, t_span, step):
     aborted_at = float(times[len(xs)]) if len(xs) < len(times) else None
     times = times[: len(xs)]
     dt = np.full(len(xs) - 1, h)
-    frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs,
+    frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, times, xs,
                             _hermite_midpoints(xs, dxs, dt), dt)
     return times, frames, xs, h, aborted_at
 
@@ -492,7 +515,7 @@ def _rk4_velocities(neg_sym, x0, h, nsteps):
     return xs, dxs
 
 
-def _magnus_frames(g0, basis, xs, x_mid, dt):
+def _magnus_frames(g0, basis, times, xs, x_mid, dt):
     """Frames of g' = g A(t), A = sum_k x_k basis_k, from x at nodes and midpoints.
 
     Each step is one exponential of the fourth-order Magnus expansion with
@@ -500,8 +523,19 @@ def _magnus_frames(g0, basis, xs, x_mid, dt):
     ``Omega_i = dt/6 (A_i + 4 A_mid + A_{i+1}) + dt^2/12 [A_i, A_{i+1}]``.
     Omega_i lies in the algebra, so the frames stay on the group up to
     round-off.  The exponentials are built a block of steps at a time, which
-    keeps the temporaries small.  A constant generator needs none of this:
-    ``_one_parameter_frames`` takes the powers of one exponential.
+    keeps the temporaries small.  The basis is made contiguous once: the
+    transposed bases of lift and transport are strided views, on which each
+    block's contraction is several times slower, with the same bits.
+
+    A constant generator takes no per-step exponential.  When the samples
+    ``xs`` are all exactly equal (the midpoints interpolate them) and the
+    steps ``dt`` are uniform by the test of ``_fd4_step``, every Omega_i is
+    h A: the commutator vanishes and Simpson's weights sum to 1.  The frames
+    are then ``g0 E^i`` with the one exponential E = expm(h A), where h is the
+    grid's step (t_M - t_0) / M over the M steps of ``times``, the step
+    ``_time_grid`` takes.  This is the exact propagator along one-parameter
+    curves and naturally reductive geodesics; a frame on a grid uniform only
+    to that test's 1e-9 sits at t_0 + i h, not t_i.
 
     A left-acting ODE ``Y' = B(t) Y`` is the same problem transposed,
     ``(Y^T)' = Y^T B(t)^T``: pass ``Y(t0)^T`` and the transposed basis, and
@@ -509,6 +543,10 @@ def _magnus_frames(g0, basis, xs, x_mid, dt):
     A step of dt along an x over ``BLOWUP_NORM`` in all raises ``ValueError``.
     """
     _refuse_long_step(np.max(dt, initial=0.0), xs)
+    basis = np.ascontiguousarray(basis)
+    if len(dt) and _is_uniform(dt) and (xs == xs[0]).all():
+        h = (float(times[-1]) - float(times[0])) / len(dt)
+        return _powers(g0, np.einsum("k,kab->ab", xs[0], basis), h, len(dt))
     frames = np.empty((len(xs),) + g0.shape)
     frames[0] = g0
     for start in range(0, len(dt), MAGNUS_BLOCK):
@@ -523,16 +561,21 @@ def _magnus_frames(g0, basis, xs, x_mid, dt):
     return frames
 
 
-def _one_parameter_frames(dec, x0, h, nsteps):
-    """Frames exp(i h mat(x0)), i = 0..nsteps, as powers of one exponential."""
-    _refuse_long_step(h, x0)
-    d = dec.algebra.matrix_dim
-    inc = expm(h * dec.m_matrix(x0))
-    frames = np.empty((nsteps + 1, d, d))
-    frames[0] = np.eye(d)
+def _powers(g0, a, h, nsteps):
+    """Frames g0 expm(h a)^i, i = 0..nsteps, of the constant generator ``a``: the powers
+    of one exponential."""
+    inc = expm(h * a)
+    frames = np.empty((nsteps + 1,) + g0.shape)
+    frames[0] = g0
     for i in range(1, nsteps + 1):
         frames[i - 1].dot(inc, frames[i])
     return frames
+
+
+def _one_parameter_frames(dec, x0, h, nsteps):
+    """Frames exp(i h mat(x0)), i = 0..nsteps, as powers of one exponential."""
+    _refuse_long_step(h, x0)
+    return _powers(np.eye(dec.algebra.matrix_dim), dec.m_matrix(x0), h, nsteps)
 
 
 # -- parallel transport ------------------------------------------------------------
@@ -576,7 +619,8 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     dt = np.diff(times)
     x_mid = _hermite_midpoints(xs, dxs, dt)
     # z' = A z with A_kj = -sum_i x_i alpha_kij, solved transposed
-    prop_t = _magnus_frames(np.eye(dec.N), np.transpose(alpha.coeffs, (1, 2, 0)), -xs, -x_mid, dt)
+    prop_t = _magnus_frames(np.eye(dec.N), np.transpose(alpha.coeffs, (1, 2, 0)), times, -xs,
+                            -x_mid, dt)
     # one product per seed: a product over the whole seed matrix would round
     # differently, and each seed's z must not depend on which seeds share its call
     zs = np.stack([z @ prop_t for z in seeds.reshape(-1, dec.N)], axis=1)
@@ -659,7 +703,7 @@ def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResul
     if x0.shape != (dec.N,):
         raise ValueError(f"x0 must have length {dec.N}")
     _refuse_blowup("x0", x0)        # before the closed-form reference, as before any run
-    steps = _order_steps(_time_grid(t_span, float(s))[1] for s in steps)
+    steps = _order_steps(_grid_steps(t_span, float(s))[1] for s in steps)
 
     def end_frame(step):
         _, frames, _, _, aborted_at = _geodesic_run(alpha, x0, t_span, step)
@@ -714,7 +758,8 @@ def _velocity_trajectory(dec, spec):
         raise ValueError(f"velocity samples must have shape (len(times), {dec.N})")
     dt = np.diff(times)
     x_mid = 0.5 * (xs[:-1] + xs[1:])        # order-1 interpolation of the samples
-    frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, xs, x_mid, dt)
+    frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, times, xs, x_mid,
+                            dt)
     meta = {"integrator": "magnus4", "step": float(np.max(dt)), "curve": "piecewise_velocity",
             "warnings": [] if _fd4_step(times) is not None else [FD_UNESTIMATED]}
     return _diagnosed(dec, np.array(times), frames, xs.copy(), meta)

@@ -312,7 +312,12 @@ def test_shared_base_text_gives_the_same_files(tmp_path, monkeypatch):
     # two rows per block: the shared base text spans two blocks
     monkeypatch.setattr(serialize, "_BLOCK_VALUES", 2 * 8)
     traj = special_trajectory()
-    seeds = [traj, replace(traj, transported=traj.transported[::-1].copy())]
+    # the seeds' rows of a block are converted together: out-of-range cells sit in the
+    # same sample rows (0 and 3) of different seeds, with a plain row between them
+    third = np.random.default_rng(4).standard_normal((4, 3))
+    third[0], third[3] = [1e-5, 5e16, -math.inf], [5e-324, -0.0, 1e-5]
+    seeds = [replace(traj, transported=z)
+             for z in (traj.transported, traj.transported[::-1].copy(), third)]
     batch = replace(traj, transported=np.stack([s.transported for s in seeds], axis=1))
     serialize.write_trajectory(str(tmp_path / "batch"), batch, "s", "a")
     for i, seed in enumerate(seeds):
@@ -321,9 +326,9 @@ def test_shared_base_text_gives_the_same_files(tmp_path, monkeypatch):
         assert (serialize.trajectory_csv(seed, "s", "a"),
                 serialize.trajectory_json(seed, "s", "a")) == files
     assert sorted(p.name for p in tmp_path.glob("batch*")) == [
-        f"batch_seed{i}.{ext}" for i in range(2) for ext in ("csv", "json")]
+        f"batch_seed{i}.{ext}" for i in range(3) for ext in ("csv", "json")]
     # a batch of one seed writes plain ``prefix``
-    write(tmp_path, replace(traj, transported=batch.transported[:, 1:]), "one")
+    write(tmp_path, replace(traj, transported=batch.transported[:, 1:2]), "one")
     assert read(tmp_path, "one") == read(tmp_path, "own1")
     assert not list(tmp_path.glob("one_seed*"))
 

@@ -1,0 +1,113 @@
+"""Extrinsic oracle for lift and transport: the Stiefel manifold in R^{n x k}.
+
+A frame curve g(t) in SO(n) maps to the point Y(t) = g(t) Y0 of V(n, k),
+Y0 the first k columns of I, and a transported field z(t) to the tangent
+vector Delta(t) = g(t) mat(z(t)) Y0.  Edelman, Arias and Smith (SIAM J.
+Matrix Anal. Appl. 20(2), 1998) give the ambient Christoffel function Gamma
+of the canonical and the Euclidean metric; a parallel field solves
+Delta' + Gamma(Y', Delta) = 0.  That equation is integrated here by scipy's
+DOP853 from the closed-form Y(t) and Y'(t) alone, with no alpha, lift or
+frame, and compared with ``realize_curve`` plus ``parallel_transport``
+(Levi-Civita) along the non-geodesic curve c(t) = exp(t A1) exp(t^2 A2).
+The error must fall with order 4 as the samples double.
+"""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+
+import redhom as rh
+from redhom.connection import levi_civita_alpha
+from redhom.transport import CurveSpec, parallel_transport, realize_curve
+
+T1 = 1.5
+INTERVALS = (100, 200, 400)
+
+
+def canonical_christoffel(y, d1, d2):
+    proj = np.eye(len(y)) - y @ y.T
+    return (0.5 * (d1 @ d2.T + d2 @ d1.T) @ y
+            + 0.5 * y @ (d1.T @ proj @ d2 + d2.T @ proj @ d1))
+
+
+def euclidean_christoffel(y, d1, d2):
+    return 0.5 * y @ (d1.T @ d2 + d2.T @ d1)
+
+
+def canonical_gram(mats, y0):
+    # tr(X1^T X2) / 2 = tr(A1^T A2) / 2 + tr(B1^T B2) for X = [[A, -B^T], [B, 0]]
+    return 0.5 * np.einsum("iab,jab->ij", mats, mats)
+
+
+def euclidean_gram(mats, y0):
+    # tr((X1 Y0)^T X2 Y0) = tr(A1^T A2) + tr(B1^T B2); Ad(H) = SO(n - k) keeps it
+    cols = mats @ y0
+    return np.einsum("iab,jab->ij", cols, cols)
+
+
+METRICS = {"canonical": (canonical_gram, canonical_christoffel),
+           "euclidean": (euclidean_gram, euclidean_christoffel)}
+
+
+def skew(rng, n, scale):
+    a = rng.standard_normal((n, n))
+    return scale * (a - a.T)
+
+
+def oracle(times, a1, a2, y0, delta0, christoffel):
+    """Delta(t) at ``times`` from Delta' = -Gamma(Y', Delta) along Y = c(t) Y0, by DOP853."""
+    shape = delta0.shape
+
+    def field(t, flat):
+        e1, e2 = expm(t * a1), expm(t * t * a2)
+        y, ydot = e1 @ e2 @ y0, e1 @ (a1 + 2 * t * a2) @ e2 @ y0
+        return np.concatenate([-christoffel(y, ydot, d).ravel()
+                               for d in flat.reshape(shape)])
+
+    sol = solve_ivp(field, (times[0], times[-1]), delta0.ravel(), method="DOP853",
+                    t_eval=times, rtol=1e-13, atol=1e-13)
+    assert sol.success, sol.message
+    return sol.y.T.reshape((len(times),) + shape)
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3)])
+def test_lift_and_transport_meet_the_extrinsic_oracle_with_order_four(n, k, metric):
+    bundle = rh.stiefel(n, k)
+    dec = bundle.dec
+    make_gram, christoffel = METRICS[metric]
+    y0 = np.eye(n)[:, :k]
+    gram = make_gram(dec.m_matrices, y0)
+    canonical = canonical_gram(dec.m_matrices, y0)
+    # the catalog metric is a multiple of the canonical one, so its Levi-Civita alpha is too
+    scale = bundle.metric.gram[0, 0] / canonical[0, 0]
+    assert np.max(np.abs(bundle.metric.gram - scale * canonical)) <= 1e-14
+    alpha = levi_civita_alpha(dec, rh.MetricOnM(dec, gram))
+
+    rng = np.random.default_rng(10 * n + k)
+    a1, a2 = skew(rng, n, 0.5), skew(rng, n, 0.3)
+    seeds = rng.standard_normal((2, dec.N))
+
+    def curve(t):
+        return expm(t[:, None, None] * a1) @ expm((t * t)[:, None, None] * a2)
+
+    deltas = []
+    for intervals in INTERVALS:
+        t = np.linspace(0.0, T1, intervals + 1)
+        base = realize_curve(dec, CurveSpec.group_samples(t, curve(t)))
+        z = parallel_transport(alpha, base, seeds).transported
+        mats = np.einsum("tsk,kab->tsab", z, dec.m_matrices)
+        deltas.append(base.frames[:, None] @ mats @ y0)
+
+    finest = INTERVALS[-1]
+    t = np.linspace(0.0, T1, finest + 1)
+    truth = oracle(t, a1, a2, y0, deltas[-1][0], christoffel)
+    # the oracle's Delta stays tangent: Y^T Delta is skew
+    tangency = np.swapaxes(curve(t) @ y0, 1, 2)[:, None] @ truth
+    assert np.max(np.abs(tangency + np.swapaxes(tangency, 2, 3))) <= 1e-11
+
+    errors = np.array([np.max(np.abs(delta - truth[::finest // intervals]))
+                       for intervals, delta in zip(INTERVALS, deltas)])
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert np.all(orders >= 3.7), (errors, orders)

@@ -5,8 +5,8 @@ at coarse steps too; along a one-parameter curve it must meet the closed
 form expm(-t alpha(x0, .)) z0; lift plus transport must converge with order
 4 on a sampled curve; seeds transported together must come out bit for bit
 as when each seed is transported alone; and one CLI call must build one
-sequence of step exponentials whatever its number of seeds.  Geodesic and velocity-curve frames must stay
-on the group and meet the closed form exp(t X) where one exists; a
+propagator whatever its number of seeds.  Geodesic and velocity-curve
+frames must stay on the group and meet the closed form exp(t X) where one exists; a
 geodesic's velocity must be parallel along it; lifted frames must differ
 from the sampled curve by an isotropy element; the metric adjoint field
 must give the Levi-Civita geodesic equation; and the convergence probe
@@ -22,15 +22,20 @@ sample the per-step guard ends it, with frames still on the group;
 frames written in place must equal the per-step ``g @ inc`` loop bit for
 bit, and convergence runs must skip the frame diagnostics;
 an x0, a seed or a one-parameter direction already over the blow-up norm,
-a step whose exponential would overflow, and non-finite curve samples are
-rejected before any step.  Each quantity is derived once: a constant-velocity
-geodesic is the one-parameter curve bit for bit, built from one exponential;
+a step whose exponential would overflow, a time grid no array can hold,
+and non-finite curve samples are rejected before any step, and the
+convergence probe counts its steps without building their grids.  Each
+quantity is derived once: a constant-velocity geodesic is the one-parameter
+curve bit for bit, built from one exponential, as are the frames of
+constant velocity samples; transport along a one-parameter curve or a
+naturally reductive geodesic builds one exponential for its propagator;
 one transport call judges is_metric once; and each finite-difference warning
 reaches the command line.
 """
 
 import json
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -84,6 +89,21 @@ def test_one_parameter_transport_meets_the_closed_form(stiefel42, rng):
     generator = -np.tensordot(alpha.coeffs, x0, (1, 0))
     closed = expm(base.times[:, None, None] * generator) @ z0
     assert np.max(np.abs(zs - closed)) <= 1e-13
+
+
+@pytest.mark.parametrize("curve", ["one_parameter", "geodesic"])
+def test_transport_along_a_constant_velocity_takes_one_exponential(stiefel42, monkeypatch,
+                                                                  rng, curve):
+    # the lift of exp(t x0) has the constant velocity x0: one propagator exponential
+    dec = stiefel42.dec
+    alpha = levi_civita_alpha(dec, stiefel42.metric)
+    x0 = rng.standard_normal(dec.N)
+    base = (realize_curve(dec, CurveSpec.one_parameter(x0, (0.0, 3.0)), step=0.01)
+            if curve == "one_parameter" else geodesic(alpha, x0, (0.0, 3.0), 0.01))
+    exps = count_calls(monkeypatch, transport, "expm")
+    parallel_transport(alpha, base, rng.standard_normal((3, dec.N)))
+    # one call of one matrix, not a stack of step exponentials
+    assert [args[0].shape for args in exps] == [(dec.N, dec.N)]
 
 
 def test_lift_and_transport_converge_with_order_four(stiefel42, rng):
@@ -391,9 +411,16 @@ def test_frame_products_match_the_per_step_matmul_loop(stiefel42, rigid_body, mo
         xs = np.sin(np.outer(times, rng.uniform(1.0, 3.0, dec.N)) + rng.uniform(0, 1, dec.N))
         g0 = np.eye(basis.shape[1])
         increments.clear()
-        frames = transport._magnus_frames(g0, basis, xs, 0.5 * (xs[:-1] + xs[1:]),
+        frames = transport._magnus_frames(g0, basis, times, xs, 0.5 * (xs[:-1] + xs[1:]),
                                           np.diff(times))
         assert np.array_equal(frames, frames_by_products(g0, np.concatenate(increments)))
+
+        # a constant generator: the powers of one exponential, written by the same loop
+        increments.clear()
+        still = np.tile(xs[0], (nsteps + 1, 1))
+        frames = transport._magnus_frames(g0, basis, times, still, still[1:], np.diff(times))
+        assert len(increments) == 1
+        assert np.array_equal(frames, frames_by_products(g0, [increments[0]] * nsteps))
 
         increments.clear()
         frames = transport._one_parameter_frames(dec, xs[0], 0.01, nsteps)
@@ -516,7 +543,7 @@ def test_constant_velocity_samples_give_the_one_parameter_frames(stiefel42):
     spec = CurveSpec.velocity_samples(one.times, np.tile(x0, (len(one), 1)))
     sampled = realize_curve(dec, spec)
     assert sampled.meta["curve"] == "piecewise_velocity"
-    assert np.max(np.abs(sampled.frames - one.frames)) <= 1e-13
+    assert sampled.frames.tobytes() == one.frames.tobytes()
     assert orthogonality_defect(sampled.frames) <= 1e-13
 
 
@@ -656,6 +683,30 @@ def test_convergence_needs_three_distinct_steps_taken(tmp_path, capsys, steps, t
     assert captured.err == ("error: an order estimate needs three distinct steps; "
                             f"the steps taken are {taken}\n")
     assert "measured order" not in captured.out
+
+
+def test_convergence_counts_its_steps_without_building_their_grids(rigid_body):
+    # the grids of 1e7, 1e7 and 5e6 steps would take 76 MiB before the refusal
+    alpha = levi_civita_alpha(rigid_body.dec, rigid_body.metric)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="three distinct steps; the steps taken are 1, 1, 2"):
+            geodesic_convergence(alpha, [0.3, -0.5, 0.8], (0.0, 1e7), [1, 1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_time_grid_no_array_can_hold_exits_1_naming_span_and_step(tmp_path, capsys):
+    space = tmp_path / "rigid.def"
+    space.write_text(RIGID_BODY.format(alpha="levi_civita"))
+    code = main(["geodesic", str(space), "--x0=1,0,0", "--t1=1e300", "--step=1",
+                 f"--out={tmp_path / 'geo'}"])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: t_span (0.0, 1e+300) holds 1e+300 steps of 1.0: "
+                                       "more samples than one array can hold\n")
+    assert not list(tmp_path.glob("geo*"))
 
 
 @pytest.mark.parametrize("errors", [
