@@ -205,7 +205,7 @@ def _parse_curve(args, dec) -> CurveSpec:
             x0 = _finite_floats(spec.split(":", 1)[1])
         except argparse.ArgumentTypeError as exc:
             raise DefFileError(f"--curve one_parameter: {exc}") from None
-        return CurveSpec.one_parameter(x0, (args.t0, args.t1))
+        return CurveSpec.one_parameter(x0, (args.t0, args.t1), args.step)
     if spec.startswith("velocity_file:"):
         times, rows = _read_samples(spec.split(":", 1)[1], "velocity", dec.N, "coordinates")
         return CurveSpec.velocity_samples(times, rows)
@@ -259,7 +259,7 @@ def cmd_transport(args) -> int:
         raise ValueError(f"each --z0 must hold {dec.N} coordinates")
     seeds = np.array(args.z0)
     _refuse_blowup("z0", seeds)   # before the lift, which parallel_transport would follow
-    base = realize_curve(dec, _parse_curve(args, dec), step=args.step)
+    base = realize_curve(dec, _parse_curve(args, dec))
     batch = parallel_transport(alpha, base, seeds)
     batch.meta["tainted"] = batch.meta.get("tainted", False) or tainted
     serialize.write_trajectory(args.out, batch, bundle.name, alpha.label)

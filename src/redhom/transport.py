@@ -13,26 +13,23 @@ moving frame.  The governing ODEs are then
 The geodesic velocity equation does not involve g, and only alpha's
 symmetric part moves x.  When that part vanishes, x is constant and the
 geodesic is the one-parameter curve ``exp(t X)``, as on every catalog
-space with its Levi-Civita alpha (they are naturally reductive), and
-``_one_parameter_frames`` builds its frames as the powers of one
-exponential.  Otherwise x is integrated alone with fixed-step RK4, whose
-blow-up guard reads a block of steps at a time.  Every other equation is
-linear with a varying generator, and one propagator, ``_magnus_frames``,
+space with its Levi-Civita alpha (they are naturally reductive).
+Otherwise x is integrated alone with fixed-step RK4, whose blow-up guard
+reads a block of steps at a time.  Every frame equation is linear with a
+generator sampled on a grid, and one propagator, ``_magnus_frames``,
 solves them all with one exponential per step of the fourth-order Magnus
 expansion (Iserles, Munthe-Kaas, Norsett and Zanna, Acta Numerica 9,
-2000): the frames of an RK4 geodesic or of a sampled velocity curve, the
-lift's isotropy factor h, and the transport propagator.  Their generators
-lie in a Lie algebra, so each solution stays on its group up to
-round-off: g in G, h in H and, for a metric alpha, the transport
-propagator in O(g).  A constant generator on a uniform grid takes the
-powers of one exponential, with no per-step exponentials: the transport
-generator along a one-parameter curve or a naturally reductive geodesic,
-whose horizontal lift has the constant velocity x0, and the frames of
-constant velocity samples.  Every parallel field along one curve solves
-the same linear ODE, so all seeds transported in one call share one
-propagator sequence.  Each per-step loop writes into rows allocated once, operation
-by operation in the order of the plain expressions, such as
-``x + h/6 (k1 + 2 k2 + 2 k3 + k4)`` and ``g = g @ inc``.
+2000): the frames of a geodesic, a one-parameter curve or a sampled
+velocity curve, the lift's isotropy factor h, and the transport
+propagator.  Their generators lie in a Lie algebra, so each solution
+stays on its group up to round-off: g in G, h in H and, for a metric
+alpha, the transport propagator in O(g).  Its test of the samples is the
+one constant-generator decision: equal samples on a uniform grid (a
+constant velocity, tiled, or the transport generator along it) take the
+powers of one exponential.  All seeds transported along one curve share
+one propagator sequence.  Each per-step loop writes into rows allocated
+once, operation by operation in the order of the plain expressions, such
+as ``x + h/6 (k1 + 2 k2 + 2 k3 + k4)`` and ``g = g @ inc``.
 ``geodesic_convergence`` measures the RK4 order against a run at a tenth
 of the finest step: its truncation error, 1e-4 of the finest run's and
 often below its round-off, is too small to move the order.  It reads only
@@ -42,8 +39,8 @@ each run's end frame, so its runs skip the frame diagnostics.
 or a transported seed with a coordinate over ``BLOWUP_NORM``, and a step
 whose product with the largest velocity coordinate is over it: the
 exponential of such a step would be round-off, or overflow.  It also
-refuses a time grid of more samples than one array can hold, naming its
-span and step.
+refuses a time grid of more samples than one array or memory can hold,
+naming its span and step.
 
 Every trajectory starts at the identity frame, and a lift at its first
 sample; no initial frame is taken, since it would add nothing.  The
@@ -57,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -152,9 +150,15 @@ def _grid_steps(t_span, step):
 
 
 def _time_grid(t_span, step):
-    """The grid of :func:`_grid_steps` over ``t_span``: (times, step taken)."""
+    """The grid of :func:`_grid_steps` over ``t_span``: (times, step taken).  A grid
+    memory cannot hold raises ``ValueError`` naming the span and the step."""
     nsteps, h = _grid_steps(t_span, step)
-    return np.linspace(float(t_span[0]), float(t_span[1]), nsteps + 1), h
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    try:
+        return np.linspace(t0, t1, nsteps + 1), h
+    except MemoryError:
+        raise ValueError(f"t_span ({t0!r}, {t1!r}) holds {nsteps:.3g} steps of {step!r}: "
+                         f"more samples than memory can hold") from None
 
 
 def _hermite_midpoints(values, derivs, dt):
@@ -237,7 +241,8 @@ class CurveSpec:
     Three kinds: ``one_parameter`` (the curve exp(t X0), already
     horizontal), ``piecewise_velocity`` (velocity coordinates sampled in t,
     interpolated linearly when frames are reconstructed), and
-    ``group_samples`` (group matrices sampled in t, to be lifted).
+    ``group_samples`` (group matrices sampled in t, to be lifted).  Each
+    carries its time grid, a one-parameter curve that of ``_time_grid``.
     """
 
     kind: str
@@ -247,11 +252,10 @@ class CurveSpec:
     values: np.ndarray | None = None
 
     @classmethod
-    def one_parameter(cls, x0, t_span):
-        t0, t1 = float(t_span[0]), float(t_span[1])
-        if not t1 > t0:
-            raise ValueError("t_span must be a nonempty interval")
-        return cls(kind="one_parameter", x0=np.asarray(x0, dtype=float), t_span=(t0, t1))
+    def one_parameter(cls, x0, t_span, step):
+        times, _ = _time_grid(t_span, step)
+        return cls(kind="one_parameter", x0=np.asarray(x0, dtype=float),
+                   t_span=(float(times[0]), float(times[-1])), times=times)
 
     @classmethod
     def velocity_samples(cls, times, xs):
@@ -369,15 +373,14 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     a frame g0 is g0 times this one, with the same x.
 
     The velocity equation does not involve g, and only alpha's symmetric
-    part moves x.  When that part vanishes, x stays x0, no step is taken,
-    and the frames are those of the one-parameter curve, bit for bit.
-    Otherwise x is integrated alone by fixed-step RK4, and the frames come
-    from ``_magnus_frames``, with x at the interval midpoints interpolated
-    by cubic Hermite from the exact derivatives at the nodes.  Either way
-    the frames stay on the group up to round-off, and the integrator reads
-    ``rk4-magnus4``: a Magnus step of a constant generator is the one
-    exponential.  The step is shrunk slightly if the interval is not an
-    integer multiple of the request.
+    part moves x.  When that part vanishes, x stays x0 and no RK4 step is
+    taken.  Otherwise x is integrated alone by fixed-step RK4, with x at
+    the interval midpoints interpolated by cubic Hermite from the exact
+    derivatives at the nodes.  Either way ``_magnus_frames`` builds the
+    frames, which stay on the group up to round-off, and the integrator
+    reads ``rk4-magnus4``: for a constant x the frames are those of the
+    one-parameter curve, bit for bit.  The step is shrunk slightly if the
+    interval is not an integer multiple of the request.
 
     A blow-up guard ends the run once |x| exceeds ``BLOWUP_NORM``
     (completeness holds for lifts, not for arbitrary alpha).  It reads the
@@ -403,26 +406,37 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
 def _geodesic_run(alpha, x0, t_span, step):
     """The undiagnosed core of :func:`geodesic`: (times, frames, xs, step taken,
     aborted_at), the last None unless the run blew up."""
-    times, h = _time_grid(t_span, step)
     dec = alpha.dec
+    x0 = _velocity(dec, x0, "x0")
+    times, h = _time_grid(t_span, step)
+    sym = _symmetric_part(alpha)
+    if sym is None:
+        xs, aborted_at = np.tile(x0, (len(times), 1)), None
+    else:
+        xs, dxs = _rk4_velocities(-sym, x0, h, len(times) - 1)
+        aborted_at = float(times[len(xs)]) if len(xs) < len(times) else None
+        times = times[: len(xs)]
+    # np.diff of the grid differs from h in its last bits
+    dt = np.full(len(xs) - 1, h)
+    x_mid = xs[1:] if sym is None else _hermite_midpoints(xs, dxs, dt)
+    return times, _frames(dec, times, xs, x_mid, dt), xs, h, aborted_at
+
+
+def _velocity(dec, x0, name):
+    """``x0`` as floats; ``ValueError`` naming it unless ``dec`` has a realized group
+    and ``x0`` length ``dec.N`` and no coordinate over ``BLOWUP_NORM``."""
     dec.algebra._require_matrices()
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dec.N,):
-        raise ValueError(f"x0 must have length {dec.N}")
-    # checked before the paths split, so both reject it
-    _refuse_blowup("x0", x0)
+        raise ValueError(f"{name} must have length {dec.N}")
+    _refuse_blowup(name, x0)
+    return x0
 
-    sym = _symmetric_part(alpha)
-    if sym is None:
-        xs = np.tile(x0, (len(times), 1))
-        return times, _one_parameter_frames(dec, x0, h, len(times) - 1), xs, h, None
-    xs, dxs = _rk4_velocities(-sym, x0, h, len(times) - 1)
-    aborted_at = float(times[len(xs)]) if len(xs) < len(times) else None
-    times = times[: len(xs)]
-    dt = np.full(len(xs) - 1, h)
-    frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, times, xs,
-                            _hermite_midpoints(xs, dxs, dt), dt)
-    return times, frames, xs, h, aborted_at
+
+def _frames(dec, times, xs, x_mid, dt):
+    """The frames from the identity of g' = g mat(x), from x at the nodes ``times`` and
+    at the midpoints: :func:`_magnus_frames` on ``dec.m_matrices``."""
+    return _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, times, xs, x_mid, dt)
 
 
 def _refuse_blowup(name, values):
@@ -529,13 +543,14 @@ def _magnus_frames(g0, basis, times, xs, x_mid, dt):
 
     A constant generator takes no per-step exponential.  When the samples
     ``xs`` are all exactly equal (the midpoints interpolate them) and the
-    steps ``dt`` are uniform by the test of ``_fd4_step``, every Omega_i is
+    steps ``dt`` are uniform by the test of ``_is_uniform``, every Omega_i is
     h A: the commutator vanishes and Simpson's weights sum to 1.  The frames
     are then ``g0 E^i`` with the one exponential E = expm(h A), where h is the
     grid's step (t_M - t_0) / M over the M steps of ``times``, the step
     ``_time_grid`` takes.  This is the exact propagator along one-parameter
     curves and naturally reductive geodesics; a frame on a grid uniform only
-    to that test's 1e-9 sits at t_0 + i h, not t_i.
+    to that test's 1e-9 sits at t_0 + i h, not t_i.  This data test is the
+    one place that tells a constant generator apart.
 
     A left-acting ODE ``Y' = B(t) Y`` is the same problem transposed,
     ``(Y^T)' = Y^T B(t)^T``: pass ``Y(t0)^T`` and the transposed basis, and
@@ -546,36 +561,25 @@ def _magnus_frames(g0, basis, times, xs, x_mid, dt):
     basis = np.ascontiguousarray(basis)
     if len(dt) and _is_uniform(dt) and (xs == xs[0]).all():
         h = (float(times[-1]) - float(times[0])) / len(dt)
-        return _powers(g0, np.einsum("k,kab->ab", xs[0], basis), h, len(dt))
+        increments = [expm(h * np.einsum("k,kab->ab", xs[0], basis))] * len(dt)
+    else:
+        increments = chain.from_iterable(map(expm, _magnus_exponents(basis, xs, x_mid, dt)))
     frames = np.empty((len(xs),) + g0.shape)
     frames[0] = g0
+    for i, inc in enumerate(increments, 1):
+        frames[i - 1].dot(inc, frames[i])
+    return frames
+
+
+def _magnus_exponents(basis, xs, x_mid, dt):
+    """The Omega_i of :func:`_magnus_frames`, a stack per ``MAGNUS_BLOCK`` steps."""
     for start in range(0, len(dt), MAGNUS_BLOCK):
         stop = min(start + MAGNUS_BLOCK, len(dt))
         a = np.einsum("sk,kab->sab", xs[start:stop + 1], basis)
         a_mid = np.einsum("sk,kab->sab", x_mid[start:stop], basis)
         d = dt[start:stop].reshape(-1, 1, 1)
         a0, a1 = a[:-1], a[1:]
-        omega = d / 6.0 * (a0 + 4.0 * a_mid + a1) + d * d / 12.0 * (a0 @ a1 - a1 @ a0)
-        for i, inc in enumerate(expm(omega), start + 1):
-            frames[i - 1].dot(inc, frames[i])
-    return frames
-
-
-def _powers(g0, a, h, nsteps):
-    """Frames g0 expm(h a)^i, i = 0..nsteps, of the constant generator ``a``: the powers
-    of one exponential."""
-    inc = expm(h * a)
-    frames = np.empty((nsteps + 1,) + g0.shape)
-    frames[0] = g0
-    for i in range(1, nsteps + 1):
-        frames[i - 1].dot(inc, frames[i])
-    return frames
-
-
-def _one_parameter_frames(dec, x0, h, nsteps):
-    """Frames exp(i h mat(x0)), i = 0..nsteps, as powers of one exponential."""
-    _refuse_long_step(h, x0)
-    return _powers(np.eye(dec.algebra.matrix_dim), dec.m_matrix(x0), h, nsteps)
+        yield d / 6.0 * (a0 + 4.0 * a_mid + a1) + d * d / 12.0 * (a0 @ a1 - a1 @ a0)
 
 
 # -- parallel transport ------------------------------------------------------------
@@ -699,10 +703,7 @@ def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResul
     :func:`convergence_probe` does for errors that round-off dominates.
     """
     dec = alpha.dec
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (dec.N,):
-        raise ValueError(f"x0 must have length {dec.N}")
-    _refuse_blowup("x0", x0)        # before the closed-form reference, as before any run
+    x0 = _velocity(dec, x0, "x0")   # before the closed-form reference, as before any run
     steps = _order_steps(_grid_steps(t_span, float(s))[1] for s in steps)
 
     def end_frame(step):
@@ -723,29 +724,25 @@ def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResul
 # -- curve realization --------------------------------------------------------------
 
 
-def realize_curve(dec: ReductiveDecomposition, spec: CurveSpec,
-                  step: float | None = None) -> Trajectory:
-    """Turn a curve specification into a trajectory with frames and velocities."""
+def realize_curve(dec: ReductiveDecomposition, spec: CurveSpec) -> Trajectory:
+    """Turn a curve specification into a trajectory on its own time grid, with frames
+    and velocities: a lift of group samples, or the frames of a velocity curve from
+    the identity by ``_magnus_frames``."""
     if spec.kind == "group_samples":
         return horizontal_lift(dec, spec)
     if spec.kind == "one_parameter":
-        if step is None or step <= 0:
-            raise ValueError("one-parameter curves need a positive step")
-        return _one_parameter_trajectory(dec, spec, step)
+        return _one_parameter_trajectory(dec, spec)
     if spec.kind == "piecewise_velocity":
         return _velocity_trajectory(dec, spec)
     raise ValueError(f"unknown curve kind {spec.kind!r}")
 
 
-def _one_parameter_trajectory(dec, spec, step):
-    dec.algebra._require_matrices()
-    x0 = np.asarray(spec.x0, dtype=float)
-    if x0.shape != (dec.N,):
-        raise ValueError(f"one-parameter direction must have length {dec.N}")
-    _refuse_blowup("one-parameter direction", x0)
-    times, h = _time_grid(spec.t_span, step)
-    frames = _one_parameter_frames(dec, x0, h, len(times) - 1)
+def _one_parameter_trajectory(dec, spec):
+    x0 = _velocity(dec, spec.x0, "one-parameter direction")
+    times = spec.times
+    h = (float(times[-1]) - float(times[0])) / (len(times) - 1)
     xs = np.tile(x0, (len(times), 1))
+    frames = _frames(dec, times, xs, xs[1:], np.full(len(times) - 1, h))
     meta = {"integrator": "exp", "step": h, "curve": "one_parameter"}
     return _diagnosed(dec, times, frames, xs, meta)
 
@@ -757,9 +754,8 @@ def _velocity_trajectory(dec, spec):
     if xs.shape != (len(times), dec.N):
         raise ValueError(f"velocity samples must have shape (len(times), {dec.N})")
     dt = np.diff(times)
-    x_mid = 0.5 * (xs[:-1] + xs[1:])        # order-1 interpolation of the samples
-    frames = _magnus_frames(np.eye(dec.algebra.matrix_dim), dec.m_matrices, times, xs, x_mid,
-                            dt)
+    x_mid = 0.5 * xs[:-1] + 0.5 * xs[1:]    # order-1 interpolation; a sum could overflow
+    frames = _frames(dec, times, xs, x_mid, dt)
     meta = {"integrator": "magnus4", "step": float(np.max(dt)), "curve": "piecewise_velocity",
             "warnings": [] if _fd4_step(times) is not None else [FD_UNESTIMATED]}
     return _diagnosed(dec, np.array(times), frames, xs.copy(), meta)

@@ -2,10 +2,11 @@
 
 ``cli._read_argv`` must give the namespace argparse gives, numpy arrays bit
 for bit, or None, and None whenever argparse exits.  Every argv of one
-hypothesis strategy, built from the CLI's own option tables, must end in
-exit 0, 1 or 2 through ``main``, with no other exception and no
-RuntimeWarning.  No argparse parser is built for the argv the benchmark
-passes, and one is for help and errors.
+hypothesis strategy, built from the CLI's own option tables, with the
+sample files it names drawn alongside, must end in exit 0, 1 or 2 through
+``main``, with no other exception and no RuntimeWarning; so must every
+well-formed transport call along a drawn sample file.  No argparse parser
+is built for the argv the benchmark passes, and one is for help and errors.
 """
 
 import argparse
@@ -61,9 +62,49 @@ def _grid_steps(command, table, last):
     return max(spans, default=0.0) * (transport.FINE_FACTOR if command == "convergence" else 1)
 
 
+def _rotation(d, t):
+    """A rotation of the first plane of R^d by the angle ``t``."""
+    g = np.eye(d)
+    g[:2, :2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+    return g
+
+
+@st.composite
+def sample_files(draw, width, d=None):
+    """The text of a sample file: 1 to 5 rows of a time and ``width`` cells.
+
+    Velocity rows hold cells of ``NUMBERS``; group rows (``d`` given) a
+    rotation of the first plane.  Now and then every row is one cell short
+    or one long, one cell is non-finite, one time repeats or decreases, or
+    one group matrix is singular.
+    """
+    count = draw(st.integers(1, 5))
+    times = [0.05 * i for i in range(count)]
+    if d is None:
+        rows = [[draw(st.sampled_from(NUMBERS)) for _ in range(width)] for _ in times]
+    else:
+        rows = [list(map(repr, _rotation(d, t).ravel().tolist())) for t in times]
+    rows = [[repr(t), *row] for t, row in zip(times, rows)]
+    spoil = draw(st.sampled_from([None] * 4 + ["short", "long", "non-finite", "time"]
+                                 + ["singular"] * (d is not None)))
+    r = draw(st.integers(0, count - 1))
+    if spoil == "short":
+        rows = [row[:-1] for row in rows]
+    elif spoil == "long":
+        rows = [row + ["0"] for row in rows]
+    elif spoil == "non-finite":
+        rows[r][draw(st.integers(0, width))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif spoil == "time" and r:
+        rows[r][0] = repr(times[r - 1] - draw(st.sampled_from([0.0, 0.01])))
+    elif spoil == "singular":
+        rows[r][1:1 + d] = ["0"] * d            # the first row of the matrix
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 @st.composite
 def argvs(draw):
-    """An argv for any command, its flags and defaults read off ``cli._COMMANDS``.
+    """An argv for any command, its flags and defaults read off ``cli._COMMANDS``,
+    and the text of each sample file it names: ``(argv, {name: text})``.
 
     Values come from ``NUMBERS``: scalars, vectors one entry short, right
     or one long, and empty values.  A flag is written ``--flag=value``,
@@ -71,7 +112,7 @@ def argvs(draw):
     required; now and then the file is missing, or a help flag, ``--``, an
     unknown flag or a second file joins.  A time grid holds at most
     ``MAX_STEPS`` steps, or more than ``UNALLOCATABLE``, which is refused
-    before any step.
+    before any step.  Sample files come from :func:`sample_files`.
     """
     command = draw(st.sampled_from(list(cli._COMMANDS)))
     space = draw(st.sampled_from(sorted(SPACES)))
@@ -86,8 +127,7 @@ def argvs(draw):
         "--x0": vector, "--z0": vector, "--t0": number, "--t1": number, "--step": number,
         "--steps": st.lists(number, min_size=0, max_size=4).map(",".join),
         "--curve": st.one_of(vector.map("one_parameter:".__add__), st.sampled_from([
-            f"velocity_file:v{n}.csv", f"group_file:g{d}.csv", "group_file:absent.csv",
-            "bogus:1"])),
+            "velocity_file:v.csv", "group_file:g.csv", "group_file:absent.csv", "bogus:1"])),
     }
     table = dict(cli._COMMON + cli._COMMANDS[command][2])
     groups, last = [], {}
@@ -107,7 +147,13 @@ def argvs(draw):
         groups.append([draw(st.sampled_from(EXTRAS))])
     steps = _grid_steps(command, table, last)
     assume(steps <= MAX_STEPS or steps > UNALLOCATABLE)
-    return [command] + [arg for group in draw(st.permutations(groups)) for arg in group]
+    argv = [command] + [arg for group in draw(st.permutations(groups)) for arg in group]
+    files = {}
+    if any("v.csv" in arg for arg in argv):
+        files["v.csv"] = draw(sample_files(n))
+    if any("g.csv" in arg for arg in argv):
+        files["g.csv"] = draw(sample_files(d * d, d))
+    return argv, files
 
 
 def _same(a, b):
@@ -122,8 +168,8 @@ def _same(a, b):
 
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(argvs())
-def test_the_reader_gives_argparses_namespace_or_none(argv):
-    argv = cli._attach_vector_values(argv)
+def test_the_reader_gives_argparses_namespace_or_none(call):
+    argv = cli._attach_vector_values(call[0])
     try:
         expected = cli.build_parser().parse_args(argv)
     except SystemExit:
@@ -140,17 +186,8 @@ def test_the_reader_gives_argparses_namespace_or_none(argv):
 @pytest.fixture(scope="module")
 def hostile_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("hostile")
-    for name, (text, n, d) in SPACES.items():
+    for name, (text, *_) in SPACES.items():
         (root / name).write_text(text)
-        (root / f"v{n}.csv").write_text("".join(
-            f"{t},{','.join(['0.5'] * n)}\n" for t in (0, 0.05, 0.1)))
-        # a rotation in the first plane, at three times
-        rows = []
-        for t in (0.0, 0.05, 0.1):
-            g = np.eye(d)
-            g[:2, :2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
-            rows.append(",".join(map(repr, [t, *g.ravel().tolist()])))
-        (root / f"g{d}.csv").write_text("\n".join(rows) + "\n")
     return root
 
 
@@ -159,15 +196,18 @@ HUGE_SEED = ["transport", "stiefel.def", "--curve=one_parameter:1,0,0,0,0",
              "--z0=1e308,1e308,0,0,0", "--out=o"]
 HUGE_DIRECTION = ["transport", "rigid.def", "--curve=one_parameter:1e300,0,0", "--z0=1,0,0",
                   "--out=o"]
+# the rotation samples of the benchmark's transport form
+ROTATION = "".join(",".join(map(repr, [t, *_rotation(4, t).ravel().tolist()])) + "\n"
+                   for t in (0.0, 0.05, 0.1))
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(argvs())
-@example(HUGE_SEED)
-@example(HUGE_DIRECTION)
-def test_any_argv_ends_in_a_documented_exit_code(hostile_dir, monkeypatch, capsys, argv):
-    monkeypatch.chdir(hostile_dir)          # the default --out lands here too
+def _documented_exit(root, monkeypatch, capsys, call):
+    """Run ``main`` on ``call``'s argv in ``root``, its sample files written there, and
+    require exit 0, 1 or 2, no other exception and no RuntimeWarning."""
+    argv, files = call
+    monkeypatch.chdir(root)                 # the default --out lands here too
+    for name, text in files.items():
+        (root / name).write_text(text)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -176,6 +216,35 @@ def test_any_argv_ends_in_a_documented_exit_code(hostile_dir, monkeypatch, capsy
         code = exc.code
     capsys.readouterr()
     assert code in (0, 1, 2), argv
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(argvs())
+@example((HUGE_SEED, {}))
+@example((HUGE_DIRECTION, {}))
+def test_any_argv_ends_in_a_documented_exit_code(hostile_dir, monkeypatch, capsys, call):
+    _documented_exit(hostile_dir, monkeypatch, capsys, call)
+
+
+@st.composite
+def sample_file_calls(draw):
+    """A well-formed transport call along a drawn sample file: (argv, {name: text})."""
+    space = draw(st.sampled_from(sorted(SPACES)))
+    _text, n, d = SPACES[space]
+    kind, name, text = draw(st.one_of(
+        sample_files(n).map(lambda text: ("velocity_file", "v.csv", text)),
+        sample_files(d * d, d).map(lambda text: ("group_file", "g.csv", text))))
+    seed = ",".join(["0.5"] * n)
+    return ["transport", space, f"--curve={kind}:{name}", f"--z0={seed}", "--out=o"], {name: text}
+
+
+# most argv of the strategy above fail before a sample file is read
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sample_file_calls())
+def test_any_sample_file_ends_in_a_documented_exit_code(hostile_dir, monkeypatch, capsys, call):
+    _documented_exit(hostile_dir, monkeypatch, capsys, call)
 
 
 @pytest.mark.parametrize("argv, words", [
@@ -215,11 +284,12 @@ def _constructions(monkeypatch, argv):
     ["tensors", "rigid.def", "--out=t"],
     ["geodesic", "rigid.def", "--x0=0.3,-0.5,0.8", "--t1=0.1", "--step=0.01", "--out=g"],
     ["convergence", "rigid.def", "--x0=0.3,-0.5,0.8", "--t1=0.5", "--out=c"],
-    ["transport", "stiefel.def", "--curve=group_file:g4.csv", "--z0=1,0,0,0,0",
+    ["transport", "stiefel.def", "--curve=group_file:rotation.csv", "--z0=1,0,0,0,0",
      "--z0=0,1,0,0,0", "--t1=0.1", "--step=0.05", "--out=tr"],
 ], ids=lambda argv: argv[0])
 def test_the_benchmark_forms_build_no_parser(hostile_dir, monkeypatch, capsys, argv):
     monkeypatch.chdir(hostile_dir)
+    (hostile_dir / "rotation.csv").write_text(ROTATION)
     assert _constructions(monkeypatch, argv) == (0, 0)
     capsys.readouterr()
 

@@ -9,8 +9,12 @@ Delta' + Gamma(Y', Delta) = 0.  That equation is integrated here by scipy's
 DOP853 from the closed-form Y(t) and Y'(t) alone, with no alpha, lift or
 frame, and compared with ``realize_curve`` plus ``parallel_transport``
 (Levi-Civita) along the non-geodesic curve c(t) = exp(t A1) exp(t^2 A2).
-The error must fall with order 4 as the samples double.
+The error must fall with order 4 as the samples double.  One case runs
+``main`` on a sample file of the curve: the field it writes must be the
+library's, bit for bit, and meet the oracle as closely.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import redhom as rh
+from redhom.cli import main
 from redhom.connection import levi_civita_alpha
 from redhom.transport import CurveSpec, parallel_transport, realize_curve
 
@@ -111,3 +116,36 @@ def test_lift_and_transport_meet_the_extrinsic_oracle_with_order_four(n, k, metr
                        for intervals, delta in zip(INTERVALS, deltas)])
     orders = np.log2(errors[:-1] / errors[1:])
     assert np.all(orders >= 3.7), (errors, orders)
+
+
+def test_the_command_line_transports_as_the_library_and_meets_the_oracle(tmp_path):
+    # stiefel(4,2) with its catalog metric, a multiple of the canonical one, and the
+    # curve and seeds of the in-process test's stiefel(4,2) case
+    bundle = rh.stiefel(4, 2)
+    dec = bundle.dec
+    rng = np.random.default_rng(42)
+    a1, a2 = skew(rng, 4, 0.5), skew(rng, 4, 0.3)
+    seeds = rng.standard_normal((2, dec.N))
+    t = np.linspace(0.0, T1, INTERVALS[1] + 1)
+    mats = expm(t[:, None, None] * a1) @ expm((t * t)[:, None, None] * a2)
+    curve = tmp_path / "curve.csv"
+    curve.write_text("".join(",".join(map(repr, [s, *m.ravel().tolist()])) + "\n"
+                             for s, m in zip(t.tolist(), mats)))
+    space = tmp_path / "space.def"
+    space.write_text("space = stiefel(4,2)\n\n[connection]\nalpha = levi_civita\n")
+    out = tmp_path / "tr"
+    assert main(["transport", str(space), f"--curve=group_file:{curve}",
+                 *(f"--z0={','.join(map(repr, z.tolist()))}" for z in seeds),
+                 f"--out={out}"]) == 0
+    written = np.array([json.loads((tmp_path / f"tr_seed{s}.json").read_text())["transported"]
+                        for s in range(len(seeds))]).swapaxes(0, 1)
+
+    base = realize_curve(dec, CurveSpec.group_samples(t, mats))
+    z = parallel_transport(levi_civita_alpha(dec, bundle.metric), base, seeds).transported
+    assert written.tobytes() == z.tobytes()
+
+    y0 = np.eye(4)[:, :2]
+    deltas = base.frames[:, None] @ np.einsum("tsk,kab->tsab", written, dec.m_matrices) @ y0
+    truth = oracle(t, a1, a2, y0, deltas[0], canonical_christoffel)
+    # the in-process test, on this curve and these seeds, measures 3.86e-9 at 200 intervals
+    assert np.max(np.abs(deltas - truth)) <= 4e-9
