@@ -1,6 +1,6 @@
 """redhom: invariant connections and transport on reductive homogeneous spaces."""
 
-from .algebra import GroupElement, StructuredLieAlgebra, expand_in_matrix_basis, expm
+from .algebra import StructuredLieAlgebra, expand_in_matrix_basis, expm
 from .catalog import (
     SpaceBundle,
     biinvariant_gram,

@@ -34,12 +34,11 @@ from .reporting import CheckReport, DEFAULT_TOLERANCES, resolve_tolerances
 
 __all__ = [
     "StructuredLieAlgebra",
-    "GroupElement",
     "expm",
     "expand_in_matrix_basis",
 ]
 
-# no registry key: a singularity cut for group elements (inverted later), not a tolerance
+# no registry key: the singularity cut of every group matrix (inverted later), not a tolerance
 DET_FLOOR = 1e-12
 
 # Scaling-and-squaring parameters: scale until the 1-norm is at most 0.5,
@@ -311,16 +310,16 @@ class StructuredLieAlgebra:
             if arr is not None:
                 arr.setflags(write=False)
 
-    def adjoint_Ad(self, g: "GroupElement",
-                   residual_tol: float = DEFAULT_TOLERANCES["basis_residual"]) -> np.ndarray:
-        """Matrix of Ad_g : xi -> g xi g^-1 in the chosen basis.
+    def adjoint_Ad(self, g, residual_tol: float = DEFAULT_TOLERANCES["basis_residual"]
+                   ) -> np.ndarray:
+        """Matrix of Ad_g : xi -> g xi g^-1 in the chosen basis, for a group matrix ``g``.
 
         Fails if some conjugated basis matrix leaves the span of the
         realized algebra by more than ``residual_tol``, which signals that g
-        does not normalize it.
+        does not normalize it; ``build_decomposition`` checks a generator first.
         """
         self._require_matrices()
-        mat = g.matrix if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
+        mat = np.asarray(g, dtype=float)
         coeffs, resid = expand_in_matrix_basis(self, mat @ self.matrix_basis @ np.linalg.inv(mat))
         if not np.all(resid <= residual_tol):      # a NaN fails too
             k = int(np.argmax(resid))
@@ -338,27 +337,3 @@ class StructuredLieAlgebra:
         real = f", d={self.matrix_dim}" if self.matrix_basis is not None else ""
         return f"StructuredLieAlgebra({self.name!r}, n={self.dim}{real})"
 
-
-class GroupElement:
-    """An invertible matrix tagged with the algebra whose group it belongs to."""
-
-    def __init__(self, matrix, algebra: StructuredLieAlgebra,
-                 drift_tol: float = DEFAULT_TOLERANCES["group_drift"]):
-        mat = np.array(matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"group element must be a square matrix, got shape {mat.shape}")
-        det = np.linalg.det(mat)
-        if abs(det) < DET_FLOOR:
-            raise ValueError(f"matrix is numerically singular (|det| = {abs(det):.3e})")
-        if algebra.orthogonal:
-            drift = float(np.max(np.abs(mat.T @ mat - np.eye(mat.shape[0]))))
-            if not drift <= drift_tol:
-                raise ValueError(
-                    f"orthogonality drift {drift:.3e} exceeds {drift_tol:.1e}"
-                )
-        mat.setflags(write=False)
-        self.matrix = mat
-        self.algebra = algebra
-
-    def __repr__(self):
-        return f"GroupElement(d={self.matrix.shape[0]}, algebra={self.algebra.name!r})"

@@ -11,20 +11,24 @@ finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows or
 whose time grid is too large to allocate, an ``--x0``, ``--z0`` or
 ``one_parameter:`` vector with a coordinate of magnitude over the blow-up
 norm (no step is taken, and no curve is lifted for a ``--z0``; the error
-names the vector), a step whose product with the largest velocity
-coordinate is over that norm (its exponential would be round-off; the
-error names the step), an ``--x0``, ``--z0`` or ``one_parameter:`` vector
-whose length is not dim m, a ``group_file:`` or ``velocity_file:`` curve
-on an algebra without a matrix basis, and an ``--out`` file that cannot be written, as in a missing
+names the vector; a ``velocity_file:`` row too, naming it), a step whose
+product with the largest velocity coordinate is over that norm (its
+exponential would be round-off; the error names the step), a sample
+curve whose finite-difference derivative is not finite, its times too
+close for its values (no step is taken; the error names the samples), an
+``--x0``, ``--z0`` or ``one_parameter:`` vector whose length is not dim m,
+a ``group_file:`` or ``velocity_file:`` curve on an algebra without a
+matrix basis, and an ``--out`` file that cannot be written, as in a missing
 directory (the error names the path; no temporary file is left behind; a
 ``transport`` batch with one such file writes none of its seeds' files);
 2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
 non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
 ``--z0`` or a ``one_parameter:`` curve, a ``group_file:`` or
 ``velocity_file:`` sample file that holds fewer than two data rows, rows
-not 1 + d*d (group) or 1 + dim m (velocity) values wide, a non-finite cell
-or a time that does not exceed the previous row's (the error names the
-file, and the first such data row), and an algebra or a requested alpha
+not 1 + d*d (group) or 1 + dim m (velocity) values wide, a non-finite cell,
+a time that does not exceed the previous row's or a ``group_file:`` matrix
+whose |det| is below the singularity floor (the error names the file, and
+the first such data row), and an algebra or a requested alpha
 failing its gate at the ``--tol`` values (``--force``
 builds such an alpha anyway, tainted).  The ``group_drift`` gate covers
 every algebra whose matrix basis is skew, from the catalog or a definition
@@ -206,20 +210,27 @@ def _parse_curve(args, dec) -> CurveSpec:
         except argparse.ArgumentTypeError as exc:
             raise DefFileError(f"--curve one_parameter: {exc}") from None
         return CurveSpec.one_parameter(x0, (args.t0, args.t1), args.step)
+    path = spec.split(":", 1)[-1]
     if spec.startswith("velocity_file:"):
-        times, rows = _read_samples(spec.split(":", 1)[1], "velocity", dec.N, "coordinates")
-        return CurveSpec.velocity_samples(times, rows)
-    if spec.startswith("group_file:"):
+        times, rows = _read_samples(path, "velocity", dec.N, "coordinates")
+        make = CurveSpec.velocity_samples
+    elif spec.startswith("group_file:"):
         dec.algebra._require_matrices()
         d = dec.algebra.matrix_dim
-        times, rows = _read_samples(spec.split(":", 1)[1], "group", d * d, "matrix entries")
-        return CurveSpec.group_samples(times, rows.reshape(-1, d, d))
-    raise DefFileError(
-        "--curve must be one_parameter:<coords>, velocity_file:<path> or group_file:<path>")
+        times, rows = _read_samples(path, "group", d * d, "matrix entries")
+        rows, make = rows.reshape(-1, d, d), CurveSpec.group_samples
+    else:
+        raise DefFileError(
+            "--curve must be one_parameter:<coords>, velocity_file:<path> or group_file:<path>")
+    try:
+        return make(times, rows)
+    except ValueError as exc:           # the samples' own checks, naming the data row
+        raise DefFileError(f"sample file {path}: {exc}") from exc
 
 
 def _read_samples(path: str, kind: str, width: int, entries: str):
-    """Times and rows of a ``kind`` sample file: each row a time and ``width`` ``entries``."""
+    """Times and rows of a ``kind`` sample file, each a time and ``width`` ``entries``; the
+    ``CurveSpec`` constructor checks them."""
     try:
         with warnings.catch_warnings():
             # an empty file is refused below, by name
@@ -234,18 +245,6 @@ def _read_samples(path: str, kind: str, width: int, entries: str):
     if raw.shape[1] != 1 + width:
         raise DefFileError(f"sample file {path}: {kind} sample rows must hold {width} {entries}, "
                            f"got {raw.shape[1] - 1}")
-    bad = ~np.isfinite(raw).all(axis=1)
-    if bad.any():
-        raise DefFileError(f"sample file {path}: data row {int(np.argmax(bad)) + 1} holds a "
-                           "non-finite value")
-    if len(raw) < 2:
-        raise DefFileError(f"sample file {path}: data row 1 is the only one; "
-                           "a curve needs at least two")
-    stalled = np.diff(raw[:, 0]) <= 0
-    if stalled.any():
-        k = int(np.argmax(stalled)) + 2
-        raise DefFileError(f"sample file {path}: data row {k} has time {float(raw[k - 1, 0])}, "
-                           f"not after row {k - 1}'s {float(raw[k - 2, 0])}")
     return raw[:, 0], raw[:, 1:]
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import StructuredLieAlgebra, GroupElement, expand_in_matrix_basis, expm
+from .algebra import DET_FLOOR, StructuredLieAlgebra, expand_in_matrix_basis, expm
 from .reporting import CheckReport, DEFAULT_TOLERANCES, resolve_tolerances
 
 __all__ = [
@@ -108,7 +108,7 @@ class ReductiveDecomposition:
         self.algebra = algebra
         self.h_basis = h_basis            # (q, n) rows = coordinate vectors
         self.m_basis = m_basis            # (N, n)
-        self.h_generators = h_generators  # tuple of GroupElement or ()
+        self.h_generators = h_generators  # tuple of read-only (d, d) arrays, or ()
         self._generator_actions = generator_actions   # Ad of each generator restricted to m
         self.reports = tuple(reports)
         self._cob_inv = cob_inv           # inverse of the matrix with columns h basis, m basis
@@ -202,7 +202,8 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
     a subalgebra, or some [eta, X] leaks out of m (the worst pair and its
     largest leaking (h, m)-coordinate are reported), and ValueError when a
     basis row does not hold dim g coordinates.  Gates read
-    ``resolve_tolerances(tolerances)``.
+    ``resolve_tolerances(tolerances)``.  Each of the ``h_generators`` is checked
+    here alone, a failure naming it as ``generator #k``.
     """
     tols = resolve_tolerances(tolerances)
     n = algebra.dim
@@ -253,13 +254,21 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
     if h_generators:
         if algebra.matrix_basis is None:
             raise DecompositionError("h_generators require a matrix-realized algebra")
-        worst = 0.0
+        worst, d = 0.0, algebra.matrix_dim
         for k, gen in enumerate(h_generators):
+            g = np.array(gen, dtype=float)
             try:
-                g = gen if isinstance(gen, GroupElement) else GroupElement(
-                    gen, algebra, drift_tol=tols["group_drift"])
+                if g.shape != (d, d):
+                    raise ValueError(f"must be a {d}x{d} matrix, got shape {g.shape}")
+                det = abs(np.linalg.det(g))
+                if det < DET_FLOOR:
+                    raise ValueError(f"matrix is numerically singular (|det| = {det:.3e})")
+                drift = float(np.max(np.abs(g.T @ g - np.eye(d)))) if algebra.orthogonal else 0.0
+                if not drift <= tols["group_drift"]:
+                    raise ValueError(f"orthogonality drift {drift:.3e} exceeds "
+                                     f"{tols['group_drift']:.1e}")
                 ad = algebra.adjoint_Ad(g, tols["basis_residual"])
-            except ValueError as exc:        # singular, off O(d), or not normalizing g
+            except ValueError as exc:        # misshapen, singular, off O(d), or not normalizing g
                 raise DecompositionError(f"generator #{k}: {exc}") from exc
             s = cob_inv @ ad @ cob
             leak = float(np.max(np.abs(s[: q, q:]))) if q and N else 0.0
@@ -268,6 +277,7 @@ def build_decomposition(algebra: StructuredLieAlgebra, h_basis, m_basis,
                     f"generator #{k} does not stabilize m (leak {leak:.3e})"
                 )
             worst = max(worst, leak)
+            g.setflags(write=False)
             gens.append(g)
             actions.append(s[q:, q:])
         reports.append(CheckReport.from_residual(

@@ -35,12 +35,12 @@ of the finest step: its truncation error, 1e-4 of the finest run's and
 often below its round-off, is too small to move the order.  It reads only
 each run's end frame, so its runs skip the frame diagnostics.
 
-``ValueError`` refuses, before any step, an x0, a one-parameter direction
-or a transported seed with a coordinate over ``BLOWUP_NORM``, and a step
-whose product with the largest velocity coordinate is over it: the
-exponential of such a step would be round-off, or overflow.  It also
-refuses a time grid of more samples than one array or memory can hold,
-naming its span and step.
+``ValueError`` refuses, before any step, an x0, a one-parameter direction,
+a velocity sample or a transported seed with a coordinate over
+``BLOWUP_NORM``, and a step whose product with the largest velocity
+coordinate is over it: the exponential of such a step would be round-off,
+or overflow.  It also refuses a time grid of more samples than one array
+or memory can hold, and a curve with a non-finite finite-difference derivative.
 
 Every trajectory starts at the identity frame, and a lift at its first
 sample; no initial frame is taken, since it would add nothing.  The
@@ -58,7 +58,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import expm
+from .algebra import DET_FLOOR, expm
 from .connection import AlphaMap
 from .reductive import ReductiveDecomposition
 
@@ -98,10 +98,17 @@ def _fd4_uniform(y: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _fd_derivatives(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Second-order derivative estimates, tolerant of nonuniform grids."""
-    order = 2 if len(times) >= 3 else 1
-    return np.gradient(values, times, axis=0, edge_order=order)
+def _fd_derivatives(times: np.ndarray, values: np.ndarray, name: str, h=None) -> np.ndarray:
+    """Derivative estimates of the ``name`` samples: fourth order on a uniform grid of step
+    ``h``, else second order.  A derivative not finite raises ``ValueError`` naming it."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = _fd4_uniform(values, h) if h is not None else np.gradient(
+            values, times, axis=0, edge_order=2 if len(times) >= 3 else 1)
+    bad = ~np.isfinite(d).all(axis=tuple(range(1, d.ndim)))
+    if bad.any():
+        raise ValueError(f"the finite-difference derivative of the {name} is not finite at sample "
+                         f"{int(np.argmax(bad)) + 1}: their times are too close for their values")
+    return d
 
 
 def _is_uniform(d: np.ndarray) -> bool:
@@ -120,12 +127,10 @@ def _fd4_step(times: np.ndarray):
     return float(d[0]) if d.size >= 4 and _is_uniform(d) else None
 
 
-def _best_fd(times: np.ndarray, values: np.ndarray):
-    """Highest-order derivative estimate available for the grid: (derivs, order)."""
+def _best_fd(times: np.ndarray, values: np.ndarray, name: str):
+    """Highest-order :func:`_fd_derivatives` available for the grid: (derivs, order)."""
     h = _fd4_step(times)
-    if h is not None:
-        return _fd4_uniform(values, h), 4
-    return _fd_derivatives(times, values), 2
+    return _fd_derivatives(times, values, name, h), 2 if h is None else 4
 
 
 def _grid_steps(t_span, step):
@@ -216,7 +221,7 @@ def frame_diagnostics(dec, times, frames, velocities) -> dict:
         )
     if alg.matrix_basis is None or len(times) < 3:
         return out
-    gdot, out["fd_order"] = _best_fd(times, frames)
+    gdot, out["fd_order"] = _best_fd(times, frames, "frames")
     h_part, m_part, resid = dec.split_matrices(np.linalg.solve(frames, gdot))
     out["expansion_residual"] = float(np.max(resid))
     out["horizontality_leak"] = float(np.max(np.abs(h_part))) if dec.q else 0.0
@@ -242,11 +247,11 @@ class CurveSpec:
     horizontal), ``piecewise_velocity`` (velocity coordinates sampled in t,
     interpolated linearly when frames are reconstructed), and
     ``group_samples`` (group matrices sampled in t, to be lifted).  Each
-    carries its time grid, a one-parameter curve that of ``_time_grid``.
+    carries its time grid, a one-parameter curve that of ``_time_grid``.  The sample
+    constructors alone check their samples, ``group_samples`` against ``DET_FLOOR`` too.
     """
 
     kind: str
-    t_span: tuple | None = None
     x0: np.ndarray | None = None
     times: np.ndarray | None = None
     values: np.ndarray | None = None
@@ -254,37 +259,44 @@ class CurveSpec:
     @classmethod
     def one_parameter(cls, x0, t_span, step):
         times, _ = _time_grid(t_span, step)
-        return cls(kind="one_parameter", x0=np.asarray(x0, dtype=float),
-                   t_span=(float(times[0]), float(times[-1])), times=times)
+        return cls(kind="one_parameter", x0=np.asarray(x0, dtype=float), times=times)
 
     @classmethod
     def velocity_samples(cls, times, xs):
         times = np.asarray(times, dtype=float)
         xs = np.asarray(xs, dtype=float)
         _check_samples(times, xs)
-        return cls(kind="piecewise_velocity", times=times, values=xs,
-                   t_span=(float(times[0]), float(times[-1])))
+        return cls(kind="piecewise_velocity", times=times, values=xs)
 
     @classmethod
     def group_samples(cls, times, mats):
         times = np.asarray(times, dtype=float)
         mats = np.asarray(mats, dtype=float)
         _check_samples(times, mats)
-        # no registry key: a singularity cut guarding the solves ahead, not a tolerance
-        if np.any(np.abs(np.linalg.det(mats)) < 1e-12):
-            raise ValueError("group samples contain a numerically singular matrix")
-        return cls(kind="group_samples", times=times, values=mats,
-                   t_span=(float(times[0]), float(times[-1])))
+        dets = np.abs(np.linalg.det(mats))
+        if (dets < DET_FLOOR).any():
+            k = int(np.argmax(dets < DET_FLOOR))
+            raise ValueError(f"data row {k + 1} holds a numerically singular matrix "
+                             f"(|det| = {dets[k]:.3e})")
+        return cls(kind="group_samples", times=times, values=mats)
 
 
 def _check_samples(times, values):
+    """Refuse unpaired or fewer than two samples, and name the first bad data row (from 1)."""
+    if times.ndim != 1 or values.shape[:1] != times.shape:
+        raise ValueError(f"samples of shape {values.shape} do not pair with times {times.shape}")
     # a NaN passes every comparison-based test below and in the lift, so reject it here
-    if not (np.isfinite(times).all() and np.isfinite(values).all()):
-        raise ValueError("curve samples must be finite")
-    if times.ndim != 1 or len(times) < 2:
-        raise ValueError("need at least two strictly increasing sample times")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("sample times must be strictly increasing")
+    bad = ~(np.isfinite(times) & np.isfinite(values).all(axis=tuple(range(1, values.ndim))))
+    if bad.any():
+        raise ValueError(f"data row {int(np.argmax(bad)) + 1} holds a non-finite value")
+    if len(times) < 2:
+        raise ValueError("data row 1 is the only one; a curve needs at least two"
+                         if len(times) else "a curve needs at least two data rows, got none")
+    stalled = np.diff(times) <= 0
+    if stalled.any():
+        k = int(np.argmax(stalled)) + 2
+        raise ValueError(f"data row {k} has time {float(times[k - 1])}, not after row "
+                         f"{k - 1}'s {float(times[k - 2])}")
 
 
 # -- horizontal lift ---------------------------------------------------------------
@@ -312,7 +324,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
     m = len(times)
     warnings_list = []
 
-    cdot, fd_order = _best_fd(times, mats)
+    cdot, fd_order = _best_fd(times, mats, "group samples")
     body = np.linalg.solve(mats, cdot)                   # c^-1 c' at samples
     h_coords, m_coords, resid = dec.split_matrices(body)
     worst_resid = float(np.max(resid))
@@ -324,7 +336,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
 
     if fd_order == 4:
         # spread of the lift's generator c^-1 c', not of c' as parallel_transport measures
-        body2 = np.linalg.solve(mats, _fd_derivatives(times, mats))
+        body2 = np.linalg.solve(mats, _fd_derivatives(times, mats, "group samples"))
         fd_err = float(np.max(np.abs(body - body2)))
     else:
         fd_err = None
@@ -336,7 +348,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
         )
 
     # h' = A h with A = -mat(pr_h(c^-1 c')), solved transposed
-    h_dot, _ = _best_fd(times, h_coords)
+    h_dot, _ = _best_fd(times, h_coords, "h-coordinates of c^-1 c'")
     dt = np.diff(times)
     h_mid = _hermite_midpoints(h_coords, h_dot, dt)
     hs = _magnus_frames(np.eye(d), np.swapaxes(dec.h_matrices, 1, 2), times, -h_coords,
@@ -612,9 +624,9 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     times = base.times
     xs = base.velocities
     warnings_list = list(base.meta.get("warnings", []))
-    dxs, fd_order = _best_fd(times, xs)
+    dxs, fd_order = _best_fd(times, xs, "velocities")
     if fd_order == 4:
-        fd_err = float(np.max(np.abs(_fd_derivatives(times, xs) - dxs)))
+        fd_err = float(np.max(np.abs(_fd_derivatives(times, xs, "velocities") - dxs)))
         if fd_err > FD_COARSE_WARNING:
             warnings_list.append(
                 f"transport grid too coarse: velocity interpolation error ~{fd_err:.3e}"
@@ -753,6 +765,8 @@ def _velocity_trajectory(dec, spec):
     xs = np.asarray(spec.values, dtype=float)
     if xs.shape != (len(times), dec.N):
         raise ValueError(f"velocity samples must have shape (len(times), {dec.N})")
+    row = int(np.argmax(~(np.max(np.abs(xs), axis=1, initial=0.0) <= BLOWUP_NORM)))
+    _refuse_blowup(f"velocity sample data row {row + 1}", xs[row])
     dt = np.diff(times)
     x_mid = 0.5 * xs[:-1] + 0.5 * xs[1:]    # order-1 interpolation; a sum could overflow
     frames = _frames(dec, times, xs, x_mid, dt)

@@ -80,6 +80,24 @@ def restrict_to_m(dec, op):
     return s[dec.q:], float(np.max(np.abs(s[: dec.q]), initial=0.0))
 
 
+def rebase(space, P, Q):
+    """``space`` built again in the m basis P.A and the h basis Q.eta, with the gram
+    P G P^T: the same split, the same metric and the same geometry in other
+    coordinates.  An m-vector with coordinates x on A has coordinates P^-T x on P.A."""
+    dec = space.dec
+    new = rh.build_decomposition(dec.algebra, Q @ dec.h_basis, P @ dec.m_basis)
+    metric = None if space.metric is None else rh.MetricOnM(new, P @ space.metric.gram @ P.T)
+    return rh.SpaceBundle(new, metric, f"rebased {space.name}")
+
+
+def seeded_change_of_basis(space, seed, spread=0.3):
+    """``(P, Q)``: I plus ``spread`` times a seeded normal matrix, of sizes dim m and
+    dim h, Q drawn first."""
+    rng = np.random.default_rng(seed)
+    q_mat = np.eye(space.dec.q) + spread * rng.standard_normal((space.dec.q, space.dec.q))
+    return np.eye(space.dec.N) + spread * rng.standard_normal((space.dec.N,) * 2), q_mat
+
+
 def dense_jacobi_residual(c):
     """The Jacobi residual as the dense per-l loop sums it: for each output index l,
     t[k, i, j] = sum_m c[l, m, k] c[m, i, j], plus its two cyclic shifts."""

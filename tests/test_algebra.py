@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import redhom as rh
 from redhom.algebra import expand_in_matrix_basis
 from redhom.deffile import build_space, parse_definition
+from redhom.reductive import DecompositionError
 
 from conftest import (ad_matrix, commutator_coords, commutator_table, dense_jacobi_residual,
                       group_exp)
@@ -164,7 +167,10 @@ class TestAdjointAd:
             assert np.max(np.abs(got - ad_series(alg, v))) <= 1e-10
 
     def test_automorphism_property(self, so3, rng):
-        ad_g = so3.adjoint_Ad(rh.GroupElement(group_exp(so3, rng.standard_normal(3)), so3))
+        # the action build_decomposition keeps for a generator of the trivial H is Ad_g
+        g = group_exp(so3, rng.standard_normal(3))
+        ad_g = rh.build_decomposition(so3, [], np.eye(3), h_generators=[g])._generator_actions[0]
+        assert np.array_equal(ad_g, so3.adjoint_Ad(g))
         for _ in range(10):
             a, b = rng.standard_normal((2, 3))
             lhs = ad_g @ commutator_coords(so3, a, b)
@@ -179,7 +185,7 @@ class TestAdjointAd:
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
     def test_non_normalizing_element_rejected(self, so3):
-        # a raw matrix: as a GroupElement of so(3) it would fail the drift gate first
+        # a raw matrix: as a generator of H, build_decomposition would refuse its drift first
         with pytest.raises(ValueError, match="span"):
             so3.adjoint_Ad(np.diag([2.0, 1.0, 1.0]))
 
@@ -294,10 +300,24 @@ class TestConstructionValidation:
         assert report.max_residual == err
 
 
-class TestGroupElement:
+def generators_of_trivial_h(alg, *gens):
+    """build_decomposition of ``alg`` over H = {e} with the generators ``gens``."""
+    return rh.build_decomposition(alg, [], np.eye(alg.dim), h_generators=list(gens))
+
+
+class TestGeneratorChecks:
+    """build_decomposition is the one check of a generator of H; each failure names it."""
+
     def test_singular_rejected(self, so3):
-        with pytest.raises(ValueError, match="singular"):
-            rh.GroupElement(np.zeros((3, 3)), so3)
+        with pytest.raises(DecompositionError, match=r"^generator #1: matrix is numerically "
+                                                     r"singular \(\|det\| = 0\.000e\+00\)$"):
+            generators_of_trivial_h(so3, np.eye(3), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (9,)])
+    def test_another_shape_rejected(self, so3, shape):
+        with pytest.raises(DecompositionError, match=rf"^generator #0: must be a 3x3 matrix, "
+                                                     rf"got shape {re.escape(str(shape))}$"):
+            generators_of_trivial_h(so3, np.ones(shape))
 
     def test_orthogonality_drift_guard(self, so3):
         # orthogonal is derived from the basis, so a definition-file so(3) is gated too
@@ -305,15 +325,42 @@ class TestGroupElement:
         for alg in (so3, rigid_body.dec.algebra):
             assert alg.orthogonal is True
             for diagonal in ([1.0 + 1e-5, 1.0, 1.0], [np.nan, 1.0, 1.0]):
-                with pytest.raises(ValueError, match="drift"), np.errstate(invalid="ignore"):
-                    rh.GroupElement(np.diag(diagonal), alg)
-        # the same brackets on a conjugated, non-skew basis: a group outside O(3)
+                with pytest.raises(DecompositionError, match=r"^generator #0: orthogonality "
+                                                             r"drift .* exceeds 1\.0e-08$"), \
+                        np.errstate(invalid="ignore"):
+                    generators_of_trivial_h(alg, np.diag(diagonal))
+        # the same brackets on a conjugated, non-skew basis: a group outside O(3), whose
+        # conjugated rotations normalize the algebra but drift far from O(3)
         p = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         skewed = rh.StructuredLieAlgebra(so3.structure_constants,
                                          p @ so3.matrix_basis @ np.linalg.inv(p))
         assert skewed.orthogonal is False
         assert rh.StructuredLieAlgebra(so3.structure_constants).orthogonal is False
-        rh.GroupElement(np.diag([1.0 + 1e-5, 1.0, 1.0]), skewed)
+        g = p @ group_exp(so3, np.array([0.3, -0.2, 0.5])) @ np.linalg.inv(p)
+        assert np.max(np.abs(g.T @ g - np.eye(3))) > 0.1
+        assert len(generators_of_trivial_h(skewed, g).h_generators) == 1
+
+    def test_kept_generators_are_read_only_copies(self, so3):
+        flip = np.diag([-1.0, -1.0, 1.0])
+        (kept,) = generators_of_trivial_h(so3, flip).h_generators
+        assert np.array_equal(kept, flip) and kept is not flip
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("constants, basis, message", [
+    pytest.param(np.zeros((3, 3, 2)), None, r"structure constants must be a cubic array, got "
+                 r"shape \(3, 3, 2\)", id="constants-not-cubic"),
+    pytest.param(np.zeros((3, 3)), None, r"structure constants must be a cubic array, got "
+                 r"shape \(3, 3\)", id="constants-of-rank-2"),
+    pytest.param(np.zeros((3, 3, 3)), np.zeros((2, 3, 3)), r"matrix basis must have shape "
+                 r"\(3, d, d\), got \(2, 3, 3\)", id="basis-of-another-length"),
+    pytest.param(None, np.zeros((3, 3, 2)), r"matrix basis must have shape \(n, d, d\), got "
+                 r"\(3, 3, 2\)", id="basis-not-square"),
+])
+def test_malformed_algebra_inputs_are_refused(constants, basis, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rh.StructuredLieAlgebra(constants, basis)
 
 
 class TestExpandInBasis:

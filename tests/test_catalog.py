@@ -226,6 +226,15 @@ class TestConstructorReports:
         assert sub.max_residual == pytest.approx(1.0) and sub.passed
 
 
+@pytest.mark.parametrize("overrides, names", [
+    ({"jacobi_tol": 1e-9}, "['jacobi_tol']"),
+    ({"jacobi": 1e-9, "drift": 1.0, "Jacobi": 1.0}, "['Jacobi', 'drift']"),
+])
+def test_unknown_tolerance_names_are_refused(overrides, names):
+    with pytest.raises(KeyError, match=re.escape(f"unknown tolerance names: {names}")):
+        rh.resolve_tolerances(overrides)
+
+
 def test_no_module_but_reporting_defines_a_tolerance_constant():
     """Every gate reads the one registry in ``reporting``; no module keeps a copy."""
     package = os.path.dirname(rh.__file__)
@@ -397,6 +406,17 @@ def test_only_the_constructors_measure_invariance():
     assert calls_outside({"check_metric_invariance", "check_ad_H_invariance_bilinear"},
                          {"reductive.py:MetricOnM.__init__",
                           "connection.py:AlphaMap.__init__"}) == []
+
+
+def test_each_input_check_has_one_owner():
+    """A curve's samples are checked by the ``CurveSpec`` constructors alone, and a
+    group matrix's determinant is taken only where it is held to ``DET_FLOOR``:
+    ``build_decomposition`` for a generator of H, ``CurveSpec.group_samples`` for a
+    sample of a curve."""
+    assert calls_outside({"_check_samples"}, {"transport.py:CurveSpec.velocity_samples",
+                                              "transport.py:CurveSpec.group_samples"}) == []
+    assert calls_outside({"det"}, {"reductive.py:build_decomposition",
+                                   "transport.py:CurveSpec.group_samples"}) == []
 
 
 def test_no_module_solves_least_squares():

@@ -316,6 +316,56 @@ def test_curve_file_whose_rows_have_another_width_is_a_definition_error(
     assert not list(tmp_path.glob("o*"))
 
 
+def rotation_about_e1(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def transport_sphere2_along(tmp_path, kind, rows):
+    """``main``'s exit code for a sphere2 transport of z0 = (1, 0) along a ``kind``
+    sample file of ``rows``, RuntimeWarnings raised as errors, and the sample file."""
+    samples = tmp_path / "curve.csv"
+    samples.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    path = write(tmp_path, "space = sphere2\n\n[connection]\nalpha = levi_civita\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["transport", path, f"--curve={kind}:{samples}", "--z0=1,0",
+                     f"--out={tmp_path / 'o'}"])
+    return code, samples
+
+
+def test_group_file_with_a_singular_row_is_a_definition_error(tmp_path, capsys):
+    rows = [[0.1 * i, *rotation_about_e1(0.1 * i).ravel().tolist()] for i in range(5)]
+    rows[3][1:4] = [0.0, 0.0, 0.0]
+    code, samples = transport_sphere2_along(tmp_path, "group_file", rows)
+    assert code == 2
+    assert capsys.readouterr().err == (f"definition error: sample file {samples}: data row 4 "
+                                       "holds a numerically singular matrix (|det| = 0.000e+00)\n")
+    assert not list(tmp_path.glob("o*"))
+
+
+# six samples 1e-300 apart: the rotations about e1 by 0, 0.1, ..., 0.5 and a velocity of 1e300
+TINY_STEPS = {
+    "group_file": ([[1e-300 * i, *rotation_about_e1(0.1 * i).ravel().tolist()]
+                    for i in range(6)],
+                   "the finite-difference derivative of the group samples is not finite at "
+                   "sample 1: their times are too close for their values"),
+    "velocity_file": ([[1e-300 * i, 1e300, 0.0] for i in range(6)],
+                      "velocity sample data row 1 has a coordinate of magnitude over the "
+                      "blow-up norm 1e+06"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TINY_STEPS))
+def test_curve_file_whose_derivative_overflows_exits_1_before_any_step(tmp_path, capsys, kind):
+    rows, message = TINY_STEPS[kind]
+    code, _ = transport_sphere2_along(tmp_path, kind, rows)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == f"error: {message}\n"
+    assert "drift" not in captured.out
+    assert not list(tmp_path.glob("o*"))
+
+
 def test_group_file_on_an_algebra_without_matrices_is_refused(tmp_path, capsys):
     samples = tmp_path / "curve.csv"
     samples.write_text("0,1,0,0,0,1,0,0,0,1\n0.1,1,0,0,0,1,0,0,0,1\n")

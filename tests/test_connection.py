@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import redhom as rh
-from conftest import commutator_coords, hm_coords, m_bracket
+from conftest import commutator_coords, hm_coords, m_bracket, rebase, seeded_change_of_basis
+from test_catalog import SPACES
 
 E1, E2, E3 = np.eye(3)
 X1, X2 = np.eye(2)
@@ -54,6 +55,26 @@ class TestAlphaMap:
     def test_shape_validated(self, sphere2):
         with pytest.raises(ValueError, match="shape"):
             rh.AlphaMap(sphere2.dec, np.zeros((3, 3, 3)))
+
+
+@pytest.mark.parametrize("refuse, message", [
+    pytest.param(lambda s: rh.AlphaMap(s.dec, np.zeros((2, 2, 2)), label="christoffel"),
+                 r"label must be one of \('explicit', 'canonical_first', 'canonical_second', "
+                 r"'levi_civita'\)", id="alpha-label"),
+    pytest.param(lambda s: rh.TensorAtOrigin("ricci", np.zeros((2, 2))),
+                 "kind must be 'torsion' or 'curvature'", id="tensor-kind"),
+    pytest.param(lambda s: rh.canonical_second(s.dec)([1.0, 0.0, 0.0], [1.0, 0.0]),
+                 "expected m-coordinate vectors of length 2", id="alpha-vector-length"),
+    pytest.param(lambda s: rh.canonical_second(s.dec)(np.eye(2), [1.0, 0.0]),
+                 "expected m-coordinate vectors of length 2", id="alpha-vector-stack"),
+    pytest.param(lambda s: rh.torsion(rh.canonical_second(s.dec))([1.0, 0.0]),
+                 "torsion tensor takes 2 vectors", id="torsion-vector-count"),
+    pytest.param(lambda s: rh.curvature(rh.canonical_second(s.dec))(*np.eye(2)),
+                 "curvature tensor takes 3 vectors", id="curvature-vector-count"),
+])
+def test_malformed_connection_inputs_are_refused(sphere2, refuse, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        refuse(sphere2)
 
 
 class TestLeviCivita:
@@ -268,3 +289,59 @@ class TestSectionalCurvature:
         tainted = rh.AlphaMap(sphere2.dec, coeffs, unchecked=True)
         assert rh.torsion(tainted).tainted
         assert rh.is_metric(tainted, sphere2.metric).tainted
+
+
+ALPHAS = {"canonical_first": lambda space: rh.canonical_first(space.dec),
+          "canonical_second": lambda space: rh.canonical_second(space.dec),
+          "levi_civita": lambda space: rh.levi_civita_alpha(space.dec, space.metric)}
+
+
+def in_basis(coeffs, P):
+    """Coefficients of a (1, k) tensor on the basis A, moved to the basis P.A:
+    ``out[d, a, b, ...] = sum P^-1[l, d] P[a, i] P[b, j] ... coeffs[l, i, j, ...]``."""
+    out = np.tensordot(np.linalg.inv(P).T, coeffs, (1, 0))
+    for axis in range(1, coeffs.ndim):
+        out = np.moveaxis(np.tensordot(P, out, (1, axis)), 0, axis)
+    return out
+
+
+def ricci_scalar(riem, metric):
+    """g^jk Ric_jk with Ric_jk = sum_i R[i, i, j, k], the trace of X -> R(X, A_j) A_k."""
+    return float(np.einsum("jk,iijk->", np.linalg.inv(metric.gram), riem.coeffs))
+
+
+def assert_close(got, want, rel=1e-12):
+    """``got`` equals ``want`` to ``rel`` of the larger of 1 and the largest |want|."""
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert float(np.max(np.abs(np.subtract(got, want)), initial=0.0)) <= rel * scale
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("alpha", sorted(ALPHAS))
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_alpha_torsion_and_curvature_are_tensors(name, alpha, seed):
+    """The same space in the m basis P.A and the h basis Q.eta, with gram P G P^T
+    (``rebase``): alpha and T transform as (1, 2) tensors, R as a (1, 3) tensor, and
+    the sectional curvature of a fixed plane, of each new basis plane, and the Ricci
+    scalar stay the same.  Most catalog grams are I on their own basis, where a g for a
+    g^-1 or a wrong slot of g can hide; every gram here is a full P G P^T."""
+    space = SPACES[name]()
+    if space.metric is None:                # so(4) as a group: its bi-invariant metric
+        space = rh.group_as_space(space.dec.algebra, rh.biinvariant_gram(space.dec.algebra))
+    # a spread of 0.6 / sqrt(dim m) keeps P within a condition number of 30 up to dim 17
+    P, Q = seeded_change_of_basis(space, seed, 0.6 / np.sqrt(space.dec.N))
+    moved = rebase(space, P, Q)
+    a, a_moved = ALPHAS[alpha](space), ALPHAS[alpha](moved)
+    r, r_moved = rh.curvature(a), rh.curvature(a_moved)
+    for old, new in ((a, a_moved), (rh.torsion(a), rh.torsion(a_moved)), (r, r_moved)):
+        assert_close(new.coeffs, in_basis(old.coeffs, P))
+    # the plane (A_1, A_2), on P.A spanned by the vectors of coordinates P^-T x, P^-T y
+    x, y = np.eye(space.dec.N)[:2]
+    p_inv_t = np.linalg.inv(P).T
+    assert_close(rh.sectional_curvature(r_moved, moved.metric, p_inv_t @ x, p_inv_t @ y),
+                 rh.sectional_curvature(r, space.metric, x, y))
+    # the basis plane (B_i, B_j) of B = P.A is the plane (P[i], P[j]) on A
+    assert_close([k for _, _, k in rh.basis_sectional_curvatures(r_moved, moved.metric)],
+                 [rh.sectional_curvature(r, space.metric, P[i], P[j])
+                  for i, j in zip(*np.triu_indices(space.dec.N, 1))])
+    assert_close(ricci_scalar(r_moved, moved.metric), ricci_scalar(r, space.metric))

@@ -10,7 +10,8 @@ import redhom as rh
 from redhom import reductive
 from redhom.algebra import expm
 from redhom.reductive import _FINITE_SAMPLE_TIMES, DecompositionError
-from conftest import ad_matrix, commutator_coords, group_exp, hm_coords, m_bracket, restrict_to_m
+from conftest import (ad_matrix, commutator_coords, group_exp, hm_coords, m_bracket, rebase,
+                      restrict_to_m, seeded_change_of_basis)
 from test_catalog import SPACES
 
 E1, E2, E3 = np.eye(3)
@@ -81,18 +82,43 @@ class TestBuildDecomposition:
                 table[(0,) * table.ndim] = 1.0
 
 
+def unrealized_so3():
+    """so(3) from its structure constants alone: no matrix basis."""
+    return rh.StructuredLieAlgebra(rh.so3().structure_constants, name="bare-so3")
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    pytest.param(lambda: rh.build_decomposition(unrealized_so3(), [E3], [E1, E2],
+                                                h_generators=[np.eye(3)]),
+                 DecompositionError, "h_generators require a matrix-realized algebra",
+                 id="generators-of-an-unrealized-algebra"),
+    pytest.param(lambda: rh.symmetric_decomposition(rh.so3(), np.eye(2)),
+                 ValueError, r"sigma must be a 3x3 coefficient matrix, got \(2, 2\)",
+                 id="sigma-shape"),
+    pytest.param(lambda: rh.normal_decomposition(rh.so3(), np.eye(4), [E3]),
+                 ValueError, r"gram must be 3x3, got \(4, 4\)", id="biinvariant-gram-shape"),
+    pytest.param(lambda: rh.check_ad_H_invariance_bilinear(rh.sphere2().dec, np.zeros((2, 2))),
+                 ValueError, r"alpha coefficients must have shape \(2, 2, 2\)",
+                 id="alpha-coefficient-shape"),
+    pytest.param(lambda: rh.build_decomposition(unrealized_so3(), [E3], [E1, E2]).m_matrix(
+        [1.0, 0.0]), ValueError, "bare-so3 has no matrix realization",
+                 id="m-matrix-of-an-unrealized-algebra"),
+])
+def test_malformed_decomposition_inputs_are_refused(refuse, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        refuse()
+
+
 REBASED = {"sphere2": rh.sphere2, "stiefel(5,2)": lambda: rh.stiefel(5, 2),
            "grassmann_like(5,2)": lambda: rh.grassmann_like(5, 2)}
 
 
 def rebased_bases(name, seed=7):
-    """Q.h and P.m for seeded, well-conditioned random Q and P: the same split
-    in bases that are not orthonormal."""
-    dec = REBASED[name]().dec
-    rng = np.random.default_rng(seed)
-    q_mat = np.eye(dec.q) + 0.3 * rng.standard_normal((dec.q, dec.q))
-    p_mat = np.eye(dec.N) + 0.3 * rng.standard_normal((dec.N, dec.N))
-    return dec.algebra, q_mat @ dec.h_basis, p_mat @ dec.m_basis
+    """The algebra, and writable copies of the h and m bases of ``rebase`` under seeded,
+    well-conditioned P and Q: the same split in bases that are not orthonormal."""
+    space = REBASED[name]()
+    dec = rebase(space, *seeded_change_of_basis(space, seed)).dec
+    return dec.algebra, np.array(dec.h_basis), np.array(dec.m_basis)
 
 
 def oracle_worst_pair(alg, h, m, rows, cols, part, upper=False):

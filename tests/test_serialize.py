@@ -21,6 +21,7 @@ import pytest
 
 from redhom import serialize
 from redhom.cli import main
+from redhom.connection import TensorAtOrigin
 from redhom.transport import Trajectory
 
 DATA = Path(__file__).parent / "data"
@@ -73,6 +74,13 @@ def test_artifacts_match_golden_files(case, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_tensor_csv_refuses_a_tensor_not_of_rank_3(rank):
+    tensor = TensorAtOrigin("curvature", np.zeros((2,) * rank))
+    with pytest.raises(ValueError, match="^CSV output is defined for rank-3 tensors only$"):
+        serialize.tensor_csv(tensor)
 
 
 ARRAYS = [

@@ -23,7 +23,9 @@ frames written in place must equal the per-step ``g @ inc`` loop bit for
 bit, and convergence runs must skip the frame diagnostics;
 an x0, a seed or a one-parameter direction already over the blow-up norm,
 a step whose exponential would overflow, a time grid no array can hold,
-and non-finite curve samples are rejected before any step, and the
+malformed curve samples (each named by its data row) and a derivative
+that overflows are rejected before any step, as is every malformed
+curve, trajectory or base a library call is given, and the
 convergence probe counts its steps without building their grids.  Each
 quantity is derived once: a constant-velocity geodesic is the one-parameter
 curve bit for bit, built from one exponential, as are the frames of
@@ -47,8 +49,9 @@ from redhom import transport
 from redhom.algebra import expm
 from redhom.cli import main
 from redhom.connection import AlphaMap, levi_civita_alpha
-from redhom.transport import (CurveSpec, convergence_probe, geodesic, geodesic_convergence,
-                              parallel_transport, realize_curve)
+from redhom.transport import (CurveSpec, Trajectory, convergence_probe, geodesic,
+                              geodesic_convergence, horizontal_lift, parallel_transport,
+                              realize_curve)
 from conftest import m_bracket
 
 DATA = Path(__file__).parent / "data"
@@ -507,9 +510,85 @@ def test_curve_samples_must_be_finite(bad):
         spoiled[2].flat[1] = bad
         stamps = times.copy()
         stamps[4] = bad
-        for args in ((times, spoiled), (stamps, values)):
-            with pytest.raises(ValueError, match="curve samples must be finite"):
+        for args, row in (((times, spoiled), 3), ((stamps, values), 5)):
+            with pytest.raises(ValueError, match=f"^data row {row} holds a non-finite value$"):
                 make(*args)
+
+
+FIVE = np.linspace(0.0, 1.0, 5)
+
+
+def sphere2_alpha(space):
+    return levi_civita_alpha(space.dec, space.metric)
+
+
+def resting_base(dec, samples):
+    """A trajectory of ``samples`` samples resting at the identity frame."""
+    return Trajectory(dec, np.arange(float(samples)), np.tile(np.eye(3), (samples, 1, 1)),
+                      np.zeros((samples, 2)))
+
+
+def transport_along_velocities(space, times, xs):
+    base = realize_curve(space.dec, CurveSpec.velocity_samples(times, xs))
+    return parallel_transport(sphere2_alpha(space), base, [1.0, 0.0])
+
+
+# six velocity samples 1e-310 apart, alternating between +-1e6: each step is short, but
+# the derivative of the velocities overflows
+SUBNORMAL_TIMES = 1e-310 * np.arange(6)
+ALTERNATING = np.array([[1e6 * (-1) ** i, 0.0] for i in range(6)])
+
+
+@pytest.mark.parametrize("refuse, message", [
+    pytest.param(lambda s: geodesic(sphere2_alpha(s), [1.0, 0.0], (1.0, 0.0), 0.1),
+                 "t_span must be a nonempty interval", id="reversed-span"),
+    pytest.param(lambda s: geodesic(sphere2_alpha(s), [1.0, 0.0], (0.5, 0.5), 0.1),
+                 "t_span must be a nonempty interval", id="empty-span"),
+    pytest.param(lambda s: Trajectory(s.dec, np.zeros(3), np.zeros((2, 3, 3)), np.zeros((3, 2))),
+                 "times, frames and velocities must have equal length", id="trajectory-lengths"),
+    pytest.param(lambda s: Trajectory(s.dec, np.zeros(3), np.zeros((3, 3, 3)), np.zeros((3, 2)),
+                                      transported=np.zeros((2, 2))),
+                 "transported samples must match the time grid", id="transported-length"),
+    pytest.param(lambda s: horizontal_lift(s.dec, CurveSpec.one_parameter([1.0, 0.0], (0, 1),
+                                                                          0.1)),
+                 "horizontal_lift expects a group_samples curve", id="lift-of-another-kind"),
+    pytest.param(lambda s: horizontal_lift(s.dec, CurveSpec.group_samples(
+        FIVE, np.tile(np.eye(2), (5, 1, 1)))),
+                 "group samples must be 3x3 matrices", id="lift-of-2x2-matrices"),
+    pytest.param(lambda s: parallel_transport(sphere2_alpha(s), resting_base(s.dec, 1), [1, 0]),
+                 "base trajectory has no intervals to integrate over", id="one-sample-base"),
+    pytest.param(lambda s: parallel_transport(sphere2_alpha(s), resting_base(rh.sphere2().dec, 2),
+                                              [1, 0]),
+                 "alpha and base trajectory use different decompositions",
+                 id="base-on-another-decomposition"),
+    pytest.param(lambda s: realize_curve(s.dec, CurveSpec(kind="spline")),
+                 "unknown curve kind 'spline'", id="unknown-kind"),
+    pytest.param(lambda s: realize_curve(s.dec, CurveSpec.velocity_samples(
+        FIVE, np.zeros((5, 3)))),
+                 r"velocity samples must have shape \(len\(times\), 2\)", id="velocity-width"),
+    pytest.param(lambda s: CurveSpec.velocity_samples(FIVE, np.zeros((4, 2))),
+                 r"samples of shape \(4, 2\) do not pair with times \(5,\)",
+                 id="unpaired-samples"),
+    pytest.param(lambda s: CurveSpec.group_samples([], np.zeros((0, 3, 3))),
+                 "a curve needs at least two data rows, got none", id="no-samples"),
+    pytest.param(lambda s: CurveSpec.group_samples(FIVE, np.stack(
+        [np.eye(3)] * 2 + [np.diag([1.0, 1.0, 1e-13])] * 3)),
+                 r"data row 3 holds a numerically singular matrix \(\|det\| = 1\.000e-13\)",
+                 id="singular-sample"),
+    pytest.param(lambda s: realize_curve(s.dec, CurveSpec.velocity_samples(
+        FIVE, [[0.0, 0.0]] * 3 + [[0.0, 2e6]] * 2)),
+                 r"velocity sample data row 4 has a coordinate of magnitude over the blow-up "
+                 r"norm 1e\+06", id="velocity-over-the-blow-up-norm"),
+    pytest.param(lambda s: transport_along_velocities(s, SUBNORMAL_TIMES, ALTERNATING),
+                 "the finite-difference derivative of the velocities is not finite at sample 1: "
+                 "their times are too close for their values",
+                 id="derivative-overflow"),
+])
+def test_malformed_curves_and_trajectories_are_refused(sphere2, refuse, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            refuse(sphere2)
 
 
 def test_blow_up_on_the_command_line_writes_the_partial_trajectory(tmp_path, capsys):
