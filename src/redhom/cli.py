@@ -13,9 +13,13 @@ whose time grid is too large to allocate, an ``--x0``, ``--z0`` or
 norm (no step is taken, and no curve is lifted for a ``--z0``; the error
 names the vector; a ``velocity_file:`` row too, naming it), a step whose
 product with the largest velocity coordinate is over that norm (its
-exponential would be round-off; the error names the step), a sample
-curve whose finite-difference derivative is not finite, its times too
-close for its values (no step is taken; the error names the samples), an
+exponential would be round-off; the error names the step) or whose square
+overflows (it weighs the Magnus commutator; the error names the step), a
+``group_file:`` sample, on an algebra whose matrix basis is skew, whose
+orthogonality drift is over ``group_drift`` (the error names its data
+row; no curve is lifted), a sample curve whose finite-difference
+derivative is not finite, its times too close for its values (no step is
+taken; the error names the samples), an
 ``--x0``, ``--z0`` or ``one_parameter:`` vector whose length is not dim m,
 a ``group_file:`` or ``velocity_file:`` curve on an algebra without a
 matrix basis, and an ``--out`` file that cannot be written, as in a missing
@@ -252,13 +256,13 @@ def cmd_transport(args) -> int:
     prep = _prepare(args)
     if prep is None:
         return 1
-    bundle, alpha, _tols, tainted, reports = prep
+    bundle, alpha, tols, tainted, reports = prep
     dec = bundle.dec
     if any(z.shape != (dec.N,) for z in args.z0):
         raise ValueError(f"each --z0 must hold {dec.N} coordinates")
     seeds = np.array(args.z0)
     _refuse_blowup("z0", seeds)   # before the lift, which parallel_transport would follow
-    base = realize_curve(dec, _parse_curve(args, dec))
+    base = realize_curve(dec, _parse_curve(args, dec), tols)
     batch = parallel_transport(alpha, base, seeds)
     batch.meta["tainted"] = batch.meta.get("tainted", False) or tainted
     serialize.write_trajectory(args.out, batch, bundle.name, alpha.label)

@@ -28,8 +28,16 @@ one constant-generator decision: equal samples on a uniform grid (a
 constant velocity, tiled, or the transport generator along it) take the
 powers of one exponential.  All seeds transported along one curve share
 one propagator sequence.  Each per-step loop writes into rows allocated
-once, operation by operation in the order of the plain expressions, such
-as ``x + h/6 (k1 + 2 k2 + 2 k3 + k4)`` and ``g = g @ inc``.
+once.  The RK4 stage inputs, the update ``x + h/6 acc`` and the frame
+products ``g = g @ inc`` go operation by operation in the order of those
+expressions; the stage sum ``acc = k1 + 2 k2 + 2 k3 + k4`` is one dot of
+the four stages, kept in one array, with (1, 2, 2, 1).  A frame stack is
+inverted, in the lift and its diagnostics, by ``_inverse_times``: on an
+orthogonal algebra its frames lie in O(d) up to round-off, and one
+Newton-Schulz step from the transpose, through the E = g^T g - I that
+measures their group drift, inverts them to round-off; frames off O(d)
+by more than ``NEWTON_SCHULZ_DRIFT``, and those of other algebras, take
+an LU.
 ``geodesic_convergence`` measures the RK4 order against a run at a tenth
 of the finest step: its truncation error, 1e-4 of the finest run's and
 often below its round-off, is too small to move the order.  It reads only
@@ -37,10 +45,12 @@ each run's end frame, so its runs skip the frame diagnostics.
 
 ``ValueError`` refuses, before any step, an x0, a one-parameter direction,
 a velocity sample or a transported seed with a coordinate over
-``BLOWUP_NORM``, and a step whose product with the largest velocity
+``BLOWUP_NORM``, a step whose product with the largest velocity
 coordinate is over it: the exponential of such a step would be round-off,
-or overflow.  It also refuses a time grid of more samples than one array
-or memory can hold, and a curve with a non-finite finite-difference derivative.
+or overflow, and a step whose square overflows.  It also refuses a time
+grid of more samples than one array or memory can hold, a curve with a
+non-finite finite-difference derivative, and, on an orthogonal algebra,
+group samples off the group by more than the ``group_drift`` tolerance.
 
 Every trajectory starts at the identity frame, and a lift at its first
 sample; no initial frame is taken, since it would add nothing.  The
@@ -61,6 +71,7 @@ import numpy as np
 from .algebra import DET_FLOOR, expm
 from .connection import AlphaMap
 from .reductive import ReductiveDecomposition
+from .reporting import resolve_tolerances
 
 __all__ = [
     "CurveSpec",
@@ -80,6 +91,9 @@ FD_COARSE_WARNING = 1e-4
 FD_UNESTIMATED = "nonuniform or short grid: finite-difference error not estimated"
 MAGNUS_BLOCK = 256
 GUARD_BLOCK = 64                    # RK4 steps between two blow-up checks of geodesic
+# no registry key: the orthogonality drift below which one Newton-Schulz step from the
+# transpose inverts a frame to round-off; it picks the inverse and judges no result
+NEWTON_SCHULZ_DRIFT = 1e-8
 
 
 # -- finite differences and interpolation -----------------------------------------
@@ -166,6 +180,29 @@ def _time_grid(t_span, step):
                          f"more samples than memory can hold") from None
 
 
+def _orthogonality_defect(g: np.ndarray) -> np.ndarray:
+    """E = g^T g - I for a stack g, without a warning when a product overflows: E is
+    then inf or nan, which no drift test passes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.swapaxes(g, 1, 2) @ g - np.eye(g.shape[-1])
+
+
+def _inverse_times(g: np.ndarray, b: np.ndarray, e) -> np.ndarray:
+    """g^-1 b for a stack g, given ``e`` = :func:`_orthogonality_defect` of g on an
+    orthogonal algebra, else None.
+
+    With max|E| <= ``NEWTON_SCHULZ_DRIFT``, g^-1 = (I + E)^-1 g^T and E^2 is
+    round-off, so one Newton-Schulz step from the transpose (Higham,
+    *Functions of Matrices*, 2008), g^T b - E g^T b, is g^-1 b to round-off,
+    at two batched products where a batched LU costs several times more.
+    With ``e`` None, or off the group by more, it is ``np.linalg.solve(g, b)``.
+    """
+    if e is not None and np.max(np.abs(e), initial=0.0) <= NEWTON_SCHULZ_DRIFT:
+        y = np.swapaxes(g, 1, 2) @ b
+        return y - e @ y
+    return np.linalg.solve(g, b)
+
+
 def _hermite_midpoints(values, derivs, dt):
     """Cubic Hermite value at each interval midpoint; dt has shape (M-1,)."""
     shape = (-1,) + (1,) * (values.ndim - 1)
@@ -209,20 +246,21 @@ def frame_diagnostics(dec, times, frames, velocities) -> dict:
 
     The velocity residual and h-leak are estimated from derivatives of
     the stored frames, so they carry an O(spacing^fd_order) noise floor
-    on top of the true integration error.
+    on top of the true integration error.  On an orthogonal algebra the
+    group drift is max|E| of E = g^T g - I, and the same E inverts the
+    frames in g^-1 g' by :func:`_inverse_times`.
     """
     alg = dec.algebra
     out = {"group_drift": None, "horizontality_leak": None,
            "velocity_residual": None, "fd_order": None}
+    e = None
     if alg.orthogonal:
-        eye = np.eye(frames.shape[1])
-        out["group_drift"] = float(
-            np.max(np.abs(np.einsum("mji,mjk->mik", frames, frames) - eye))
-        )
+        e = _orthogonality_defect(frames)
+        out["group_drift"] = float(np.max(np.abs(e)))
     if alg.matrix_basis is None or len(times) < 3:
         return out
     gdot, out["fd_order"] = _best_fd(times, frames, "frames")
-    h_part, m_part, resid = dec.split_matrices(np.linalg.solve(frames, gdot))
+    h_part, m_part, resid = dec.split_matrices(_inverse_times(frames, gdot, e))
     out["expansion_residual"] = float(np.max(resid))
     out["horizontality_leak"] = float(np.max(np.abs(h_part))) if dec.q else 0.0
     out["velocity_residual"] = float(np.max(np.abs(m_part - velocities)))
@@ -273,11 +311,13 @@ class CurveSpec:
         times = np.asarray(times, dtype=float)
         mats = np.asarray(mats, dtype=float)
         _check_samples(times, mats)
-        dets = np.abs(np.linalg.det(mats))
-        if (dets < DET_FLOOR).any():
-            k = int(np.argmax(dets < DET_FLOOR))
+        # log |det|: det itself overflows, with a warning, on samples far off the unit scale
+        log_det = np.linalg.slogdet(mats)[1]
+        singular = log_det < math.log(DET_FLOOR)
+        if singular.any():
+            k = int(np.argmax(singular))
             raise ValueError(f"data row {k + 1} holds a numerically singular matrix "
-                             f"(|det| = {dets[k]:.3e})")
+                             f"(|det| = {math.exp(log_det[k]):.3e})")
         return cls(kind="group_samples", times=times, values=mats)
 
 
@@ -302,7 +342,8 @@ def _check_samples(times, values):
 # -- horizontal lift ---------------------------------------------------------------
 
 
-def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory:
+def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
+                    tolerances=None) -> Trajectory:
     """Lift sampled group matrices to a horizontal frame curve.
 
     Writing ``g = c h``, horizontality of g forces ``h' = -pr_h(c^-1 c') h``,
@@ -311,6 +352,12 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
     differences of the samples; its h-coordinates are interpolated at the
     interval midpoints by cubic Hermite.  The lift starts at the first
     sample, h(t0) = I; the lift through c(t0) h1 is this one times h1.
+
+    On an orthogonal algebra a sample whose orthogonality drift is over the
+    ``group_drift`` tolerance of ``resolve_tolerances(tolerances)`` is off
+    the group, and ``ValueError`` names its data row.  The E = c^T c - I of
+    that test, and that of h, then invert c and h in c^-1 c', its
+    second-order twin and h^-1 pr_m(c^-1 c') h by :func:`_inverse_times`.
     """
     if curve.kind != "group_samples":
         raise ValueError("horizontal_lift expects a group_samples curve")
@@ -323,9 +370,21 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
         raise ValueError(f"group samples must be {d}x{d} matrices")
     m = len(times)
     warnings_list = []
+    e = None
+    if alg.orthogonal:
+        e = _orthogonality_defect(mats)
+        # a sample whose products overflow has inf on the diagonal of E and maybe nan
+        # (inf - inf) off it; fmax skips the nan, so its drift reads inf
+        drift = np.fmax.reduce(np.abs(e).reshape(m, -1), axis=1)
+        tol = resolve_tolerances(tolerances)["group_drift"]
+        off = ~(drift <= tol)
+        if off.any():
+            k = int(np.argmax(off))
+            raise ValueError(f"group sample data row {k + 1}: orthogonality drift "
+                             f"{drift[k]:.3e} exceeds group_drift {tol:.1e}")
 
     cdot, fd_order = _best_fd(times, mats, "group samples")
-    body = np.linalg.solve(mats, cdot)                   # c^-1 c' at samples
+    body = _inverse_times(mats, cdot, e)                 # c^-1 c' at samples
     h_coords, m_coords, resid = dec.split_matrices(body)
     worst_resid = float(np.max(resid))
     # no registry key: rejects samples off the group; fd_error_estimate reports grid error
@@ -336,7 +395,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
 
     if fd_order == 4:
         # spread of the lift's generator c^-1 c', not of c' as parallel_transport measures
-        body2 = np.linalg.solve(mats, _fd_derivatives(times, mats, "group samples"))
+        body2 = _inverse_times(mats, _fd_derivatives(times, mats, "group samples"), e)
         fd_err = float(np.max(np.abs(body - body2)))
     else:
         fd_err = None
@@ -358,7 +417,8 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec) -> Trajectory
 
     # x = m-coords of g^-1 g' = Ad_{h^-1}(pr_m(c^-1 c'))
     pm_mats = np.einsum("mk,kab->mab", m_coords, dec.m_matrices)
-    conj = np.einsum("mab,mbc->mac", np.linalg.solve(hs, pm_mats), hs)
+    e_h = _orthogonality_defect(hs) if alg.orthogonal else None
+    conj = np.einsum("mab,mbc->mac", _inverse_times(hs, pm_mats, e_h), hs)
     x_h, xs, _ = dec.split_matrices(conj)
     ad_leak = float(np.max(np.abs(x_h))) if dec.q else 0.0
 
@@ -461,11 +521,16 @@ def _refuse_blowup(name, values):
 
 def _refuse_long_step(h, xs):
     """Raise ``ValueError`` when a step of ``h`` along velocity coordinates ``xs`` moves
-    through more than ``BLOWUP_NORM``: its exponential would be round-off, or overflow."""
+    through more than ``BLOWUP_NORM``: its exponential would be round-off, or overflow;
+    or when h^2, which weighs the Magnus commutator, overflows (inf times a vanishing
+    commutator would be nan)."""
     x = float(np.max(np.abs(xs), initial=0.0))
     if not float(h) * x <= BLOWUP_NORM:
         raise ValueError(f"a step of {h:.6g} along a velocity coordinate of magnitude {x:.6g} "
                          f"is over the blow-up norm {BLOWUP_NORM:g}")
+    if not math.isfinite(float(h) * float(h)):
+        raise ValueError(f"a step of {h:.6g} is too long: its square, which weighs the "
+                         f"Magnus commutator, overflows")
 
 
 def _symmetric_part(alpha: AlphaMap):
@@ -493,12 +558,15 @@ def _rk4_velocities(neg_sym, x0, h, nsteps):
     step writes into buffers allocated once.  The field is two matrix-vector
     products, the first with neg_sym flattened to (n*n, n), each through the
     bound ``ndarray.dot`` of its matrix: the C routine of ``np.dot`` without
-    its Python-level ``__array_function__`` dispatch.  The stages and
-    the update ``x + h/6 (k1 + 2 k2 + 2 k3 + k4)`` are written operation by
-    operation in the order of those expressions.  At some sizes, n = 9 and
-    15 among those tried, BLAS sums the flattened product in another order
-    than n slabs of n rows, and the field differs from ``neg_sym @ v @ v``
-    in its last bits.
+    its Python-level ``__array_function__`` dispatch.  The stage inputs
+    ``x + h/2 k1``, ``x + h/2 k2``, ``x + h k3`` and the update ``x + h/6 acc``
+    are written operation by operation in the order of those expressions.
+    The four stages share one (4, n) array, so ``acc = k1 + 2 k2 + 2 k3 + k4``
+    is one ``dot`` with (1, 2, 2, 1): BLAS may add its exact products in
+    another order than left to right, and acc then differs from the sum
+    written out in its last bits.  At some sizes, n = 9 and 15 among those
+    tried, BLAS sums the flattened product in another order than n slabs of
+    n rows, and the field differs from ``neg_sym @ v @ v`` in its last bits.
     """
     n = len(x0)
     xs = np.empty((nsteps + 1, n))
@@ -506,16 +574,19 @@ def _rk4_velocities(neg_sym, x0, h, nsteps):
     flat = neg_sym.reshape(n * n, n)
     lin = np.empty(n * n)
     lin2 = lin.reshape(n, n)
-    k2, k3, k4, v, acc = np.empty((5, n))
+    stages = np.empty((4, n))
+    k1, k2, k3, k4 = stages
+    v, acc = np.empty((2, n))
     # 0-d arrays: a ufunc converts a Python float operand on every call
-    half, full, two, sixth = (np.array(c) for c in (0.5 * h, h, 2.0, h / 6.0))
+    half, full, sixth = (np.array(c) for c in (0.5 * h, h, h / 6.0))
     field1, field2, add, mul = flat.dot, lin2.dot, np.add, np.multiply
+    stage_sum = np.array([1.0, 2.0, 2.0, 1.0]).dot
     xs[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, nsteps, GUARD_BLOCK):
             stop = min(start + GUARD_BLOCK, nsteps)
             for i in range(start, stop):
-                x, k1 = xs[i], dxs[i]
+                x = xs[i]
                 field1(x, lin)
                 field2(x, k1)
                 add(x, mul(half, k1, v), v)
@@ -527,10 +598,9 @@ def _rk4_velocities(neg_sym, x0, h, nsteps):
                 add(x, mul(full, k3, v), v)
                 field1(v, lin)
                 field2(v, k4)
-                add(k1, mul(two, k2, acc), acc)
-                add(acc, mul(two, k3, v), acc)
-                add(acc, k4, acc)
+                stage_sum(stages, acc)
                 add(x, mul(sixth, acc, acc), xs[i + 1])
+                dxs[i] = k1
             # "not <=" also catches a sample that overflowed to nan
             over = ~(np.max(np.abs(xs[start + 1:stop + 1]), axis=1) <= BLOWUP_NORM)
             if over.any():
@@ -736,12 +806,14 @@ def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResul
 # -- curve realization --------------------------------------------------------------
 
 
-def realize_curve(dec: ReductiveDecomposition, spec: CurveSpec) -> Trajectory:
+def realize_curve(dec: ReductiveDecomposition, spec: CurveSpec,
+                  tolerances=None) -> Trajectory:
     """Turn a curve specification into a trajectory on its own time grid, with frames
-    and velocities: a lift of group samples, or the frames of a velocity curve from
-    the identity by ``_magnus_frames``."""
+    and velocities: a lift of group samples, gated on ``tolerances`` as
+    :func:`horizontal_lift` says, or the frames of a velocity curve from the identity
+    by ``_magnus_frames``."""
     if spec.kind == "group_samples":
-        return horizontal_lift(dec, spec)
+        return horizontal_lift(dec, spec, tolerances)
     if spec.kind == "one_parameter":
         return _one_parameter_trajectory(dec, spec)
     if spec.kind == "piecewise_velocity":

@@ -410,13 +410,20 @@ def test_only_the_constructors_measure_invariance():
 
 def test_each_input_check_has_one_owner():
     """A curve's samples are checked by the ``CurveSpec`` constructors alone, and a
-    group matrix's determinant is taken only where it is held to ``DET_FLOOR``:
-    ``build_decomposition`` for a generator of H, ``CurveSpec.group_samples`` for a
-    sample of a curve."""
+    group matrix's determinant (or its log, which does not overflow) is taken only
+    where it is held to ``DET_FLOOR``: ``build_decomposition`` for a generator of H,
+    ``CurveSpec.group_samples`` for a sample of a curve."""
     assert calls_outside({"_check_samples"}, {"transport.py:CurveSpec.velocity_samples",
                                               "transport.py:CurveSpec.group_samples"}) == []
-    assert calls_outside({"det"}, {"reductive.py:build_decomposition",
-                                   "transport.py:CurveSpec.group_samples"}) == []
+    assert calls_outside({"det", "slogdet"}, {"reductive.py:build_decomposition",
+                                              "transport.py:CurveSpec.group_samples"}) == []
+
+
+def test_transport_inverts_frames_through_one_helper():
+    """``transport._inverse_times`` is the one place ``transport.py`` calls ``solve``: it
+    takes the LU only for frames off the orthogonal group or on another algebra."""
+    assert [call for call in calls_outside({"solve"}, {"transport.py:_inverse_times"})
+            if call.startswith("transport.py:")] == []
 
 
 def test_no_module_solves_least_squares():

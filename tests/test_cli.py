@@ -321,16 +321,17 @@ def rotation_about_e1(angle):
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def transport_sphere2_along(tmp_path, kind, rows):
+def transport_sphere2_along(tmp_path, kind, rows, *options):
     """``main``'s exit code for a sphere2 transport of z0 = (1, 0) along a ``kind``
-    sample file of ``rows``, RuntimeWarnings raised as errors, and the sample file."""
+    sample file of ``rows``, with ``options``, RuntimeWarnings raised as errors, and the
+    sample file."""
     samples = tmp_path / "curve.csv"
     samples.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
     path = write(tmp_path, "space = sphere2\n\n[connection]\nalpha = levi_civita\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["transport", path, f"--curve={kind}:{samples}", "--z0=1,0",
-                     f"--out={tmp_path / 'o'}"])
+                     f"--out={tmp_path / 'o'}", *options])
     return code, samples
 
 
@@ -341,6 +342,50 @@ def test_group_file_with_a_singular_row_is_a_definition_error(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (f"definition error: sample file {samples}: data row 4 "
                                        "holds a numerically singular matrix (|det| = 0.000e+00)\n")
+    assert not list(tmp_path.glob("o*"))
+
+
+def rotation_rows(times, scales=None):
+    """Data rows of the rotations about e1 by 0.1 i at ``times``, row i scaled by
+    ``scales[i]``."""
+    scales = [1.0] * len(times) if scales is None else scales
+    return [[float(t), *(s * rotation_about_e1(0.1 * i)).ravel().tolist()]
+            for i, (t, s) in enumerate(zip(times, scales))]
+
+
+@pytest.mark.parametrize("scale, drift", [(1e200, "inf"), (1.0 + 1e-6, "2.000e-06")])
+def test_group_file_with_a_row_off_the_group_exits_1_naming_it(tmp_path, capsys, scale, drift):
+    # log |det| takes the floor test of 1e200 rotations without an overflow warning
+    rows = rotation_rows(0.1 * np.arange(6), [1.0, 1.0, scale, 1.0, 1.0, 1.0])
+    code, _ = transport_sphere2_along(tmp_path, "group_file", rows)
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: group sample data row 3: orthogonality drift "
+                                       f"{drift} exceeds group_drift 1.0e-08\n")
+    assert not list(tmp_path.glob("o*"))
+
+
+def test_group_drift_tolerance_reaches_the_group_samples(tmp_path, capsys, monkeypatch):
+    original, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args: solves.append(args) or original(*args))
+    rows = rotation_rows(0.1 * np.arange(6), [1.0, 1.0, 1.0 + 1e-6, 1.0, 1.0, 1.0])
+    code, _ = transport_sphere2_along(tmp_path, "group_file", rows, "--tol=group_drift=1e-5")
+    assert code == 0
+    assert all(line.startswith("warning: ") for line in capsys.readouterr().err.splitlines())
+    assert sorted(p.name for p in tmp_path.glob("o*")) == ["o.csv", "o.json"]
+    assert solves        # samples that far off the group are inverted by LU
+
+
+def test_group_file_whose_step_squares_to_overflow_exits_1_naming_it(tmp_path, capsys):
+    # rotations 1e300 apart: step times velocity is 0.1, but the Magnus commutator's
+    # weight h^2 overflows, and inf times its vanishing commutator would be nan
+    code, _ = transport_sphere2_along(tmp_path, "group_file", rotation_rows(
+        1e300 * np.arange(6)))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == (
+        "error: a step of 1e+300 is too long: its square, which weighs the Magnus "
+        "commutator, overflows\n")
+    assert "drift" not in captured.out
     assert not list(tmp_path.glob("o*"))
 
 

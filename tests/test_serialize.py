@@ -65,6 +65,52 @@ def run_case(case, tmp_path):
     return code, out
 
 
+def _json_leaves(value, path=""):
+    """(dotted key, value) of each leaf of decoded JSON; an array is one leaf."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _json_leaves(value[key], f"{path}.{key}" if path else key)
+    else:
+        yield path, value
+
+
+def _csv_columns(data: bytes) -> dict:
+    """A CSV artifact as {column name: cells as floats}, its comment lines under "#"."""
+    lines = data.decode().splitlines()
+    header, *rows = [line for line in lines if not line.startswith("#")]
+    cells = [row.split(",") for row in rows]
+    columns = {"#": [line for line in lines if line.startswith("#")]}
+    for j, name in enumerate(header.split(",")):
+        columns[name] = [float(row[j]) if j < len(row) else None for row in cells]
+    return columns
+
+
+def _largest_deviation(a, b):
+    """max |a - b| of two numeric values of one shape, else None."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype.kind not in "if" or b.dtype.kind not in "if":
+        return None
+    return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def golden_differences(name: str, actual: bytes, golden: bytes) -> list:
+    """Each JSON key (dotted into nested objects) or CSV column in which the artifact
+    ``name`` differs from its golden bytes, with its largest numeric deviation."""
+    if name.endswith(".json"):
+        pair = [dict(_json_leaves(json.loads(data))) for data in (actual, golden)]
+    else:
+        pair = [_csv_columns(data) for data in (actual, golden)]
+    lines = []
+    for key in sorted(set(pair[0]) | set(pair[1])):
+        a, b = (side.get(key, "<missing>") for side in pair)
+        if a == b:
+            continue
+        deviation = _largest_deviation(a, b)
+        lines.append(f"{key}: largest deviation {deviation:.3e}" if deviation is not None
+                     else f"{key}: {a!r:.60} != {b!r:.60}")
+    return lines or ["no key differs: the bytes differ only in layout"]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifacts_match_golden_files(case, tmp_path):
     code, out = run_case(case, tmp_path)
@@ -72,8 +118,36 @@ def test_artifacts_match_golden_files(case, tmp_path):
     golden = GOLDEN / case
     names = sorted(p.name for p in golden.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
+    report = []
     for name in names:
-        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+        got, want = (out / name).read_bytes(), (golden / name).read_bytes()
+        if got != want:
+            report += [f"{case}/{name} differs from its golden file in",
+                       *("  " + line for line in golden_differences(name, got, want))]
+    if report:
+        pytest.fail("\n".join(report), pytrace=False)
+
+
+def test_golden_differences_name_each_key_and_its_largest_deviation():
+    golden = (GOLDEN / "geodesic" / "geo.json").read_bytes()
+    doc = json.loads(golden)
+    assert golden_differences("geo.json", json.dumps(doc).encode(), golden) == [
+        "no key differs: the bytes differ only in layout"]
+    doc["frames"][3][1][2] += 0.5
+    doc["meta"]["group_drift"] += 0.25
+    doc["meta"]["integrator"] = "euler"
+    assert golden_differences("geo.json", json.dumps(doc).encode(), golden) == [
+        "frames: largest deviation 5.000e-01", "meta.group_drift: largest deviation 2.500e-01",
+        "meta.integrator: 'euler' != 'rk4-magnus4'"]
+
+    golden = (GOLDEN / "geodesic" / "geo.csv").read_bytes()
+    comment, header, *rows = golden.decode().splitlines(keepends=True)
+    cells = rows[4].split(",")
+    column = header.split(",").index("x_2")
+    cells[column] = repr(float(cells[column]) + 0.125)
+    rows[4] = ",".join(cells)
+    actual = "".join([comment, header, *rows]).encode()
+    assert golden_differences("geo.csv", actual, golden) == ["x_2: largest deviation 1.250e-01"]
 
 
 @pytest.mark.parametrize("rank", [2, 4])

@@ -801,3 +801,56 @@ def test_convergence_probe_keeps_the_exact_sentinel_and_fits_decreasing_errors()
     assert noise.exact and noise.slope is None
     result = convergence_probe(lambda step: 3.0 * step ** 4, [4e-3, 1e-3, 2e-3])
     assert not result.exact and result.slope == pytest.approx(4.0, abs=1e-12)
+
+
+# -- the inverse of a frame stack -------------------------------------------------------
+
+
+def magnus_frame_stacks(stiefel42, rigid_body):
+    """(name, times, frames) of a 5000-step stiefel(6,2) geodesic, a 5000-step rigid-body
+    RK4 geodesic and the stiefel(4,2) lift of ``tests/data/stiefel42_curve.csv``."""
+    stiefel62 = rh.stiefel(6, 2)
+    x0 = np.linspace(-0.6, 0.7, stiefel62.dec.N)
+    for name, trajectory in (
+            ("stiefel62", geodesic(levi_civita_alpha(stiefel62.dec, stiefel62.metric), x0,
+                                   (0.0, 10.0), 0.002)),
+            ("rigid_body", geodesic(levi_civita_alpha(rigid_body.dec, rigid_body.metric),
+                                    [0.3, -0.5, 0.8], (0.0, 10.0), 0.002)),
+            ("stiefel42_lift", lifted_curve(stiefel42.dec))):
+        yield name, trajectory.times, trajectory.frames
+
+
+def test_inverse_of_orthogonal_frames_matches_solve(stiefel42, rigid_body, rng):
+    for name, times, frames in magnus_frame_stacks(stiefel42, rigid_body):
+        e = transport._orthogonality_defect(frames)
+        assert np.max(np.abs(e)) <= transport.NEWTON_SCHULZ_DRIFT, name     # no LU taken
+        for b in (transport._best_fd(times, frames, "frames")[0],
+                  rng.standard_normal(frames.shape)):
+            deviation = np.max(np.abs(transport._inverse_times(frames, b, e)
+                                      - np.linalg.solve(frames, b)))
+            assert deviation <= 1e-15 * np.max(np.abs(b)), name
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-7, 1e3])
+def test_inverse_off_the_orthogonal_group_is_solve_bitwise(stiefel42, rng, scale):
+    frames = lifted_curve(stiefel42.dec).frames * scale
+    b = rng.standard_normal(frames.shape)
+    e = transport._orthogonality_defect(frames)
+    assert np.max(np.abs(e)) > transport.NEWTON_SCHULZ_DRIFT
+    reference = np.linalg.solve(frames, b)
+    assert transport._inverse_times(frames, b, e).tobytes() == reference.tobytes()
+    assert transport._inverse_times(frames, b, None).tobytes() == reference.tobytes()
+
+
+def test_orthogonal_frames_are_diagnosed_and_lifted_without_an_lu(stiefel42, monkeypatch):
+    bundle = rh.stiefel(6, 2)
+    geo = geodesic(levi_civita_alpha(bundle.dec, bundle.metric),
+                   np.linspace(-0.6, 0.7, bundle.dec.N), (0.0, 10.0), 0.002)
+    assert len(geo) == 5001
+    original, solves = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *args: solves.append(args) or original(*args))
+    diagnosed = transport.frame_diagnostics(bundle.dec, geo.times, geo.frames, geo.velocities)
+    assert diagnosed["velocity_residual"] <= 1e-9
+    lifted_curve(stiefel42.dec)
+    assert solves == []
