@@ -1,45 +1,72 @@
 """Batch front-end: validate space files, integrate, and emit CSV/JSON artifacts.
 
-Exit codes: 0 all mandatory checks pass and the computation finished;
-1 check failures (a failed decomposition gate too), aborted dynamics (in
-``convergence`` too, by any run or its reference: the error names that
-run's step and abort time), a ``convergence`` whose ``--steps`` take fewer
-than three distinct steps or whose errors do not decrease as the step
-shrinks (round-off dominates them; both errors name the steps taken),
-or a geodesic drifting past ``group_drift`` (its artifacts are still written),
-finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows or
-whose time grid is too large to allocate, an ``--x0``, ``--z0`` or
-``one_parameter:`` vector with a coordinate of magnitude over the blow-up
-norm (no step is taken, and no curve is lifted for a ``--z0``; the error
-names the vector; a ``velocity_file:`` row too, naming it), a step whose
-product with the largest velocity coordinate is over that norm (its
-exponential would be round-off; the error names the step) or whose square
-overflows (it weighs the Magnus commutator; the error names the step), a
-``group_file:`` sample, on an algebra whose matrix basis is skew, whose
-orthogonality drift is over ``group_drift`` (the error names its data
-row; no curve is lifted), a sample curve whose finite-difference
-derivative is not finite, its times too close for its values (no step is
-taken; the error names the samples), an
-``--x0``, ``--z0`` or ``one_parameter:`` vector whose length is not dim m,
-a ``group_file:`` or ``velocity_file:`` curve on an algebra without a
-matrix basis, and an ``--out`` file that cannot be written, as in a missing
-directory (the error names the path; no temporary file is left behind; a
-``transport`` batch with one such file writes none of its seeds' files);
-2 parse/schema errors, a bad ``--tol`` name or value, a malformed or
-non-finite number in ``--t0``, ``--t1``, ``--step``, ``--steps``, ``--x0``,
-``--z0`` or a ``one_parameter:`` curve, a ``group_file:`` or
-``velocity_file:`` sample file that holds fewer than two data rows, rows
-not 1 + d*d (group) or 1 + dim m (velocity) values wide, a non-finite cell,
-a time that does not exceed the previous row's or a ``group_file:`` matrix
-whose |det| is below the singularity floor (the error names the file, and
-the first such data row), and an algebra or a requested alpha
-failing its gate at the ``--tol`` values (``--force``
-builds such an alpha anyway, tainted).  The ``group_drift`` gate covers
-every algebra whose matrix basis is skew, from the catalog or a definition
-file, since its group lies in O(d).  Output files are written atomically and
-deterministically.  Every float in them, CSV and JSON alike, is the text
-``json.dumps`` gives it: the shortest repr that reads back exactly, and
-``NaN``, ``Infinity`` or ``-Infinity`` when not finite.
+Exit codes, one cause a line:
+
+0
+  - all mandatory checks pass and the computation finished.
+
+1
+  - a mandatory check fails, or a decomposition gate does; ``check``
+    reports the battery, and every other command without ``--force``
+    reports it and stops before it computes or writes anything else;
+  - aborted dynamics, in ``convergence`` too, by any run or its
+    reference (the error names that run's step and abort time);
+  - a ``convergence`` whose ``--steps`` take fewer than three distinct
+    steps, or whose errors do not decrease as the step shrinks, round-off
+    dominating them (both errors name the steps taken);
+  - a geodesic drifting past ``group_drift`` (its artifacts are still
+    written);
+  - ``--t1`` not above ``--t0`` ("t_span must be a nonempty interval");
+  - a ``--step`` that is not positive ("step must be positive");
+  - finite ``--t0``, ``--t1`` and ``--step`` whose step count overflows
+    or whose time grid is too large to allocate;
+  - an ``--x0``, ``--z0`` or ``one_parameter:`` vector, or a
+    ``velocity_file:`` row, with a coordinate of magnitude over the
+    blow-up norm (no step is taken, and no curve is lifted for a
+    ``--z0``; the error names the vector or the row);
+  - a step whose product with the largest velocity coordinate is over
+    that norm, its exponential being round-off (the error names the step);
+  - a step whose square, which weighs the Magnus commutator, overflows
+    (the error names the step);
+  - a ``group_file:`` sample, on an algebra whose matrix basis is skew,
+    whose orthogonality drift is over ``group_drift`` (the error names
+    its data row; no curve is lifted);
+  - a sample curve whose finite-difference derivative is not finite, its
+    times too close for its values (no step is taken; the error names
+    the samples);
+  - an ``--x0``, ``--z0`` or ``one_parameter:`` vector whose length is
+    not dim m;
+  - a ``group_file:`` or ``velocity_file:`` curve on an algebra without
+    a matrix basis;
+  - an ``--out`` file that cannot be written, as in a missing directory
+    (the error names the path; no temporary file is left behind; a
+    ``transport`` batch with one such file writes none of its seeds'
+    files).
+
+2
+  - a parse or schema error in the definition file;
+  - a definition file that is not UTF-8 (the error names the path and
+    the line of the first bad byte);
+  - a bad ``--tol`` name or value;
+  - an empty ``--out`` ("expected a non-empty path prefix"; nothing is
+    written);
+  - a malformed or non-finite number in ``--t0``, ``--t1``, ``--step``,
+    ``--steps``, ``--x0``, ``--z0`` or a ``one_parameter:`` curve;
+  - a ``group_file:`` or ``velocity_file:`` sample file that holds fewer
+    than two data rows, rows not 1 + d*d (group) or 1 + dim m (velocity)
+    values wide, a non-finite cell, a time that does not exceed the
+    previous row's, or a ``group_file:`` matrix whose |det| is below the
+    singularity floor (the error names the file, and the first such data
+    row);
+  - an algebra or a requested alpha failing its gate at the ``--tol``
+    values (``--force`` builds such an alpha anyway, tainted).
+
+The ``group_drift`` gate covers every algebra whose matrix basis is
+skew, from the catalog or a definition file, since its group lies in
+O(d).  Output files are written atomically and deterministically.  Every
+float in them, CSV and JSON alike, is the text ``json.dumps`` gives it:
+the shortest repr that reads back exactly, and ``NaN``, ``Infinity`` or
+``-Infinity`` when not finite.
 
 argv is read in one pass over the command's option table when it is
 well formed: one file, and each flag of the command spelled in full as
@@ -78,10 +105,15 @@ __all__ = ["main"]
 
 def _read_definition(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise DefFileError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DefFileError(f"{path} is not UTF-8 text: {exc.reason} (byte 0x{raw[exc.start]:02x})",
+                           raw.count(b"\n", 0, exc.start) + 1) from None
     return parse_definition(text)
 
 
@@ -115,6 +147,13 @@ def _attach_vector_values(argv):
     return out
 
 
+def _out_prefix(text: str) -> str:
+    """An ``--out`` prefix; argparse reports an empty one as exit 2."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty path prefix")
+    return text
+
+
 def _finite_floats(text: str) -> np.ndarray:
     """Parse finite numbers separated by commas or spaces; argparse reports a failure as exit 2."""
     try:
@@ -134,32 +173,32 @@ def _finite_float(text: str) -> float:
     return float(value)
 
 
-def _build(args):
-    """Parse and build the space with the resolved tolerances; run the battery."""
+def _run(args) -> int:
+    """Every command's pipeline: read the definition, resolve ``--tol``, build the
+    space, run the battery once, then gate on it.
+
+    ``check``, and a command whose battery fails without ``--force``, ends in the
+    battery report: exit 0 if every mandatory check passes, else 1.  Any other
+    command gets the gated space and the taint of its outputs (a tainted report row,
+    as an unchecked alpha's, or a forced failure) and returns its own exit code.
+    """
     tols = resolve_tolerances(dict(args.tol or ()))
     bundle, alpha = build_space(_read_definition(args.file), force=args.force,
                                 tolerances=tols)
     reports, passed = check_space(bundle, alpha, tols)
-    return bundle, alpha, tols, reports, passed
-
-
-def _prepare(args):
-    """Parse, build and gate on the check battery (unless --force); ``reports``
-    cover the returned ``alpha``."""
-    bundle, alpha, tols, reports, passed = _build(args)
-    tainted = any(r.tainted for r in reports) or (not passed and args.force)
-    if not passed and not args.force:
+    if args.func is None or not (passed or args.force):
         _emit_report(args, bundle, reports, passed)
-        print("mandatory checks failed; rerun with --force to integrate anyway",
-              file=sys.stderr)
-        return None
-    return bundle, alpha, tols, tainted, reports
+        if args.func is not None:
+            print("mandatory checks failed; rerun with --force to integrate anyway",
+                  file=sys.stderr)
+        return 0 if passed else 1
+    tainted = any(r.tainted for r in reports) or not passed
+    return args.func(args, bundle, alpha, tols, reports, tainted)
 
 
-def _emit_report(args, bundle, reports, passed, extra=None):
-    meta = {"space": bundle.name, **(extra or {})}
-    text = serialize.report_json(reports, passed, extra=meta)
-    if getattr(args, "json", False):
+def _emit_report(args, bundle, reports, passed):
+    text = serialize.report_json(reports, passed, extra={"space": bundle.name})
+    if args.json:
         sys.stdout.write(text)
     else:
         for r in reports:
@@ -168,26 +207,17 @@ def _emit_report(args, bundle, reports, passed, extra=None):
             print(f"[{flag}] {r.check}{kind}: residual {r.max_residual:.3e} "
                   f"tol {r.tolerance:.1e}")
         print(f"space {bundle.name}: {'PASS' if passed else 'FAIL'}")
-    if getattr(args, "out", None):
+    if args.out:
         serialize.atomic_write_text(args.out + ".report.json", text)
 
 
 # -- commands ----------------------------------------------------------------------
+# each takes the space ``_run`` built and gated, and returns its exit code
 
 
-def cmd_check(args) -> int:
-    bundle, _alpha, _tols, reports, passed = _build(args)
-    _emit_report(args, bundle, reports, passed)
-    return 0 if passed else 1
-
-
-def cmd_geodesic(args) -> int:
-    prep = _prepare(args)
-    if prep is None:
-        return 1
-    bundle, alpha, tols, tainted, _reports = prep
+def cmd_geodesic(args, bundle, alpha, tols, reports, tainted) -> int:
     traj = geodesic(alpha, args.x0, (args.t0, args.t1), args.step)
-    traj.meta["tainted"] = traj.meta.get("tainted", False) or tainted
+    traj.meta["tainted"] = tainted
     serialize.write_trajectory(args.out, traj, bundle.name, alpha.label)
     drift = traj.meta.get("group_drift")
     leak = traj.meta.get("horizontality_leak")
@@ -252,11 +282,7 @@ def _read_samples(path: str, kind: str, width: int, entries: str):
     return raw[:, 0], raw[:, 1:]
 
 
-def cmd_transport(args) -> int:
-    prep = _prepare(args)
-    if prep is None:
-        return 1
-    bundle, alpha, tols, tainted, reports = prep
+def cmd_transport(args, bundle, alpha, tols, reports, tainted) -> int:
     dec = bundle.dec
     if any(z.shape != (dec.N,) for z in args.z0):
         raise ValueError(f"each --z0 must hold {dec.N} coordinates")
@@ -264,7 +290,7 @@ def cmd_transport(args) -> int:
     _refuse_blowup("z0", seeds)   # before the lift, which parallel_transport would follow
     base = realize_curve(dec, _parse_curve(args, dec), tols)
     batch = parallel_transport(alpha, base, seeds)
-    batch.meta["tainted"] = batch.meta.get("tainted", False) or tainted
+    batch.meta["tainted"] = tainted
     serialize.write_trajectory(args.out, batch, bundle.name, alpha.label)
 
     # the battery judged is_metric for this alpha and metric at tols["is_metric"]
@@ -278,11 +304,7 @@ def cmd_transport(args) -> int:
     return 0
 
 
-def cmd_tensors(args) -> int:
-    prep = _prepare(args)
-    if prep is None:
-        return 1
-    bundle, alpha, tols, tainted, _reports = prep
+def cmd_tensors(args, bundle, alpha, tols, reports, tainted) -> int:
     tor = torsion(alpha)
     curv = curvature(alpha, tol=tols["curvature_h_leak"])
     anti = float(np.max(np.abs(curv.coeffs + np.swapaxes(curv.coeffs, 1, 2)))) \
@@ -301,11 +323,7 @@ def cmd_tensors(args) -> int:
     return 0
 
 
-def cmd_convergence(args) -> int:
-    prep = _prepare(args)
-    if prep is None:
-        return 1
-    bundle, alpha, _tols, tainted, _reports = prep
+def cmd_convergence(args, bundle, alpha, tols, reports, tainted) -> int:
     result = geodesic_convergence(alpha, args.x0, (args.t0, args.t1), args.steps.tolist())
     if result.exact:
         print("convergence: exact (errors at machine precision)")
@@ -334,12 +352,13 @@ _COMMON = (
                    help="override a named tolerance (repeatable)")),
     ("--force", dict(action="store_true",
                      help="proceed despite failed checks; outputs are tainted")),
-    ("--out", dict(default=None, help="output path prefix")),
+    ("--out", dict(type=_out_prefix, default=None, help="output path prefix")),
 )
 
-# name -> (handler, help, options beyond ``_COMMON``), in the order of the usage text
+# name -> (handler, help, options beyond ``_COMMON``), in the order of the usage text;
+# ``check`` has no handler: the battery report is all it does
 _COMMANDS = {
-    "check": (cmd_check, "run the diagnostic battery", ()),
+    "check": (None, "run the diagnostic battery", ()),
     "geodesic": (cmd_geodesic, "integrate a geodesic", (
         ("--x0", dict(type=_finite_floats, required=True,
                       help="initial velocity coordinates, comma separated")),
@@ -448,18 +467,18 @@ def main(argv=None) -> int:
 
     Well-formed argv is read by ``_read_argv``; help, usage errors and any
     argv it does not take go to ``build_parser``, which prints argparse's
-    texts and exits 0 (help) or 2 (errors).  See the module docstring for
-    the codes the commands return.
+    texts and exits 0 (help) or 2 (errors).  Then ``_run`` reads, builds,
+    checks and gates the space, and the command computes, writes and
+    summarizes.  See the module docstring for the codes the commands return.
     """
     argv = _attach_vector_values(sys.argv[1:] if argv is None else argv)
     args = _read_argv(argv)
     if args is None:
         args = build_parser().parse_args(argv)
-    if getattr(args, "out", None) is None and args.command in (
-            "geodesic", "transport", "tensors"):
+    if args.out is None and args.command in ("geodesic", "transport", "tensors"):
         args.out = "redhom_out"
     try:
-        return args.func(args)
+        return _run(args)
     except DefFileError as exc:
         print(f"definition error: {exc}", file=sys.stderr)
         return 2

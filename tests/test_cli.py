@@ -516,22 +516,59 @@ def test_torsion_check_reads_the_antisymmetry_tolerance(tmp_path, capsys):
         assert entry["tolerance"] == tol and entry["max_residual"] == 0.0
 
 
-@pytest.mark.parametrize("argv", [
+# each gated command on stiefel(4,2), its argv past the file
+GATED = [
     ["geodesic", "--x0=0.4,0.1,-0.3,0.2,0.5", "--t1=1", "--step=0.1"],
     ["transport", "--curve=one_parameter:0.4,0.1,-0.3,0.2,0.5", "--z0=1,0,0,0,0", "--t1=1",
      "--step=0.1"],
     ["tensors"],
-    ["convergence", "--x0=0.4,0.1,-0.3,0.2,0.5", "--t1=0.5", "--steps=0.1,0.05,0.025"]],
-    ids=lambda argv: argv[0])
+    ["convergence", "--x0=0.4,0.1,-0.3,0.2,0.5", "--t1=0.5", "--steps=0.1,0.05,0.025"]]
+
+
+@pytest.mark.parametrize("argv", GATED, ids=lambda argv: argv[0])
 def test_commands_gate_on_the_battery_once(tmp_path, capsys, argv):
     path = write(tmp_path, "space = stiefel(4,2)\n")
     command = [argv[0], path, f"--out={tmp_path / 't'}", *argv[1:]]
-    assert main(command + ["--tol", "metric_invariance=1e-20"]) == 1
+    failing = ["--tol", "metric_invariance=1e-20"]
+    assert main(command + failing) == 1
     assert "mandatory checks failed" in capsys.readouterr().err
     # the failed battery is reported, and nothing is integrated or written beside it
     assert [p.name for p in tmp_path.glob("t*")] == ["t.report.json"]
     assert main(command) == 0
     assert len(list(tmp_path.glob("t*"))) > 1
+
+    # forced, the same battery lets the command run: no report, every output tainted
+    assert main([argv[0], path, f"--out={tmp_path / 'f'}", *argv[1:], *failing, "--force"]) == 0
+    written = sorted(p.name for p in tmp_path.glob("f*"))
+    assert written and "f.report.json" not in written
+    if argv[0] == "convergence":            # its JSON holds no taint field
+        assert written == ["f.json"]
+        return
+    metas = {"geodesic": ["f.json"], "transport": ["f.json"],
+             "tensors": ["f_torsion.json", "f_curvature.json"]}[argv[0]]
+    for name in metas:
+        doc = json.loads((tmp_path / name).read_text())
+        assert doc.get("meta", doc)["tainted"] is True, name
+
+
+@pytest.mark.parametrize("argv", [["check"], *GATED], ids=lambda argv: argv[0])
+def test_an_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, argv):
+    path = write(tmp_path, "space = stiefel(4,2)\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], path, "--out=", *argv[1:]])
+    assert exc.value.code == 2
+    assert "argument --out: expected a non-empty path prefix" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["space.def"]
+
+
+def test_a_definition_that_is_not_utf8_exits_2_naming_path_and_line(tmp_path, capsys):
+    path = tmp_path / "space.def"
+    path.write_bytes(b"space = sphere2\n# caf\xff\n")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"definition error: line 2: {path} is not UTF-8 text")
+    assert "byte 0xff" in err
 
 
 def test_out_defaults_to_redhom_out(tmp_path, monkeypatch):
