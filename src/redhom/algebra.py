@@ -41,10 +41,16 @@ __all__ = [
 # no registry key: the singularity cut of every group matrix (inverted later), not a tolerance
 DET_FLOOR = 1e-12
 
-# Scaling-and-squaring parameters: scale until the 1-norm is at most 0.5,
-# then evaluate a Taylor block of this order.  Remainder < 0.5^13/13! ~ 2e-14.
+# Scaling-and-squaring parameters: scale until the 1-norm is at most 0.5, then sum
+# the Taylor series of each block to the smallest degree m <= 12 whose remainder
+# bound theta^(m+1)/(m+1)! is at most 2^-64, theta the block's largest scaled
+# 1-norm; _EXPM_DEGREE_NORMS[m] is the largest theta degree m takes.  At the cap the
+# degree is 12 and the remainder < 0.5^13/13! ~ 2e-14; a Magnus step (theta ~ 3e-3)
+# takes degree 6.
 _EXPM_SERIES_ORDER = 12
 _EXPM_NORM_CAP = 0.5
+_EXPM_DEGREE_NORMS = np.array([(2.0 ** -64 * math.factorial(m + 1)) ** (1.0 / (m + 1))
+                               for m in range(_EXPM_SERIES_ORDER)])
 # Largest block of a stack exponentiated at once, in float64 values (64 KiB).
 _EXPM_BLOCK_VALUES = 2 ** 13
 # Largest block of basis commutators, or of Jacobi slot values, formed at once (128 KiB).
@@ -79,13 +85,16 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def _expm_block(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a (B, d, d) stack, each scaled by its own 1-norm."""
+    """exp of each matrix of a (B, d, d) stack, each scaled by its own 1-norm, the
+    Taylor series summed to the one degree the largest scaled norm needs."""
     norm1 = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
     squarings = np.ceil(np.log2(np.maximum(norm1 / _EXPM_NORM_CAP, 1.0))).astype(int)
-    b = a / (2.0 ** squarings)[..., None, None]
+    scale = 2.0 ** squarings
+    b = a / scale[..., None, None]
+    degree = int(np.searchsorted(_EXPM_DEGREE_NORMS, np.max(norm1 / scale, initial=0.0)))
     eye = np.eye(a.shape[-1])
     out = eye.copy()
-    for j in range(_EXPM_SERIES_ORDER, 0, -1):
+    for j in range(degree, 0, -1):
         out = eye + (b @ out) / j
     for k in range(squarings.max(initial=0)):
         out = np.where((squarings > k)[..., None, None], out @ out, out)

@@ -112,8 +112,10 @@ def _read_definition(path: str):
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
+        # the line parse_definition would give it: str.splitlines breaks lines at \r too
+        line = len((raw[:exc.start].decode("utf-8") + "_").splitlines())
         raise DefFileError(f"{path} is not UTF-8 text: {exc.reason} (byte 0x{raw[exc.start]:02x})",
-                           raw.count(b"\n", 0, exc.start) + 1) from None
+                           line) from None
     return parse_definition(text)
 
 
@@ -335,6 +337,7 @@ def cmd_convergence(args, bundle, alpha, tols, reports, tainted) -> int:
         payload = {
             "steps": result.steps, "errors": result.errors,
             "slope": result.slope, "exact": result.exact, "space": bundle.name,
+            "tainted": tainted,
         }
         import json
         serialize.atomic_write_text(args.out + ".json",

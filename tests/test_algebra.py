@@ -142,6 +142,17 @@ class TestExpm:
             assert np.max(np.abs(rh.expm(a) - scipy_linalg.expm(a))) <= 1e-10 * max(
                 1.0, np.max(np.abs(scipy_linalg.expm(a))))
 
+    @pytest.mark.parametrize("norm", [1e-8, 1e-6, 1e-4, 3e-3, 1e-2, 0.1, 0.5])
+    def test_small_norms_meet_scipy_at_the_degree_they_take(self, rng, norm):
+        # below the 0.5 cap each block sums the Taylor series only to the degree its
+        # largest 1-norm needs, down to 2 at 1e-8; the result still meets scipy to round-off
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        stack = rng.standard_normal((20, 6, 6))
+        stack *= norm / np.abs(stack).sum(axis=1).max(axis=1)[:, None, None]
+        for a in stack:
+            want = scipy_linalg.expm(a)
+            assert np.max(np.abs(rh.expm(a) - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             rh.expm(np.zeros((2, 3)))

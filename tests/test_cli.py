@@ -536,19 +536,19 @@ def test_commands_gate_on_the_battery_once(tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.glob("t*")] == ["t.report.json"]
     assert main(command) == 0
     assert len(list(tmp_path.glob("t*"))) > 1
+    metas = {"geodesic": [".json"], "transport": [".json"], "convergence": [".json"],
+             "tensors": ["_torsion.json", "_curvature.json"]}[argv[0]]
+    for suffix in metas:
+        doc = json.loads((tmp_path / f"t{suffix}").read_text())
+        assert doc.get("meta", doc)["tainted"] is False, suffix
 
     # forced, the same battery lets the command run: no report, every output tainted
     assert main([argv[0], path, f"--out={tmp_path / 'f'}", *argv[1:], *failing, "--force"]) == 0
     written = sorted(p.name for p in tmp_path.glob("f*"))
     assert written and "f.report.json" not in written
-    if argv[0] == "convergence":            # its JSON holds no taint field
-        assert written == ["f.json"]
-        return
-    metas = {"geodesic": ["f.json"], "transport": ["f.json"],
-             "tensors": ["f_torsion.json", "f_curvature.json"]}[argv[0]]
-    for name in metas:
-        doc = json.loads((tmp_path / name).read_text())
-        assert doc.get("meta", doc)["tainted"] is True, name
+    for suffix in metas:
+        doc = json.loads((tmp_path / f"f{suffix}").read_text())
+        assert doc.get("meta", doc)["tainted"] is True, suffix
 
 
 @pytest.mark.parametrize("argv", [["check"], *GATED], ids=lambda argv: argv[0])
@@ -569,6 +569,17 @@ def test_a_definition_that_is_not_utf8_exits_2_naming_path_and_line(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith(f"definition error: line 2: {path} is not UTF-8 text")
     assert "byte 0xff" in err
+
+
+@pytest.mark.parametrize("data", [b"space = sphere2\r# caf\xff\r",
+                                  b"space = sphere2\r\n# caf\xff\r\n"],
+                         ids=["cr", "crlf"])
+def test_a_non_utf8_byte_is_located_on_the_line_the_parser_counts(tmp_path, capsys, data):
+    path = tmp_path / "space.def"
+    path.write_bytes(data)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"definition error: line 2: {path} is not UTF-8 text")
 
 
 def test_out_defaults_to_redhom_out(tmp_path, monkeypatch):
@@ -808,8 +819,9 @@ def test_convergence_out_writes_its_result(tmp_path, capsys, space, text, x0):
                  "--steps=0.1,0.05,0.025", f"--out={out}"]) == 0
     printed = capsys.readouterr().out
     result = json.loads(out.with_suffix(".json").read_text())
-    assert sorted(result) == ["errors", "exact", "slope", "space", "steps"]
+    assert sorted(result) == ["errors", "exact", "slope", "space", "steps", "tainted"]
     assert result["steps"] == [0.1, 0.05, 0.025] and result["space"] == space
+    assert result["tainted"] is False
     assert len(result["errors"]) == 3
     if space == "stiefel(4,2)":
         # a Levi-Civita alpha with no symmetric part: the reference is expm(T mat(x0))

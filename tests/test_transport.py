@@ -19,8 +19,9 @@ elsewhere the block-guarded RK4 must match a per-step einsum RK4 kept
 here, on the rigid body and on seeded symmetric forms at n = 5, 6 and 9,
 keep the rigid body's energy and momentum norm, and end a blow-up at the
 sample the per-step guard ends it, with frames still on the group;
-frames written in place must equal the per-step ``g @ inc`` loop bit for
-bit, and convergence runs must skip the frame diagnostics;
+frames built a block at a time must meet the per-step ``g @ inc`` loop in
+long double to a few ulps, and its bits over a constant generator's first
+block, and convergence runs must skip the frame diagnostics;
 an x0, a seed or a one-parameter direction already over the blow-up norm,
 a step whose exponential would overflow, a time grid no array can hold,
 malformed curve samples (each named by its data row) and a derivative
@@ -359,6 +360,32 @@ def test_rigid_body_geodesic_matches_the_per_step_rk4(rigid_body):
     assert np.max(np.abs(momentum - momentum[0])) <= 3e-11
 
 
+def test_long_stiefel_geodesic_stays_on_its_closed_form():
+    # 50,000 steps of one exponential's powers, a block at a time: drift and distance
+    # from exp(t X) grow to about 1e-12 here
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    bundle = rh.stiefel(6, 2)
+    x0 = np.random.default_rng(3).standard_normal(bundle.dec.N)
+    x0 /= np.linalg.norm(x0)
+    geo = geodesic(levi_civita_alpha(bundle.dec, bundle.metric), x0, (0.0, 100.0), 0.002)
+    assert len(geo) == 50001 and geo.meta["group_drift"] <= 2e-12
+    mat = np.einsum("k,kab->ab", x0, bundle.dec.m_matrices)
+    for i in np.linspace(0, len(geo) - 1, 60).astype(int):
+        want = scipy_linalg.expm(geo.times[i] * mat)
+        assert np.max(np.abs(geo.frames[i] - want)) <= 2e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_seeded_rigid_body_frames_stay_on_the_group(seed):
+    # 30,000 Magnus steps of varying increments, a block of prefix products at a time
+    rng = np.random.default_rng(seed)
+    body = rh.group_as_space(rh.so3(), np.diag(rng.uniform(1.0, 3.0, 3)))
+    x0 = rng.standard_normal(3)
+    geo = geodesic(levi_civita_alpha(body.dec, body.metric), x0 / np.linalg.norm(x0),
+                   (0.0, 60.0), 0.002)
+    assert len(geo) == 30001 and geo.meta["group_drift"] <= 1e-13
+
+
 def symmetric_form(n, seed):
     """A seeded symmetric form on R^n, s[k, i, j] = s[k, j, i], and a direction."""
     rng = np.random.default_rng(seed)
@@ -388,7 +415,7 @@ def test_rk4_matches_the_per_step_reference_on_symmetric_forms(n, seed, scale, n
 
 
 def frames_by_products(g0, incs):
-    """The per-step ``g = g @ inc`` loop that the frame propagators write in place."""
+    """The per-step ``g = g @ inc`` loop, in the dtype of ``g0``."""
     frames = [g0]
     g = g0
     for inc in incs:
@@ -397,8 +424,10 @@ def frames_by_products(g0, incs):
     return np.array(frames)
 
 
-def test_frame_products_match_the_per_step_matmul_loop(stiefel42, rigid_body, monkeypatch,
-                                                       rng):
+def test_frame_products_meet_the_long_double_per_step_loop(stiefel42, rigid_body,
+                                                            monkeypatch, rng):
+    # the blocked products round in another order than the per-step loop; both stay
+    # within a few ulps of the loop carried out in long double on the same increments
     increments = []
 
     def recorded(a):
@@ -419,14 +448,22 @@ def test_frame_products_match_the_per_step_matmul_loop(stiefel42, rigid_body, mo
         increments.clear()
         frames = transport._magnus_frames(g0, basis, times, xs, 0.5 * (xs[:-1] + xs[1:]),
                                           np.diff(times))
-        assert np.array_equal(frames, frames_by_products(g0, np.concatenate(increments)))
+        exact = frames_by_products(g0.astype(np.longdouble),
+                                   np.concatenate(increments).astype(np.longdouble))
+        assert np.max(np.abs(frames - exact)) <= 5e-14
 
-        # a constant generator: the powers of one exponential, written by the same loop
+        # a constant generator: the powers of one exponential, the first block's as the
+        # per-step loop writes them
         increments.clear()
         still = np.tile(xs[0], (nsteps + 1, 1))
         frames = transport._magnus_frames(g0, basis, times, still, still[1:], np.diff(times))
         assert len(increments) == 1
-        assert np.array_equal(frames, frames_by_products(g0, [increments[0]] * nsteps))
+        block = transport.MAGNUS_BLOCK + 1
+        assert np.array_equal(frames[:block],
+                              frames_by_products(g0, [increments[0]] * (block - 1)))
+        exact = frames_by_products(g0.astype(np.longdouble),
+                                   [increments[0].astype(np.longdouble)] * nsteps)
+        assert np.max(np.abs(frames - exact)) <= 5e-14
 
 
 def riccati_alpha():
