@@ -95,7 +95,9 @@ def _expm_block(a: np.ndarray) -> np.ndarray:
     eye = np.eye(a.shape[-1])
     out = eye.copy()
     for j in range(degree, 0, -1):
-        out = eye + (b @ out) / j
+        out = b @ out
+        out /= j
+        out += eye
     for k in range(squarings.max(initial=0)):
         out = np.where((squarings > k)[..., None, None], out @ out, out)
     return out

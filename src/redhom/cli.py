@@ -24,8 +24,9 @@ Exit codes, one cause a line:
     ``velocity_file:`` row, with a coordinate of magnitude over the
     blow-up norm (no step is taken, and no curve is lifted for a
     ``--z0``; the error names the vector or the row);
-  - a step whose product with the largest velocity coordinate is over
-    that norm, its exponential being round-off (the error names the step);
+  - a step whose product with the largest velocity coordinate, at a
+    sample or at a midpoint the curve interpolates, is over that norm,
+    its exponential being round-off (the error names the step);
   - a step whose square, which weighs the Magnus commutator, overflows
     (the error names the step);
   - a ``group_file:`` sample, on an algebra whose matrix basis is skew,
@@ -60,6 +61,14 @@ Exit codes, one cause a line:
     row);
   - an algebra or a requested alpha failing its gate at the ``--tol``
     values (``--force`` builds such an alpha anyway, tainted).
+
+A ``group_file:`` or ``velocity_file:`` curve is differentiated by one
+five-point stencil, fourth order on any grid of 5 or more samples,
+uniform or not; between samples a velocity curve, and the generators of
+lift and transport, take the cubic Hermite interpolant from those
+derivatives.  The distance from the three-point derivative is the error
+estimate, and a warning reports one over 1e-4; a grid of 2-4 samples
+warns ``short grid: finite-difference error not estimated``.
 
 The ``group_drift`` gate covers every algebra whose matrix basis is
 skew, from the catalog or a definition file, since its group lies in

@@ -40,6 +40,19 @@ Newton-Schulz step from the transpose, through the E = g^T g - I that
 measures their group drift, inverts them to round-off; frames off O(d)
 by more than ``NEWTON_SCHULZ_DRIFT``, and those of other algebras, take
 an LU.
+
+A sampled curve, of group matrices or of velocities, is differentiated
+by one five-point stencil: at each node, the derivative of the quartic
+through the five nodes centred on it, or the first or last five, with
+weights from the nodes' actual offsets (Fornberg, Math. Comp. 51, 1988).
+It is fourth order on any grid of 5 or more samples, uniform or not, and
+its distance from the three-point ``np.gradient`` on the same grid is the
+error estimate of the lift and of transport.  A grid of 2-4 samples takes
+``np.gradient`` alone, second order, with no estimate.  Every sampled
+generator the Magnus step needs at the interval midpoints (the lift's
+h-coordinates, a velocity curve, the transport generator) is the cubic
+Hermite interpolant from those derivatives.
+
 ``geodesic_convergence`` measures the RK4 order against a run at a tenth
 of the finest step: its truncation error, 1e-4 of the finest run's and
 often below its round-off, is too small to move the order.  It reads only
@@ -48,8 +61,9 @@ each run's end frame, so its runs skip the frame diagnostics.
 ``ValueError`` refuses, before any step, an x0, a one-parameter direction,
 a velocity sample or a transported seed with a coordinate over
 ``BLOWUP_NORM``, a step whose product with the largest velocity
-coordinate is over it: the exponential of such a step would be round-off,
-or overflow, and a step whose square overflows.  It also refuses a time
+coordinate, at a node or an interpolated midpoint, is over it: the
+exponential of such a step would be round-off, or overflow, and a step
+whose square overflows.  It also refuses a time
 grid of more samples than one array or memory can hold, a curve with a
 non-finite finite-difference derivative, and, on an orthogonal algebra,
 group samples off the group by more than the ``group_drift`` tolerance.
@@ -89,7 +103,7 @@ __all__ = [
 BLOWUP_NORM = 1e6
 FINE_FACTOR = 10                    # reference step of geodesic_convergence: min(steps) / this
 FD_COARSE_WARNING = 1e-4
-FD_UNESTIMATED = "nonuniform or short grid: finite-difference error not estimated"
+FD_UNESTIMATED = "short grid: finite-difference error not estimated"
 MAGNUS_BLOCK = 1024
 GUARD_BLOCK = 64                    # RK4 steps between two blow-up checks of geodesic
 # no registry key: the orthogonality drift below which one Newton-Schulz step from the
@@ -100,52 +114,76 @@ NEWTON_SCHULZ_DRIFT = 1e-8
 # -- finite differences and interpolation -----------------------------------------
 
 
-def _fd4_uniform(y: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order derivative estimates on a uniform grid (len >= 5)."""
-    d = np.empty_like(y)
-    d[2:-2] = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
-    c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-    d[0] = np.tensordot(c0, y[:5], axes=(0, 0)) / h
-    d[1] = np.tensordot(c1, y[:5], axes=(0, 0)) / h
-    d[-1] = -np.tensordot(c0, y[-1:-6:-1], axes=(0, 0)) / h
-    d[-2] = -np.tensordot(c1, y[-1:-6:-1], axes=(0, 0)) / h
-    return d
+def _fd5_weights(t, p):
+    """Weights on the four steps y[k+1] - y[k] of a five-node window whose sum is the
+    derivative at node ``p`` of the quartic through the window.
+
+    ``t`` holds the window's five times, scalars or arrays of one time per
+    window.  The Lagrange weight of node j (Fornberg, Math. Comp. 51, 1988)
+    is the product of the ratios (t_k - t_p) / (t_k - t_j) over the other
+    nodes k, over t_j - t_p.  Ratios of offsets are those of the window
+    scaled by its span, so no product of small offsets underflows into a
+    zero weight, and each divisor is the difference of two distinct times,
+    never zero.  On the steps the weights become partial sums, since
+    y_j - y_p is the sum of the steps between the two nodes; a constant
+    curve then has derivative 0 exactly.
+    """
+    w = {j: math.prod((t[k] - t[p]) / (t[k] - t[j]) for k in range(5) if k not in (j, p))
+         / (t[j] - t[p]) for j in range(5) if j != p}
+    return [sum(w[j] for j in w if j > k) if k >= p else -sum(w[j] for j in w if j <= k)
+            for k in range(4)]
 
 
-def _fd_derivatives(times: np.ndarray, values: np.ndarray, name: str, h=None) -> np.ndarray:
-    """Derivative estimates of the ``name`` samples: fourth order on a uniform grid of step
-    ``h``, else second order.  A derivative not finite raises ``ValueError`` naming it."""
+def _fd5(times, values):
+    """Fourth-order derivatives on any grid of 5 or more samples: at each node, that of
+    the quartic through the five nodes centred on it, or the first or last five.
+
+    The interior weights are built from slices of the grid, and applied to
+    a strided view of each node's four steps by one ``einsum``, with no copy
+    of the windows."""
+    m = len(times)
+    steps = np.diff(values, axis=0).reshape(m - 1, -1)
+    flat = np.empty((m, steps.shape[1]))
+    weights = np.stack(_fd5_weights([times[j:m - 4 + j] for j in range(5)], 2), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(steps, 4, axis=0)
+    np.einsum("ik,ijk->ij", weights, windows, out=flat[2:-2])
+    for node in (0, 1, m - 2, m - 1):
+        s = min(max(node - 2, 0), m - 5)
+        flat[node] = np.dot(_fd5_weights(times[s:s + 5], node - s), steps[s:s + 4])
+    return flat.reshape(values.shape)
+
+
+def _fd_derivatives(times, values, name, spread=False):
+    """Derivative estimates of the ``name`` samples: (derivs, order, spread).
+
+    On 5 or more samples, whatever their spacing, they are :func:`_fd5`'s,
+    order 4; with ``spread`` the third item is their difference from the
+    second-order ``np.gradient`` on the same grid, the raw material of an
+    error estimate.  On 2-4 samples they are ``np.gradient``'s, order 2,
+    with no spread.  The spread is otherwise None.  A derivative not finite
+    raises ``ValueError`` naming the samples.
+    """
+    short = len(times) < 5
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d = _fd4_uniform(values, h) if h is not None else np.gradient(
-            values, times, axis=0, edge_order=2 if len(times) >= 3 else 1)
-    bad = ~np.isfinite(d).all(axis=tuple(range(1, d.ndim)))
-    if bad.any():
-        raise ValueError(f"the finite-difference derivative of the {name} is not finite at sample "
-                         f"{int(np.argmax(bad)) + 1}: their times are too close for their values")
-    return d
+        three = (np.gradient(values, times, axis=0, edge_order=2 if len(times) >= 3 else 1)
+                 if short or spread else None)
+        d = three if short else _fd5(times, values)
+        spread = d - three if spread and not short else None
+    for a in (d,) if spread is None else (d, spread):
+        bad = ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
+        if bad.any():
+            raise ValueError(f"the finite-difference derivative of the {name} is not finite at "
+                             f"sample {int(np.argmax(bad)) + 1}: their times are too close for "
+                             f"their values")
+    return d, 2 if short else 4, spread
 
 
 def _is_uniform(d: np.ndarray) -> bool:
     """Whether the steps ``d`` (at least one) of a grid are equal up to rounding in its
     sample times."""
     # no registry key: tells a uniform grid from rounding in the sample times; it picks
-    # the finite-difference stencil and the constant-generator propagator and judges no
-    # result
+    # the constant-generator propagator and judges no result
     return bool(np.max(np.abs(d - d[0])) <= 1e-9 * max(abs(float(d[0])), 1e-300))
-
-
-def _fd4_step(times: np.ndarray):
-    """The step of a uniform grid of 5 or more samples, on which fourth-order
-    differences and their error estimate apply, else None."""
-    d = np.diff(times)
-    return float(d[0]) if d.size >= 4 and _is_uniform(d) else None
-
-
-def _best_fd(times: np.ndarray, values: np.ndarray, name: str):
-    """Highest-order :func:`_fd_derivatives` available for the grid: (derivs, order)."""
-    h = _fd4_step(times)
-    return _fd_derivatives(times, values, name, h), 2 if h is None else 4
 
 
 def _grid_steps(t_span, step):
@@ -205,10 +243,11 @@ def _inverse_times(g: np.ndarray, b: np.ndarray, e) -> np.ndarray:
 
 
 def _hermite_midpoints(values, derivs, dt):
-    """Cubic Hermite value at each interval midpoint; dt has shape (M-1,)."""
-    shape = (-1,) + (1,) * (values.ndim - 1)
-    dt = dt.reshape(shape)
-    return 0.5 * (values[:-1] + values[1:]) + dt * (derivs[:-1] - derivs[1:]) / 8.0
+    """Cubic Hermite value at each interval midpoint; dt has shape (M-1,).  A midpoint
+    that overflows is inf or nan, without a warning: ``_magnus_frames`` refuses it."""
+    dt = dt.reshape((-1,) + (1,) * (values.ndim - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (values[:-1] + values[1:]) + dt * (derivs[:-1] - derivs[1:]) / 8.0
 
 
 # -- trajectories -----------------------------------------------------------------
@@ -246,8 +285,10 @@ def frame_diagnostics(dec, times, frames, velocities) -> dict:
     """Finite-difference horizontality and drift measurements.
 
     The velocity residual and h-leak are estimated from derivatives of
-    the stored frames, so they carry an O(spacing^fd_order) noise floor
-    on top of the true integration error.  On an orthogonal algebra the
+    the stored frames, by the five-point stencil on 5 or more samples
+    (``fd_order`` 4, on any grid) and by ``np.gradient`` on 3 or 4
+    (``fd_order`` 2), so they carry an O(spacing^fd_order) noise floor on
+    top of the true integration error.  On an orthogonal algebra the
     group drift is max|E| of E = g^T g - I, and the same E inverts the
     frames in g^-1 g' by :func:`_inverse_times`.
     """
@@ -260,7 +301,7 @@ def frame_diagnostics(dec, times, frames, velocities) -> dict:
         out["group_drift"] = float(np.max(np.abs(e)))
     if alg.matrix_basis is None or len(times) < 3:
         return out
-    gdot, out["fd_order"] = _best_fd(times, frames, "frames")
+    gdot, out["fd_order"], _ = _fd_derivatives(times, frames, "frames")
     h_part, m_part, resid = dec.split_matrices(_inverse_times(frames, gdot, e))
     out["expansion_residual"] = float(np.max(resid))
     out["horizontality_leak"] = float(np.max(np.abs(h_part))) if dec.q else 0.0
@@ -284,7 +325,8 @@ class CurveSpec:
 
     Three kinds: ``one_parameter`` (the curve exp(t X0), already
     horizontal), ``piecewise_velocity`` (velocity coordinates sampled in t,
-    interpolated linearly when frames are reconstructed), and
+    interpolated at the interval midpoints by cubic Hermite from their
+    five-point derivatives when frames are reconstructed), and
     ``group_samples`` (group matrices sampled in t, to be lifted).  Each
     carries its time grid, a one-parameter curve that of ``_time_grid``.  The sample
     constructors alone check their samples, ``group_samples`` against ``DET_FLOOR`` too.
@@ -349,16 +391,20 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
 
     Writing ``g = c h``, horizontality of g forces ``h' = -pr_h(c^-1 c') h``,
     which ``_magnus_frames`` solves across the sample grid, so h stays in H
-    up to round-off.  The derivative ``c^-1 c'`` comes from finite
-    differences of the samples; its h-coordinates are interpolated at the
-    interval midpoints by cubic Hermite.  The lift starts at the first
-    sample, h(t0) = I; the lift through c(t0) h1 is this one times h1.
+    up to round-off.  The derivative ``c^-1 c'`` comes from the five-point
+    stencil on the samples, fourth order on any grid of 5 or more; its
+    h-coordinates are interpolated at the interval midpoints by cubic
+    Hermite from their own five-point derivatives.  ``fd_error_estimate``
+    is max|c^-1 (c'_5 - c'_3)|, the distance of c^-1 c' from its value by
+    the three-point ``np.gradient``; a grid of 2-4 samples has none, and
+    warns so.  The lift starts at the first sample, h(t0) = I; the lift
+    through c(t0) h1 is this one times h1.
 
     On an orthogonal algebra a sample whose orthogonality drift is over the
     ``group_drift`` tolerance of ``resolve_tolerances(tolerances)`` is off
     the group, and ``ValueError`` names its data row.  The E = c^T c - I of
-    that test, and that of h, then invert c and h in c^-1 c', its
-    second-order twin and h^-1 pr_m(c^-1 c') h by :func:`_inverse_times`.
+    that test, and that of h, then invert c and h in c^-1 c', in the
+    estimate and in h^-1 pr_m(c^-1 c') h by :func:`_inverse_times`.
     """
     if curve.kind != "group_samples":
         raise ValueError("horizontal_lift expects a group_samples curve")
@@ -384,7 +430,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
             raise ValueError(f"group sample data row {k + 1}: orthogonality drift "
                              f"{drift[k]:.3e} exceeds group_drift {tol:.1e}")
 
-    cdot, fd_order = _best_fd(times, mats, "group samples")
+    cdot, fd_order, spread = _fd_derivatives(times, mats, "group samples", spread=True)
     body = _inverse_times(mats, cdot, e)                 # c^-1 c' at samples
     h_coords, m_coords, resid = dec.split_matrices(body)
     worst_resid = float(np.max(resid))
@@ -394,21 +440,16 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
             f"samples do not stay on the group: c^-1 c' leaves the algebra by {worst_resid:.3e}"
         )
 
-    if fd_order == 4:
-        # spread of the lift's generator c^-1 c', not of c' as parallel_transport measures
-        body2 = _inverse_times(mats, _fd_derivatives(times, mats, "group samples"), e)
-        fd_err = float(np.max(np.abs(body - body2)))
-    else:
-        fd_err = None
+    # spread of the lift's generator c^-1 c', not of c' as parallel_transport measures
+    fd_err = None if spread is None else float(np.max(np.abs(_inverse_times(mats, spread, e))))
     if fd_err is None:
         warnings_list.append(FD_UNESTIMATED)
     elif fd_err > FD_COARSE_WARNING:
-        warnings_list.append(
-            f"samples too coarse: estimated c^-1 c' finite-difference error {fd_err:.3e}"
-        )
+        warnings_list.append(f"samples too coarse: estimated c^-1 c' finite-difference error "
+                             f"{fd_err:.3e}")
 
     # h' = A h with A = -mat(pr_h(c^-1 c')), solved transposed
-    h_dot, _ = _best_fd(times, h_coords, "h-coordinates of c^-1 c'")
+    h_dot = _fd_derivatives(times, h_coords, "h-coordinates of c^-1 c'")[0]
     dt = np.diff(times)
     h_mid = _hermite_midpoints(h_coords, h_dot, dt)
     hs = _magnus_frames(np.eye(d), np.swapaxes(dec.h_matrices, 1, 2), times, -h_coords,
@@ -520,12 +561,12 @@ def _refuse_blowup(name, values):
                          f"{BLOWUP_NORM:g}")
 
 
-def _refuse_long_step(h, xs):
-    """Raise ``ValueError`` when a step of ``h`` along velocity coordinates ``xs`` moves
-    through more than ``BLOWUP_NORM``: its exponential would be round-off, or overflow;
-    or when h^2, which weighs the Magnus commutator, overflows (inf times a vanishing
-    commutator would be nan)."""
-    x = float(np.max(np.abs(xs), initial=0.0))
+def _refuse_long_step(h, *xs):
+    """Raise ``ValueError`` when a step of ``h`` along velocity coordinates ``xs`` (one
+    array or several) moves through more than ``BLOWUP_NORM``: its exponential would be
+    round-off, or overflow; or when h^2, which weighs the Magnus commutator, overflows
+    (inf times a vanishing commutator would be nan)."""
+    x = float(np.max([np.max(np.abs(a), initial=0.0) for a in xs]))    # a nan stays nan
     if not float(h) * x <= BLOWUP_NORM:
         raise ValueError(f"a step of {h:.6g} along a velocity coordinate of magnitude {x:.6g} "
                          f"is over the blow-up norm {BLOWUP_NORM:g}")
@@ -654,9 +695,10 @@ def _magnus_frames(g0, basis, times, xs, x_mid, dt):
     A left-acting ODE ``Y' = B(t) Y`` is the same problem transposed,
     ``(Y^T)' = Y^T B(t)^T``: pass ``Y(t0)^T`` and the transposed basis, and
     transpose the frames back.  Lift and transport are solved this way.
-    A step of dt along an x over ``BLOWUP_NORM`` in all raises ``ValueError``.
+    A step of dt along an x, at a node or a midpoint, over ``BLOWUP_NORM`` in all
+    raises ``ValueError``; so does a midpoint that is not finite.
     """
-    _refuse_long_step(np.max(dt, initial=0.0), xs)
+    _refuse_long_step(np.max(dt, initial=0.0), xs, x_mid)
     basis = np.ascontiguousarray(basis)
     if len(dt) and _is_uniform(dt) and (xs == xs[0]).all():
         h = (float(times[-1]) - float(times[0])) / len(dt)
@@ -721,8 +763,10 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
 
     ``z0`` is one seed of shape (N,) or a seed matrix of shape (S, N).
     Integration reuses the base grid, with cubic Hermite interpolation of
-    the velocity coordinates at interval midpoints (from finite-difference
-    derivatives, which preserves the integrator's order).  The propagators
+    the velocity coordinates at interval midpoints from their five-point
+    derivatives, which preserves the integrator's order on any grid of 5 or
+    more samples; their distance from the three-point ones, when over
+    ``FD_COARSE_WARNING``, warns that the grid is too coarse.  The propagators
     ``P(t_i)`` with ``z(t_i) = P(t_i) z0`` depend on the base curve alone, so
     ``_magnus_frames`` builds them once and each seed is one product with
     them; for a metric alpha they lie in O(g) up to round-off.  Returns a
@@ -743,13 +787,11 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     times = base.times
     xs = base.velocities
     warnings_list = list(base.meta.get("warnings", []))
-    dxs, fd_order = _best_fd(times, xs, "velocities")
-    if fd_order == 4:
-        fd_err = float(np.max(np.abs(_fd_derivatives(times, xs, "velocities") - dxs)))
-        if fd_err > FD_COARSE_WARNING:
-            warnings_list.append(
-                f"transport grid too coarse: velocity interpolation error ~{fd_err:.3e}"
-            )
+    dxs, _, spread = _fd_derivatives(times, xs, "velocities", spread=True)
+    fd_err = 0.0 if spread is None else float(np.max(np.abs(spread)))
+    if fd_err > FD_COARSE_WARNING:
+        warnings_list.append(f"transport grid too coarse: velocity interpolation error "
+                             f"~{fd_err:.3e}")
 
     dt = np.diff(times)
     x_mid = _hermite_midpoints(xs, dxs, dt)
@@ -889,8 +931,8 @@ def _velocity_trajectory(dec, spec):
     row = int(np.argmax(~(np.max(np.abs(xs), axis=1, initial=0.0) <= BLOWUP_NORM)))
     _refuse_blowup(f"velocity sample data row {row + 1}", xs[row])
     dt = np.diff(times)
-    x_mid = 0.5 * xs[:-1] + 0.5 * xs[1:]    # order-1 interpolation; a sum could overflow
-    frames = _frames(dec, times, xs, x_mid, dt)
+    dxs, fd_order, _ = _fd_derivatives(times, xs, "velocities")
+    frames = _frames(dec, times, xs, _hermite_midpoints(xs, dxs, dt), dt)
     meta = {"integrator": "magnus4", "step": float(np.max(dt)), "curve": "piecewise_velocity",
-            "warnings": [] if _fd4_step(times) is not None else [FD_UNESTIMATED]}
+            "warnings": [] if fd_order == 4 else [FD_UNESTIMATED]}
     return _diagnosed(dec, np.array(times), frames, xs.copy(), meta)

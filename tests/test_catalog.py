@@ -426,6 +426,17 @@ def test_transport_inverts_frames_through_one_helper():
             if call.startswith("transport.py:")] == []
 
 
+def test_one_helper_differentiates_sampled_curves():
+    """Every finite difference of a sampled curve comes from ``transport._fd_derivatives``,
+    the one caller of ``np.gradient`` and of the five-point stencil ``_fd5``, which alone
+    builds its weights, so a second stencil cannot come back unnoticed.  The grid test
+    ``_is_uniform`` makes one decision, in ``_magnus_frames``: whether a generator is
+    constant."""
+    assert calls_outside({"gradient", "_fd5"}, {"transport.py:_fd_derivatives"}) == []
+    assert calls_outside({"_fd5_weights"}, {"transport.py:_fd5"}) == []
+    assert calls_outside({"_is_uniform"}, {"transport.py:_magnus_frames"}) == []
+
+
 def test_no_module_solves_least_squares():
     """Matrices become algebra coordinates only through the algebra's cached dual
     basis (``algebra.expand_in_matrix_basis``); no module calls ``lstsq``."""

@@ -35,6 +35,9 @@ NUMBERS = ("0", "-0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e300", "
            "1e308", "0.5", "1", "-1")
 EXTRAS = ("-h", "--help", "--", "--bogus", "--bogus=1", "other.def", "-1")
 MAX_STEPS = 1e4
+# sample-file time steps, 1e-300 to 1e3: neighbouring steps may differ by 300 orders of
+# magnitude, and a step below the rounding of its time repeats that time
+GAPS = (1e-300, 1e-150, 1e-12, 1e-6, 1e-3, 0.05, 0.7, 1.0, 1e3)
 UNALLOCATABLE = 1e15     # steps whose time grid (8 PB) no machine allocates
 
 
@@ -71,15 +74,19 @@ def _rotation(d, t):
 
 @st.composite
 def sample_files(draw, width, d=None):
-    """The text of a sample file: 1 to 5 rows of a time and ``width`` cells.
+    """The text of a sample file: 1 to 12 rows of a time and ``width`` cells.
 
-    Velocity rows hold cells of ``NUMBERS``; group rows (``d`` given) a
-    rotation of the first plane.  Now and then every row is one cell short
-    or one long, one cell is non-finite, one time repeats or decreases, or
-    one group matrix is singular.
+    The times start at 0 and step by ``GAPS``, drawn one step at a time, so
+    a grid may be uniform, fine, coarse or wildly uneven.  Velocity rows
+    hold cells of ``NUMBERS``; group rows (``d`` given) a rotation of the
+    first plane by the row's time.  Now and then every row is one cell
+    short or one long, one cell is non-finite, one time repeats or
+    decreases, or one group matrix is singular.
     """
-    count = draw(st.integers(1, 5))
-    times = [0.05 * i for i in range(count)]
+    count = draw(st.integers(1, 12))
+    times = [0.0]
+    for gap in draw(st.lists(st.sampled_from(GAPS), min_size=count - 1, max_size=count - 1)):
+        times.append(times[-1] + gap)
     if d is None:
         rows = [[draw(st.sampled_from(NUMBERS)) for _ in range(width)] for _ in times]
     else:

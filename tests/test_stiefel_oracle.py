@@ -9,9 +9,12 @@ Delta' + Gamma(Y', Delta) = 0.  That equation is integrated here by scipy's
 DOP853 from the closed-form Y(t) and Y'(t) alone, with no alpha, lift or
 frame, and compared with ``realize_curve`` plus ``parallel_transport``
 (Levi-Civita) along the non-geodesic curve c(t) = exp(t A1) exp(t^2 A2).
-The error must fall with order 4 as the samples double.  One case runs
-``main`` on a sample file of the curve: the field it writes must be the
-library's, bit for bit, and meet the oracle as closely.
+The error must fall with order 4 as the samples double, on uniform grids
+and on grids whose inner times are moved by up to 20% of a step.  One case
+runs ``main`` on a sample file of the curve: the field it writes must be
+the library's, bit for bit, and meet the oracle as closely.  Velocity
+samples x(t) give frames with no lift: those of g' = g mat(x(t)), checked
+against DOP853 in the group, must converge with order 4 too.
 """
 
 import json
@@ -60,6 +63,15 @@ def skew(rng, n, scale):
     return scale * (a - a.T)
 
 
+def sample_times(intervals, grid, rng):
+    """``intervals + 1`` times over [0, T1]: uniform, or each inner time moved by up to
+    20% of a step."""
+    t = np.linspace(0.0, T1, intervals + 1)
+    if grid == "moved":
+        t[1:-1] += rng.uniform(-0.2, 0.2, intervals - 1) * (T1 / intervals)
+    return t
+
+
 def oracle(times, a1, a2, y0, delta0, christoffel):
     """Delta(t) at ``times`` from Delta' = -Gamma(Y', Delta) along Y = c(t) Y0, by DOP853."""
     shape = delta0.shape
@@ -76,9 +88,9 @@ def oracle(times, a1, a2, y0, delta0, christoffel):
     return sol.y.T.reshape((len(times),) + shape)
 
 
-@pytest.mark.parametrize("metric", sorted(METRICS))
-@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3)])
-def test_lift_and_transport_meet_the_extrinsic_oracle_with_order_four(n, k, metric):
+def assert_order_four(n, k, metric, grid):
+    """Lift plus transport of two seeds on stiefel(n, k) at ``INTERVALS`` samples of
+    ``grid`` meet the oracle with order 4."""
     bundle = rh.stiefel(n, k)
     dec = bundle.dec
     make_gram, christoffel = METRICS[metric]
@@ -97,25 +109,36 @@ def test_lift_and_transport_meet_the_extrinsic_oracle_with_order_four(n, k, metr
     def curve(t):
         return expm(t[:, None, None] * a1) @ expm((t * t)[:, None, None] * a2)
 
-    deltas = []
-    for intervals in INTERVALS:
-        t = np.linspace(0.0, T1, intervals + 1)
+    grids, deltas = [sample_times(intervals, grid, rng) for intervals in INTERVALS], []
+    for t in grids:
         base = realize_curve(dec, CurveSpec.group_samples(t, curve(t)))
+        assert base.meta["fd_order"] == 4
         z = parallel_transport(alpha, base, seeds).transported
         mats = np.einsum("tsk,kab->tsab", z, dec.m_matrices)
         deltas.append(base.frames[:, None] @ mats @ y0)
 
-    finest = INTERVALS[-1]
-    t = np.linspace(0.0, T1, finest + 1)
+    t = np.unique(np.concatenate(grids))
     truth = oracle(t, a1, a2, y0, deltas[-1][0], christoffel)
     # the oracle's Delta stays tangent: Y^T Delta is skew
     tangency = np.swapaxes(curve(t) @ y0, 1, 2)[:, None] @ truth
     assert np.max(np.abs(tangency + np.swapaxes(tangency, 2, 3))) <= 1e-11
 
-    errors = np.array([np.max(np.abs(delta - truth[::finest // intervals]))
-                       for intervals, delta in zip(INTERVALS, deltas)])
+    errors = np.array([np.max(np.abs(delta - truth[np.searchsorted(t, times)]))
+                       for times, delta in zip(grids, deltas)])
     orders = np.log2(errors[:-1] / errors[1:])
     assert np.all(orders >= 3.7), (errors, orders)
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3)])
+def test_lift_and_transport_meet_the_extrinsic_oracle_with_order_four(n, k, metric):
+    assert_order_four(n, k, metric, "uniform")
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3)])
+def test_lift_and_transport_keep_order_four_on_moved_grids(n, k, metric):
+    assert_order_four(n, k, metric, "moved")
 
 
 def test_the_command_line_transports_as_the_library_and_meets_the_oracle(tmp_path):
@@ -149,3 +172,35 @@ def test_the_command_line_transports_as_the_library_and_meets_the_oracle(tmp_pat
     truth = oracle(t, a1, a2, y0, deltas[0], canonical_christoffel)
     # the in-process test, on this curve and these seeds, measures 3.86e-9 at 200 intervals
     assert np.max(np.abs(deltas - truth)) <= 4e-9
+
+
+@pytest.mark.parametrize("grid", ["uniform", "moved"])
+def test_frames_of_velocity_samples_meet_an_independent_solve_with_order_four(grid):
+    # velocity samples give no group samples to lift: the frames of g' = g mat(x(t)),
+    # x(t) = c0 + sin(2t) c1 + 0.3 t^2 c2, are checked against DOP853 in the group
+    dec = rh.stiefel(4, 2).dec
+    rng = np.random.default_rng(3)
+    c0, c1, c2 = rng.standard_normal((3, dec.N))
+
+    def velocity(t):
+        t = np.asarray(t)[..., None]
+        return c0 + np.sin(2 * t) * c1 + 0.3 * t * t * c2
+
+    grids = [sample_times(intervals, grid, rng) for intervals in INTERVALS]
+    frames = []
+    for t in grids:
+        trajectory = realize_curve(dec, CurveSpec.velocity_samples(t, velocity(t)))
+        assert trajectory.meta["warnings"] == []
+        frames.append(trajectory.frames)
+
+    t = np.unique(np.concatenate(grids))
+    d = dec.algebra.matrix_dim
+    sol = solve_ivp(lambda s, g: (g.reshape(d, d) @ dec.m_matrix(velocity(s))).ravel(),
+                    (0.0, T1), np.eye(d).ravel(), method="DOP853", t_eval=t, rtol=1e-13,
+                    atol=1e-13)
+    assert sol.success, sol.message
+    truth = sol.y.T.reshape(-1, d, d)
+    errors = np.array([np.max(np.abs(g - truth[np.searchsorted(t, times)]))
+                       for times, g in zip(grids, frames)])
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert np.all(orders >= 3.7), (errors, orders)

@@ -24,8 +24,9 @@ long double to a few ulps, and its bits over a constant generator's first
 block, and convergence runs must skip the frame diagnostics;
 an x0, a seed or a one-parameter direction already over the blow-up norm,
 a step whose exponential would overflow, a time grid no array can hold,
-malformed curve samples (each named by its data row) and a derivative
-that overflows are rejected before any step, as is every malformed
+malformed curve samples (each named by its data row), a derivative
+that overflows and a midpoint interpolated over the blow-up norm, or to
+nan, are rejected before any step, as is every malformed
 curve, trajectory or base a library call is given, and the
 convergence probe counts its steps without building their grids.  Each
 quantity is derived once: a constant-velocity geodesic is the one-parameter
@@ -33,7 +34,10 @@ curve bit for bit, built from one exponential, as are the frames of
 constant velocity samples; transport along a one-parameter curve or a
 naturally reductive geodesic builds one exponential for its propagator;
 one transport call judges is_metric once; and each finite-difference warning
-reaches the command line.
+reaches the command line.  The five-point stencil must keep the fixed
+uniform-grid coefficients to 1e-12 on a uniform grid, differentiate a quartic
+exactly on a nonuniform one, and refuse, without a nan, a grid of gaps near
+1e-300.
 """
 
 import json
@@ -307,12 +311,14 @@ def short_velocity_samples():
     return t, np.column_stack([t, 1 + 0 * t, -t, 0 * t, t * t])
 
 
+# a grid of 5 or more samples, uniform or not, gets an error estimate; only a shorter one
+# warns that it has none
 @pytest.mark.parametrize("kind, samples, warning", [
     ("velocity_file", velocity_samples, "transport grid too coarse"),
     ("group_file", coarse_group_samples, "samples too coarse"),
-    ("group_file", nonuniform_group_samples, "nonuniform or short grid"),
-    ("velocity_file", nonuniform_velocity_samples, "nonuniform or short grid"),
-    ("velocity_file", short_velocity_samples, "nonuniform or short grid"),
+    ("group_file", nonuniform_group_samples, "samples too coarse"),
+    ("velocity_file", nonuniform_velocity_samples, "transport grid too coarse"),
+    ("velocity_file", short_velocity_samples, "short grid"),
 ], ids=["transport-grid", "coarse-samples", "nonuniform-samples", "nonuniform-velocities",
         "short-velocities"])
 def test_finite_difference_warnings_reach_the_command_line(tmp_path, capsys, kind, samples,
@@ -321,7 +327,63 @@ def test_finite_difference_warnings_reach_the_command_line(tmp_path, capsys, kin
     path = tmp_path / "samples.csv"
     np.savetxt(path, np.column_stack([times, rows]), delimiter=",")
     assert run_transport(tmp_path, STIEFEL42_LC, f"{kind}:{path}", ["1,0,0,0,0"]) == 0
-    assert capsys.readouterr().err.count(f"warning: {warning}") == 1
+    err = capsys.readouterr().err
+    assert err.count(f"warning: {warning}") == 1
+    assert ("not estimated" in err) == (len(times) < 5)
+
+
+def fd4_uniform(y, h):
+    """The fixed fourth-order coefficients of a uniform grid of step h: (1, -8, 0, 8, -1)
+    / 12h inside, and the one-sided five-point rows at the two nodes nearest each end."""
+    d = np.empty_like(y)
+    d[2:-2] = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
+    c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+    c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
+    d[0] = np.tensordot(c0, y[:5], axes=(0, 0)) / h
+    d[1] = np.tensordot(c1, y[:5], axes=(0, 0)) / h
+    d[-1] = -np.tensordot(c0, y[-1:-6:-1], axes=(0, 0)) / h
+    d[-2] = -np.tensordot(c1, y[-1:-6:-1], axes=(0, 0)) / h
+    return d
+
+
+@pytest.mark.parametrize("samples, t1", [(1001, 1.0), (5001, 10.0)])
+def test_the_stencil_keeps_the_fixed_coefficients_on_a_uniform_grid(rng, samples, t1):
+    # the weights see the nodes linspace stores, which sit up to ulp(t1)/2 off i*h
+    times = np.linspace(0.0, t1, samples)
+    values = rng.standard_normal((samples, 6, 6))
+    derivs, order, spread = transport._fd_derivatives(times, values, "samples", spread=True)
+    reference = fd4_uniform(values, t1 / (samples - 1))
+    assert order == 4
+    assert np.max(np.abs(derivs - reference)) <= 1e-12 * np.max(np.abs(reference))
+    three = np.gradient(values, times, axis=0, edge_order=2)
+    assert np.max(np.abs(spread - (derivs - three))) == 0.0
+
+
+def test_a_nonuniform_grid_is_differenced_to_fourth_order_with_an_estimate(stiefel42, rng):
+    times = NONUNIFORM_TIMES
+    poly = rng.standard_normal((5, 3, 3))
+    values = np.polynomial.polynomial.polyval(times, poly).transpose(2, 0, 1)
+    derivs, order, _ = transport._fd_derivatives(times, values, "samples")
+    exact = np.polynomial.polynomial.polyval(times, np.polynomial.polynomial.polyder(poly))
+    # the stencil differentiates a quartic exactly, on any five nodes
+    assert order == 4
+    assert np.max(np.abs(derivs - exact.transpose(2, 0, 1))) <= 1e-12
+    rows = expm(times[:, None, None] * so4_element())
+    lift = horizontal_lift(stiefel42.dec, CurveSpec.group_samples(times, rows))
+    assert lift.meta["fd_order"] == 4 and lift.meta["fd_error_estimate"] > 0.0
+    assert transport.FD_UNESTIMATED not in lift.meta["warnings"]
+
+
+def test_gaps_near_the_smallest_normal_float_are_refused_not_differenced_into_nan(stiefel42):
+    # rotations 0.1 apart at gaps of 1e-300: the five-point derivatives, 1e299, are finite,
+    # but the three-point partner of the estimate divides by products of two gaps
+    times = 1e-300 * np.arange(7)
+    rows = expm(0.1 * np.arange(7)[:, None, None] * so4_element())
+    assert np.isfinite(transport._fd_derivatives(times, rows, "samples")[0]).all()
+    with pytest.raises(ValueError, match="^the finite-difference derivative of the group "
+                                         "samples is not finite at sample 1: their times are "
+                                         "too close for their values$"):
+        realize_curve(stiefel42.dec, CurveSpec.group_samples(times, rows))
 
 
 def rk4_reference(coeffs, x0, h, nsteps):
@@ -620,6 +682,15 @@ ALTERNATING = np.array([[1e6 * (-1) ** i, 0.0] for i in range(6)])
                  "the finite-difference derivative of the velocities is not finite at sample 1: "
                  "their times are too close for their values",
                  id="derivative-overflow"),
+    # unit velocities whose first steps are 1e-300 and the next 1e3: the Hermite midpoint
+    # of a long step takes the 1e300 derivatives of the short ones
+    pytest.param(lambda s: realize_curve(s.dec, CurveSpec.velocity_samples(
+        [0.0, 1e-300, 2e-300, 1e3, 2e3, 3e3], ALTERNATING / 1e6)),
+                 r"a step of 1000 along a velocity coordinate of magnitude 5\.83\d*e\+302 is "
+                 r"over the blow-up norm 1e\+06", id="midpoint-over-the-blow-up-norm"),
+    pytest.param(lambda s: transport._refuse_long_step(0.1, np.zeros(2), np.array([np.nan])),
+                 r"a step of 0.1 along a velocity coordinate of magnitude nan is over the "
+                 r"blow-up norm 1e\+06", id="midpoint-nan"),
 ])
 def test_malformed_curves_and_trajectories_are_refused(sphere2, refuse, message):
     with warnings.catch_warnings():
@@ -861,7 +932,7 @@ def test_inverse_of_orthogonal_frames_matches_solve(stiefel42, rigid_body, rng):
     for name, times, frames in magnus_frame_stacks(stiefel42, rigid_body):
         e = transport._orthogonality_defect(frames)
         assert np.max(np.abs(e)) <= transport.NEWTON_SCHULZ_DRIFT, name     # no LU taken
-        for b in (transport._best_fd(times, frames, "frames")[0],
+        for b in (transport._fd_derivatives(times, frames, "frames")[0],
                   rng.standard_normal(frames.shape)):
             deviation = np.max(np.abs(transport._inverse_times(frames, b, e)
                                       - np.linalg.solve(frames, b)))
