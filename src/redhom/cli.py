@@ -63,12 +63,13 @@ Exit codes, one cause a line:
     values (``--force`` builds such an alpha anyway, tainted).
 
 A ``group_file:`` or ``velocity_file:`` curve is differentiated by one
-five-point stencil, fourth order on any grid of 5 or more samples,
-uniform or not; between samples a velocity curve, and the generators of
-lift and transport, take the cubic Hermite interpolant from those
-derivatives.  The distance from the three-point derivative is the error
-estimate, and a warning reports one over 1e-4; a grid of 2-4 samples
-warns ``short grid: finite-difference error not estimated``.
+Lagrange stencil of min(samples, 5) nodes: fourth order on any grid of 5
+or more samples, uniform or not, and order 1, 2 or 3 on 2, 3 or 4.
+Between samples a velocity curve, and the generators of lift and
+transport, take the cubic Hermite interpolant from those derivatives.
+The distance from the three-node derivative is the error estimate, and
+a warning reports one over 1e-4; a grid of 2-4 samples warns ``short
+grid: finite-difference error not estimated``.
 
 The ``group_drift`` gate covers every algebra whose matrix basis is
 skew, from the catalog or a definition file, since its group lies in

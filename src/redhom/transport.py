@@ -42,16 +42,17 @@ by more than ``NEWTON_SCHULZ_DRIFT``, and those of other algebras, take
 an LU.
 
 A sampled curve, of group matrices or of velocities, is differentiated
-by one five-point stencil: at each node, the derivative of the quartic
-through the five nodes centred on it, or the first or last five, with
-weights from the nodes' actual offsets (Fornberg, Math. Comp. 51, 1988).
-It is fourth order on any grid of 5 or more samples, uniform or not, and
-its distance from the three-point ``np.gradient`` on the same grid is the
-error estimate of the lift and of transport.  A grid of 2-4 samples takes
-``np.gradient`` alone, second order, with no estimate.  Every sampled
-generator the Magnus step needs at the interval midpoints (the lift's
-h-coordinates, a velocity curve, the transport generator) is the cubic
-Hermite interpolant from those derivatives.
+by one Lagrange stencil of k = min(samples, 5) nodes: at each node, the
+derivative of the polynomial through the k nodes centred on it, or the
+first or last k, with weights from ratios of the nodes' actual offsets
+(Fornberg, Math. Comp. 51, 1988), so no product of small steps
+underflows.  It is fourth order on any grid of 5 or more samples, uniform
+or not, and its distance from the three-node stencil on the same grid is
+the error estimate of the lift and of transport.  A grid of 2, 3 or 4
+samples is differentiated to order 1, 2 or 3, with no estimate.  Every
+sampled generator the Magnus step needs at the interval midpoints (the
+lift's h-coordinates, a velocity curve, the transport generator) is the
+cubic Hermite interpolant from those derivatives.
 
 ``geodesic_convergence`` measures the RK4 order against a run at a tenth
 of the finest step: its truncation error, 1e-4 of the finest run's and
@@ -114,68 +115,68 @@ NEWTON_SCHULZ_DRIFT = 1e-8
 # -- finite differences and interpolation -----------------------------------------
 
 
-def _fd5_weights(t, p):
-    """Weights on the four steps y[k+1] - y[k] of a five-node window whose sum is the
-    derivative at node ``p`` of the quartic through the window.
+def _fd_weights(t, p):
+    """Weights on the k - 1 steps y[i+1] - y[i] of a k-node window whose sum is the
+    derivative at node ``p`` of the polynomial of degree k - 1 through the window.
 
-    ``t`` holds the window's five times, scalars or arrays of one time per
+    ``t`` holds the window's k times, scalars or arrays of one time per
     window.  The Lagrange weight of node j (Fornberg, Math. Comp. 51, 1988)
-    is the product of the ratios (t_k - t_p) / (t_k - t_j) over the other
-    nodes k, over t_j - t_p.  Ratios of offsets are those of the window
+    is the product of the ratios (t_i - t_p) / (t_i - t_j) over the other
+    nodes i, over t_j - t_p.  Ratios of offsets are those of the window
     scaled by its span, so no product of small offsets underflows into a
     zero weight, and each divisor is the difference of two distinct times,
     never zero.  On the steps the weights become partial sums, since
     y_j - y_p is the sum of the steps between the two nodes; a constant
     curve then has derivative 0 exactly.
     """
-    w = {j: math.prod((t[k] - t[p]) / (t[k] - t[j]) for k in range(5) if k not in (j, p))
-         / (t[j] - t[p]) for j in range(5) if j != p}
-    return [sum(w[j] for j in w if j > k) if k >= p else -sum(w[j] for j in w if j <= k)
-            for k in range(4)]
+    k = len(t)
+    w = {j: math.prod((t[i] - t[p]) / (t[i] - t[j]) for i in range(k) if i not in (j, p))
+         / (t[j] - t[p]) for j in range(k) if j != p}
+    return [sum(w[j] for j in w if j > i) if i >= p else -sum(w[j] for j in w if j <= i)
+            for i in range(k - 1)]
 
 
-def _fd5(times, values):
-    """Fourth-order derivatives on any grid of 5 or more samples: at each node, that of
-    the quartic through the five nodes centred on it, or the first or last five.
+def _fd(times, values, k):
+    """Order k - 1 derivatives on any grid of k or more samples: at each node, that of
+    the polynomial through the k nodes centred on it, or the first or last k.
 
     The interior weights are built from slices of the grid, and applied to
-    a strided view of each node's four steps by one ``einsum``, with no copy
+    a strided view of each node's k - 1 steps by one ``einsum``, with no copy
     of the windows."""
-    m = len(times)
+    m, c = len(times), k // 2
+    n = m - k + 1                       # windows, one per interior node from node c on
     steps = np.diff(values, axis=0).reshape(m - 1, -1)
     flat = np.empty((m, steps.shape[1]))
-    weights = np.stack(_fd5_weights([times[j:m - 4 + j] for j in range(5)], 2), axis=1)
-    windows = np.lib.stride_tricks.sliding_window_view(steps, 4, axis=0)
-    np.einsum("ik,ijk->ij", weights, windows, out=flat[2:-2])
-    for node in (0, 1, m - 2, m - 1):
-        s = min(max(node - 2, 0), m - 5)
-        flat[node] = np.dot(_fd5_weights(times[s:s + 5], node - s), steps[s:s + 4])
+    weights = np.stack(_fd_weights([times[j:n + j] for j in range(k)], c), axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(steps, k - 1, axis=0)
+    np.einsum("ik,ijk->ij", weights, windows, out=flat[c:c + n])
+    for node in (*range(c), *range(c + n, m)):
+        s = min(max(node - c, 0), m - k)
+        flat[node] = np.dot(_fd_weights(times[s:s + k], node - s), steps[s:s + k - 1])
     return flat.reshape(values.shape)
 
 
 def _fd_derivatives(times, values, name, spread=False):
     """Derivative estimates of the ``name`` samples: (derivs, order, spread).
 
-    On 5 or more samples, whatever their spacing, they are :func:`_fd5`'s,
-    order 4; with ``spread`` the third item is their difference from the
-    second-order ``np.gradient`` on the same grid, the raw material of an
-    error estimate.  On 2-4 samples they are ``np.gradient``'s, order 2,
-    with no spread.  The spread is otherwise None.  A derivative not finite
-    raises ``ValueError`` naming the samples.
+    They are :func:`_fd`'s with k = min(samples, 5), of order k - 1: 4 on 5
+    or more samples, whatever their spacing, and 1, 2 or 3 on 2, 3 or 4.
+    With ``spread``, on 5 or more samples, the third item is their
+    difference from the three-node derivatives on the same grid, the raw
+    material of an error estimate; it is otherwise None.  A derivative not
+    finite raises ``ValueError`` naming the samples.
     """
-    short = len(times) < 5
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        three = (np.gradient(values, times, axis=0, edge_order=2 if len(times) >= 3 else 1)
-                 if short or spread else None)
-        d = three if short else _fd5(times, values)
-        spread = d - three if spread and not short else None
+    k = min(len(times), 5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _fd(times, values, k)
+        spread = d - _fd(times, values, 3) if spread and k == 5 else None
     for a in (d,) if spread is None else (d, spread):
         bad = ~np.isfinite(a).all(axis=tuple(range(1, a.ndim)))
         if bad.any():
             raise ValueError(f"the finite-difference derivative of the {name} is not finite at "
                              f"sample {int(np.argmax(bad)) + 1}: their times are too close for "
                              f"their values")
-    return d, 2 if short else 4, spread
+    return d, k - 1, spread
 
 
 def _is_uniform(d: np.ndarray) -> bool:
@@ -285,9 +286,9 @@ def frame_diagnostics(dec, times, frames, velocities) -> dict:
     """Finite-difference horizontality and drift measurements.
 
     The velocity residual and h-leak are estimated from derivatives of
-    the stored frames, by the five-point stencil on 5 or more samples
-    (``fd_order`` 4, on any grid) and by ``np.gradient`` on 3 or 4
-    (``fd_order`` 2), so they carry an O(spacing^fd_order) noise floor on
+    the stored frames, by the Lagrange stencil of :func:`_fd_derivatives`
+    (``fd_order`` 4 on 5 or more samples, on any grid, and 2 or 3 on 3 or
+    4), so they carry an O(spacing^fd_order) noise floor on
     top of the true integration error.  On an orthogonal algebra the
     group drift is max|E| of E = g^T g - I, and the same E inverts the
     frames in g^-1 g' by :func:`_inverse_times`.
@@ -326,7 +327,7 @@ class CurveSpec:
     Three kinds: ``one_parameter`` (the curve exp(t X0), already
     horizontal), ``piecewise_velocity`` (velocity coordinates sampled in t,
     interpolated at the interval midpoints by cubic Hermite from their
-    five-point derivatives when frames are reconstructed), and
+    finite-difference derivatives when frames are reconstructed), and
     ``group_samples`` (group matrices sampled in t, to be lifted).  Each
     carries its time grid, a one-parameter curve that of ``_time_grid``.  The sample
     constructors alone check their samples, ``group_samples`` against ``DET_FLOOR`` too.
@@ -391,14 +392,14 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
 
     Writing ``g = c h``, horizontality of g forces ``h' = -pr_h(c^-1 c') h``,
     which ``_magnus_frames`` solves across the sample grid, so h stays in H
-    up to round-off.  The derivative ``c^-1 c'`` comes from the five-point
+    up to round-off.  The derivative ``c^-1 c'`` comes from the Lagrange
     stencil on the samples, fourth order on any grid of 5 or more; its
     h-coordinates are interpolated at the interval midpoints by cubic
-    Hermite from their own five-point derivatives.  ``fd_error_estimate``
-    is max|c^-1 (c'_5 - c'_3)|, the distance of c^-1 c' from its value by
-    the three-point ``np.gradient``; a grid of 2-4 samples has none, and
-    warns so.  The lift starts at the first sample, h(t0) = I; the lift
-    through c(t0) h1 is this one times h1.
+    Hermite from their own derivatives by the same stencil.
+    ``fd_error_estimate`` is max|c^-1 (c'_5 - c'_3)|, the distance of
+    c^-1 c' from its value by the three-node stencil; a grid of 2-4
+    samples has none, and warns so.  The lift starts at the first sample,
+    h(t0) = I; the lift through c(t0) h1 is this one times h1.
 
     On an orthogonal algebra a sample whose orthogonality drift is over the
     ``group_drift`` tolerance of ``resolve_tolerances(tolerances)`` is off
@@ -763,9 +764,10 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
 
     ``z0`` is one seed of shape (N,) or a seed matrix of shape (S, N).
     Integration reuses the base grid, with cubic Hermite interpolation of
-    the velocity coordinates at interval midpoints from their five-point
-    derivatives, which preserves the integrator's order on any grid of 5 or
-    more samples; their distance from the three-point ones, when over
+    the velocity coordinates at interval midpoints from their derivatives
+    by the stencil of :func:`_fd_derivatives`, which preserves the
+    integrator's order on any grid of 5 or more samples; the distance of
+    those derivatives from the three-node ones, when over
     ``FD_COARSE_WARNING``, warns that the grid is too coarse.  The propagators
     ``P(t_i)`` with ``z(t_i) = P(t_i) z0`` depend on the base curve alone, so
     ``_magnus_frames`` builds them once and each seed is one product with
@@ -790,7 +792,7 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     dxs, _, spread = _fd_derivatives(times, xs, "velocities", spread=True)
     fd_err = 0.0 if spread is None else float(np.max(np.abs(spread)))
     if fd_err > FD_COARSE_WARNING:
-        warnings_list.append(f"transport grid too coarse: velocity interpolation error "
+        warnings_list.append(f"transport grid too coarse: velocity finite-difference error "
                              f"~{fd_err:.3e}")
 
     dt = np.diff(times)

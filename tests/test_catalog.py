@@ -428,12 +428,13 @@ def test_transport_inverts_frames_through_one_helper():
 
 def test_one_helper_differentiates_sampled_curves():
     """Every finite difference of a sampled curve comes from ``transport._fd_derivatives``,
-    the one caller of ``np.gradient`` and of the five-point stencil ``_fd5``, which alone
-    builds its weights, so a second stencil cannot come back unnoticed.  The grid test
-    ``_is_uniform`` makes one decision, in ``_magnus_frames``: whether a generator is
-    constant."""
-    assert calls_outside({"gradient", "_fd5"}, {"transport.py:_fd_derivatives"}) == []
-    assert calls_outside({"_fd5_weights"}, {"transport.py:_fd5"}) == []
+    the one caller of the Lagrange stencil ``_fd``, which alone builds its weights, for
+    every width; no module calls ``np.gradient``, so a second stencil cannot come back
+    unnoticed.  The grid test ``_is_uniform`` makes one decision, in ``_magnus_frames``:
+    whether a generator is constant."""
+    assert calls_outside({"gradient"}, set()) == []
+    assert calls_outside({"_fd"}, {"transport.py:_fd_derivatives"}) == []
+    assert calls_outside({"_fd_weights"}, {"transport.py:_fd"}) == []
     assert calls_outside({"_is_uniform"}, {"transport.py:_magnus_frames"}) == []
 
 

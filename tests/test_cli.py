@@ -389,11 +389,13 @@ def test_group_file_whose_step_squares_to_overflow_exits_1_naming_it(tmp_path, c
     assert not list(tmp_path.glob("o*"))
 
 
-# six samples 1e-300 apart: the rotations about e1 by 0, 0.1, ..., 0.5 and a velocity of 1e300
+# six samples 1e-300 apart: the rotations about e1 by 0, 0.1, ..., 0.5, whose lifted
+# velocity of 1e299 varies in its last bits, which the stencil divides by 1e-300 into an
+# overflow; and a velocity of 1e300
 TINY_STEPS = {
     "group_file": ([[1e-300 * i, *rotation_about_e1(0.1 * i).ravel().tolist()]
                     for i in range(6)],
-                   "the finite-difference derivative of the group samples is not finite at "
+                   "the finite-difference derivative of the velocities is not finite at "
                    "sample 1: their times are too close for their values"),
     "velocity_file": ([[1e-300 * i, 1e300, 0.0] for i in range(6)],
                       "velocity sample data row 1 has a coordinate of magnitude over the "
@@ -409,6 +411,20 @@ def test_curve_file_whose_derivative_overflows_exits_1_before_any_step(tmp_path,
     assert code == 1 and captured.err == f"error: {message}\n"
     assert "drift" not in captured.out
     assert not list(tmp_path.glob("o*"))
+
+
+def test_velocity_file_on_gaps_near_the_smallest_normal_float_is_transported(tmp_path, capsys):
+    # steps of 1e-300: the stencils weigh ratios of steps, so no product of two steps
+    # underflows, and the derivatives of 1e298 and their spread are finite
+    rows = [[1e-300 * i, float(np.cos(0.01 * i)), float(np.sin(0.01 * i))] for i in range(8)]
+    code, _ = transport_sphere2_along(tmp_path, "velocity_file", rows)
+    capsys.readouterr()
+    assert code == 0
+    texts = [(tmp_path / f"o.{ext}").read_text() for ext in ("csv", "json")]
+    assert not any(word in text for text in texts for word in ("NaN", "Infinity"))
+    # sphere2's Levi-Civita alpha vanishes, so the field keeps its coordinates
+    z = np.array(json.loads(texts[1])["transported"])
+    assert np.max(np.abs(z - [1.0, 0.0])) <= 1e-15
 
 
 def test_group_file_on_an_algebra_without_matrices_is_refused(tmp_path, capsys):

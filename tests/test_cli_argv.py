@@ -34,6 +34,7 @@ SPACES = {
 NUMBERS = ("0", "-0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e300", "-1e300",
            "1e308", "0.5", "1", "-1")
 EXTRAS = ("-h", "--help", "--", "--bogus", "--bogus=1", "other.def", "-1")
+WITHIN_NORM = tuple(v for v in NUMBERS if abs(float(v)) <= transport.BLOWUP_NORM)
 MAX_STEPS = 1e4
 # sample-file time steps, 1e-300 to 1e3: neighbouring steps may differ by 300 orders of
 # magnitude, and a step below the rounding of its time repeats that time
@@ -73,6 +74,31 @@ def _rotation(d, t):
 
 
 @st.composite
+def _rows(draw, times, numbers, width, d=None):
+    """Data rows at ``times``: velocity cells drawn from ``numbers``, or (``d`` given) a
+    rotation of the first plane by the row's time."""
+    if d is None:
+        rows = [[draw(st.sampled_from(numbers)) for _ in range(width)] for _ in times]
+    else:
+        rows = [list(map(repr, _rotation(d, t).ravel().tolist())) for t in times]
+    return [[repr(t), *row] for t, row in zip(times, rows)]
+
+
+@st.composite
+def well_formed_sample_files(draw, width, d=None):
+    """The text of a sample file every check of the file passes: 5 to 12 rows, each
+    time step a ``GAPS`` step that advances the time in floating point, and velocity
+    cells of ``NUMBERS`` within the blow-up norm.  Its grid, uniform, fine, coarse or
+    wildly uneven, reaches the finite-difference stencil."""
+    times = [0.0]
+    for _ in range(draw(st.integers(4, 11))):
+        times.append(times[-1] + draw(st.sampled_from(
+            [gap for gap in GAPS if times[-1] + gap > times[-1]])))
+    rows = draw(_rows(times, WITHIN_NORM, width, d))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@st.composite
 def sample_files(draw, width, d=None):
     """The text of a sample file: 1 to 12 rows of a time and ``width`` cells.
 
@@ -87,11 +113,7 @@ def sample_files(draw, width, d=None):
     times = [0.0]
     for gap in draw(st.lists(st.sampled_from(GAPS), min_size=count - 1, max_size=count - 1)):
         times.append(times[-1] + gap)
-    if d is None:
-        rows = [[draw(st.sampled_from(NUMBERS)) for _ in range(width)] for _ in times]
-    else:
-        rows = [list(map(repr, _rotation(d, t).ravel().tolist())) for t in times]
-    rows = [[repr(t), *row] for t, row in zip(times, rows)]
+    rows = draw(_rows(times, NUMBERS, width, d))
     spoil = draw(st.sampled_from([None] * 4 + ["short", "long", "non-finite", "time"]
                                  + ["singular"] * (d is not None)))
     r = draw(st.integers(0, count - 1))
@@ -240,8 +262,10 @@ def sample_file_calls(draw):
     space = draw(st.sampled_from(sorted(SPACES)))
     _text, n, d = SPACES[space]
     kind, name, text = draw(st.one_of(
-        sample_files(n).map(lambda text: ("velocity_file", "v.csv", text)),
-        sample_files(d * d, d).map(lambda text: ("group_file", "g.csv", text))))
+        *(files(n).map(lambda text: ("velocity_file", "v.csv", text))
+          for files in (sample_files, well_formed_sample_files)),
+        *(files(d * d, d).map(lambda text: ("group_file", "g.csv", text))
+          for files in (sample_files, well_formed_sample_files))))
     seed = ",".join(["0.5"] * n)
     return ["transport", space, f"--curve={kind}:{name}", f"--z0={seed}", "--out=o"], {name: text}
 

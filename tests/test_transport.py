@@ -355,8 +355,9 @@ def test_the_stencil_keeps_the_fixed_coefficients_on_a_uniform_grid(rng, samples
     reference = fd4_uniform(values, t1 / (samples - 1))
     assert order == 4
     assert np.max(np.abs(derivs - reference)) <= 1e-12 * np.max(np.abs(reference))
+    # the spread's three-node partner is np.gradient's second-order stencil, to round-off
     three = np.gradient(values, times, axis=0, edge_order=2)
-    assert np.max(np.abs(spread - (derivs - three))) == 0.0
+    assert np.max(np.abs(derivs - spread - three)) <= 1e-14 * np.max(np.abs(three))
 
 
 def test_a_nonuniform_grid_is_differenced_to_fourth_order_with_an_estimate(stiefel42, rng):
@@ -374,16 +375,34 @@ def test_a_nonuniform_grid_is_differenced_to_fourth_order_with_an_estimate(stief
     assert transport.FD_UNESTIMATED not in lift.meta["warnings"]
 
 
-def test_gaps_near_the_smallest_normal_float_are_refused_not_differenced_into_nan(stiefel42):
-    # rotations 0.1 apart at gaps of 1e-300: the five-point derivatives, 1e299, are finite,
-    # but the three-point partner of the estimate divides by products of two gaps
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_the_stencil_differentiates_a_polynomial_of_its_degree_exactly(rng, k):
+    times = np.cumsum(rng.uniform(0.02, 0.3, 12))
+    poly = rng.standard_normal((k, 2, 3))
+    values = np.polynomial.polynomial.polyval(times, poly).transpose(2, 0, 1)
+    exact = np.polynomial.polynomial.polyval(times, np.polynomial.polynomial.polyder(poly))
+    assert np.max(np.abs(transport._fd(times, values, k) - exact.transpose(2, 0, 1))) <= 1e-12
+
+
+@pytest.mark.parametrize("samples, order", [(2, 1), (3, 2), (4, 3), (5, 4), (9, 4)])
+def test_the_order_is_one_less_than_the_stencil_width(sphere2, samples, order):
+    times = np.linspace(0.0, 0.4, samples)
+    xs = np.column_stack([np.cos(times), np.sin(times)])
+    _, fd_order, spread = transport._fd_derivatives(times, xs, "samples", spread=True)
+    assert fd_order == order and (spread is None) == (samples < 5)
+    if samples >= 3:        # frame_diagnostics measures nothing on two samples
+        curve = realize_curve(sphere2.dec, CurveSpec.velocity_samples(times, xs))
+        assert curve.meta["fd_order"] == order
+
+
+def test_gaps_near_the_smallest_normal_float_are_differenced_with_a_finite_spread():
+    # rotations 0.1 apart at gaps of 1e-300: the derivatives are 1e299, and the three-node
+    # partner of the spread divides by no product of two gaps
     times = 1e-300 * np.arange(7)
     rows = expm(0.1 * np.arange(7)[:, None, None] * so4_element())
-    assert np.isfinite(transport._fd_derivatives(times, rows, "samples")[0]).all()
-    with pytest.raises(ValueError, match="^the finite-difference derivative of the group "
-                                         "samples is not finite at sample 1: their times are "
-                                         "too close for their values$"):
-        realize_curve(stiefel42.dec, CurveSpec.group_samples(times, rows))
+    derivs, order, spread = transport._fd_derivatives(times, rows, "samples", spread=True)
+    assert order == 4
+    assert np.isfinite(derivs).all() and np.isfinite(spread).all()
 
 
 def rk4_reference(coeffs, x0, h, nsteps):
