@@ -15,7 +15,7 @@ symmetric part moves x.  When that part vanishes, x is constant and the
 geodesic is the one-parameter curve ``exp(t X)``, as on every catalog
 space with its Levi-Civita alpha (they are naturally reductive).
 Otherwise x is integrated alone with fixed-step RK4, whose blow-up guard
-reads a block of steps at a time.  Every frame equation is linear with a
+keeps the samples before the first one over the norm.  Every frame equation is linear with a
 generator sampled on a grid, and one propagator, ``_magnus_frames``,
 solves them all with one exponential per step of the fourth-order Magnus
 expansion (Iserles, Munthe-Kaas, Norsett and Zanna, Acta Numerica 9,
@@ -27,13 +27,14 @@ alpha, the transport propagator in O(g).  Its test of the samples is the
 one constant-generator decision: equal samples on a uniform grid (a
 constant velocity, tiled, or the transport generator along it) take the
 powers of one exponential.  All seeds transported along one curve share
-one propagator sequence.  The RK4 loop writes into rows allocated once,
-its stage inputs and the update ``x + h/6 acc`` operation by operation in
-the order of those expressions; the stage sum ``acc = k1 + 2 k2 + 2 k3 +
-k4`` is one dot of the four stages, kept in one array, with (1, 2, 2, 1).
-The frames are written a block of ``MAGNUS_BLOCK`` steps at a time: the
-block's frames are the frame before it times the prefix products of its
-increments, in one batched product.  A frame stack is
+one propagator sequence.  RK4 takes the textbook rule, its stage inputs
+and update written in the order of their expressions, by one of two
+kernels that the size and the count of nonzero coefficients pick: on a
+sparse table, straight-line float arithmetic over its nonzero terms,
+compiled once per support; on a dense one, a dozen numpy calls a step on
+rows allocated once.  The frames are written a block of ``MAGNUS_BLOCK``
+steps at a time: the block's frames are the frame before it times the
+prefix products of its increments, in one batched product.  A frame stack is
 inverted, in the lift and its diagnostics, by ``_inverse_times``: on an
 orthogonal algebra its frames lie in O(d) up to round-off, and one
 Newton-Schulz step from the transpose, through the E = g^T g - I that
@@ -79,6 +80,7 @@ through c(t0) times h1, since Ad(H) keeps m.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -106,7 +108,16 @@ FINE_FACTOR = 10                    # reference step of geodesic_convergence: mi
 FD_COARSE_WARNING = 1e-4
 FD_UNESTIMATED = "short grid: finite-difference error not estimated"
 MAGNUS_BLOCK = 1024
-GUARD_BLOCK = 64                    # RK4 steps between two blow-up checks of geodesic
+GUARD_BLOCK = 64                    # RK4 steps between two blow-up checks of the numpy loop
+# Cost model that picks the RK4 kernel, in µs a step, fitted by tools/rk4_costs.py with
+# one BLAS thread on a 2-vCPU x86_64 host: the scalar kernel costs about this per step,
+# per coordinate and per nonzero term; the numpy loop about this per step and per n^3
+# multiply-add of its field, which only shows from n of about 20 on.
+_SCALAR_STEP_US, _SCALAR_COORD_US, _SCALAR_TERM_US = 0.17, 0.17, 0.11
+_NUMPY_STEP_US, _NUMPY_MADD_US = 6.0, 8e-4
+_SCALAR_MAX_TERMS = 256             # the largest table a scalar kernel is generated for
+_SCALAR_BLOCK_VALUES = 2 ** 13      # sample values one scalar kernel call returns
+_KERNEL_CACHE = 16                  # compiled scalar kernels kept, one per support
 # no registry key: the orthogonality drift below which one Newton-Schulz step from the
 # transpose inverts a frame to round-off; it picks the inverse and judges no result
 NEWTON_SCHULZ_DRIFT = 1e-8
@@ -287,11 +298,12 @@ def frame_diagnostics(dec, times, frames, velocities) -> dict:
 
     The velocity residual and h-leak are estimated from derivatives of
     the stored frames, by the Lagrange stencil of :func:`_fd_derivatives`
-    (``fd_order`` 4 on 5 or more samples, on any grid, and 2 or 3 on 3 or
-    4), so they carry an O(spacing^fd_order) noise floor on
-    top of the true integration error.  On an orthogonal algebra the
-    group drift is max|E| of E = g^T g - I, and the same E inverts the
-    frames in g^-1 g' by :func:`_inverse_times`.
+    (``fd_order`` 4 on 5 or more samples, on any grid, and 1, 2 or 3 on 2,
+    3 or 4), so they carry an O(spacing^fd_order) noise floor on top of the
+    true integration error.  A single sample, of a geodesic that blows up
+    in its first step, has no derivative to measure.  On an orthogonal
+    algebra the group drift is max|E| of E = g^T g - I, and the same E
+    inverts the frames in g^-1 g' by :func:`_inverse_times`.
     """
     alg = dec.algebra
     out = {"group_drift": None, "horizontality_leak": None,
@@ -300,7 +312,7 @@ def frame_diagnostics(dec, times, frames, velocities) -> dict:
     if alg.orthogonal:
         e = _orthogonality_defect(frames)
         out["group_drift"] = float(np.max(np.abs(e)))
-    if alg.matrix_basis is None or len(times) < 3:
+    if alg.matrix_basis is None or len(times) < 2:
         return out
     gdot, out["fd_order"], _ = _fd_derivatives(times, frames, "frames")
     h_part, m_part, resid = dec.split_matrices(_inverse_times(frames, gdot, e))
@@ -431,7 +443,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
             raise ValueError(f"group sample data row {k + 1}: orthogonality drift "
                              f"{drift[k]:.3e} exceeds group_drift {tol:.1e}")
 
-    cdot, fd_order, spread = _fd_derivatives(times, mats, "group samples", spread=True)
+    cdot, _, spread = _fd_derivatives(times, mats, "group samples", spread=True)
     body = _inverse_times(mats, cdot, e)                 # c^-1 c' at samples
     h_coords, m_coords, resid = dec.split_matrices(body)
     worst_resid = float(np.max(resid))
@@ -470,7 +482,6 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
         "step": float(np.max(dt)),
         "samples": m,
         "warnings": warnings_list,
-        "fd_order": fd_order,
         "fd_error_estimate": fd_err,
         "body_expansion_residual": worst_resid,
         "isotropy_conjugation_leak": ad_leak,
@@ -498,12 +509,12 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     interval is not an integer multiple of the request.
 
     A blow-up guard ends the run once |x| exceeds ``BLOWUP_NORM``
-    (completeness holds for lifts, not for arbitrary alpha).  It reads the
-    samples ``GUARD_BLOCK`` steps at a time and keeps those before the
-    first one over the norm, as a check after every step would; the
-    returned partial trajectory ends at the last sample within the norm,
-    and ``meta["aborted_at"]`` is the time of the first one beyond it.  An
-    x0 already beyond the norm raises ``ValueError`` before any step.
+    (completeness holds for lifts, not for arbitrary alpha).  It keeps the
+    samples before the first one over the norm, as a check after every
+    step would, whichever RK4 kernel takes the steps; the returned partial
+    trajectory ends at the last sample within the norm, and
+    ``meta["aborted_at"]`` is the time of the first one beyond it.  An x0
+    already beyond the norm raises ``ValueError`` before any step.
     """
     times, frames, xs, h, aborted_at = _geodesic_run(alpha, x0, t_span, step)
     meta = {
@@ -592,31 +603,154 @@ def _symmetric_part(alpha: AlphaMap):
 def _rk4_velocities(neg_sym, x0, h, nsteps):
     """RK4 for x' = neg_sym(x, x) from x0: (xs, dxs) up to the first sample over the norm.
 
-    ``dxs[i]`` is the field at ``xs[i]``.  The guard reads each block of
-    ``GUARD_BLOCK`` new samples at once, so the steps run past a blow-up to
-    the end of its block, where they may overflow; their results are
-    dropped with their floating-point warnings.
+    ``dxs[i]`` is the field at ``xs[i]``.  The rule is the textbook one: the
+    stages k1 ... k4 at x, ``x + h/2 k1``, ``x + h/2 k2`` and ``x + h k3``,
+    then ``x + h/6 (k1 + 2 k2 + 2 k3 + k4)``.  On vectors this short a step
+    costs its calls, not its arithmetic, so two kernels carry the rule out,
+    and :func:`_scalar_is_cheaper` picks one from the size n and the count
+    of nonzero coefficients alone:
 
-    On vectors this short the cost of a numpy call is its overhead, so each
-    step writes into buffers allocated once.  The field is two matrix-vector
-    products, the first with neg_sym flattened to (n*n, n), each through the
-    bound ``ndarray.dot`` of its matrix: the C routine of ``np.dot`` without
-    its Python-level ``__array_function__`` dispatch.  The stage inputs
-    ``x + h/2 k1``, ``x + h/2 k2``, ``x + h k3`` and the update ``x + h/6 acc``
-    are written operation by operation in the order of those expressions.
-    The four stages share one (4, n) array, so ``acc = k1 + 2 k2 + 2 k3 + k4``
-    is one ``dot`` with (1, 2, 2, 1): BLAS may add its exact products in
-    another order than left to right, and acc then differs from the sum
-    written out in its last bits.  At some sizes, n = 9 and 15 among those
-    tried, BLAS sums the flattened product in another order than n slabs of
-    n rows, and the field differs from ``neg_sym @ v @ v`` in its last bits.
+    * :func:`_rk4_scalar`, for sparse tables such as a rigid body's six
+      terms: one step is straight-line arithmetic on Python floats over the
+      nonzero terms, in a function compiled once per support;
+    * :func:`_rk4_numpy`, for dense tables: a dozen numpy calls a step on
+      rows allocated once, a cost nearly independent of n up to about 20.
 
-    The update keeps this textbook rounding although faster forms exist.  One
-    weighted ``dot`` of (x, k1, k2, k3, k4) for the update saved 6-14% of the
-    loop, and stage matrices prescaled so that the weights become (1, 1/3,
-    2/3, 1/3, 1/3) saved 28% (one BLAS thread, 2-vCPU x86_64 host).  Both
-    moved the rigid body at t = 50 by 1.7-1.8e-13 from the per-step einsum
-    RK4, over the 1e-13 its test allows; this form stays within 7e-15.
+    Both write each stage input and the update in the order of those
+    expressions, as a per-step loop would.  Faster update forms exist: one
+    weighted ``dot`` of (x, k1, k2, k3, k4), or stage matrices prescaled so
+    that the weights become (1, 1/3, 2/3, 1/3, 1/3), saved 6-28% of the numpy
+    loop (one BLAS thread, 2-vCPU x86_64 host).  Both moved the rigid body at
+    t = 50 by 1.7-1.8e-13 from the per-step einsum RK4, over the 1e-13 its
+    test allows.  With the textbook rounding the numpy loop stays within
+    7e-15 of that RK4 there, and the scalar kernel meets it to 0.0.
+    """
+    nonzero = np.nonzero(neg_sym)
+    if _scalar_is_cheaper(len(x0), len(nonzero[0])):
+        support = tuple(zip(*(index.tolist() for index in nonzero)))
+        return _rk4_scalar(_rk4_kernel(len(x0), support), neg_sym[nonzero].tolist(), x0, h,
+                           nsteps)
+    return _rk4_numpy(neg_sym, x0, h, nsteps)
+
+
+def _scalar_is_cheaper(n, terms):
+    """Whether :func:`_rk4_scalar` is estimated faster a step than :func:`_rk4_numpy` on
+    a table of size n with ``terms`` nonzero coefficients.
+
+    A table of more than ``_SCALAR_MAX_TERMS`` terms takes the numpy loop,
+    which keeps every generated source to a few hundred terms.  Pure in
+    (n, terms): the same table always takes the same kernel.
+    """
+    scalar_us = _SCALAR_STEP_US + n * _SCALAR_COORD_US + terms * _SCALAR_TERM_US
+    return terms <= _SCALAR_MAX_TERMS and scalar_us < _NUMPY_STEP_US + n ** 3 * _NUMPY_MADD_US
+
+
+def _rk4_scalar(kernel, coeffs, x0, h, nsteps):
+    """:func:`_rk4_velocities` by a kernel of :func:`_rk4_kernel` and its coefficients.
+
+    Each call of the kernel takes ``_SCALAR_BLOCK_VALUES`` values' worth of
+    steps, whose samples then fill the rows allocated once, so its lists
+    stay small.  The kernel stops at the first sample over ``BLOWUP_NORM``,
+    a nan too, and the samples before it are kept, as a check after every
+    step keeps them.
+    """
+    n = len(x0)
+    xs = np.empty((nsteps + 1, n))
+    dxs = np.empty_like(xs)
+    xs[0] = x0
+    flat_xs, flat_dxs = xs.reshape(-1), dxs.reshape(-1)
+    x = x0.tolist()
+    block = max(1, _SCALAR_BLOCK_VALUES // n)
+    for start in range(0, max(nsteps, 1), block):
+        new_xs, new_dxs = [], []
+        done = kernel(coeffs, x, 0.5 * h, h, h / 6.0, BLOWUP_NORM,
+                      min(block, nsteps - start), new_xs, new_dxs)
+        flat_xs[(start + 1) * n:(start + 1) * n + len(new_xs)] = new_xs
+        # the field at the block's last sample, computed again as the next block's first
+        flat_dxs[start * n:start * n + len(new_dxs)] = new_dxs
+        if not done:
+            first = start + 1 + len(new_xs) // n
+            return xs[:first], dxs[:first]
+        x = new_xs[-n:]
+    return xs, dxs
+
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE)
+def _rk4_kernel(n, support):
+    """The scalar RK4 kernel of size n and the nonzero (a, i, j) of ``support``.
+
+    Its source writes out one step of :func:`_rk4_velocities` on local
+    floats: coordinate a of each stage is the sum of ``w * v_i * v_j`` over
+    its terms, in the row-major order of ``support``, left to right, and
+    each stage input and the update is the expression of the rule.  The
+    coefficients come in as one sequence ``w`` and are unpacked into locals,
+    so the source names them and holds none of their digits: an inf, a nan
+    or a -0.0 cannot change it, and tables of one support share a kernel.
+
+    ``kernel(w, x, half, full, sixth, bound, steps, xs, dxs)`` takes up to
+    ``steps`` steps of h from the sample ``x``, with ``half``, ``full`` and
+    ``sixth`` h/2, h and h/6.  It extends ``xs`` by each new sample and
+    ``dxs`` by the field at each sample it steps from.  It returns False at
+    the first sample that is not within ``bound`` in every coordinate,
+    which it drops; otherwise it extends ``dxs`` by the field at its last
+    sample too and returns True.
+    """
+    terms = [[] for _ in range(n)]
+    for t, (a, i, j) in enumerate(support):
+        terms[a].append((t, i, j))
+
+    def row(name):
+        return ", ".join(f"{name}{a}" for a in range(n)) + ","
+
+    def field(k, v):
+        return [f"{k}{a} = " + (" + ".join(f"w{t} * {v}{i} * {v}{j}" for t, i, j in terms[a])
+                                or "0.0") for a in range(n)]
+
+    def stage_input(step, k):
+        return [f"v{a} = x{a} + {step} * {k}{a}" for a in range(n)]
+
+    within = " and ".join(f"low <= y{a} <= bound" for a in range(n))
+    step = [*field("k1_", "x"), f"put_dx(({row('k1_')}))", *stage_input("half", "k1_"),
+            *field("k2_", "v"), *stage_input("half", "k2_"),
+            *field("k3_", "v"), *stage_input("full", "k3_"),
+            *field("k4_", "v"),
+            *(f"y{a} = x{a} + sixth * (k1_{a} + 2.0 * k2_{a} + 2.0 * k3_{a} + k4_{a})"
+              for a in range(n)),
+            f"if not ({within}):", "    return False",
+            f"{row('x')} = {row('y')}", f"put_x(({row('x')}))"]
+    lines = ["def kernel(w, x, half, full, sixth, bound, steps, xs, dxs):",
+             *([f"    {', '.join(f'w{t}' for t in range(len(support)))}, = w"]
+               if support else []),
+             f"    {row('x')} = x",
+             "    low = -bound",
+             "    put_x, put_dx = xs.extend, dxs.extend",
+             "    for _ in range(steps):",
+             *("        " + line for line in step),
+             *("    " + line for line in field("k1_", "x")),
+             f"    put_dx(({row('k1_')}))",
+             "    return True"]
+    namespace = {}
+    exec(compile("\n".join(lines) + "\n", f"<rk4 kernel n={n}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _rk4_numpy(neg_sym, x0, h, nsteps):
+    """:func:`_rk4_velocities` by numpy calls on rows allocated once.
+
+    The guard reads each block of ``GUARD_BLOCK`` new samples at once, so the
+    steps run past a blow-up to the end of its block, where they may
+    overflow; their results are dropped with their floating-point warnings.
+
+    The field is two matrix-vector products, the first with neg_sym
+    flattened to (n*n, n), each through the bound ``ndarray.dot`` of its
+    matrix: the C routine of ``np.dot`` without its Python-level
+    ``__array_function__`` dispatch.  The four stages share one (4, n)
+    array, so ``acc = k1 + 2 k2 + 2 k3 + k4`` is one ``dot`` with
+    (1, 2, 2, 1): BLAS may add its exact products in another order than
+    left to right, and acc then differs from the sum written out in its
+    last bits.  At some sizes, n = 9 and 15 among those tried, BLAS sums the
+    flattened product in another order than n slabs of n rows, and the field
+    differs from ``neg_sym @ v @ v`` in its last bits.
     """
     n = len(x0)
     xs = np.empty((nsteps + 1, n))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import redhom as rh
-from redhom import algebra
+from redhom import algebra, transport
 
 
 @pytest.fixture(scope="session")
@@ -134,3 +134,25 @@ def jacobi_paths(monkeypatch):
             return _real(*args)
         monkeypatch.setattr(algebra, f"_jacobi_{path}", counted)
     return calls
+
+
+@pytest.fixture()
+def rk4_paths(monkeypatch):
+    """Counts the calls of each RK4 kernel of the geodesic integrator, and the scalar
+    kernels compiled from an empty kernel cache."""
+    calls = {"scalar": 0, "numpy": 0, "compiled": 0}
+    for path in ("scalar", "numpy"):
+        real = getattr(transport, f"_rk4_{path}")
+
+        def counted(*args, _real=real, _path=path):
+            calls[_path] += 1
+            return _real(*args)
+        monkeypatch.setattr(transport, f"_rk4_{path}", counted)
+
+    def compiled(*args):
+        calls["compiled"] += 1
+        return compile(*args)
+    transport._rk4_kernel.cache_clear()
+    monkeypatch.setattr(transport, "compile", compiled, raising=False)
+    yield calls
+    transport._rk4_kernel.cache_clear()          # no kernel compiled by the counter stays

@@ -15,10 +15,13 @@ that meets a long-double solution of the joint (x, g) system to 2e-4 of
 the finest run's error, in 950 RK4 steps on the command line, and must
 end in exit 1 when one of its runs blows up.  Where alpha's
 symmetric part vanishes a geodesic's velocity must stay x0 bit for bit;
-elsewhere the block-guarded RK4 must match a per-step einsum RK4 kept
-here, on the rigid body and on seeded symmetric forms at n = 5, 6 and 9,
-keep the rigid body's energy and momentum norm, and end a blow-up at the
-sample the per-step guard ends it, with frames still on the group;
+elsewhere each of the two RK4 kernels must match a per-step einsum RK4
+kept here, on the rigid body, on seeded symmetric forms at n = 5, 6 and 9
+and on coefficients from 5e-324 to 1e300, keep the rigid body's energy
+and momentum norm, and end a blow-up at the sample the per-step guard
+ends it, with frames still on the group; dense forms must take the numpy
+loop, and the Riccati field the scalar kernel, compiled once per support,
+whose calls of five steps give the bits of one call;
 frames built a block at a time must meet the per-step ``g @ inc`` loop in
 long double to a few ulps, and its bits over a constant generator's first
 block, and convergence runs must skip the frame diagnostics;
@@ -390,9 +393,8 @@ def test_the_order_is_one_less_than_the_stencil_width(sphere2, samples, order):
     xs = np.column_stack([np.cos(times), np.sin(times)])
     _, fd_order, spread = transport._fd_derivatives(times, xs, "samples", spread=True)
     assert fd_order == order and (spread is None) == (samples < 5)
-    if samples >= 3:        # frame_diagnostics measures nothing on two samples
-        curve = realize_curve(sphere2.dec, CurveSpec.velocity_samples(times, xs))
-        assert curve.meta["fd_order"] == order
+    curve = realize_curve(sphere2.dec, CurveSpec.velocity_samples(times, xs))
+    assert curve.meta["fd_order"] == order
 
 
 def test_gaps_near_the_smallest_normal_float_are_differenced_with_a_finite_spread():
@@ -425,13 +427,29 @@ def rk4_reference(coeffs, x0, h, nsteps):
     return np.array(xs), None
 
 
-def test_rigid_body_geodesic_matches_the_per_step_rk4(rigid_body):
+@pytest.fixture(params=["scalar", "numpy"])
+def rk4_kernel(request, monkeypatch, rk4_paths):
+    """Each RK4 kernel in turn, forced through the choice of ``_rk4_velocities``; the
+    test asserts from ``rk4_paths`` that its steps took it."""
+    monkeypatch.setattr(transport, "_scalar_is_cheaper",
+                        lambda n, terms: request.param == "scalar")
+    return request.param
+
+
+def took_only(rk4_paths, kernel):
+    """Whether the RK4 steps of a test were one call of ``kernel`` alone."""
+    return rk4_paths[kernel] == 1 == rk4_paths["scalar"] + rk4_paths["numpy"]
+
+
+def test_rigid_body_geodesic_matches_the_per_step_rk4(rigid_body, rk4_kernel, rk4_paths):
     alpha = levi_civita_alpha(rigid_body.dec, rigid_body.metric)
     gram = rigid_body.metric.gram
     x0 = np.array([0.3, -0.5, 0.8])
     geo = geodesic(alpha, x0, (0.0, 50.0), 0.01)
     ref, aborted = rk4_reference(alpha.coeffs, x0, 0.01, 5000)
+    assert took_only(rk4_paths, rk4_kernel)
     assert aborted is None and len(geo) == 5001
+    # the numpy loop is 6.8e-15 from the reference here, and the scalar kernel 0.0
     assert np.max(np.abs(geo.velocities - ref)) <= 1e-13
     # energy x^T G x and momentum norm |G x| are conserved; rk4_reference keeps them to
     # 2.4e-11 and 1.4e-11 here
@@ -480,19 +498,74 @@ def symmetric_form(n, seed):
     (9, 9, 0.1, 100, None),
     (6, 1, 0.3, 400, 297),                          # a blow-up past the fourth guard block
 ], ids=["n5", "n6", "n9", "n6-blow-up"])
-def test_rk4_matches_the_per_step_reference_on_symmetric_forms(n, seed, scale, nsteps, aborted):
-    # the field is two flattened products; from n = 9 BLAS blocks them differently from
-    # the per-slab products, so the samples agree to round-off, not bit for bit
+def test_rk4_matches_the_per_step_reference_on_symmetric_forms(n, seed, scale, nsteps, aborted,
+                                                               rk4_kernel, rk4_paths):
+    # each kernel sums the field's terms in its own order (the numpy loop as two flattened
+    # products, which from n = 9 BLAS blocks differently from the per-slab products), so
+    # the samples agree to round-off, not bit for bit
     sym, direction = symmetric_form(n, seed)
     x0 = scale * direction
     ref, ref_aborted = rk4_reference(sym, x0, 0.01, nsteps)
     assert ref_aborted == aborted                   # the case covers what its id says
     xs, dxs = transport._rk4_velocities(-sym, x0, 0.01, nsteps)
+    assert took_only(rk4_paths, rk4_kernel)
     assert len(xs) == len(dxs) == len(ref)
     scale_of_row = np.max(np.abs(ref), axis=1, keepdims=True)
     assert np.max(np.abs(xs - ref) / scale_of_row) <= 1e-13
     field = -np.einsum("kij,mi,mj->mk", sym, xs, xs)
     assert np.max(np.abs(dxs - field) / np.max(np.abs(field), axis=1, keepdims=True)) <= 1e-13
+
+
+def test_rk4_on_coefficients_from_the_smallest_subnormal_to_1e300(rk4_kernel, rk4_paths):
+    # x_1' = x_1^2 blows up past the second guard block; x_2' = 1e300 x_3^2 with x_3 near
+    # 1e-152, whose square is still normal; 5e-324 x_2^2 underflows; -0.0 entries are no
+    # terms, and the last coordinate has none
+    neg_sym = np.zeros((4, 4, 4))
+    neg_sym[0, 0, 0] = 1.0
+    neg_sym[0, 1, 1] = 5e-324
+    neg_sym[1, 2, 2] = 1e300
+    neg_sym[2, 0, 2] = neg_sym[2, 2, 0] = 0.25
+    neg_sym[1, 0, 0] = -0.0
+    neg_sym[3] = -0.0
+    h, first = 0.01, 2 * transport.GUARD_BLOCK + 22
+    x0 = np.array([1.0 / (h * (first - 1)), 0.5, 1e-152, -0.25])
+    ref, aborted = rk4_reference(-neg_sym, x0, h, 2 * first)
+    assert aborted == first
+    xs, dxs = transport._rk4_velocities(neg_sym, x0, h, 2 * first)
+    assert took_only(rk4_paths, rk4_kernel)
+    assert len(xs) == len(dxs) == first
+    np.testing.assert_allclose(xs, ref, rtol=1e-13, atol=0)
+    assert (xs[:, 3] == x0[3]).all()
+    np.testing.assert_allclose(dxs, np.einsum("kij,mi,mj->mk", neg_sym, xs, xs), rtol=1e-13,
+                               atol=0)
+
+
+@pytest.mark.parametrize("first", [10, 11, 12, None],
+                         ids=["at-call-end", "at-call-start", "in-call", "no-blow-up"])
+def test_scalar_kernel_calls_of_five_steps_give_the_bits_of_one_call(monkeypatch, rk4_paths,
+                                                                     first):
+    neg_sym = -riccati_alpha().coeffs
+    h = 0.01
+    x0 = np.array([0.5 if first is None else 1.0 / (h * (first - 1)), 0.2, -0.1])
+    whole = transport._rk4_velocities(neg_sym, x0, h, 40)
+    monkeypatch.setattr(transport, "_SCALAR_BLOCK_VALUES", 15)      # 5 steps a call
+    xs, dxs = transport._rk4_velocities(neg_sym, x0, h, 40)
+    assert rk4_paths["scalar"] == 2 and len(xs) == (41 if first is None else first)
+    assert xs.tobytes() == whole[0].tobytes() and dxs.tobytes() == whole[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 6, 9])
+def test_dense_forms_take_the_numpy_loop(n, rk4_paths):
+    sym, direction = symmetric_form(n, n)
+    transport._rk4_velocities(-sym, 0.1 * direction, 0.01, 10)
+    assert rk4_paths == {"scalar": 0, "numpy": 1, "compiled": 0}
+
+
+def test_the_riccati_field_takes_the_scalar_kernel_compiled_once_per_support(rk4_paths):
+    alpha = riccati_alpha()
+    for scale in (1.0, 2.0):                        # two tables of one support
+        geodesic(AlphaMap(alpha.dec, scale * alpha.coeffs), [0.5, 0.2, -0.1], (0.0, 0.1), 0.01)
+    assert rk4_paths == {"scalar": 2, "numpy": 0, "compiled": 1}
 
 
 def frames_by_products(g0, incs):
@@ -559,7 +632,7 @@ def riccati_alpha():
     pytest.param(lambda block: 2 * block, id="at-block-end"),
     pytest.param(lambda block: 2 * block + 1, id="at-block-start"),
 ])
-def test_blow_up_ends_where_a_per_step_guard_ends_it(first_over):
+def test_blow_up_ends_where_a_per_step_guard_ends_it(first_over, rk4_kernel, rk4_paths):
     alpha = riccati_alpha()
     h, first = 0.01, first_over(transport.GUARD_BLOCK)
     a = 1.0 / (h * (first - 1))                     # blow-up time (first - 1) steps
@@ -567,6 +640,7 @@ def test_blow_up_ends_where_a_per_step_guard_ends_it(first_over):
     ref, aborted = rk4_reference(alpha.coeffs, x0, h, 4 * first)
     assert aborted == first                         # the case covers what its id says
     geo = geodesic(alpha, x0, (0.0, 4 * first * h), h)
+    assert took_only(rk4_paths, rk4_kernel)
     assert geo.meta["blow_up"] and len(geo) == first
     assert geo.meta["aborted_at"] == pytest.approx(first * h, abs=1e-12)
     assert 1.0 / a < geo.meta["aborted_at"] <= 1.0 / a + h * (1 + 1e-12)

@@ -8,8 +8,10 @@ directory.  The sha256 of every artifact must match
 trajectory, transport, report or tensor file shows here.  After each call
 the benchmark's own output oracles (``perfbench/oracles.py``) must find no
 problem in its artifacts, so a result the benchmark would count as
-incorrect fails here first.  Loading both files by path keeps the
-benchmark out of the package.
+incorrect fails here first.  The rigid body of the ``geodesic`` workload
+must take the scalar RK4 kernel, one compiled kernel per call, so that no
+change of the kernel's cost model moves it back to the numpy loop unseen.
+Loading both files by path keeps the benchmark out of the package.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from redhom import transport
 from redhom.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,3 +69,24 @@ def test_workload_artifacts_keep_their_digests(workloads, oracles, workload, tmp
             digests[name] = hashlib.sha256(Path(name).read_bytes()).hexdigest()
     capsys.readouterr()
     assert digests == DIGESTS[workload]
+
+
+def test_the_rigid_body_of_the_geodesic_workload_takes_the_scalar_rk4_kernel(
+        workloads, tmp_path, monkeypatch, capsys, rk4_paths):
+    # each call starts from an empty kernel cache, as in the benchmark's fresh workers;
+    # the convergence call compiles one kernel for its five runs
+    invocations, _ = workloads.build("geodesic", 1, str(tmp_path / "inputs"), workloads.SMOKE)
+    (tmp_path / "pass").mkdir()
+    monkeypatch.chdir(tmp_path / "pass")
+    taken = {}
+    for inv in invocations:
+        transport._rk4_kernel.cache_clear()
+        rk4_paths.update(scalar=0, numpy=0, compiled=0)
+        assert main(inv.argv) == 0, inv.argv
+        taken[inv.label] = dict(rk4_paths)
+    capsys.readouterr()
+    assert taken == {
+        "geodesic stiefel62": {"scalar": 0, "numpy": 0, "compiled": 0},
+        "geodesic rigid_body": {"scalar": 1, "numpy": 0, "compiled": 1},
+        "convergence rigid_body": {"scalar": 5, "numpy": 0, "compiled": 1},
+    }
