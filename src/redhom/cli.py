@@ -65,8 +65,10 @@ Exit codes, one cause a line:
 A ``group_file:`` or ``velocity_file:`` curve is differentiated by one
 Lagrange stencil of min(samples, 5) nodes: fourth order on any grid of 5
 or more samples, uniform or not, and order 1, 2 or 3 on 2, 3 or 4.
-Between samples a velocity curve, and the generators of lift and
-transport, take the cubic Hermite interpolant from those derivatives.
+Between samples a velocity curve, sampled or lifted, and the lift's
+isotropy generator take the cubic Hermite interpolant from those
+derivatives, once: transport takes the midpoints the frames were built
+from.
 The distance from the three-node derivative is the error estimate, and
 a warning reports one over 1e-4; a grid of 2-4 samples warns ``short
 grid: finite-difference error not estimated``.

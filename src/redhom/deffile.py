@@ -237,26 +237,33 @@ def _named_space(name: str, lineno: int) -> SpaceBundle:
         raise DefFileError(f"invalid named space {name!r}: {exc}", lineno) from exc
 
 
-def _constants_from_quadruples(dim: int, quads, lineno: int) -> np.ndarray:
-    c = np.zeros((dim, dim, dim))
+def _quadruple_table(text: str, dim: int, lineno: int, prefix: str = "",
+                     antisymmetric: bool = False) -> np.ndarray:
+    """The (dim, dim, dim) table of the 1-based ``(k, i, j, value)`` quadruples of ``text``.
+
+    An index out of 1..dim, named by ``prefix`` and its slot, and an entry
+    given twice with two values are refused at ``lineno``.  With
+    ``antisymmetric`` (structure constants) each entry sets its mirror
+    (k, j, i) to -value too, so an entry that conflicts with a mirror is a
+    duplicate as well, and an entry with equal bracket slots must vanish.
+    """
+    table = np.zeros((dim, dim, dim))
     seen = {}
-    for k, i, j, v in quads:
+    for k, i, j, v in _quadruples(text, lineno):
         for idx, label in ((k, "k"), (i, "i"), (j, "j")):
             if not 1 <= idx <= dim:
-                raise DefFileError(f"index {label}={idx} out of range 1..{dim}", lineno)
-        if i == j and v != 0.0:
-            raise DefFileError(
-                f"entry {(k, i, j)} with equal bracket slots must vanish", lineno)
-        key = (k - 1, i - 1, j - 1)
-        mirror = (k - 1, j - 1, i - 1)
-        # each entry records its mirror too, so this also catches a conflicting mirror
-        if key in seen and seen[key] != v:
-            raise DefFileError(f"conflicting duplicate entry for {(k, i, j)}", lineno)
-        seen[key] = v
-        seen[mirror] = -v
-        c[key] = v
-        c[mirror] = -v
-    return c
+                raise DefFileError(f"{prefix}index {label}={idx} out of range 1..{dim}", lineno)
+        entries = [((k, i, j), v)]
+        if antisymmetric:
+            if i == j and v != 0.0:
+                raise DefFileError(
+                    f"entry {(k, i, j)} with equal bracket slots must vanish", lineno)
+            entries.append(((k, j, i), -v))
+        for key, value in entries:
+            if seen.setdefault(key, value) != value:
+                raise DefFileError(f"conflicting duplicate entry for {key}", lineno)
+            table[tuple(a - 1 for a in key)] = value
+    return table
 
 
 def _build_algebra(defn: SpaceDefinition, tols: dict) -> StructuredLieAlgebra:
@@ -287,8 +294,8 @@ def _build_algebra(defn: SpaceDefinition, tols: dict) -> StructuredLieAlgebra:
 
     c = None
     if "structure_constants" in block:
-        quads = _quadruples(block["structure_constants"], line("structure_constants"))
-        c = _constants_from_quadruples(dim, quads, line("structure_constants"))
+        c = _quadruple_table(block["structure_constants"], dim, line("structure_constants"),
+                             antisymmetric=True)
     elif basis is None:
         raise DefFileError("[algebra] needs structure_constants or matrix_basis",
                            line("dim"))
@@ -402,16 +409,7 @@ def build_space(defn: SpaceDefinition, force: bool = False, tolerances=None):
                 raise DefFileError("levi_civita needs a metric", lineno)
             build = lambda unchecked: levi_civita_alpha(dec, metric, unchecked, tols)
         elif specifier.startswith("("):
-            coeffs = np.zeros((dec.N, dec.N, dec.N))
-            seen = {}
-            for k, i, j, v in _quadruples(specifier, lineno):
-                for idx in (k, i, j):
-                    if not 1 <= idx <= dec.N:
-                        raise DefFileError(f"alpha index {idx} out of range 1..{dec.N}",
-                                           lineno)
-                if seen.setdefault((k, i, j), v) != v:
-                    raise DefFileError(f"conflicting duplicate entry for {(k, i, j)}", lineno)
-                coeffs[k - 1, i - 1, j - 1] = v
+            coeffs = _quadruple_table(specifier, dec.N, lineno, "alpha ")
             build = lambda unchecked: AlphaMap(dec, coeffs, label="explicit",
                                                unchecked=unchecked, tolerances=tols)
         elif specifier != "canonical_first":

@@ -49,11 +49,18 @@ first or last k, with weights from ratios of the nodes' actual offsets
 (Fornberg, Math. Comp. 51, 1988), so no product of small steps
 underflows.  It is fourth order on any grid of 5 or more samples, uniform
 or not, and its distance from the three-node stencil on the same grid is
-the error estimate of the lift and of transport.  A grid of 2, 3 or 4
-samples is differentiated to order 1, 2 or 3, with no estimate.  Every
-sampled generator the Magnus step needs at the interval midpoints (the
-lift's h-coordinates, a velocity curve, the transport generator) is the
+the error estimate of the lift and of a velocity curve.  A grid of 2, 3
+or 4 samples is differentiated to order 1, 2 or 3, with no estimate.
+Every sampled generator the Magnus step needs at the interval midpoints
+(the lift's h-coordinates, a sampled or lifted velocity curve) is the
 cubic Hermite interpolant from those derivatives.
+
+A trajectory carries x at its interval midpoints, the ones its frames
+were built from: the Hermite values from the exact RK4 field along a
+geodesic, the constant x of a one-parameter curve, the stencil Hermite
+values of a sampled or lifted one.  Transport along it takes those same
+midpoints, so the frames and the transport share one velocity curve, and
+no velocity is differenced twice.
 
 ``geodesic_convergence`` measures the RK4 order against a run at a tenth
 of the finest step: its truncation error, 1e-4 of the finest run's and
@@ -82,7 +89,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -262,6 +269,25 @@ def _hermite_midpoints(values, derivs, dt):
         return 0.5 * (values[:-1] + values[1:]) + dt * (derivs[:-1] - derivs[1:]) / 8.0
 
 
+def _stencil_midpoints(times, values, name, warnings_list=None):
+    """The cubic Hermite values of the ``name`` samples at the interval midpoints, from
+    their derivatives by :func:`_fd_derivatives`.
+
+    Given ``warnings_list``, the samples are velocities, and their warning is
+    appended to it: ``FD_UNESTIMATED`` on a grid of 2-4 samples, which has no
+    error estimate, or the coarse-grid warning when the distance of the
+    derivatives from the three-node ones is over ``FD_COARSE_WARNING``.
+    """
+    derivs, _, spread = _fd_derivatives(times, values, name, spread=warnings_list is not None)
+    if warnings_list is not None:
+        if spread is None:
+            warnings_list.append(FD_UNESTIMATED)
+        elif (fd_err := float(np.max(np.abs(spread)))) > FD_COARSE_WARNING:
+            warnings_list.append(f"transport grid too coarse: velocity finite-difference error "
+                                 f"~{fd_err:.3e}")
+    return _hermite_midpoints(values, derivs, np.diff(times))
+
+
 # -- trajectories -----------------------------------------------------------------
 
 
@@ -272,8 +298,11 @@ class Trajectory:
     ``frames[i]`` is the group matrix g(t_i), ``velocities[i]`` the
     m-coordinates of g^-1 g' at t_i, and ``transported[i]`` the coordinates
     of a parallel vector field when one has been integrated (one row per
-    seed when several were transported together).  ``meta``
-    records the integrator, step size and drift diagnostics.
+    seed when several were transported together).  ``midpoints[i]`` is x
+    at the midpoint of [t_i, t_i+1], the one the Magnus step of the frames
+    took there; transport along the curve takes the same ones, so the
+    frames and the transport share one velocity curve.  ``meta`` records
+    the integrator, step size, drift diagnostics and warnings.
     """
 
     dec: ReductiveDecomposition
@@ -282,10 +311,13 @@ class Trajectory:
     velocities: np.ndarray
     transported: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    midpoints: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
         if not (len(self.times) == len(self.frames) == len(self.velocities)):
             raise ValueError("times, frames and velocities must have equal length")
+        if len(self.midpoints) != len(self.times) - 1:
+            raise ValueError("midpoints must number one fewer than the samples")
         if self.transported is not None and len(self.transported) != len(self.times):
             raise ValueError("transported samples must match the time grid")
 
@@ -322,9 +354,9 @@ def frame_diagnostics(dec, times, frames, velocities) -> dict:
     return out
 
 
-def _diagnosed(dec, times, frames, velocities, meta) -> Trajectory:
+def _diagnosed(dec, times, frames, velocities, midpoints, meta) -> Trajectory:
     """The trajectory of a curve, with its ``frame_diagnostics`` merged into ``meta``."""
-    traj = Trajectory(dec, times, frames, velocities, meta=meta)
+    traj = Trajectory(dec, times, frames, velocities, meta=meta, midpoints=midpoints)
     meta.update(frame_diagnostics(dec, times, frames, velocities))
     return traj
 
@@ -339,8 +371,10 @@ class CurveSpec:
     Three kinds: ``one_parameter`` (the curve exp(t X0), already
     horizontal), ``piecewise_velocity`` (velocity coordinates sampled in t,
     interpolated at the interval midpoints by cubic Hermite from their
-    finite-difference derivatives when frames are reconstructed), and
-    ``group_samples`` (group matrices sampled in t, to be lifted).  Each
+    finite-difference derivatives once, when its frames are built; its
+    trajectory's ``midpoints`` carry them, and its coarse-grid warning, to
+    transport), and ``group_samples`` (group matrices sampled in t, to be
+    lifted).  Each
     carries its time grid, a one-parameter curve that of ``_time_grid``.  The sample
     constructors alone check their samples, ``group_samples`` against ``DET_FLOOR`` too.
     """
@@ -405,13 +439,17 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
     Writing ``g = c h``, horizontality of g forces ``h' = -pr_h(c^-1 c') h``,
     which ``_magnus_frames`` solves across the sample grid, so h stays in H
     up to round-off.  The derivative ``c^-1 c'`` comes from the Lagrange
-    stencil on the samples, fourth order on any grid of 5 or more; its
-    h-coordinates are interpolated at the interval midpoints by cubic
-    Hermite from their own derivatives by the same stencil.
+    stencil on the samples, fourth order on any grid of 5 or more.  Its
+    h-coordinates, and the lifted velocities x, are interpolated at the
+    interval midpoints by cubic Hermite from their own derivatives by the
+    same stencil; the velocity midpoints are the trajectory's
+    ``midpoints``, which transport along it takes.
     ``fd_error_estimate`` is max|c^-1 (c'_5 - c'_3)|, the distance of
     c^-1 c' from its value by the three-node stencil; a grid of 2-4
-    samples has none, and warns so.  The lift starts at the first sample,
-    h(t0) = I; the lift through c(t0) h1 is this one times h1.
+    samples has none, and warns so.  The velocities carry their own
+    coarse-grid warning, as a ``velocity_file:`` curve does.  The lift
+    starts at the first sample, h(t0) = I; the lift through c(t0) h1 is
+    this one times h1.
 
     On an orthogonal algebra a sample whose orthogonality drift is over the
     ``group_drift`` tolerance of ``resolve_tolerances(tolerances)`` is off
@@ -453,18 +491,16 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
             f"samples do not stay on the group: c^-1 c' leaves the algebra by {worst_resid:.3e}"
         )
 
-    # spread of the lift's generator c^-1 c', not of c' as parallel_transport measures
+    # spread of the lift's generator c^-1 c', not of its velocities, which warn on their
+    # own below: FD_UNESTIMATED on a grid of 2-4 samples, as this one has no spread
     fd_err = None if spread is None else float(np.max(np.abs(_inverse_times(mats, spread, e))))
-    if fd_err is None:
-        warnings_list.append(FD_UNESTIMATED)
-    elif fd_err > FD_COARSE_WARNING:
+    if fd_err is not None and fd_err > FD_COARSE_WARNING:
         warnings_list.append(f"samples too coarse: estimated c^-1 c' finite-difference error "
                              f"{fd_err:.3e}")
 
     # h' = A h with A = -mat(pr_h(c^-1 c')), solved transposed
-    h_dot = _fd_derivatives(times, h_coords, "h-coordinates of c^-1 c'")[0]
+    h_mid = _stencil_midpoints(times, h_coords, "h-coordinates of c^-1 c'")
     dt = np.diff(times)
-    h_mid = _hermite_midpoints(h_coords, h_dot, dt)
     hs = _magnus_frames(np.eye(d), np.swapaxes(dec.h_matrices, 1, 2), times, -h_coords,
                         -h_mid, dt).swapaxes(1, 2)
 
@@ -476,6 +512,8 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
     conj = np.einsum("mab,mbc->mac", _inverse_times(hs, pm_mats, e_h), hs)
     x_h, xs, _ = dec.split_matrices(conj)
     ad_leak = float(np.max(np.abs(x_h))) if dec.q else 0.0
+    xs = np.ascontiguousarray(xs)
+    x_mid = _stencil_midpoints(times, xs, "velocities", warnings_list)
 
     meta = {
         "integrator": "magnus4-lift",
@@ -486,7 +524,7 @@ def horizontal_lift(dec: ReductiveDecomposition, curve: CurveSpec,
         "body_expansion_residual": worst_resid,
         "isotropy_conjugation_leak": ad_leak,
     }
-    return _diagnosed(dec, np.array(times), frames, np.ascontiguousarray(xs), meta)
+    return _diagnosed(dec, np.array(times), frames, xs, x_mid, meta)
 
 
 # -- geodesics ---------------------------------------------------------------------
@@ -516,7 +554,7 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
     ``meta["aborted_at"]`` is the time of the first one beyond it.  An x0
     already beyond the norm raises ``ValueError`` before any step.
     """
-    times, frames, xs, h, aborted_at = _geodesic_run(alpha, x0, t_span, step)
+    times, frames, xs, x_mid, h, aborted_at = _geodesic_run(alpha, x0, t_span, step)
     meta = {
         "integrator": "rk4-magnus4",
         "step": h,
@@ -526,12 +564,12 @@ def geodesic(alpha: AlphaMap, x0, t_span, step: float) -> Trajectory:
         "blow_up": aborted_at is not None,
         "aborted_at": aborted_at,
     }
-    return _diagnosed(alpha.dec, times, frames, xs, meta)
+    return _diagnosed(alpha.dec, times, frames, xs, x_mid, meta)
 
 
 def _geodesic_run(alpha, x0, t_span, step):
-    """The undiagnosed core of :func:`geodesic`: (times, frames, xs, step taken,
-    aborted_at), the last None unless the run blew up."""
+    """The undiagnosed core of :func:`geodesic`: (times, frames, xs, x at the interval
+    midpoints, step taken, aborted_at), the last None unless the run blew up."""
     dec = alpha.dec
     x0 = _velocity(dec, x0, "x0")
     times, h = _time_grid(t_span, step)
@@ -545,7 +583,7 @@ def _geodesic_run(alpha, x0, t_span, step):
     # np.diff of the grid differs from h in its last bits
     dt = np.full(len(xs) - 1, h)
     x_mid = xs[1:] if sym is None else _hermite_midpoints(xs, dxs, dt)
-    return times, _frames(dec, times, xs, x_mid, dt), xs, h, aborted_at
+    return times, _frames(dec, times, xs, x_mid, dt), xs, x_mid, h, aborted_at
 
 
 def _velocity(dec, x0, name):
@@ -897,12 +935,12 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     """Transport coordinates z along a base trajectory: z' = -alpha(x(t), z).
 
     ``z0`` is one seed of shape (N,) or a seed matrix of shape (S, N).
-    Integration reuses the base grid, with cubic Hermite interpolation of
-    the velocity coordinates at interval midpoints from their derivatives
-    by the stencil of :func:`_fd_derivatives`, which preserves the
-    integrator's order on any grid of 5 or more samples; the distance of
-    those derivatives from the three-node ones, when over
-    ``FD_COARSE_WARNING``, warns that the grid is too coarse.  The propagators
+    Integration reuses the base grid and the base's own ``midpoints``, the x
+    its frames were built from: the exact-field Hermite values of a
+    geodesic, the constant x of a one-parameter curve, and the stencil
+    Hermite values of a sampled or lifted curve.  No velocity is
+    differenced again here, and the base's warnings, its coarse-grid one
+    included, are copied into the meta unchanged.  The propagators
     ``P(t_i)`` with ``z(t_i) = P(t_i) z0`` depend on the base curve alone, so
     ``_magnus_frames`` builds them once and each seed is one product with
     them; for a metric alpha they lie in O(g) up to round-off.  Returns a
@@ -920,20 +958,9 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
         raise ValueError(f"z0 must have length {dec.N}")
     _refuse_blowup("z0", seeds)
 
-    times = base.times
-    xs = base.velocities
-    warnings_list = list(base.meta.get("warnings", []))
-    dxs, _, spread = _fd_derivatives(times, xs, "velocities", spread=True)
-    fd_err = 0.0 if spread is None else float(np.max(np.abs(spread)))
-    if fd_err > FD_COARSE_WARNING:
-        warnings_list.append(f"transport grid too coarse: velocity finite-difference error "
-                             f"~{fd_err:.3e}")
-
-    dt = np.diff(times)
-    x_mid = _hermite_midpoints(xs, dxs, dt)
     # z' = A z with A_kj = -sum_i x_i alpha_kij, solved transposed
-    prop_t = _magnus_frames(np.eye(dec.N), np.transpose(alpha.coeffs, (1, 2, 0)), times, -xs,
-                            -x_mid, dt)
+    prop_t = _magnus_frames(np.eye(dec.N), np.transpose(alpha.coeffs, (1, 2, 0)), base.times,
+                            -base.velocities, -base.midpoints, np.diff(base.times))
     # one product per seed: a product over the whole seed matrix would round
     # differently, and each seed's z must not depend on which seeds share its call
     zs = np.stack([z @ prop_t for z in seeds.reshape(-1, dec.N)], axis=1)
@@ -942,10 +969,9 @@ def parallel_transport(alpha: AlphaMap, base: Trajectory, z0) -> Trajectory:
     meta.update({
         "transport_alpha": alpha.label,
         "tainted": meta.get("tainted", False) or not alpha.checked,
-        "warnings": warnings_list,
+        "warnings": list(base.meta.get("warnings", [])),
     })
-    return Trajectory(dec, base.times, base.frames, base.velocities,
-                      transported=zs if seeds.ndim == 2 else zs[:, 0], meta=meta)
+    return replace(base, transported=zs if seeds.ndim == 2 else zs[:, 0], meta=meta)
 
 
 # -- convergence probe -------------------------------------------------------------
@@ -1016,7 +1042,7 @@ def geodesic_convergence(alpha: AlphaMap, x0, t_span, steps) -> ConvergenceResul
     steps = _order_steps(_grid_steps(t_span, float(s))[1] for s in steps)
 
     def end_frame(step):
-        _, frames, _, _, aborted_at = _geodesic_run(alpha, x0, t_span, step)
+        _, frames, _, _, _, aborted_at = _geodesic_run(alpha, x0, t_span, step)
         if aborted_at is not None:
             raise ValueError(f"the geodesic at step {step:.6g} blows up at t = "
                              f"{aborted_at:.6g}; no order can be measured")
@@ -1055,7 +1081,7 @@ def _one_parameter_trajectory(dec, spec):
     xs = np.tile(x0, (len(times), 1))
     frames = _frames(dec, times, xs, xs[1:], np.full(len(times) - 1, h))
     meta = {"integrator": "exp", "step": h, "curve": "one_parameter"}
-    return _diagnosed(dec, times, frames, xs, meta)
+    return _diagnosed(dec, times, frames, xs, xs[1:], meta)
 
 
 def _velocity_trajectory(dec, spec):
@@ -1067,8 +1093,8 @@ def _velocity_trajectory(dec, spec):
     row = int(np.argmax(~(np.max(np.abs(xs), axis=1, initial=0.0) <= BLOWUP_NORM)))
     _refuse_blowup(f"velocity sample data row {row + 1}", xs[row])
     dt = np.diff(times)
-    dxs, fd_order, _ = _fd_derivatives(times, xs, "velocities")
-    frames = _frames(dec, times, xs, _hermite_midpoints(xs, dxs, dt), dt)
     meta = {"integrator": "magnus4", "step": float(np.max(dt)), "curve": "piecewise_velocity",
-            "warnings": [] if fd_order == 4 else [FD_UNESTIMATED]}
-    return _diagnosed(dec, np.array(times), frames, xs.copy(), meta)
+            "warnings": []}
+    x_mid = _stencil_midpoints(times, xs, "velocities", meta["warnings"])
+    frames = _frames(dec, times, xs, x_mid, dt)
+    return _diagnosed(dec, np.array(times), frames, xs.copy(), x_mid, meta)

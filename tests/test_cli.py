@@ -788,7 +788,7 @@ LOCATED_ERRORS = [
     ("no-space", "[metric]\ngram = [1 0; 0 1]\n", None, None,
      "definition needs either 'space = ...' or an [algebra] block"),
     ("alpha-index-out-of-range", "space = sphere2\n[connection]\nalpha = (3,1,1,0.5)\n", None,
-     3, "alpha index 3 out of range 1..2"),
+     3, "alpha index k=3 out of range 1..2"),
     ("unknown-alpha-word", "space = sphere2\n[connection]\nalpha = bogus\n", None, 3,
      "alpha must be one of"),
     # whitespace separates tokens, never the digits of one number

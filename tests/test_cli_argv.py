@@ -5,11 +5,13 @@ for bit, or None, and None whenever argparse exits.  Every argv of one
 hypothesis strategy, built from the CLI's own option tables, with the
 sample files it names drawn alongside, must end in exit 0, 1 or 2 through
 ``main``, with no other exception and no RuntimeWarning; so must every
-well-formed transport call along a drawn sample file.  No argparse parser
+well-formed transport call along a drawn sample file.  Every number in the
+artifacts of a call that exits 0 must be finite.  No argparse parser
 is built for the argv the benchmark passes, and one is for help and errors.
 """
 
 import argparse
+import json
 import math
 import warnings
 
@@ -230,11 +232,29 @@ ROTATION = "".join(",".join(map(repr, [t, *_rotation(4, t).ravel().tolist()])) +
                    for t in (0.0, 0.05, 0.1))
 
 
+def _numbers(path):
+    """Every number of an artifact: the values of a JSON one, the cells of a CSV one
+    below its comment lines and header."""
+    if path.suffix == ".json":
+        numbers = []
+
+        def keep(text):
+            numbers.append(float(text))     # NaN and +-Infinity among them
+        json.loads(path.read_text(), parse_float=keep, parse_int=keep, parse_constant=keep)
+        return numbers
+    rows = [line for line in path.read_text().splitlines() if not line.startswith("#")][1:]
+    return [float(cell) for row in rows for cell in row.split(",")]
+
+
 def _documented_exit(root, monkeypatch, capsys, call):
     """Run ``main`` on ``call``'s argv in ``root``, its sample files written there, and
-    require exit 0, 1 or 2, no other exception and no RuntimeWarning."""
+    require exit 0, 1 or 2, no other exception and no RuntimeWarning, and on exit 0
+    artifacts that hold finite numbers only."""
     argv, files = call
     monkeypatch.chdir(root)                 # the default --out lands here too
+    for path in root.rglob("*"):            # the artifacts of earlier calls
+        if path.is_file() and path.name not in SPACES:
+            path.unlink()
     for name, text in files.items():
         (root / name).write_text(text)
     try:
@@ -245,6 +265,10 @@ def _documented_exit(root, monkeypatch, capsys, call):
         code = exc.code
     capsys.readouterr()
     assert code in (0, 1, 2), argv
+    if code == 0:
+        for path in root.rglob("*"):
+            if path.is_file() and path.name not in SPACES and path.name not in files:
+                assert all(map(math.isfinite, _numbers(path))), (argv, path.name)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None,

@@ -33,6 +33,12 @@ RIGID_BODY_LC = (
     "matrix_basis = [0 0 0; 0 0 -1; 0 1 0] [0 0 1; 0 0 0; -1 0 0] [0 -1 0; 1 0 0; 0 0 0]\n\n"
     "[metric]\ngram = [1 0 0; 0 2 0; 0 0 3]\n\n[connection]\nalpha = levi_civita\n"
 )
+SO4_DENSE_LC = (
+    "space = so(4)\n\n[metric]\ngram = [1.03 0.12 -0.17 0.05 0.04 -0.06; "
+    "0.12 1.19 -0.09 -0.02 -0.05 -0.02; -0.17 -0.09 0.75 -0.09 -0.13 -0.05; "
+    "0.05 -0.02 -0.09 1.27 -0.16 0.09; 0.04 -0.05 -0.13 -0.16 0.91 0.04; "
+    "-0.06 -0.02 -0.05 0.09 0.04 1.07]\n\n[connection]\nalpha = levi_civita\n"
+)
 SEEDS = ["--z0=1,0,0,0,0", "--z0=0.2,-0.5,0.3,0.1,-0.4"]
 
 # case -> (definition text, argv with {space}, {out} and {data} filled in per run)
@@ -44,11 +50,19 @@ CASES = {
     "geodesic_rk4": (RIGID_BODY_LC, [
         "geodesic", "{space}", "--x0=0.3,-0.5,0.8", "--t1=0.2", "--step=0.01",
         "--out={out}/geo"]),
+    # a generic metric on so(4): 216 nonzero symmetric terms, so x takes the numpy RK4 loop
+    "geodesic_dense": (SO4_DENSE_LC, [
+        "geodesic", "{space}", "--x0=0.3,-0.5,0.8,0.1,-0.2,0.4", "--t1=0.2", "--step=0.01",
+        "--out={out}/geo"]),
     "transport_one_parameter": (STIEFEL42_LC, [
         "transport", "{space}", "--curve=one_parameter:0.4,0.1,-0.3,0.2,0.5", *SEEDS,
         "--t1=0.2", "--step=0.02", "--out={out}/tr"]),
     "transport_group_file": (STIEFEL42_LC, [
         "transport", "{space}", "--curve=group_file:{data}/stiefel42_curve.csv", *SEEDS,
+        "--out={out}/tr"]),
+    # too coarse a grid for its curve: the meta carries the coarse-grid warning
+    "transport_velocity_file": (STIEFEL42_LC, [
+        "transport", "{space}", "--curve=velocity_file:{data}/stiefel42_velocities.csv", *SEEDS,
         "--out={out}/tr"]),
     "tensors": ("space = stiefel(4,2)\n", ["tensors", "{space}", "--out={out}/ten"]),
 }
@@ -126,6 +140,19 @@ def test_artifacts_match_golden_files(case, tmp_path):
                        *("  " + line for line in golden_differences(name, got, want))]
     if report:
         pytest.fail("\n".join(report), pytrace=False)
+
+
+def test_the_dense_geodesic_case_takes_the_numpy_rk4_loop(tmp_path, rk4_paths):
+    assert run_case("geodesic_dense", tmp_path)[0] == 0
+    assert rk4_paths["numpy"] and not rk4_paths["scalar"] and not rk4_paths["compiled"]
+
+
+def test_the_velocity_file_case_carries_the_coarse_grid_warning(tmp_path):
+    code, out = run_case("transport_velocity_file", tmp_path)
+    assert code == 0
+    for seed in ("tr_seed0.json", "tr_seed1.json"):
+        assert json.loads((out / seed).read_text())["meta"]["warnings"] == [
+            "transport grid too coarse: velocity finite-difference error ~2.742e-02"]
 
 
 def test_golden_differences_name_each_key_and_its_largest_deviation():
@@ -291,8 +318,10 @@ def in_range_trajectory(rows):
     def values(*shape):
         return rng.uniform(0.001, 1000.0, shape) * rng.choice([-1.0, 1.0], shape)
 
-    return Trajectory(None, np.linspace(0.0, 1.0, rows), values(rows, 3, 3), values(rows, 4),
-                      transported=values(rows, 4), meta={"integrator": "rk4"})
+    frames, velocities = values(rows, 3, 3), values(rows, 4)
+    return Trajectory(None, np.linspace(0.0, 1.0, rows), frames, velocities,
+                      transported=values(rows, 4), meta={"integrator": "rk4"},
+                      midpoints=velocities[1:])
 
 
 @pytest.mark.parametrize("bad", [1e-7, 1e17, math.nan])
@@ -340,7 +369,7 @@ def special_trajectory():
     meta = {"tainted": True, "blow_up": False, "step": 0.5, "drift": math.nan,
             "warnings": ["a", "b"], "fd_order": np.int64(4), "aborted_at": None}
     return Trajectory(None, np.linspace(0.0, 1.5, 4), frames, velocities,
-                      transported=transported, meta=meta)
+                      transported=transported, meta=meta, midpoints=velocities[1:])
 
 
 def write(tmp_path, traj, name="t"):
@@ -450,7 +479,7 @@ def test_a_constant_velocity_row_keeps_each_value_text(tmp_path, monkeypatch, la
     if last_row is not None:
         last_row(velocities[-1])
     traj = Trajectory(None, np.linspace(0.0, 1.0, 6), np.arange(24.0).reshape(6, 2, 2) / 7.0,
-                      velocities, meta={"step": 0.2})
+                      velocities, meta={"step": 0.2}, midpoints=velocities[1:])
     csv, text = write(tmp_path, traj)
     table = [line.split(",") for line in csv.splitlines()[2:]]
     for i, cells in enumerate(table):

@@ -27,7 +27,7 @@ from scipy.linalg import expm
 import redhom as rh
 from redhom.cli import main
 from redhom.connection import levi_civita_alpha
-from redhom.transport import CurveSpec, parallel_transport, realize_curve
+from redhom.transport import FD_UNESTIMATED, CurveSpec, parallel_transport, realize_curve
 
 T1 = 1.5
 INTERVALS = (100, 200, 400)
@@ -190,7 +190,8 @@ def test_frames_of_velocity_samples_meet_an_independent_solve_with_order_four(gr
     frames = []
     for t in grids:
         trajectory = realize_curve(dec, CurveSpec.velocity_samples(t, velocity(t)))
-        assert trajectory.meta["warnings"] == []
+        # the coarser grids carry the coarse-grid warning; every one is estimated
+        assert FD_UNESTIMATED not in trajectory.meta["warnings"]
         frames.append(trajectory.frames)
 
     t = np.unique(np.concatenate(grids))

@@ -282,6 +282,41 @@ def test_one_transport_call_judges_is_metric_once(tmp_path, monkeypatch, capsys)
     assert DRIFT_LINE in capsys.readouterr().out
 
 
+def test_transport_along_a_geodesic_takes_its_exact_field_midpoints(rigid_body, monkeypatch):
+    # the rigid body's x moves by RK4; a stencil on its samples would read an error of
+    # ~1.5e-4 and warn that the grid is too coarse, where the frames took the exact field
+    alpha = levi_civita_alpha(rigid_body.dec, rigid_body.metric)
+    x0 = np.random.default_rng(1).standard_normal(3)
+    geo = geodesic(alpha, x0, (0.0, 5.0), 0.04)
+    magnus = count_calls(monkeypatch, transport, "_magnus_frames")
+    moved = parallel_transport(alpha, geo, x0)
+    assert moved.meta["warnings"] == []
+    assert len(magnus) == 1 and np.array_equal(magnus[0][4], -geo.midpoints)
+    # a geodesic's own velocity is parallel along it: x by RK4 and z by Magnus, 2.5e-9 apart
+    assert np.max(np.abs(moved.transported - geo.velocities)) <= 4e-9
+
+
+@pytest.mark.parametrize("curve, differenced", [
+    ("one_parameter:0.4,0.1,-0.3,0.2,0.5", ["frames"]),
+    (f"velocity_file:{DATA / 'stiefel42_velocities.csv'}", ["velocities", "frames"]),
+    (f"group_file:{DATA / 'stiefel42_curve.csv'}",
+     ["group samples", "h-coordinates of c^-1 c'", "velocities", "frames"]),
+], ids=["one_parameter", "velocity_file", "group_file"])
+def test_a_transport_call_differences_each_sampled_curve_once(tmp_path, monkeypatch, curve,
+                                                              differenced):
+    calls = count_calls(monkeypatch, transport, "_fd_derivatives")
+    assert run_transport(tmp_path, STIEFEL42_LC, curve, ["1,0,0,0,0"]) == 0
+    assert [args[2] for args in calls] == differenced
+
+
+def test_parallel_transport_differences_nothing(stiefel42, monkeypatch, rng):
+    base = lifted_curve(stiefel42.dec)
+    calls = count_calls(monkeypatch, transport, "_fd_derivatives")
+    parallel_transport(levi_civita_alpha(stiefel42.dec, stiefel42.metric), base,
+                       rng.standard_normal((2, stiefel42.dec.N)))
+    assert calls == []
+
+
 def so4_element():
     return np.tensordot([0.4, 0.1, -0.3, 0.2, 0.5, 0.3], rh.so_n(4).matrix_basis, 1)
 
@@ -717,7 +752,7 @@ def sphere2_alpha(space):
 def resting_base(dec, samples):
     """A trajectory of ``samples`` samples resting at the identity frame."""
     return Trajectory(dec, np.arange(float(samples)), np.tile(np.eye(3), (samples, 1, 1)),
-                      np.zeros((samples, 2)))
+                      np.zeros((samples, 2)), midpoints=np.zeros((samples - 1, 2)))
 
 
 def transport_along_velocities(space, times, xs):
@@ -736,10 +771,14 @@ ALTERNATING = np.array([[1e6 * (-1) ** i, 0.0] for i in range(6)])
                  "t_span must be a nonempty interval", id="reversed-span"),
     pytest.param(lambda s: geodesic(sphere2_alpha(s), [1.0, 0.0], (0.5, 0.5), 0.1),
                  "t_span must be a nonempty interval", id="empty-span"),
-    pytest.param(lambda s: Trajectory(s.dec, np.zeros(3), np.zeros((2, 3, 3)), np.zeros((3, 2))),
+    pytest.param(lambda s: Trajectory(s.dec, np.zeros(3), np.zeros((2, 3, 3)), np.zeros((3, 2)),
+                                      midpoints=np.zeros((2, 2))),
                  "times, frames and velocities must have equal length", id="trajectory-lengths"),
     pytest.param(lambda s: Trajectory(s.dec, np.zeros(3), np.zeros((3, 3, 3)), np.zeros((3, 2)),
-                                      transported=np.zeros((2, 2))),
+                                      midpoints=np.zeros((3, 2))),
+                 "midpoints must number one fewer than the samples", id="midpoints-length"),
+    pytest.param(lambda s: Trajectory(s.dec, np.zeros(3), np.zeros((3, 3, 3)), np.zeros((3, 2)),
+                                      transported=np.zeros((2, 2)), midpoints=np.zeros((2, 2))),
                  "transported samples must match the time grid", id="transported-length"),
     pytest.param(lambda s: horizontal_lift(s.dec, CurveSpec.one_parameter([1.0, 0.0], (0, 1),
                                                                           0.1)),
